@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .metrics import MeasurementSeries, series_from_trajectory
 from .model import Environment, HeatSource, SourceMode, WallAssembly, WallKind
-from .simulate import LightSchedule, SimConfig, run
+from .simulate import LightSchedule, SimConfig, _constant_flux_at, run
 
 #: tunable parameter names and the hard physical range each must stay inside
 PARAM_RANGES = {
@@ -80,12 +80,8 @@ class CalibrationProblem:
             raise ValidationError("calibration target must be a temperature series in K")
         if self.target.times[-1] > self.config.duration + 1e-9:
             raise ValidationError("target span must not exceed the simulated duration")
-        bilayer = self.assembly.kind is WallKind.BILAYER
         for name in names:
-            if name in ("alpha_L", "h_Le") and not bilayer:
-                raise ValidationError(f"{name} needs a bilayer assembly")
-            if name == "Q_h" and self.source.mode is not SourceMode.CONSTANT_FLUX:
-                raise ValidationError("Q_h applies to constant-flux sources only")
+            _check_applicable(name, self.assembly, self.source)
         # interpolation error must stay bounded by the integration step
         if self.config.record_stride != 1:
             object.__setattr__(self, "config", replace(self.config, record_stride=1))
@@ -100,17 +96,25 @@ class CalibrationResult:
     converged: bool
 
 
+def _check_applicable(name: str, assembly: WallAssembly, source: HeatSource) -> None:
+    """Reject unknown names, alpha_L/h_Le without a bilayer and Q_h without
+    a constant-flux source."""
+    if name not in PARAM_RANGES:
+        raise ValidationError(
+            f"unknown parameter {name!r}; choose from {sorted(PARAM_RANGES)}")
+    if name in ("alpha_L", "h_Le") and assembly.kind is not WallKind.BILAYER:
+        raise ValidationError(f"{name} needs a bilayer assembly")
+    if name == "Q_h" and source.mode is not SourceMode.CONSTANT_FLUX:
+        raise ValidationError("Q_h applies to constant-flux sources only")
+
+
 def apply_named_parameter(assembly: WallAssembly, source: HeatSource,
                           schedule: LightSchedule, name: str, value: float
                           ) -> tuple[WallAssembly, HeatSource, LightSchedule]:
     """Copies of the model pieces with one named parameter replaced."""
     value = float(value)
-    if name not in PARAM_RANGES:
-        raise ValidationError(
-            f"unknown parameter {name!r}; choose from {sorted(PARAM_RANGES)}")
+    _check_applicable(name, assembly, source)
     sil, lig = assembly.silicone, assembly.lig
-    if name in ("alpha_L", "h_Le") and assembly.kind is not WallKind.BILAYER:
-        raise ValidationError(f"{name} needs a bilayer assembly")
     if name == "alpha_s":
         sil = replace(sil, absorptance=value)
     elif name == "alpha_L":
@@ -120,8 +124,6 @@ def apply_named_parameter(assembly: WallAssembly, source: HeatSource,
     elif name == "h_Le":
         lig = replace(lig, conv_coeff=value)
     elif name == "Q_h":
-        if source.mode is not SourceMode.CONSTANT_FLUX:
-            raise ValidationError("Q_h applies to constant-flux sources only")
         source = replace(source, power=value)
     elif name == "scale":
         schedule = schedule.scaled(value)
@@ -144,7 +146,8 @@ def objective(problem: CalibrationProblem, candidate) -> float:
     """Sum of squared sim-minus-measured temperature errors, in K^2.
 
     The trajectory is sampled at the target time stamps by linear
-    interpolation.
+    interpolation. Constant-flux problems evaluate the Euler iterates in
+    closed form at those stamps only; radiative ones step the whole run.
     """
     candidate = [float(v) for v in candidate]
     if len(candidate) != len(problem.free):
@@ -153,9 +156,14 @@ def objective(problem: CalibrationProblem, candidate) -> float:
         if not spec.lower <= value <= spec.upper:
             raise ValidationError(f"{spec.name}={value!r} is outside its bounds")
     assembly, source, schedule = _apply(problem, candidate)
-    trajectory = run(assembly, source, schedule, problem.env, problem.config)
-    series = series_from_trajectory(trajectory, problem.channel)
-    simulated = np.interp(problem.target.times, series.times, series.values)
+    if source.mode is SourceMode.CONSTANT_FLUX:
+        simulated = _constant_flux_at(assembly, source, schedule, problem.env,
+                                      problem.config, problem.target.times,
+                                      problem.channel)
+    else:
+        trajectory = run(assembly, source, schedule, problem.env, problem.config)
+        series = series_from_trajectory(trajectory, problem.channel)
+        simulated = np.interp(problem.target.times, series.times, series.values)
     diff = simulated - np.asarray(problem.target.values)
     return float(diff @ diff)
 

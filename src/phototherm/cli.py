@@ -6,6 +6,7 @@ failure, 4 partial sweep failure.
 """
 
 import argparse
+import functools
 import sys
 
 from . import calibrate as _calibrate
@@ -67,6 +68,7 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--config", help="path to a scenario config file")
 
 
+@functools.cache  # one parser per process: each build leaves reference cycles
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phototherm",

@@ -13,14 +13,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    KindMismatchError,
     MetricError,
     NoCrossingError,
     NoPlateauError,
     ValidationError,
 )
-from .simulate import Trajectory
-from .model import WallKind
+from .simulate import Trajectory, _resolve_channel
 
 #: level fraction defining the response time: baseline + 0.632 * (final - baseline)
 RESPONSE_FRACTION = 0.632
@@ -86,14 +84,8 @@ def series_from_trajectory(trajectory: Trajectory, channel: str = "auto",
     channel "auto" picks the liquid-contact surface: the absorber film when
     present, otherwise the silicone wall itself.
     """
-    if channel == "auto":
-        channel = "theta_L" if trajectory.kind is WallKind.BILAYER else "theta_s"
-    if channel == "theta_s":
-        values = trajectory.silicone
-    elif channel == "theta_L":
-        values = trajectory.lig
-    else:
-        raise KindMismatchError(f"unknown trajectory channel {channel!r}")
+    channel = _resolve_channel(trajectory.kind, channel)
+    values = trajectory.lig if channel == "theta_L" else trajectory.silicone
     return MeasurementSeries(trajectory.times, values, unit="K",
                              label=label or channel)
 

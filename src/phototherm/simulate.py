@@ -10,6 +10,8 @@ step; within a step the drive scale is the value at the step start.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import KindMismatchError, NumericalError, StabilityError, ValidationError
 from .model import (
     Environment,
@@ -21,6 +23,7 @@ from .model import (
     _bilayer_rates,
     _single_rate,
     _source_input,
+    absorbed_power,
     convective_conductance,
     coupling_conductance,
     heat_capacity,
@@ -135,6 +138,18 @@ class Trajectory:
         return self.samples[-1]
 
 
+def _resolve_channel(kind: WallKind, channel: str) -> str:
+    """Channel name as "theta_s" or "theta_L". "auto" picks the liquid-contact
+    surface: the absorber film when present, otherwise the silicone wall."""
+    if channel == "auto":
+        return "theta_L" if kind is WallKind.BILAYER else "theta_s"
+    if channel not in ("theta_s", "theta_L"):
+        raise KindMismatchError(f"unknown trajectory channel {channel!r}")
+    if channel == "theta_L" and kind is not WallKind.BILAYER:
+        raise KindMismatchError("single-layer trajectory has no lig channel")
+    return channel
+
+
 def _stability_detail(assembly: WallAssembly) -> tuple[float, str]:
     sil = assembly.silicone
     if assembly.kind is WallKind.SINGLE_LAYER:
@@ -157,6 +172,16 @@ def stability_limit(assembly: WallAssembly, env: Environment) -> float:
     loss conductance acting on it (convection plus interlayer coupling).
     """
     return _stability_detail(assembly)[0]
+
+
+def _check_step(assembly: WallAssembly, dt: float) -> None:
+    """Raise StabilityError, naming the limiting layer, when dt exceeds the
+    stability limit."""
+    limit, limiting = _stability_detail(assembly)
+    if dt > limit:
+        raise StabilityError(
+            f"dt={dt:g} s exceeds the stability limit {limit:.6g} s "
+            f"set by the {limiting} layer", limit, limiting)
 
 
 def euler_step(state: ThermalState, assembly: WallAssembly, source: HeatSource,
@@ -206,12 +231,8 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     Rejects dt above the stability limit, naming the limiting layer.
     Identical inputs produce bit-identical trajectories.
     """
-    limit, limiting = _stability_detail(assembly)
     dt = config.dt
-    if dt > limit:
-        raise StabilityError(
-            f"dt={dt:g} s exceeds the stability limit {limit:.6g} s "
-            f"set by the {limiting} layer", limit, limiting)
+    _check_step(assembly, dt)
 
     bilayer = assembly.kind is WallKind.BILAYER
     theta_e = env.ambient_temperature
@@ -268,3 +289,93 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
                 record(i + 1)
 
     return Trajectory(tuple(samples), assembly.kind)
+
+
+def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
+                      schedule: LightSchedule, env: Environment,
+                      config: SimConfig, times, channel: str) -> np.ndarray:
+    """One channel of the trajectory `run` would record from ambient under a
+    constant-flux source, linearly interpolated at the strictly increasing
+    times (clamped to the recorded span, like np.interp), without stepping.
+
+    In excess temperatures x = theta - theta_e one Euler step is the affine
+    map x -> M x + dt f with M = I + dt A. A is similar to the symmetric
+    S = D^{1/2} A D^{-1/2}, D = diag(C). In the modes w = Q^T D^{1/2} x of
+    S = Q diag(lam) Q^T a step is w -> mu w + dt b with mu = 1 + dt lam, so
+    m steps from w0 give exactly
+        w_m = mu^m w0 + dt b (1 - mu^m) / (1 - mu),
+    with the geometric factor read as m where mu = 1 (no loss path). Only
+    the grid steps bracketing each target are evaluated: the cost is
+    O(segments + targets), not O(steps), and the values match stepping to
+    rounding (the tests hold every target to 1e-9 K).
+
+    run's per-sample NumericalError cannot fire here: under the stability
+    guard M >= 0 entrywise, the drive is >= 0 and the start is ambient, so
+    every iterate stays >= theta_e. The closing check catches overflow only.
+    """
+    dt = config.dt
+    _check_step(assembly, dt)
+    channel = _resolve_channel(assembly.kind, channel)
+    n_steps = int(math.floor(config.duration / dt + 1e-9))
+
+    sil = assembly.silicone
+    cap_s, g_s = heat_capacity(sil), convective_conductance(sil)
+    q_s = absorbed_power(source, sil)
+    if assembly.kind is WallKind.SINGLE_LAYER:
+        lam = np.array([-g_s / cap_s])
+        drive = np.array([q_s / cap_s])
+        readout = np.array([1.0])
+    else:
+        lig = assembly.lig
+        cap_l, g_l = heat_capacity(lig), convective_conductance(lig)
+        k = coupling_conductance(sil)
+        q_l = absorbed_power(source, lig)
+        # S = [[a, c], [c, d]]; its eigenpairs in closed form
+        a, d = -(g_s + k) / cap_s, -(g_l + k) / cap_l
+        c = k / math.sqrt(cap_s * cap_l)
+        lam_fast = 0.5 * (a + d) - math.hypot(0.5 * (a - d), c)
+        # det S from the conductances avoids the cancellation in a*d - c*c
+        lam_slow = (g_s * g_l + k * (g_s + g_l)) / (cap_s * cap_l) / lam_fast
+        # Q = [[cos, -sin], [sin, cos]], columns ordered (slow, fast)
+        phi = 0.5 * math.atan2(2.0 * c, a - d)
+        cos, sin = math.cos(phi), math.sin(phi)
+        f_s, f_l = q_s / math.sqrt(cap_s), q_l / math.sqrt(cap_l)  # D^{1/2} f
+        lam = np.array([lam_slow, lam_fast])
+        drive = np.array([cos * f_s + sin * f_l, cos * f_l - sin * f_s])
+        if channel == "theta_s":
+            readout = np.array([cos, -sin]) / math.sqrt(cap_s)
+        else:
+            readout = np.array([sin, cos]) / math.sqrt(cap_l)
+    mu = 1.0 + dt * lam
+    # dt b (1 - mu^m) / (1 - mu) = (1 - mu^m) gain + m ramp: where mu = 1 (no
+    # loss path) the first term is 0 and the second is the limit m dt b
+    flat = mu == 1.0
+    gain = dt * drive / (1.0 - mu + flat)
+    ramp = dt * drive * flat
+
+    def advance(w0, m, scale):
+        """Mode states m steps on from w0 under a constant drive scale."""
+        power = mu ** m
+        return power * w0 + scale * ((1.0 - power) * gain + m * ramp)
+
+    # run r covers steps (start, end]; its start state is the previous run's end
+    runs = np.array(_segments(schedule, n_steps, dt))
+    starts, ends, scales = runs.T
+    w_start = np.zeros((len(runs), lam.size))  # step 0 is ambient: w = 0
+    for r in range(1, len(runs)):
+        w_start[r] = advance(w_start[r - 1], ends[r - 1] - starts[r - 1], scales[r - 1])
+
+    # bracketing grid steps (lower, lower + 1) and the weight of the upper one
+    t = np.asarray(times, dtype=float) / dt
+    lower = np.minimum(np.maximum(np.floor(t), 0.0), n_steps - 1)
+    weight = np.minimum(np.maximum(t - lower, 0.0), 1.0)
+    steps = np.concatenate((lower, lower + 1.0))
+    r = np.searchsorted(ends, steps)
+    w = advance(w_start[r], (steps - starts[r])[:, None], scales[r, None])
+
+    excess = w @ readout
+    below, above = excess[:lower.size], excess[lower.size:]
+    values = env.ambient_temperature + (below + weight * (above - below))
+    if not (np.isfinite(values).all() and (values > 0.0).all()):
+        raise NumericalError("temperature became non-finite or non-positive")
+    return values

@@ -5,10 +5,12 @@ from phototherm import (
     CalibrationProblem,
     Environment,
     HeatSource,
+    KindMismatchError,
     LightSchedule,
     MeasurementSeries,
     ParamSpec,
     SimConfig,
+    StabilityError,
     ThermalLayer,
     ValidationError,
     WallAssembly,
@@ -130,6 +132,43 @@ class TestObjective:
         problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83))
         with pytest.raises(ValidationError):
             objective(problem, [0.49])
+
+    def test_step_above_stability_limit_raises(self):
+        # the bilayer preset's film limits the step to 0.128 s
+        target = synthetic_target(make_bilayer())
+        problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                               config=SimConfig(duration=150.0, dt=0.2))
+        with pytest.raises(StabilityError, match="set by the lig layer") as info:
+            objective(problem, [0.83])
+        assert info.value.limiting_layer == "lig"
+        assert info.value.limit == pytest.approx(0.12844, abs=1e-5)
+
+    def test_lig_channel_on_single_layer_raises(self):
+        single = WallAssembly.single(ThermalLayer(**SILICONE))
+        target = synthetic_target(single)
+        problem = CalibrationProblem(
+            target=target, free=(ParamSpec("h_se", 2.0, 12.0, 6.0),),
+            assembly=single, source=HeatSource.constant_flux(POWER_W),
+            env=Environment(AMBIENT_K), schedule=SCHEDULE, config=CONFIG,
+            channel="theta_L")
+        with pytest.raises(KindMismatchError):
+            objective(problem, [6.0])
+
+    def test_radiative_source_steps_the_run(self):
+        # radiative drive is nonlinear, so the objective must fall back to
+        # stepping; computed here the same way, the value is bit-identical
+        wall, env = make_bilayer(), Environment(AMBIENT_K)
+        source = HeatSource.radiative(373.0, 0.9)
+        config = SimConfig(duration=20.0, dt=0.01)
+        times = tuple(float(t) for t in range(21))
+        target = MeasurementSeries(times, tuple(AMBIENT_K + 0.5 * t for t in times))
+        problem = CalibrationProblem(
+            target=target, free=(ParamSpec("scale", 0.1, 2.0, 1.0),),
+            assembly=wall, source=source, env=env, schedule=SCHEDULE, config=config)
+        _, _, schedule = apply_named_parameter(wall, source, SCHEDULE, "scale", 0.7)
+        series = series_from_trajectory(run(wall, source, schedule, env, config))
+        diff = np.interp(times, series.times, series.values) - np.asarray(target.values)
+        assert objective(problem, [0.7]) == float(diff @ diff)
 
 
 class TestFit:

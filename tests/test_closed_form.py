@@ -1,0 +1,167 @@
+"""Closed-form constant-flux propagation against the stepped integrator.
+
+The calibration objective evaluates constant-flux Euler iterates in closed
+form at the target time stamps instead of stepping the whole run. These
+tests hold it to `run` followed by np.interp, target by target.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phototherm import (
+    CalibrationProblem,
+    Environment,
+    HeatSource,
+    LightSchedule,
+    MeasurementSeries,
+    ParamSpec,
+    SimConfig,
+    ThermalLayer,
+    WallAssembly,
+    WallKind,
+    apply_named_parameter,
+    load_config,
+    objective,
+    preset_path,
+    run,
+    series_from_trajectory,
+    stability_limit,
+)
+from phototherm.simulate import _constant_flux_at
+from conftest import AMBIENT_K, LIG, POWER_W, SILICONE
+
+TARGET_TOL_K = 1e-9
+SSE_TOL_K2 = 1e-9
+
+
+def stepped_at(assembly, source, schedule, env, config, times, channel):
+    trajectory = run(assembly, source, schedule, env, config)
+    series = series_from_trajectory(trajectory, channel)
+    return np.interp(times, series.times, series.values)
+
+
+@st.composite
+def walls(draw):
+    faces = st.sampled_from([None, 0, 1, 2])
+    silicone = ThermalLayer(**dict(
+        SILICONE,
+        conv_coeff=draw(st.floats(0.5, 40.0)),
+        conductivity=draw(st.floats(0.05, 1.0)),
+        thickness=draw(st.floats(0.3e-3, 3e-3)),
+        absorptance=draw(st.floats(0.0, 0.5)),
+        conv_faces=draw(faces)))
+    if draw(st.booleans()):
+        return WallAssembly.single(silicone)
+    lig = ThermalLayer(**dict(
+        LIG,
+        conv_coeff=draw(st.floats(0.5, 40.0)),
+        thickness=draw(st.floats(0.3e-4, 3e-4)),
+        absorptance=draw(st.floats(0.0, 1.0 - silicone.absorptance)),
+        conv_faces=draw(faces)))
+    return WallAssembly.bilayer(silicone, lig)
+
+
+@st.composite
+def schedules(draw, duration):
+    """Up to three on-intervals with gaps between them, scale-0 ones
+    included, sometimes reaching past the run or ending at infinity."""
+    edges = sorted(draw(st.lists(st.floats(0.0, 1.2 * duration), min_size=0,
+                                 max_size=6, unique=True)))
+    scale = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    intervals = [(s, e, draw(scale)) for s, e in zip(edges[::2], edges[1::2])]
+    if intervals and draw(st.booleans()):
+        start, _, sc = intervals[-1]
+        intervals[-1] = (start, math.inf, sc)
+    return LightSchedule(tuple(intervals))
+
+
+@st.composite
+def scenarios(draw):
+    assembly = draw(walls())
+    limit = stability_limit(assembly, Environment(AMBIENT_K))
+    if math.isinf(limit):  # a single layer with no loss path
+        limit = 100.0
+    # up to and including the limit, where a diagonal entry of M is 0
+    dt = limit * draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    n_steps = draw(st.integers(1, 1500))
+    # duration off the step grid: the last targets lie past the last step
+    duration = dt * (n_steps + draw(st.floats(0.0, 0.999)))
+    config = SimConfig(duration=duration, dt=dt)
+    source = HeatSource.constant_flux(draw(st.floats(0.0, 0.2)))
+    schedule = draw(schedules(duration))
+    name = draw(st.sampled_from([None, "scale", "Q_h"]))
+    if name is not None:
+        assembly, source, schedule = apply_named_parameter(
+            assembly, source, schedule, name, draw(st.floats(0.0, 2.0)))
+    channels = ["auto", "theta_s"]
+    if assembly.kind is WallKind.BILAYER:
+        channels.append("theta_L")
+    channel = draw(st.sampled_from(channels))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40, unique=True))
+    times = np.unique(np.append(np.array(fractions) * duration, duration))
+    return assembly, source, schedule, config, times, channel
+
+
+class TestAgainstStepping:
+    @given(scenarios())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_run_at_every_target(self, scenario):
+        assembly, source, schedule, config, times, channel = scenario
+        env = Environment(AMBIENT_K)
+        closed = _constant_flux_at(assembly, source, schedule, env, config,
+                                   tuple(times), channel)
+        stepped = stepped_at(assembly, source, schedule, env, config, times, channel)
+        assert np.all(np.abs(closed - stepped) <= TARGET_TOL_K)
+
+    def test_no_loss_path_ramps_without_nan(self):
+        # conv_faces = 0 on both layers leaves a zero eigenvalue: mu = 1, and
+        # that mode must grow by the drive every step instead of reading 0/0
+        sil = ThermalLayer(**dict(SILICONE, conv_faces=0))
+        lig = ThermalLayer(**dict(LIG, conv_faces=0))
+        env, source = Environment(AMBIENT_K), HeatSource.constant_flux(POWER_W)
+        schedule = LightSchedule(((0.0, 2.0, 1.0),))
+        config = SimConfig(duration=5.0, dt=0.01)
+        times = np.linspace(0.0, 5.0, 51)
+        for assembly in (WallAssembly.single(sil), WallAssembly.bilayer(sil, lig)):
+            closed = _constant_flux_at(assembly, source, schedule, env, config,
+                                       tuple(times), "auto")
+            stepped = stepped_at(assembly, source, schedule, env, config, times, "auto")
+            assert np.all(np.isfinite(closed))
+            assert np.all(np.abs(closed - stepped) <= TARGET_TOL_K)
+
+
+class TestObjectiveOnPresets:
+    # the targets are the presets' own curves plus 0.05 K noise; candidates
+    # at and next to the preset values keep the residuals at noise level
+    @pytest.mark.parametrize("preset, specs, candidates", [
+        ("table1_single", (ParamSpec("h_se", 2.0, 12.0, 6.0),), ([6.0], [6.02])),
+        ("table1_bilayer",
+         (ParamSpec("alpha_L", 0.5, 0.95, 0.83), ParamSpec("h_Le", 5.0, 40.0, 18.0)),
+         ([0.83, 18.0], [0.829, 18.05])),
+        ("table1_bilayer",
+         (ParamSpec("scale", 0.1, 2.0, 1.0), ParamSpec("Q_h", 0.01, 0.2, 0.075)),
+         ([1.0, 0.075], [1.001, 0.0749])),
+    ])
+    def test_sse_matches_stepping_at_noise_level(self, preset, specs, candidates):
+        cfg = load_config(preset_path(preset))
+        schedule = LightSchedule(((0.0, 90.0, 1.0),))
+        config = SimConfig(duration=150.0, dt=0.01)
+        clean = stepped_at(cfg.assembly, cfg.source, schedule, cfg.env, config,
+                           np.arange(0.0, 150.5, 1.0), "auto")
+        noise = np.random.default_rng(11).normal(0.0, 0.05, clean.size)
+        target = MeasurementSeries(np.arange(0.0, 150.5, 1.0), clean + noise)
+        problem = CalibrationProblem(target=target, free=specs, assembly=cfg.assembly,
+                                     source=cfg.source, env=cfg.env,
+                                     schedule=schedule, config=config)
+        for candidate in candidates:
+            assembly, source, sched = cfg.assembly, cfg.source, schedule
+            for spec, value in zip(specs, candidate):
+                assembly, source, sched = apply_named_parameter(
+                    assembly, source, sched, spec.name, value)
+            diff = stepped_at(assembly, source, sched, cfg.env, config,
+                              target.times, "auto") - target.values
+            assert abs(objective(problem, candidate) - diff @ diff) <= SSE_TOL_K2
