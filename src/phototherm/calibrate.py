@@ -127,11 +127,7 @@ def apply_named_parameter(assembly: WallAssembly, source: HeatSource,
         source = replace(source, power=value)
     elif name == "scale":
         schedule = schedule.scaled(value)
-    if assembly.kind is WallKind.BILAYER:
-        assembly = WallAssembly(kind=assembly.kind, silicone=sil, lig=lig)
-    else:
-        assembly = WallAssembly(kind=assembly.kind, silicone=sil)
-    return assembly, source, schedule
+    return WallAssembly(kind=assembly.kind, silicone=sil, lig=lig), source, schedule
 
 
 def _apply(problem: CalibrationProblem, candidate) -> tuple[WallAssembly, HeatSource, LightSchedule]:

@@ -28,7 +28,7 @@ from .metrics import (
     plateau_value,
     response_time_63,
 )
-from .model import KELVIN_OFFSET, WallKind, steady_state
+from .model import KELVIN_OFFSET, steady_state
 from .simulate import SimConfig, run
 
 EXIT_OK = 0
@@ -152,14 +152,7 @@ def _cmd_simulate(args) -> int:
     if args.schedule is not None:
         schedule = fileio.parse_intervals(args.schedule, "--schedule")
     trajectory = run(cfg.assembly, cfg.source, schedule, cfg.env, sim)
-    if args.out:
-        fileio.write_trajectory(trajectory, args.out)
-    else:
-        sys.stdout.write(fileio.TRAJECTORY_HEADER + "\n")
-        bilayer = trajectory.kind is WallKind.BILAYER
-        for s in trajectory.samples:
-            lig = f"{s.lig_temperature:.6f}" if bilayer else ""
-            sys.stdout.write(f"{s.time:.6f},{s.silicone_temperature:.6f},{lig}\n")
+    fileio.write_trajectory(trajectory, args.out or sys.stdout)
     return EXIT_OK
 
 

@@ -10,8 +10,10 @@ kelvin. Every emitted file is re-ingestible by the matching reader.
 import configparser
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 from .calibrate import apply_named_parameter
@@ -399,14 +401,16 @@ def read_series(path, column: str = "auto", label: str | None = None) -> Measure
 
 
 def write_trajectory(trajectory: Trajectory, path) -> None:
-    """Write a trajectory as CSV with 6-decimal fixed formatting and LF
-    endings; the theta_L column stays empty for single-layer runs."""
-    bilayer = trajectory.kind is WallKind.BILAYER
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write a trajectory to a path or an open text stream as CSV with
+    6-decimal fixed formatting and LF endings; the theta_L column stays
+    empty for single-layer runs."""
+    lig = repeat("") if trajectory.lig is None else (f"{v:.6f}" for v in trajectory.lig)
+    rows = (f"{t:.6f},{s:.6f},{v}\n"
+            for t, s, v in zip(trajectory.times, trajectory.silicone, lig))
+    with (nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for s in trajectory.samples:
-            lig = f"{s.lig_temperature:.6f}" if bilayer else ""
-            fh.write(f"{s.time:.6f},{s.silicone_temperature:.6f},{lig}\n")
+        fh.writelines(rows)
 
 
 def write_series(series: MeasurementSeries, path) -> None:

@@ -107,35 +107,36 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded temperature samples, uniformly spaced dt * record_stride."""
+    """Recorded temperature samples, uniformly spaced dt * record_stride, as
+    three columns: time stamps, silicone and lig temperatures. lig is None
+    for a single-layer wall."""
 
-    samples: tuple[ThermalState, ...]
-    kind: WallKind
+    times: tuple[float, ...]
+    silicone: tuple[float, ...]
+    lig: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not self.samples:
+        if not self.times:
             raise ValidationError("trajectory must hold at least one sample")
-        times = [s.time for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if len(self.silicone) != len(self.times) or (
+                self.lig is not None and len(self.lig) != len(self.times)):
+            raise ValidationError("trajectory columns must have equal lengths")
+        if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValidationError("trajectory time stamps must be strictly increasing")
 
     @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(s.time for s in self.samples)
+    def kind(self) -> WallKind:
+        return WallKind.SINGLE_LAYER if self.lig is None else WallKind.BILAYER
 
     @property
-    def silicone(self) -> tuple[float, ...]:
-        return tuple(s.silicone_temperature for s in self.samples)
-
-    @property
-    def lig(self) -> tuple[float, ...]:
-        if self.kind is not WallKind.BILAYER:
-            raise KindMismatchError("single-layer trajectory has no lig channel")
-        return tuple(s.lig_temperature for s in self.samples)
+    def samples(self) -> tuple[ThermalState, ...]:
+        lig = (None,) * len(self.times) if self.lig is None else self.lig
+        return tuple(map(ThermalState, self.times, self.silicone, lig))
 
     @property
     def final(self) -> ThermalState:
-        return self.samples[-1]
+        lig = None if self.lig is None else self.lig[-1]
+        return ThermalState(self.times[-1], self.silicone[-1], lig)
 
 
 def _resolve_channel(kind: WallKind, channel: str) -> str:
@@ -228,8 +229,9 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     Starts from ambient temperature unless an explicit initial state is
     given (its time stamp is ignored; integration always starts at t = 0).
     Recording keeps every record_stride-th step, first sample at t = 0.
-    Rejects dt above the stability limit, naming the limiting layer.
-    Identical inputs produce bit-identical trajectories.
+    Rejects dt above the stability limit, naming the limiting layer, and
+    raises NumericalError at the first step whose temperatures are not
+    finite and positive. Identical inputs produce bit-identical trajectories.
     """
     dt = config.dt
     _check_step(assembly, dt)
@@ -257,23 +259,14 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     stride = config.record_stride
     constant_flux = source.mode is SourceMode.CONSTANT_FLUX
 
-    samples = []
-
-    def record(step: int) -> None:
-        t = step * dt
-        if not (math.isfinite(ts) and ts > 0.0) or (
-                bilayer and not (math.isfinite(tl) and tl > 0.0)):
-            raise NumericalError(
-                f"temperature became non-finite or non-positive at t={t:g} s")
-        samples.append(ThermalState(t, ts, tl) if bilayer else ThermalState(t, ts))
-
-    record(0)
+    inf = math.inf
+    times, sil_temps, lig_temps = [0.0], [ts], [tl]
     for i0, i1, scale in _segments(schedule, n_steps, dt):
         if constant_flux:
             q_s = _source_input(source, sil, scale, ts)
             if bilayer:
                 q_l = _source_input(source, lig, scale, tl)
-        for i in range(i0, i1):
+        for step in range(i0 + 1, i1 + 1):  # index of the state this update makes
             if not constant_flux:
                 q_s = _source_input(source, sil, scale, ts)
                 if bilayer:
@@ -285,10 +278,15 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
                 tl = tl + dt * d_l
             else:
                 ts = ts + dt * _single_rate(ts, theta_e, q_s, g_s, cap_s)
-            if (i + 1) % stride == 0:
-                record(i + 1)
+            if not (0.0 < ts < inf and 0.0 < tl < inf):
+                raise NumericalError(
+                    f"temperature became non-finite or non-positive at t={step * dt:g} s")
+            if step % stride == 0:
+                times.append(step * dt)
+                sil_temps.append(ts)
+                lig_temps.append(tl)
 
-    return Trajectory(tuple(samples), assembly.kind)
+    return Trajectory(tuple(times), tuple(sil_temps), tuple(lig_temps) if bilayer else None)
 
 
 def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
@@ -309,7 +307,7 @@ def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
     O(segments + targets), not O(steps), and the values match stepping to
     rounding (the tests hold every target to 1e-9 K).
 
-    run's per-sample NumericalError cannot fire here: under the stability
+    run's per-step NumericalError cannot fire here: under the stability
     guard M >= 0 entrywise, the drive is >= 0 and the start is ambient, so
     every iterate stays >= theta_e. The closing check catches overflow only.
     """

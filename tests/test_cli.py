@@ -53,13 +53,19 @@ class TestSimulateAndMetrics:
         report = parse_report(out)
         assert float(report["t63_s"]) == pytest.approx(54.9, abs=3.0)
 
-    def test_stdout_csv(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--preset", "table1_single",
-                               "--duration", "1", "--record-stride", "50")
+    @pytest.mark.parametrize("preset", ("table1_single", "table1_bilayer"))
+    def test_stdout_csv(self, capsys, tmp_path, preset):
+        argv = ("simulate", "--preset", preset, "--duration", "1", "--record-stride", "50")
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "t_s,theta_s_K,theta_L_K"
         assert len(lines) == 4  # header + t = 0, 0.5, 1.0
+        # stdout and --out go through the same writer: identical bytes
+        out_csv = tmp_path / "run.csv"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_csv))
+        assert code == 0
+        assert out.encode("utf-8") == out_csv.read_bytes()
 
     def test_schedule_override_and_cooling_tail(self, capsys, tmp_path):
         out_csv = tmp_path / "onoff.csv"

@@ -6,16 +6,20 @@ from hypothesis import strategies as st
 from phototherm import (
     Environment,
     HeatSource,
+    KindMismatchError,
     LightSchedule,
     NumericalError,
     SimConfig,
     StabilityError,
     ThermalLayer,
     ThermalState,
+    Trajectory,
     ValidationError,
     WallAssembly,
+    WallKind,
     euler_step,
     run,
+    series_from_trajectory,
     stability_limit,
 )
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE, TAU_SINGLE_S
@@ -185,6 +189,7 @@ class TestRun:
         first = run(bilayer_wall, flux_source, ALWAYS_ON, environment, config)
         second = run(bilayer_wall, flux_source, ALWAYS_ON, environment, config)
         assert first == second
+        assert hash(first) == hash(second)
 
     def test_record_stride_spacing(self, single_wall, flux_source, environment):
         config = SimConfig(duration=1.0, dt=0.01, record_stride=25)
@@ -235,9 +240,11 @@ class TestRun:
                                 scale, 0.5)
         assert traj.final.silicone_temperature == manual.silicone_temperature
 
-    def test_radiative_blowup_raises_numerical_error(self, environment):
+    @pytest.mark.parametrize("record_stride", (1, 3))
+    def test_radiative_blowup_raises_numerical_error(self, environment, record_stride):
         # radiative stiffness is not part of the linear stability guard, so a
-        # huge source with a large step diverges and must be reported
+        # huge source with a large step diverges and must be reported, also
+        # when the first bad temperature falls on a step that is not recorded
         layer = ThermalLayer(specific_heat=700.0, density=400.0, thickness=1e-4,
                              area=1e-4, emissivity=1.0, absorptance=0.5,
                              conductivity=1.0, conv_coeff=0.5)
@@ -245,7 +252,8 @@ class TestRun:
         source = HeatSource.radiative(3000.0, 1.0)
         assert stability_limit(wall, environment) > 1.0
         with pytest.raises(NumericalError):
-            run(wall, source, ALWAYS_ON, environment, SimConfig(duration=10.0, dt=1.0))
+            run(wall, source, ALWAYS_ON, environment,
+                SimConfig(duration=10.0, dt=1.0, record_stride=record_stride))
 
     def test_radiative_run_approaches_its_steady_state(self, single_wall, environment):
         from phototherm import steady_state
@@ -255,6 +263,48 @@ class TestRun:
         traj = run(single_wall, source, ALWAYS_ON, environment,
                    SimConfig(duration=600.0, dt=0.05, record_stride=200))
         assert traj.final.silicone_temperature == pytest.approx(target, abs=0.05)
+
+
+class TestTrajectory:
+    def test_rejects_empty_columns(self):
+        with pytest.raises(ValidationError):
+            Trajectory((), ())
+        with pytest.raises(ValidationError):
+            Trajectory((), (), ())
+
+    def test_rejects_unequal_column_lengths(self):
+        with pytest.raises(ValidationError):
+            Trajectory((0.0, 1.0), (298.0,))
+        with pytest.raises(ValidationError):
+            Trajectory((0.0, 1.0), (298.0, 299.0), (298.0,))
+
+    @pytest.mark.parametrize("times", ((0.0, 0.0), (1.0, 0.5)))
+    def test_rejects_non_increasing_times(self, times):
+        with pytest.raises(ValidationError):
+            Trajectory(times, (298.0, 299.0))
+
+    def test_single_layer_run_has_no_lig_column(self, single_wall, flux_source,
+                                                environment):
+        traj = run(single_wall, flux_source, ALWAYS_ON, environment,
+                   SimConfig(duration=1.0, dt=0.1))
+        assert traj.lig is None
+        assert traj.kind is WallKind.SINGLE_LAYER
+        assert traj.final.lig_temperature is None
+        with pytest.raises(KindMismatchError):
+            series_from_trajectory(traj, "theta_L")
+
+    @pytest.mark.parametrize("wall", ("single_wall", "bilayer_wall"))
+    def test_samples_and_final_rebuild_states_from_columns(self, wall, flux_source,
+                                                           environment, request):
+        assembly = request.getfixturevalue(wall)
+        traj = run(assembly, flux_source, ALWAYS_ON, environment,
+                   SimConfig(duration=1.0, dt=0.1, record_stride=3))
+        assert traj.kind is assembly.kind
+        assert len(traj.samples) == len(traj.times) == 4  # steps 0, 3, 6, 9
+        for i, state in enumerate(traj.samples):
+            lig = None if traj.lig is None else traj.lig[i]
+            assert state == ThermalState(traj.times[i], traj.silicone[i], lig)
+        assert traj.final == traj.samples[-1]
 
 
 class TestAccuracy:
