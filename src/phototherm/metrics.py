@@ -7,6 +7,7 @@ peak-degradation ratios across repeated actuation cycles.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,17 +46,18 @@ class MeasurementSeries:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.times) != len(self.values):
+        times, values = tuple(map(float, self.times)), tuple(map(float, self.values))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+        if len(times) != len(values):
             raise ValidationError("times and values must have equal length")
-        if len(self.times) < 2:
+        if len(times) < 2:
             raise ValidationError("series needs at least 2 points")
-        if any(not math.isfinite(t) for t in self.times):
+        if not all(map(math.isfinite, times)):
             raise ValidationError("series times must be finite")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if not all(map(operator.lt, times, times[1:])):
             raise ValidationError("series times must be strictly increasing")
-        if any(not math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, values)):
             raise ValidationError("series values must be finite (no NaN)")
         if self.unit not in _UNITS:
             raise ValidationError(f"unit must be one of {_UNITS}, got {self.unit!r}")

@@ -208,6 +208,19 @@ def convective_conductance(layer: ThermalLayer) -> float:
     return faces * layer.conv_coeff * layer.area
 
 
+def _grey_body(theta_hot: float, eps_hot: float, eps_cold: float,
+               area: float) -> tuple[float, float, float]:
+    """Validated constants (theta_hot^4, area, grey-body resistance) of
+    radiative_exchange. Callers that hold the hot side fixed take them once
+    and evaluate sigma * (th4 - Tc^4) * area / resistance per temperature,
+    which is the same float arithmetic as radiative_exchange."""
+    _require(theta_hot > 0.0, "temperatures must be > 0 K")
+    _require(0.0 < eps_hot <= 1.0, f"emissivity must lie in (0, 1], got {eps_hot!r}")
+    _require(0.0 < eps_cold <= 1.0, f"emissivity must lie in (0, 1], got {eps_cold!r}")
+    _require(area > 0.0, "area must be strictly positive")
+    return theta_hot ** 4, area, 1.0 / eps_hot + 1.0 / eps_cold - 1.0
+
+
 def radiative_exchange(theta_hot: float, eps_hot: float,
                        theta_cold: float, eps_cold: float, area: float) -> float:
     """Net radiative power exchanged between two grey surfaces, in W.
@@ -215,12 +228,9 @@ def radiative_exchange(theta_hot: float, eps_hot: float,
     Positive when theta_hot exceeds theta_cold. The grey-body resistance
     uses both emissivities: sigma (Th^4 - Tc^4) A / (1/eps_h + 1/eps_c - 1).
     """
-    _require(theta_hot > 0.0 and theta_cold > 0.0, "temperatures must be > 0 K")
-    _require(0.0 < eps_hot <= 1.0, f"emissivity must lie in (0, 1], got {eps_hot!r}")
-    _require(0.0 < eps_cold <= 1.0, f"emissivity must lie in (0, 1], got {eps_cold!r}")
-    _require(area > 0.0, "area must be strictly positive")
-    return (STEFAN_BOLTZMANN * (theta_hot ** 4 - theta_cold ** 4) * area
-            / (1.0 / eps_hot + 1.0 / eps_cold - 1.0))
+    _require(theta_cold > 0.0, "temperatures must be > 0 K")
+    th4, area, resistance = _grey_body(theta_hot, eps_hot, eps_cold, area)
+    return STEFAN_BOLTZMANN * (th4 - theta_cold ** 4) * area / resistance
 
 
 def absorbed_power(source: HeatSource, layer: ThermalLayer, scale: float = 1.0) -> float:
@@ -362,20 +372,28 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
             return ThermalState(0.0, theta_e)
         return ThermalState(0.0, theta_e, theta_e)
 
+    def drive(layer: ThermalLayer):
+        # the floats of _source_input, with the grey-body constants taken once
+        th4, area, resistance = _grey_body(theta_h, source.source_emissivity,
+                                           layer.emissivity, layer.area)
+        return lambda theta: scale * (STEFAN_BOLTZMANN * (th4 - theta ** 4)
+                                      * area / resistance)
+
     if assembly.kind is WallKind.SINGLE_LAYER:
         layer = assembly.silicone
+        q = drive(layer)
         g = convective_conductance(layer)
         # tight enough that the rate residual stays well below 1e-6 K/s
         tol = min(_STEADY_RESIDUAL_TOL, 1e-7 * heat_capacity(layer))
 
         def residual(theta):
-            return (_source_input(source, layer, scale, theta)
-                    - g * (theta - theta_e))
+            return q(theta) - g * (theta - theta_e)
 
         lo, hi = min(theta_e, theta_h), max(theta_e, theta_h)
         return ThermalState(0.0, _bisect(residual, lo, hi, tol))
 
     sil, lig = assembly.silicone, assembly.lig
+    q_s, q_l = drive(sil), drive(lig)
     g_s, g_l = convective_conductance(sil), convective_conductance(lig)
     k = coupling_conductance(sil)
     tol = min(_STEADY_RESIDUAL_TOL,
@@ -383,8 +401,7 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
 
     def silicone_for(theta_l: float) -> float:
         def residual(theta_s):
-            return (_source_input(source, sil, scale, theta_s)
-                    + k * (theta_l - theta_s) - g_s * (theta_s - theta_e))
+            return q_s(theta_s) + k * (theta_l - theta_s) - g_s * (theta_s - theta_e)
 
         lo = min(theta_e, theta_h, theta_l)
         hi = max(theta_e, theta_h, theta_l)
@@ -394,8 +411,7 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
 
     def residual_lig(theta_l: float) -> float:
         theta_s = silicone_for(theta_l)
-        return (_source_input(source, lig, scale, theta_l)
-                - g_l * (theta_l - theta_e) - k * (theta_l - theta_s))
+        return q_l(theta_l) - g_l * (theta_l - theta_e) - k * (theta_l - theta_s)
 
     lo, hi = min(theta_e, theta_h), max(theta_e, theta_h)
     theta_l = _bisect(residual_lig, lo, hi, tol)

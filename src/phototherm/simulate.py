@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import KindMismatchError, NumericalError, StabilityError, ValidationError
 from .model import (
+    STEFAN_BOLTZMANN,
     Environment,
     HeatSource,
     SourceMode,
@@ -21,8 +22,8 @@ from .model import (
     WallAssembly,
     WallKind,
     _bilayer_rates,
+    _grey_body,
     _single_rate,
-    _source_input,
     absorbed_power,
     convective_conductance,
     coupling_conductance,
@@ -231,7 +232,10 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     Recording keeps every record_stride-th step, first sample at t = 0.
     Rejects dt above the stability limit, naming the limiting layer, and
     raises NumericalError at the first step whose temperatures are not
-    finite and positive. Identical inputs produce bit-identical trajectories.
+    finite and positive. Identical inputs produce bit-identical trajectories,
+    equal to a chain of euler_step calls: a radiative drive takes its
+    grey-body constants once per run but evaluates the floats of
+    radiative_exchange.
     """
     dt = config.dt
     _check_step(assembly, dt)
@@ -258,19 +262,25 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     n_steps = int(math.floor(config.duration / dt + 1e-9))
     stride = config.record_stride
     constant_flux = source.mode is SourceMode.CONSTANT_FLUX
+    if not constant_flux:
+        th4, a_s, r_s = _grey_body(source.source_temperature, source.source_emissivity,
+                                   sil.emissivity, sil.area)
+        if bilayer:
+            _, a_l, r_l = _grey_body(source.source_temperature, source.source_emissivity,
+                                     lig.emissivity, lig.area)
 
     inf = math.inf
     times, sil_temps, lig_temps = [0.0], [ts], [tl]
     for i0, i1, scale in _segments(schedule, n_steps, dt):
         if constant_flux:
-            q_s = _source_input(source, sil, scale, ts)
+            q_s = absorbed_power(source, sil, scale)
             if bilayer:
-                q_l = _source_input(source, lig, scale, tl)
+                q_l = absorbed_power(source, lig, scale)
         for step in range(i0 + 1, i1 + 1):  # index of the state this update makes
             if not constant_flux:
-                q_s = _source_input(source, sil, scale, ts)
+                q_s = scale * (STEFAN_BOLTZMANN * (th4 - ts ** 4) * a_s / r_s)
                 if bilayer:
-                    q_l = _source_input(source, lig, scale, tl)
+                    q_l = scale * (STEFAN_BOLTZMANN * (th4 - tl ** 4) * a_l / r_l)
             if bilayer:
                 d_s, d_l = _bilayer_rates(ts, tl, theta_e, q_s, q_l,
                                           g_s, g_l, k, cap_s, cap_l)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phototherm.cli import cli_main
+from phototherm.fileio import preset_path
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +242,20 @@ class TestExitCodes:
         bad.write_text("[assembly]\nkind = pyramid\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "steady", "--config", str(bad))
         assert code == 2
+
+    def test_zero_emissivity_under_radiative_source_is_bad_input(self, capsys, tmp_path):
+        preset = preset_path("table1_single").read_text(encoding="utf-8")
+        text = (preset.replace("emissivity = 0.95", "emissivity = 0.0")
+                .replace("mode = constant_flux\npower = 0.075",
+                         "mode = radiative_body\nsource_temperature = 373.0\n"
+                         "source_emissivity = 0.9"))
+        assert "emissivity = 0.0" in text and "radiative_body" in text
+        config = tmp_path / "dark.ini"
+        config.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                               "--duration", "1")
+        assert code == 2
+        assert "emissivity" in err
 
     def test_unstable_step_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--preset", "table1_bilayer",

@@ -45,6 +45,16 @@ class TestMeasurementSeries:
         with pytest.raises(ValidationError):
             MeasurementSeries((0.0, 1.0), (1.0, float("nan")))
 
+    @pytest.mark.parametrize("bad", (math.inf, -math.inf))
+    def test_rejects_infinite_time(self, bad):
+        with pytest.raises(ValidationError, match="times must be finite"):
+            MeasurementSeries((0.0, bad), (1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", (math.inf, -math.inf))
+    def test_rejects_infinite_value(self, bad):
+        with pytest.raises(ValidationError, match="values must be finite"):
+            MeasurementSeries((0.0, 1.0), (bad, 2.0))
+
     def test_rejects_unknown_unit(self):
         with pytest.raises(ValidationError):
             MeasurementSeries((0.0, 1.0), (1.0, 2.0), unit="F")

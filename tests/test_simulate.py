@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,20 +171,31 @@ class TestRun:
         assert all(s.silicone_temperature == AMBIENT_K for s in traj.samples)
         assert all(s.lig_temperature == AMBIENT_K for s in traj.samples)
 
-    def test_matches_manual_euler_stepping_bitwise(self, bilayer_wall, flux_source,
+    @pytest.mark.parametrize("wall, source", (
+        ("bilayer_wall", HeatSource.constant_flux(POWER_W)),
+        ("single_wall", HeatSource.radiative(1500.0, 0.9)),
+        ("bilayer_wall", HeatSource.radiative(1500.0, 0.9)),
+    ), ids=("bilayer-flux", "single-radiative", "bilayer-radiative"))
+    def test_matches_manual_euler_stepping_bitwise(self, request, wall, source,
                                                    environment):
-        # the fast integration loop and the public step op must agree exactly
-        schedule = LightSchedule(((0.0, 1.0, 1.0), (2.0, 3.0, 0.4)))
-        config = SimConfig(duration=4.0, dt=0.01)
-        traj = run(bilayer_wall, flux_source, schedule, environment, config)
+        # the integration loop and the public step op must agree exactly; a
+        # radiative run takes its grey-body constants once per run, while
+        # euler_step goes through radiative_exchange on every step. The hot
+        # source and the 20 s of drive make a rounding change in the inlined
+        # drive (such as T*T*T*T for T**4) reach the recorded temperatures
+        wall = request.getfixturevalue(wall)
+        schedule = LightSchedule(((0.0, 10.0, 1.0), (12.0, 20.0, 0.37)))
+        config = SimConfig(duration=21.0, dt=0.01)
+        traj = run(wall, source, schedule, environment, config)
 
-        state = ThermalState(0.0, AMBIENT_K, AMBIENT_K)
+        lig = AMBIENT_K if wall.kind is WallKind.BILAYER else None
+        state = ThermalState(0.0, AMBIENT_K, lig)
         for i, sample in enumerate(traj.samples[1:]):
             scale = schedule.scale_at(i * config.dt)  # scale at step start
-            state = euler_step(state, bilayer_wall, flux_source, environment,
-                               scale, config.dt)
+            state = euler_step(state, wall, source, environment, scale, config.dt)
             assert sample.silicone_temperature == state.silicone_temperature
             assert sample.lig_temperature == state.lig_temperature
+        assert traj.final.silicone_temperature > AMBIENT_K  # the drive acted
 
     def test_deterministic_bit_identical(self, bilayer_wall, flux_source, environment):
         config = SimConfig(duration=30.0, dt=0.01, record_stride=10)
@@ -254,6 +267,21 @@ class TestRun:
         with pytest.raises(NumericalError):
             run(wall, source, ALWAYS_ON, environment,
                 SimConfig(duration=10.0, dt=1.0, record_stride=record_stride))
+
+    @pytest.mark.parametrize("schedule", (ALWAYS_ON, LightSchedule.off()), ids=("on", "off"))
+    @pytest.mark.parametrize("kind, dark", (("single", "silicone"), ("bilayer", "silicone"),
+                                            ("bilayer", "lig")))
+    def test_radiative_run_rejects_zero_emissivity(self, environment, kind, dark, schedule):
+        # the grey-body resistance divides by each emissivity: run checks
+        # them once before stepping and reports a bad input, not a
+        # ZeroDivisionError, also when the light is never on
+        layers = {"silicone": ThermalLayer(**SILICONE), "lig": ThermalLayer(**LIG)}
+        layers[dark] = replace(layers[dark], emissivity=0.0)
+        wall = (WallAssembly.single(layers["silicone"]) if kind == "single"
+                else WallAssembly.bilayer(layers["silicone"], layers["lig"]))
+        with pytest.raises(ValidationError, match="emissivity"):
+            run(wall, HeatSource.radiative(373.0, 0.9), schedule, environment,
+                SimConfig(duration=1.0, dt=0.01))
 
     def test_radiative_run_approaches_its_steady_state(self, single_wall, environment):
         from phototherm import steady_state
