@@ -16,7 +16,7 @@ from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
-from .calibrate import apply_named_parameter
+from .calibrate import PARAM_RANGES, apply_named_parameter
 from .errors import ConfigError, PhotothermError, SeriesFormatError, ValidationError
 from .metrics import (
     FinalConvention,
@@ -173,31 +173,22 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
             return default
         return cp.get(section, key).strip()
 
-    def get_float(section: str, key: str, default=_REQUIRED) -> float:
+    def get_number(section: str, key: str, default=_REQUIRED, cast=float):
         raw = get_raw(section, key, default)
         if raw is default and raw is not _REQUIRED:
             return default
         try:
-            return float(raw)
+            return cast(raw)
         except (TypeError, ValueError):
+            what = "a number" if cast is float else "an integer"
             raise ConfigError(
-                f"{where(section, key)}: [{section}] {key}: not a number: {raw!r}") from None
-
-    def get_int(section: str, key: str, default=_REQUIRED) -> int:
-        raw = get_raw(section, key, default)
-        if raw is default and raw is not _REQUIRED:
-            return default
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{where(section, key)}: [{section}] {key}: not an integer: {raw!r}") from None
+                f"{where(section, key)}: [{section}] {key}: not {what}: {raw!r}") from None
 
     def build_layer(section: str) -> ThermalLayer:
         need_section(section)
-        kwargs = {key: get_float(section, key) for key in _LAYER_KEYS}
+        kwargs = {key: get_number(section, key) for key in _LAYER_KEYS}
         if cp.has_option(section, "conv_faces"):
-            kwargs["conv_faces"] = get_int(section, "conv_faces")
+            kwargs["conv_faces"] = get_number(section, "conv_faces", cast=int)
         try:
             return ThermalLayer(**kwargs)
         except ValidationError as exc:
@@ -241,19 +232,19 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
                 if cp.has_option("source", key):
                     raise ConfigError(
                         f"{where('source', key)}: [source] {key} is not valid in constant_flux mode")
-            source = HeatSource.constant_flux(get_float("source", "power"))
+            source = HeatSource.constant_flux(get_number("source", "power"))
         else:
             if cp.has_option("source", "power"):
                 raise ConfigError(
                     f"{where('source', 'power')}: [source] power is not valid in radiative_body mode")
-            source = HeatSource.radiative(get_float("source", "source_temperature"),
-                                          get_float("source", "source_emissivity"))
+            source = HeatSource.radiative(get_number("source", "source_temperature"),
+                                          get_number("source", "source_emissivity"))
     except ValidationError as exc:
         raise ConfigError(f"{where('source')}: [source] {exc}") from exc
 
     need_section("environment")
     try:
-        env = Environment(get_float("environment", "ambient_temperature"))
+        env = Environment(get_number("environment", "ambient_temperature"))
     except ValidationError as exc:
         raise ConfigError(f"{where('environment', 'ambient_temperature')}: "
                           f"[environment] {exc}") from exc
@@ -266,16 +257,16 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
 
     need_section("sim")
     try:
-        sim = SimConfig(duration=get_float("sim", "duration"),
-                        dt=get_float("sim", "dt", 0.01),
-                        record_stride=get_int("sim", "record_stride", 1),
-                        metric_window=get_float("sim", "metric_window", 300.0))
+        sim = SimConfig(duration=get_number("sim", "duration"),
+                        dt=get_number("sim", "dt", 0.01),
+                        record_stride=get_number("sim", "record_stride", 1, cast=int),
+                        metric_window=get_number("sim", "metric_window", 300.0))
     except ValidationError as exc:
         raise ConfigError(f"{where('sim')}: [sim] {exc}") from exc
 
-    plateau_window = get_float("metrics", "plateau_window", None) \
+    plateau_window = get_number("metrics", "plateau_window", None) \
         if cp.has_section("metrics") else None
-    plateau_threshold = get_float("metrics", "plateau_threshold", None) \
+    plateau_threshold = get_number("metrics", "plateau_threshold", None) \
         if cp.has_section("metrics") else None
     channel = get_raw("metrics", "channel", "auto") if cp.has_section("metrics") else "auto"
     if channel not in ("auto", "theta_s", "theta_L"):
@@ -445,7 +436,6 @@ class SweepSpec:
             if self.d_ref is None or not self.d_ref > 0.0:
                 raise ValidationError("distance sweeps need a positive d_ref")
         else:
-            from .calibrate import PARAM_RANGES
             if self.param not in PARAM_RANGES:
                 raise ValidationError(
                     f"unknown sweep parameter {self.param!r}; choose from "

@@ -93,16 +93,18 @@ class HeatSource:
     def __post_init__(self):
         if self.mode is SourceMode.RADIATIVE_BODY:
             _require(self.source_temperature is not None
+                     and math.isfinite(self.source_temperature)
                      and self.source_temperature > 0.0,
-                     "radiative source needs source_temperature > 0")
+                     "radiative source needs a finite source_temperature > 0")
             _require(self.source_emissivity is not None
                      and 0.0 < self.source_emissivity <= 1.0,
                      "radiative source needs source_emissivity in (0, 1]")
             _require(self.power is None,
                      "power is a constant-flux field; not valid in radiative mode")
         elif self.mode is SourceMode.CONSTANT_FLUX:
-            _require(self.power is not None and self.power >= 0.0,
-                     "constant-flux source needs power >= 0")
+            _require(self.power is not None and math.isfinite(self.power)
+                     and self.power >= 0.0,
+                     "constant-flux source needs a finite power >= 0")
             _require(self.source_temperature is None and self.source_emissivity is None,
                      "source_temperature/source_emissivity are radiative fields")
         else:
@@ -332,9 +334,25 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
                  scale: float = 1.0) -> ThermalState:
     """Temperatures at which all rates vanish.
 
-    Constant-flux sources solve in closed form (the balances are linear);
-    radiative sources are solved by bisection on the power residual, to
-    |residual| < 1e-9 W. The returned state carries time 0.
+    Constant-flux sources solve in closed form (the balances are linear).
+
+    Radiative sources are solved by one bisection in the silicone
+    temperature theta_s over the bracket [min(theta_e, theta_h),
+    max(theta_e, theta_h)], to |residual| < min(1e-9 W, 1e-7 x the smallest
+    layer capacity). With p = q_s(theta_s) - g_s (theta_s - theta_e), the
+    silicone balance p + k (theta_L - theta_s) = 0 is linear in theta_L, so
+    a bilayer's theta_L = theta_s - p / k follows from theta_s; it is
+    clipped to the bracket. The residual is the net power into the wall,
+    p + q_L(theta_L) - g_L (theta_L - theta_e), or p alone on one layer.
+    The drive q falls as temperature rises, so p is strictly decreasing,
+    the clipped theta_L is non-decreasing in theta_s, and the residual is
+    strictly decreasing. At the ambient end it has the sign of
+    theta_h - theta_e and at the source end the opposite sign or zero, so
+    the root is unique. The clip is inactive at the root, since where it
+    binds p and the lig's net gain have the same nonzero sign; without it
+    a silicone drive much larger than k can put theta_L below 0 K near
+    ambient, where the residual has the wrong sign. The returned state
+    carries time 0.
     """
     _require(scale >= 0.0, "scale must be non-negative")
     theta_e = env.ambient_temperature
@@ -365,12 +383,11 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
         u = ((g_s + k) * q_l + k * q_s) / det
         return ThermalState(0.0, theta_e + v, theta_e + u)
 
-    # radiative mode: bisection on the layer power residuals
+    # radiative mode: one bisection in theta_s on the net power into the wall
     theta_h = source.source_temperature
+    sil, lig = assembly.silicone, assembly.lig
     if scale == 0.0 or theta_h == theta_e:
-        if assembly.kind is WallKind.SINGLE_LAYER:
-            return ThermalState(0.0, theta_e)
-        return ThermalState(0.0, theta_e, theta_e)
+        return ThermalState(0.0, theta_e, None if lig is None else theta_e)
 
     def drive(layer: ThermalLayer):
         # the floats of _source_input, with the grey-body constants taken once
@@ -379,40 +396,24 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
         return lambda theta: scale * (STEFAN_BOLTZMANN * (th4 - theta ** 4)
                                       * area / resistance)
 
-    if assembly.kind is WallKind.SINGLE_LAYER:
-        layer = assembly.silicone
-        q = drive(layer)
-        g = convective_conductance(layer)
-        # tight enough that the rate residual stays well below 1e-6 K/s
-        tol = min(_STEADY_RESIDUAL_TOL, 1e-7 * heat_capacity(layer))
-
-        def residual(theta):
-            return q(theta) - g * (theta - theta_e)
-
-        lo, hi = min(theta_e, theta_h), max(theta_e, theta_h)
-        return ThermalState(0.0, _bisect(residual, lo, hi, tol))
-
-    sil, lig = assembly.silicone, assembly.lig
-    q_s, q_l = drive(sil), drive(lig)
-    g_s, g_l = convective_conductance(sil), convective_conductance(lig)
-    k = coupling_conductance(sil)
-    tol = min(_STEADY_RESIDUAL_TOL,
-              1e-7 * min(heat_capacity(sil), heat_capacity(lig)))
-
-    def silicone_for(theta_l: float) -> float:
-        def residual(theta_s):
-            return q_s(theta_s) + k * (theta_l - theta_s) - g_s * (theta_s - theta_e)
-
-        lo = min(theta_e, theta_h, theta_l)
-        hi = max(theta_e, theta_h, theta_l)
-        # inner error feeds the outer residual through k; solve two orders
-        # tighter so the outer bisection sees a clean sign
-        return _bisect(residual, lo, hi, 0.01 * tol)
-
-    def residual_lig(theta_l: float) -> float:
-        theta_s = silicone_for(theta_l)
-        return q_l(theta_l) - g_l * (theta_l - theta_e) - k * (theta_l - theta_s)
+    q_s, g_s = drive(sil), convective_conductance(sil)
+    # tight enough that the rate residuals stay well below 1e-6 K/s
+    tol = min(_STEADY_RESIDUAL_TOL, 1e-7 * heat_capacity(sil))
+    if lig is not None:
+        q_l, g_l = drive(lig), convective_conductance(lig)
+        k = coupling_conductance(sil)
+        tol = min(tol, 1e-7 * heat_capacity(lig))
 
     lo, hi = min(theta_e, theta_h), max(theta_e, theta_h)
-    theta_l = _bisect(residual_lig, lo, hi, tol)
-    return ThermalState(0.0, silicone_for(theta_l), theta_l)
+
+    def balance(theta_s: float) -> tuple[float, float | None]:
+        # net power into the wall, and the lig temperature that zeroes the
+        # silicone balance p + k (theta_l - theta_s) = 0
+        p = q_s(theta_s) - g_s * (theta_s - theta_e)
+        if lig is None:
+            return p, None
+        theta_l = min(max(theta_s - p / k, lo), hi)
+        return p + q_l(theta_l) - g_l * (theta_l - theta_e), theta_l
+
+    theta_s = _bisect(lambda theta: balance(theta)[0], lo, hi, tol)
+    return ThermalState(0.0, theta_s, balance(theta_s)[1])

@@ -8,6 +8,7 @@ step; within a step the drive scale is the value at the step start.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,7 @@ class Trajectory:
         if len(self.silicone) != len(self.times) or (
                 self.lig is not None and len(self.lig) != len(self.times)):
             raise ValidationError("trajectory columns must have equal lengths")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if not all(map(operator.lt, self.times, self.times[1:])):
             raise ValidationError("trajectory time stamps must be strictly increasing")
 
     @property

@@ -257,6 +257,24 @@ class TestExitCodes:
         assert code == 2
         assert "emissivity" in err
 
+    @pytest.mark.parametrize("command", ["steady", "simulate"])
+    @pytest.mark.parametrize("preset", ["table1_single", "table1_bilayer"])
+    @pytest.mark.parametrize("field", ["power", "source_temperature"])
+    def test_infinite_source_is_bad_input(self, capsys, tmp_path, command, preset,
+                                          field):
+        source = {"power": "mode = constant_flux\npower = inf",
+                  "source_temperature": "mode = radiative_body\n"
+                                        "source_temperature = inf\n"
+                                        "source_emissivity = 0.9"}[field]
+        text = preset_path(preset).read_text(encoding="utf-8").replace(
+            "mode = constant_flux\npower = 0.075", source)
+        assert source in text
+        config = tmp_path / "inf.ini"
+        config.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert field in err
+
     def test_unstable_step_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--preset", "table1_bilayer",
                                "--dt", "0.5", "--duration", "10")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from phototherm import (
@@ -156,6 +158,17 @@ class TestConfigParsing:
         text = minimal_single_config("power = 0.075", "power = lots")
         with pytest.raises(ConfigError, match="power"):
             parse_config(text)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("power = 0.075", "power = lots", "power: not a number: 'lots'"),
+        ("conv_coeff = 6.0", "conv_coeff = 6.0\nconv_faces = 1.5",
+         "conv_faces: not an integer: '1.5'"),
+        ("duration = 10.0", "duration = 10.0\nrecord_stride = two",
+         "record_stride: not an integer: 'two'"),
+    ])
+    def test_bad_number_names_expected_type(self, old, new, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(minimal_single_config(old, new))
 
     def test_missing_section_reported(self):
         text = minimal_single_config().replace("[environment]\nambient_temperature = 298.0", "")

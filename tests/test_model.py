@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -310,14 +312,51 @@ class TestSteadyState:
         oracle = brentq(residual, AMBIENT_K, 500.0, xtol=1e-10)
         assert steady.silicone_temperature == pytest.approx(oracle, abs=1e-6)
 
-    def test_radiative_bilayer_rates_vanish(self, bilayer_wall, environment):
-        source = HeatSource.radiative(700.0, 0.85)
-        steady = steady_state(bilayer_wall, source, environment)
-        d_s, d_l = rhs_bilayer(steady, bilayer_wall, source, environment)
-        assert abs(d_s) < 1e-6
-        assert abs(d_l) < 1e-6
-        assert steady.silicone_temperature > AMBIENT_K
-        assert steady.lig_temperature > AMBIENT_K
+    @given(bilayer=st.booleans(),
+           theta_h=st.floats(150.0, 1500.0),
+           eps_h=st.floats(0.05, 1.0, exclude_min=True),
+           eps_s=st.floats(0.05, 1.0, exclude_min=True),
+           eps_l=st.floats(0.05, 1.0, exclude_min=True),
+           scale=st.floats(0.01, 3.0))
+    @settings(max_examples=60, deadline=None)
+    @example(bilayer=True, theta_h=700.0, eps_h=0.85, eps_s=0.95, eps_l=0.95,
+             scale=1.0)  # the preset wall under a 700 K source
+    @example(bilayer=True, theta_h=1197.0, eps_h=1.0, eps_s=1.0, eps_l=1.0,
+             scale=3.0)  # theta_s - p / k is far below 0 K at ambient
+    def test_radiative_rates_vanish(self, bilayer, theta_h, eps_h, eps_s, eps_l,
+                                    scale):
+        from scipy.optimize import fsolve
+
+        sil = ThermalLayer(**{**SILICONE, "emissivity": eps_s})
+        lig = ThermalLayer(**{**LIG, "emissivity": eps_l})
+        wall = WallAssembly.bilayer(sil, lig) if bilayer else WallAssembly.single(sil)
+        source = HeatSource.radiative(theta_h, eps_h)
+        steady = steady_state(wall, source, ENV, scale)
+        if bilayer:
+            rates = rhs_bilayer(steady, wall, source, ENV, scale)
+            temps = (steady.silicone_temperature, steady.lig_temperature)
+        else:
+            rates = (rhs_single(steady, wall, source, ENV, scale),)
+            temps = (steady.silicone_temperature,)
+        assert all(abs(rate) < 1e-6 for rate in rates)
+        lo, hi = sorted((AMBIENT_K, theta_h))
+        assert all(lo <= t <= hi for t in temps)
+        if not bilayer:
+            return
+
+        g_s, g_l = convective_conductance(wall.silicone), convective_conductance(wall.lig)
+        k = coupling_conductance(sil)
+
+        def balances(x):
+            ts, tl = x
+            return (scale * radiative_exchange(theta_h, eps_h, ts, eps_s, sil.area)
+                    - g_s * (ts - AMBIENT_K) + k * (tl - ts),
+                    scale * radiative_exchange(theta_h, eps_h, tl, eps_l, lig.area)
+                    - g_l * (tl - AMBIENT_K) - k * (tl - ts))
+
+        start = 0.5 * (AMBIENT_K + theta_h)
+        oracle = fsolve(balances, [start, start], xtol=1e-10)
+        assert temps == pytest.approx(tuple(oracle), abs=1e-6)
 
     def test_radiative_scale_zero_is_ambient(self, bilayer_wall, environment):
         source = HeatSource.radiative(700.0, 0.85)
@@ -341,6 +380,16 @@ class TestHeatSourceValidation:
     def test_flux_requires_power(self):
         with pytest.raises(ValidationError):
             HeatSource.constant_flux(-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_flux_rejects_non_finite_power(self, value):
+        with pytest.raises(ValidationError, match="finite power"):
+            HeatSource.constant_flux(value)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_radiative_rejects_non_finite_temperature(self, value):
+        with pytest.raises(ValidationError, match="finite source_temperature"):
+            HeatSource.radiative(value, 0.9)
 
     def test_environment_positive(self):
         with pytest.raises(ValidationError):
