@@ -13,8 +13,9 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
-from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .calibrate import PARAM_RANGES, apply_named_parameter
 from .errors import ConfigError, PhotothermError, SeriesFormatError, ValidationError
@@ -316,6 +317,107 @@ def read_series(path, column: str = "auto", label: str | None = None) -> Measure
     except UnicodeDecodeError as exc:
         raise SeriesFormatError(f"{path}: series must be UTF-8: {exc}") from exc
 
+    times, values, unit = _bulk_rows(text, column) or _parse_rows(path, text, column)
+
+    if len(times) < 2:
+        raise SeriesFormatError(f"{path}: need at least 2 data rows, got {len(times)}")
+    if unit == "C":
+        values = [v + KELVIN_OFFSET for v in values]
+        unit = "K"
+    try:
+        return MeasurementSeries(tuple(times), tuple(values), unit=unit,
+                                 label=label if label is not None else path.stem)
+    except ValidationError as exc:
+        raise SeriesFormatError(f"{path}: {exc}") from exc
+
+
+def _bulk_rows(text: str, column: str):
+    """(times, values, unit) of a file laid out as the writers lay it out,
+    read with array operations; None for anything else.
+
+    Accepted: the header on the first line, or a `# unit: K|C|deg` line
+    and then the header; then rows of exactly the header's number of
+    cells, each cell read either empty (theta_L of a single-layer
+    trajectory) or in the writers' fixed format (see _fixed6_values), with
+    strictly increasing times. On None, read_series reruns the row loop,
+    which makes every error message and reports every line number.
+    """
+    unit = "K"
+    header, _, body = text.partition("\n")
+    if header.startswith("# unit: "):
+        unit = header[len("# unit: "):]
+        header, _, body = body.partition("\n")
+    if header == SERIES_HEADER and column in ("auto", "value") and unit in ("K", "C", "deg"):
+        n_cols = 2
+    elif header == TRAJECTORY_HEADER and column in ("auto", "value", "theta_s", "theta_L"):
+        unit, n_cols = "K", 3
+    else:
+        return None
+    if not body.endswith("\n"):
+        body += "\n"
+    data = body.encode("utf-8")
+    if data.translate(None, b"0123456789.-,\n"):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    cuts = np.flatnonzero(raw <= ord(","))  # the commas and newlines
+    row = np.frombuffer(b"," * (n_cols - 1) + b"\n", dtype=np.uint8)
+    if cuts.size % n_cols or (raw[cuts].reshape(-1, n_cols) != row).any():
+        return None
+    # cell k of the body spans raw[starts[k]:ends[k]]
+    ends = cuts.reshape(-1, n_cols)
+    starts = np.concatenate(([0], cuts[:-1] + 1)).reshape(-1, n_cols)
+    value_idx = 1
+    if n_cols == 3 and column in ("auto", "theta_L"):
+        if (ends[:, 2] > starts[:, 2]).any():
+            value_idx = 2
+        elif column == "theta_L":
+            return None
+    cells = [0, value_idx]
+    numbers = _fixed6_values(raw, starts[:, cells].T.ravel(), ends[:, cells].T.ravel())
+    if numbers is None:
+        return None
+    times, values = numbers.reshape(2, -1)
+    if not (times[1:] > times[:-1]).all():
+        return None
+    return times.tolist(), values.tolist(), unit
+
+
+def _fixed6_values(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """float() of the cells raw[starts[k]:ends[k]] when every cell is an
+    optional minus, digits, a point and 6 decimals in 8 to 16 bytes (as
+    "%.6f" writes a value below 1e9), else None.
+
+    Such a cell is -N / 10**6 or N / 10**6 with the integer N below 10**15,
+    so N and 10**6 are exact doubles (and so is every partial sum of N).
+    float() rounds the decimal value to the nearest double, and so does
+    IEEE division of N by 10**6: the two agree bit for bit, -0.0 included.
+    """
+    width = ends - starts
+    if not ((width >= 8) & (width <= 16)).all() or (raw[ends - 7] != ord(".")).any():
+        return None
+    size = int(width.max())
+    # each cell right-aligned in `size` bytes, the bytes before it read as "0"
+    padded = np.concatenate((np.full(size, ord("0"), dtype=np.uint8), raw))
+    chars = np.lib.stride_tricks.sliding_window_view(padded, size)[ends]
+    chars[np.arange(size) < (size - width)[:, None]] = ord("0")
+    negative = raw[starts] == ord("-")
+    chars[negative, size - width[negative]] = ord("0")
+    chars[:, -7] = ord("0")  # the point, checked above
+    digits = chars - np.uint8(ord("0"))
+    if (digits > 9).any():  # a stray sign or point
+        return None
+    columns = list(digits.T)
+    del columns[-7]
+    number = np.zeros(len(chars))
+    for column in columns:
+        number = number * 10.0 + column
+    magnitude = number / 1e6
+    return np.where(negative, -magnitude, magnitude)
+
+
+def _parse_rows(path: Path, text: str, column: str):
+    """(times, values, unit) from a row-by-row parse that checks each line
+    and raises SeriesFormatError with its line number."""
     unit = "K"
     header = None
     rows: list[tuple[int, list[str]]] = []
@@ -379,29 +481,21 @@ def read_series(path, column: str = "auto", label: str | None = None) -> Measure
         times.append(t)
         values.append(v)
 
-    if len(times) < 2:
-        raise SeriesFormatError(f"{path}: need at least 2 data rows, got {len(times)}")
-    if unit == "C":
-        values = [v + KELVIN_OFFSET for v in values]
-        unit = "K"
-    try:
-        return MeasurementSeries(tuple(times), tuple(values), unit=unit,
-                                 label=label if label is not None else path.stem)
-    except ValidationError as exc:
-        raise SeriesFormatError(f"{path}: {exc}") from exc
+    return times, values, unit
 
 
 def write_trajectory(trajectory: Trajectory, path) -> None:
     """Write a trajectory to a path or an open text stream as CSV with
     6-decimal fixed formatting and LF endings; the theta_L column stays
     empty for single-layer runs."""
-    lig = repeat("") if trajectory.lig is None else (f"{v:.6f}" for v in trajectory.lig)
-    rows = (f"{t:.6f},{s:.6f},{v}\n"
-            for t, s, v in zip(trajectory.times, trajectory.silicone, lig))
+    if trajectory.lig is None:
+        body = _csv_body(trajectory.times, trajectory.silicone, trailing=",")
+    else:
+        body = _csv_body(trajectory.times, trajectory.silicone, trajectory.lig)
     with (nullcontext(path) if hasattr(path, "write")
           else open(path, "w", encoding="utf-8", newline="")) as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        fh.writelines(rows)
+        fh.write(body)
 
 
 def write_series(series: MeasurementSeries, path) -> None:
@@ -409,8 +503,72 @@ def write_series(series: MeasurementSeries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# unit: {series.unit}\n")
         fh.write(SERIES_HEADER + "\n")
-        for t, v in zip(series.times, series.values):
-            fh.write(f"{t:.6f},{v:.6f}\n")
+        fh.write(_csv_body(series.times, series.values))
+
+
+def _pieces(pattern: bytes) -> np.ndarray:
+    """pattern % i for i in 0..999, four bytes each as one uint32, with
+    spaces made NUL."""
+    text = b"".join(pattern % i for i in range(1000)).replace(b" ", b"\0")
+    return np.frombuffer(text, dtype=np.uint32)
+
+
+# Four-byte pieces of a "%.6f" cell; NUL bytes are dropped from the
+# finished text. An integer triple has a free first byte, where the top
+# triple of a negative number takes its minus; _LEADING writes the zeros
+# ahead of a number's first digit as NUL. The decimal triples carry the
+# point and the comma.
+_DIGITS, _LEADING = _pieces(b"\0%03d"), _pieces(b"\0%3d")
+_POINT_DIGITS, _DIGITS_COMMA, _DIGITS_END = (_pieces(b".%03d"), _pieces(b"%03d,"),
+                                             _pieces(b"%03d\0"))
+_MINUS = np.frombuffer(b"-\0\0\0", dtype=np.uint32)[0]
+
+
+def _csv_body(*columns, trailing: str = "") -> str:
+    """CSV rows of the equal-length columns, each cell `"%.6f" % x` and
+    each row ended by trailing + newline: the text of the %-format, built
+    with array operations instead of one format call per cell."""
+    rows, n_cols = len(columns[0]), len(columns)
+    y = np.empty((rows, n_cols))
+    for j, column in enumerate(columns):
+        y[:, j] = np.fromiter(column, np.float64, rows)
+    if not (-1e9 < y.min() and y.max() < 1e9):  # also false for inf and nan
+        row_format = ",".join(["%.6f"] * n_cols) + trailing + "\n"
+        return "".join(map(row_format.__mod__, zip(*columns)))
+    y *= 1e6
+    # "%.6f" prints the exact x * 10**6 rounded half to even. Below 2**52
+    # every half is a double and rounding is monotone, so the rounded
+    # product y lies between the same two halves as the exact one unless y
+    # is itself a half: rint(y) is the printed integer except on those
+    # cells, which are formatted one by one. Every step below is exact.
+    digits = np.rint(y)
+    halves = np.nonzero(np.abs(y - digits) == 0.5)
+    negative = np.signbit(y)
+    np.abs(digits, out=digits)
+    for i, j in zip(*halves):
+        digits[i, j] = abs(float(("%.6f" % columns[j][i]).replace(".", "")))
+    groups = -(-len("%d" % (digits.max() // 1e6)) // 3)  # integer digits, in threes
+    slots = groups + 2
+    text = np.zeros((rows, n_cols * slots + 1), dtype=np.uint32)
+    cells = text[:, :-1].reshape(rows, n_cols, slots)
+    rest = digits
+    for k in range(slots):  # triples from the last decimal up
+        above = np.floor(rest / 1000.0)
+        triple = (rest - 1000.0 * above).astype(np.intp)
+        if k == 0:
+            cells[..., -1] = _DIGITS_COMMA[triple]
+            cells[:, -1, -1] = _DIGITS_END[triple[:, -1]]  # the row's last cell
+        elif k == 1:
+            cells[..., -2] = _POINT_DIGITS[triple]
+        else:
+            piece = np.where(above > 0, _DIGITS[triple], _LEADING[triple])
+            if k > 2:
+                piece *= rest > 0  # a triple wholly ahead of the first digit
+            cells[..., slots - 1 - k] = piece
+        rest = above
+    cells[..., 0] |= negative * _MINUS
+    text[:, -1] = np.frombuffer((trailing + "\n").encode().ljust(4, b"\0"), dtype=np.uint32)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,16 @@ class MeasurementSeries:
     def span(self) -> float:
         return self.times[-1] - self.times[0]
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """times and values as read-only float64 arrays, converted once
+        per series however many metrics use them."""
+        arrays = tuple(np.fromiter(column, np.float64, len(column))
+                       for column in (self.times, self.values))
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
 
 @dataclass(frozen=True)
 class ResponseReport:
@@ -93,7 +104,7 @@ def series_from_trajectory(trajectory: Trajectory, channel: str = "auto",
 
 
 def _interp_at(series: MeasurementSeries, t: float) -> float:
-    return float(np.interp(t, series.times, series.values))
+    return float(np.interp(t, *series.arrays))
 
 
 def response_time_63(series: MeasurementSeries,
@@ -135,19 +146,18 @@ def response_time_63(series: MeasurementSeries,
     rising = final_value > baseline
 
     values = series.values
-    t63 = None
-    for i in range(1, len(values)):
-        crossed = values[i] >= level if rising else values[i] <= level
-        if crossed:
-            v0, v1 = values[i - 1], values[i]
-            t0, t1 = series.times[i - 1], series.times[i]
-            t63 = t0 + (level - v0) * (t1 - t0) / (v1 - v0)
-            break
-    if t63 is None:
+    array = series.arrays[1]
+    crossed = array[1:] >= level if rising else array[1:] <= level
+    i = int(np.argmax(crossed)) + 1
+    if not crossed[i - 1]:
         raise NoCrossingError(
             f"series never reaches the {RESPONSE_FRACTION:.1%} level {level:g}")
+    # interpolate between the bracketing samples in Python floats
+    v0, v1 = values[i - 1], values[i]
+    t0, t1 = series.times[i - 1], series.times[i]
+    t63 = t0 + (level - v0) * (t1 - t0) / (v1 - v0)
 
-    peak_idx = int(np.argmax(values))
+    peak_idx = int(np.argmax(array))
     return ResponseReport(baseline=baseline, final=final_value,
                           final_convention=convention, t63=t63,
                           peak_value=values[peak_idx],
@@ -161,6 +171,14 @@ def plateau_value(series: MeasurementSeries, threshold: float,
 
     Windows are anchored at sample times and include every sample in
     [t, t + window].
+
+    The scan is O(n log n) in the number of samples, not O(n x window):
+    one searchsorted finds the anchors and one more every window end, and
+    each window's max and min come from two overlapping power-of-two blocks
+    (the sparse-table range query of Bender & Farach-Colton, "The LCA
+    problem revisited", LATIN 2000). The block extrema are built one level
+    at a time and only the current level is kept, so memory stays O(n).
+    Max and min are exact, so the result equals a window-by-window scan.
     """
     if not threshold > 0.0:
         raise ValidationError(f"threshold must be > 0, got {threshold!r}")
@@ -170,18 +188,29 @@ def plateau_value(series: MeasurementSeries, threshold: float,
         raise ValidationError(
             f"series span {series.span:g} s is shorter than the window {window:g} s")
 
-    times = np.asarray(series.times)
-    values = np.asarray(series.values)
+    times, values = series.arrays
     last_anchor = series.times[-1] - window
-    for i, t0 in enumerate(series.times):
-        if t0 > last_anchor + _TIME_EPS:
-            break
-        j = int(np.searchsorted(times, t0 + window + _TIME_EPS, side="right"))
-        chunk = values[i:j]
-        if float(chunk.max()) - float(chunk.min()) < threshold:
-            return float(chunk.mean()), t0
-    raise NoPlateauError(
-        f"no {window:g} s window stays within {threshold:g}")
+    n_anchors = int(np.searchsorted(times, last_anchor + _TIME_EPS, side="right"))
+    starts = np.arange(n_anchors)
+    ends = np.searchsorted(times, times[:n_anchors] + window + _TIME_EPS, side="right")
+    # window [i, j) is covered by the blocks of 2**k samples at i and j - 2**k
+    levels = np.frexp(ends - starts)[1] - 1
+    flat = np.zeros(n_anchors, dtype=bool)
+    block_max = block_min = values
+    for k in range(int(levels.max(initial=-1)) + 1):
+        if k:
+            half = 1 << (k - 1)
+            block_max = np.maximum(block_max[:-half], block_max[half:])
+            block_min = np.minimum(block_min[:-half], block_min[half:])
+        lo = starts[levels == k]
+        hi = ends[lo] - (1 << k)
+        flat[lo] = (np.maximum(block_max[lo], block_max[hi])
+                    - np.minimum(block_min[lo], block_min[hi])) < threshold
+    if not flat.any():
+        raise NoPlateauError(
+            f"no {window:g} s window stays within {threshold:g}")
+    i = int(np.argmax(flat))
+    return float(values[i:ends[i]].mean()), series.times[i]
 
 
 def normalize_curve(series: MeasurementSeries, plateau: float) -> MeasurementSeries:

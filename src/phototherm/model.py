@@ -308,7 +308,13 @@ def rhs_bilayer(state: ThermalState, assembly: WallAssembly, source: HeatSource,
 
 
 def _bisect(residual, lo: float, hi: float, tol: float) -> float:
-    """Root of a continuous residual bracketed by [lo, hi], to within tol W."""
+    """Root of a continuous residual bracketed by [lo, hi], to within tol W.
+
+    When lo and hi are adjacent floats no midpoint is left, and the
+    endpoint with the smaller |residual| is the best float there is: a
+    steep residual (a hot radiative source) can change by more than tol
+    over one ulp of temperature.
+    """
     r_lo = residual(lo)
     if abs(r_lo) < tol:
         return lo
@@ -319,11 +325,13 @@ def _bisect(residual, lo: float, hi: float, tol: float) -> float:
         raise NumericalError("steady-state residual does not change sign over bracket")
     for _ in range(_STEADY_MAX_ITER):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(r_lo) <= abs(r_hi) else hi
         r_mid = residual(mid)
         if abs(r_mid) < tol:
             return mid
         if r_lo * r_mid <= 0.0:
-            hi = mid
+            hi, r_hi = mid, r_mid
         else:
             lo, r_lo = mid, r_mid
     raise NumericalError(

@@ -72,7 +72,14 @@ class LightSchedule:
         return cls(intervals=())
 
     def scale_at(self, t: float) -> float:
-        """Drive scale at time t; intervals are half-open [start, end)."""
+        """Drive scale at time t under the continuous-time rule: intervals
+        are half-open [start, end).
+
+        `run` does not call this. It snaps each interval boundary to the
+        nearest step of the grid and holds the scale of the step start for
+        the whole step, so near a boundary that falls between steps the
+        stepped drive can differ from this lookup.
+        """
         for start, end, scale in self.intervals:
             if start <= t < end:
                 return scale

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,46 @@ class TestSimulateAndMetrics:
         assert code == 0
         report = parse_report(out)
         assert "plateau_K" in report and "plateau_reach_s" in report
+
+
+class TestByteIdentity:
+    """sha256 of CSVs as per-cell "%.6f" formatting and a window-by-window
+    plateau scan write them; any change to a byte of the output fails here."""
+
+    # (trajectory, analyze-bending --out) for each preset and record stride
+    PINNED = {
+        ("table1_single", 1): (
+            "3dd5e9aed0c7c9fecca20652a382643830453a8daac0170d4cd69738013c12bb",
+            "ddfad8a2648e1013545e010a33520faeef2ca760d23a6a478df5517212db3a10"),
+        ("table1_single", 7): (
+            "5f557486a245d808ade845b53c72c73cfcac74ef558dd043133e596aca83dbda",
+            "270bc0870f76c3507e9b090d36a6d718c6dc1345428ebfc43f6caac4ed581911"),
+        ("table1_bilayer", 1): (
+            "abec9ffac8ca3d0aef71e8836f0e5a2a3cf79e53e62a64ece532699ab56a705d",
+            "c0477016888c819cd8d7df8f3a5033ca91324c64fb91d328134861260cdee818"),
+        ("table1_bilayer", 7): (
+            "e908bf586f64b0d8ff1b386f2f73d3a7c485b2bf978d12618688cd664120013d",
+            "255aabf4633d661452149cf6e4674685dbdfb486d3248fd7c55032862b147c38"),
+    }
+
+    @pytest.mark.parametrize("preset, stride", sorted(PINNED))
+    def test_csv_sha256(self, capsys, tmp_path, preset, stride):
+        trajectory_sha, series_sha = self.PINNED[(preset, stride)]
+        argv = ("simulate", "--preset", preset, "--schedule", "0:150:1",
+                "--duration", "300", "--dt", "0.01", "--record-stride", str(stride))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == trajectory_sha
+        trajectory = tmp_path / "run.csv"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(trajectory))
+        assert code == 0
+        assert hashlib.sha256(trajectory.read_bytes()).hexdigest() == trajectory_sha
+        normalized = tmp_path / "normalized.csv"
+        code, _, _ = run_cli(capsys, "analyze-bending", str(trajectory),
+                             "--plateau-threshold", "1.0", "--plateau-window", "20",
+                             "--out", str(normalized))
+        assert code == 0
+        assert hashlib.sha256(normalized.read_bytes()).hexdigest() == series_sha
 
 
 class TestCalibrateCommand:

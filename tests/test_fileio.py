@@ -1,6 +1,9 @@
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phototherm import (
     ConfigError,
@@ -29,7 +32,7 @@ from phototherm import (
     write_series,
     write_trajectory,
 )
-from phototherm.fileio import RunConfig, parse_config
+from phototherm.fileio import RunConfig, _bulk_rows, _csv_body, _parse_rows, parse_config
 from conftest import LIG, POWER_W, SILICONE
 
 
@@ -340,6 +343,165 @@ class TestTrajectoryIO:
         write_trajectory(single_run, path)
         with pytest.raises(SeriesFormatError, match="theta_L"):
             read_series(path, column="theta_L")
+
+
+CELLS = st.one_of(
+    st.floats(-2e9, 2e9),
+    st.floats(-1e16, 1e16),  # past the bulk path's 1e9 limit
+    st.floats(-1.0, 1.0),
+    # dyadic values: x * 10**6 can be an exact half
+    st.builds(lambda k, e: k / 2.0 ** e, st.integers(-2 ** 40, 2 ** 40), st.integers(0, 40)),
+    # within rounding of a half in the sixth decimal
+    st.builds(lambda k: (k + 0.5) / 1e6, st.integers(-10 ** 15, 10 ** 15)),
+    st.sampled_from([0.0, -0.0, 999999999.9999995, -5e-7, 9.9999995]),
+)
+
+
+class TestCsvBody:
+    @given(data=st.data(), n_cols=st.integers(1, 3), rows=st.integers(1, 20),
+           trailing=st.sampled_from(["", ","]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_percent_format(self, data, n_cols, rows, trailing):
+        # one kind of cell per example, so the bulk path is not always skipped
+        # for the sake of one huge or non-finite cell
+        cells = data.draw(st.sampled_from([CELLS, st.floats()]))
+        columns = [tuple(data.draw(st.lists(cells, min_size=rows, max_size=rows)))
+                   for _ in range(n_cols)]
+        row_format = ",".join(["%.6f"] * n_cols) + trailing + "\n"
+        expected = "".join(row_format % row for row in zip(*columns))
+        assert _csv_body(*columns, trailing=trailing) == expected
+
+
+# cells that look like the writers' output, or nearly do
+ODD_CELL = st.one_of(
+    st.floats(-2e9, 2e9).map("%.6f".__mod__),
+    st.text(alphabet="0123456789.-e+, _", max_size=12),
+    st.sampled_from(["", "-0.000000", "-.500000", "1.5000000", "01.000000", "--1.000000",
+                     "1.-00000", "0x1.000000", "1e3", " 1.000000", "1_0.000000"]),
+)
+
+
+class TestBulkRows:
+    @given(data=st.data(), trajectory=st.booleans(), rows=st.integers(0, 6),
+           unit_line=st.sampled_from(["", "# unit: K\n", "# unit: C\n", "# unit: F\n"]),
+           column=st.sampled_from(["auto", "value", "theta_s", "theta_L"]),
+           ending=st.sampled_from(["\n", ""]))
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_as_row_parser(self, data, trajectory, rows, unit_line, column,
+                                       ending):
+        n_cols = 3 if trajectory else 2
+        lines = [unit_line + ("t_s,theta_s_K,theta_L_K" if trajectory else "time_s,value")]
+        t = 0.0
+        for _ in range(rows):
+            t += data.draw(st.floats(1e-6, 100.0))
+            cells = ["%.6f" % t] + ["%.6f" % data.draw(st.floats(-1e3, 1e3))
+                                     for _ in range(n_cols - 1)]
+            if data.draw(st.booleans()):  # spoil one cell, or the cell count
+                k = data.draw(st.integers(0, n_cols))
+                cells[k:k + 1] = [data.draw(ODD_CELL)] * data.draw(st.integers(0, 2))
+            lines.append(",".join(cells))
+        text = "\n".join(lines) + ending
+        bulk = _bulk_rows(text, column)
+        if bulk is None:
+            return
+        times, values, unit = _parse_rows(Path("case.csv"), text, column)
+        assert repr(bulk) == repr((times, values, unit))
+
+
+# (id, file text, column, expected): a (times, values, unit) triple, or the
+# SeriesFormatError message with {path} for the file path. The expectations
+# are the outcomes of the row-by-row parser on its own.
+READ_CASES = [
+    ('underscore', 'time_s,value\n0,1_0\n1,2\n', 'auto',
+     ((0.0, 1.0), (10.0, 2.0), 'K')),
+    ('plus_inf_value', 'time_s,value\n0,1\n1,+inf\n', 'auto',
+     '{path}: series values must be finite (no NaN)'),
+    ('infinity_time_last', 'time_s,value\n0,1\ninfinity,2\n', 'auto',
+     '{path}: series times must be finite'),
+    ('infinity_time_mid', 'time_s,value\n0,1\ninfinity,2\n3,4\n', 'auto',
+     '{path}:4: time stamps must be strictly increasing'),
+    ('hex', 'time_s,value\n0,1\n0x1p3,2\n', 'auto',
+     '{path}:3: non-numeric row'),
+    ('d_exponent', 'time_s,value\n0,1\n1,1d5\n', 'auto',
+     '{path}:3: non-numeric row'),
+    ('inner_space', 'time_s,value\n0,1\n1,1 2\n', 'auto',
+     '{path}:3: non-numeric row'),
+    ('trailing_comma_series', 'time_s,value\n0,1\n1,2,\n', 'auto',
+     '{path}:3: expected 2 columns, got 3'),
+    ('trailing_comma_trajectory', 't_s,theta_s_K,theta_L_K\n0,1,2\n1,2,3,\n', 'auto',
+     '{path}:3: expected 3 columns, got 4'),
+    ('crlf_bilayer', 't_s,theta_s_K,theta_L_K\r\n0,300,301\r\n1,302,303\r\n', 'auto',
+     ((0.0, 1.0), (301.0, 303.0), 'K')),
+    ('crlf_single', 't_s,theta_s_K,theta_L_K\r\n0,300,\r\n1,302,\r\n', 'auto',
+     ((0.0, 1.0), (300.0, 302.0), 'K')),
+    ('crlf_celsius', '# unit: C\r\ntime_s,value\r\n0,25\r\n1,26\r\n', 'auto',
+     ((0.0, 1.0), (298.15, 299.15), 'K')),
+    ('blank_and_comment_mid', 'time_s,value\n0,1\n\n# note\n1,2\n   \n2,3\n', 'auto',
+     ((0.0, 1.0, 2.0), (1.0, 2.0, 3.0), 'K')),
+    ('unit_comment_mid', 'time_s,value\n0,1\n# unit: C\n1,2\n', 'auto',
+     ((0.0, 1.0), (274.15, 275.15), 'K')),
+    ('blank_then_duplicate_time', 'time_s,value\n0,1\n\n0,2\n', 'auto',
+     '{path}:4: time stamps must be strictly increasing'),
+    ('empty_theta_l_cell', 't_s,theta_s_K,theta_L_K\n0,300,301\n1,302,\n2,303,304\n', 'auto',
+     '{path}:3: non-numeric row'),
+    ('empty_theta_l_cell_theta_s', 't_s,theta_s_K,theta_L_K\n0,300,301\n1,302,\n2,303,304\n', 'theta_s',
+     ((0.0, 1.0, 2.0), (300.0, 302.0, 303.0), 'K')),
+    ('single_theta_l', 't_s,theta_s_K,theta_L_K\n0,300,\n1,302,\n', 'theta_L',
+     '{path}: trajectory has no theta_L data'),
+    ('single_auto', 't_s,theta_s_K,theta_L_K\n0,300,\n1,302,\n', 'auto',
+     ((0.0, 1.0), (300.0, 302.0), 'K')),
+    ('bilayer_theta_l', 't_s,theta_s_K,theta_L_K\n0,300,301\n1,302,303.5\n', 'theta_L',
+     ((0.0, 1.0), (301.0, 303.5), 'K')),
+    ('padded_cells', 'time_s,value\n 0 , 1 \n 1 ,\t2\n', 'auto',
+     ((0.0, 1.0), (1.0, 2.0), 'K')),
+    ('no_final_newline', 'time_s,value\n0,1\n1,2', 'auto',
+     ((0.0, 1.0), (1.0, 2.0), 'K')),
+    ('nan_value', 'time_s,value\n0,1\n1,nan\n', 'auto',
+     '{path}:3: NaN is not allowed'),
+    ('decreasing_time', 'time_s,value\n0,1\n2,2\n1,3\n', 'auto',
+     '{path}:4: time stamps must be strictly increasing'),
+    ('header_only', 'time_s,value\n', 'auto',
+     '{path}: need at least 2 data rows, got 0'),
+    ('one_row', 'time_s,value\n0,1\n', 'auto',
+     '{path}: need at least 2 data rows, got 1'),
+    ('trajectory_unit_comment_ignored', '# unit: C\nt_s,theta_s_K,theta_L_K\n0,300,301\n1,302,303\n', 'auto',
+     ((0.0, 1.0), (301.0, 303.0), 'K')),
+    ('deg_unit', '# unit: deg\ntime_s,value\n0,10\n1,20\n', 'auto',
+     ((0.0, 1.0), (10.0, 20.0), 'deg')),
+    ('bad_unit', '# unit: F\ntime_s,value\n0,10\n1,20\n', 'auto',
+     "{path}: unit must be K, C or deg, got 'F'"),
+    ('unicode_digit', 'time_s,value\n0,1\n1,٢\n', 'auto',
+     ((0.0, 1.0), (1.0, 2.0), 'K')),
+    ('series_value_column_theta_l', 'time_s,value\n0,1\n1,2\n', 'theta_L',
+     "{path}: plain series files have no 'theta_L' column"),
+    ('short_row_trajectory', 't_s,theta_s_K,theta_L_K\n0,300,301\n1,302\n', 'theta_s',
+     '{path}:3: expected 3 columns, got 2'),
+    ('comma_moved_between_rows_series', 'time_s,value\n0,1,2\n3\n', 'auto',
+     '{path}:2: expected 2 columns, got 3'),
+    ('comma_moved_between_rows_trajectory', 't_s,theta_s_K,theta_L_K\n0,300,301,302\n1,303\n', 'auto',
+     '{path}:2: expected 3 columns, got 4'),
+    ('comma_moved_fixed_format', 'time_s,value\n0.000000,1.000000,2.000000\n3.000000\n', 'auto',
+     '{path}:2: expected 2 columns, got 3'),
+    ('negative_fixed_format', 'time_s,value\n0.000000,-1.500000\n1.000000,-0.000000\n', 'auto',
+     ((0.0, 1.0), (-1.5, -0.0), 'K')),
+    ('eighteen_digits_fixed_format', 'time_s,value\n0.000000,940964324912.066172\n1.000000,2.000000\n', 'auto',
+     ((0.0, 1.0), (940964324912.0662, 2.0), 'K')),
+]
+
+
+class TestReadSeriesCases:
+    @pytest.mark.parametrize("name, text, column, expected", READ_CASES,
+                             ids=[case[0] for case in READ_CASES])
+    def test_same_outcome_as_row_parser(self, tmp_path, name, text, column, expected):
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(SeriesFormatError) as info:
+                read_series(path, column=column)
+            assert str(info.value) == expected.format(path=path)
+        else:
+            series = read_series(path, column=column)
+            assert repr((series.times, series.values, series.unit)) == repr(expected)
 
 
 class TestSweepSpec:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phototherm import (
@@ -21,6 +21,7 @@ from phototherm import (
     plateau_value,
     response_time_63,
 )
+from phototherm.metrics import _TIME_EPS
 
 TAU = 113.75
 SWING = 10.625
@@ -172,6 +173,93 @@ class TestPlateau:
         series = first_order_series(span=20.0)
         with pytest.raises(ValidationError):
             plateau_value(series, threshold=1.0, window=30.0)
+
+
+def plateau_oracle(series, threshold, window):
+    """plateau_value as a window-by-window scan, O(samples x window): the
+    reference the sparse-table scan must match bit for bit."""
+    times = np.asarray(series.times)
+    values = np.asarray(series.values)
+    last_anchor = series.times[-1] - window
+    for i, t0 in enumerate(series.times):
+        if t0 > last_anchor + _TIME_EPS:
+            break
+        j = int(np.searchsorted(times, t0 + window + _TIME_EPS, side="right"))
+        chunk = values[i:j]
+        if float(chunk.max()) - float(chunk.min()) < threshold:
+            return float(chunk.mean()), t0
+    raise NoPlateauError(
+        f"no {window:g} s window stays within {threshold:g}")
+
+
+@st.composite
+def uneven_series(draw):
+    """Strictly increasing, non-uniform time stamps; coarse values so that
+    ties and flat stretches occur. Large start times make one ulp of time
+    comparable to the window bookkeeping's _TIME_EPS."""
+    steps = draw(st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=80))
+    t0 = draw(st.one_of(st.floats(-100.0, 100.0), st.sampled_from([1e6, 1e7, 3e7])))
+    times = list(np.cumsum([t0] + steps))
+    assume(all(a < b for a, b in zip(times, times[1:])))
+    grain = draw(st.sampled_from([1.0, 0.25, 1e-3]))
+    values = draw(st.lists(st.integers(-20, 20), min_size=len(times),
+                           max_size=len(times)))
+    return MeasurementSeries(tuple(times), tuple(grain * v for v in values))
+
+
+class TestPlateauOracle:
+    @given(series=uneven_series(),
+           window_kind=st.sampled_from(["fraction", "span", "gap"]),
+           fraction=st.floats(1e-3, 1.0),
+           pair=st.tuples(st.integers(0, 80), st.integers(0, 80)),
+           threshold=st.one_of(st.floats(1e-6, 50.0), st.sampled_from([0.25, 1.0, 2.0])))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_window_scan(self, series, window_kind, fraction, pair, threshold):
+        times = series.times
+        if window_kind == "span":  # a single anchor
+            window = series.span
+        elif window_kind == "gap":  # the window ends exactly on a sample
+            i, j = sorted(k % len(times) for k in pair)
+            assume(i < j)
+            window = times[j] - times[i]
+        else:
+            window = fraction * series.span
+        assume(window > 0.0)
+        try:
+            expected = plateau_oracle(series, threshold, window)
+        except NoPlateauError:
+            with pytest.raises(NoPlateauError):
+                plateau_value(series, threshold, window)
+            return
+        assert repr(plateau_value(series, threshold, window)) == repr(expected)
+
+
+def crossing_oracle(series, level, rising):
+    """The t63 crossing as a sample-by-sample loop."""
+    values = series.values
+    for i in range(1, len(values)):
+        crossed = values[i] >= level if rising else values[i] <= level
+        if crossed:
+            v0, v1 = values[i - 1], values[i]
+            t0, t1 = series.times[i - 1], series.times[i]
+            return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
+    return None
+
+
+class TestResponseTimeOracle:
+    @given(series=uneven_series(), final=st.floats(-30.0, 30.0))
+    @settings(max_examples=300, deadline=None)
+    def test_crossing_matches_loop(self, series, final):
+        baseline = series.values[0]
+        assume(final != baseline)
+        level = baseline + RESPONSE_FRACTION * (final - baseline)
+        expected = crossing_oracle(series, level, final > baseline)
+        if expected is None:
+            with pytest.raises(NoCrossingError):
+                response_time_63(series, FinalConvention.SUPPLIED, final=final)
+            return
+        report = response_time_63(series, FinalConvention.SUPPLIED, final=final)
+        assert repr(report.t63) == repr(expected)
 
 
 class TestNormalize:

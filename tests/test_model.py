@@ -358,6 +358,64 @@ class TestSteadyState:
         oracle = fsolve(balances, [start, start], xtol=1e-10)
         assert temps == pytest.approx(tuple(oracle), abs=1e-6)
 
+    @given(bilayer=st.booleans(),
+           theta_h=st.floats(1500.0, 10_000.0),
+           eps_h=st.floats(0.05, 1.0, exclude_min=True),
+           eps_s=st.floats(0.05, 1.0, exclude_min=True),
+           eps_l=st.floats(0.05, 1.0, exclude_min=True),
+           scale=st.floats(0.01, 3.0))
+    @settings(max_examples=60, deadline=None)
+    @example(bilayer=True, theta_h=4631.0, eps_h=1.0, eps_s=0.95, eps_l=0.95,
+             scale=3.0)  # the preset wall: one ulp of theta moves the residual past tol
+    def test_hot_radiative_rates_within_float_resolution(self, bilayer, theta_h, eps_h,
+                                                         eps_s, eps_l, scale):
+        """A hot source solves, with rates bounded by the solver tolerance
+        plus what one ulp of temperature can move.
+
+        The bisection in theta_s stops when |residual| < tol, or when lo and
+        hi are adjacent floats, returning the endpoint with the smaller
+        |residual|. In the second case the root lies within ulp(theta_s) of
+        the result, so |residual| <= ulp(theta_s) * S, where S bounds the
+        residual's slope d(net power)/d(theta_s). With a = 4 sigma theta_h^3
+        scale A / R, the largest slope of a layer's grey-body drive on
+        [theta_e, theta_h], a single layer has S = a_s + g_s. On a bilayer
+        the residual p + q_L(theta_L) - g_L (theta_L - theta_e) runs through
+        theta_L = theta_s - p / k, whose slope is at most 1 + (a_s + g_s) / k,
+        so S = (a_s + g_s) + (a_L + g_L)(1 + (a_s + g_s) / k). A node's rate
+        is its power balance over its capacity C: the silicone balance is
+        zero up to rounding by the choice of theta_L, and the lig balance is
+        the residual minus it. Rounding in each flux is a few eps times the
+        flux, below ulp(theta) times its slope, which the factor 2 covers;
+        ulp(theta_h) >= ulp(theta_s) since theta_s <= theta_h. So each
+        |rate| <= (tol + 2 ulp(theta_h) S) / C.
+        """
+        sil = ThermalLayer(**{**SILICONE, "emissivity": eps_s})
+        lig = ThermalLayer(**{**LIG, "emissivity": eps_l})
+        wall = WallAssembly.bilayer(sil, lig) if bilayer else WallAssembly.single(sil)
+        source = HeatSource.radiative(theta_h, eps_h)
+        steady = steady_state(wall, source, ENV, scale)
+
+        def drive_slope(layer):
+            resistance = 1.0 / eps_h + 1.0 / layer.emissivity - 1.0
+            return 4.0 * STEFAN_BOLTZMANN * theta_h ** 3 * scale * layer.area / resistance
+
+        s_sil = drive_slope(sil) + convective_conductance(sil)
+        if bilayer:
+            s_lig = drive_slope(lig) + convective_conductance(lig)
+            slope = s_sil + s_lig * (1.0 + s_sil / coupling_conductance(sil))
+            rates = rhs_bilayer(steady, wall, source, ENV, scale)
+            temps = (steady.silicone_temperature, steady.lig_temperature)
+            capacities = (CAP_SILICONE, CAP_LIG)
+        else:
+            slope = s_sil
+            rates = (rhs_single(steady, wall, source, ENV, scale),)
+            temps = (steady.silicone_temperature,)
+            capacities = (CAP_SILICONE,)
+        tol = min(1e-9, 1e-7 * min(capacities))
+        for rate, capacity in zip(rates, capacities):
+            assert abs(rate) <= (tol + 2.0 * math.ulp(theta_h) * slope) / capacity
+        assert all(AMBIENT_K <= t <= theta_h for t in temps)
+
     def test_radiative_scale_zero_is_ambient(self, bilayer_wall, environment):
         source = HeatSource.radiative(700.0, 0.85)
         steady = steady_state(bilayer_wall, source, environment, scale=0.0)
