@@ -372,8 +372,8 @@ def _bulk_rows(text: str, column: str):
             value_idx = 2
         elif column == "theta_L":
             return None
-    cells = [0, value_idx]
-    numbers = _fixed6_values(raw, starts[:, cells].T.ravel(), ends[:, cells].T.ravel())
+    picked = [0, value_idx]
+    numbers = _fixed6_values(raw, starts[:, picked].T.ravel(), ends[:, picked].T.ravel())
     if numbers is None:
         return None
     times, values = numbers.reshape(2, -1)

@@ -410,7 +410,7 @@ class TestBulkRows:
 
 # (id, file text, column, expected): a (times, values, unit) triple, or the
 # SeriesFormatError message with {path} for the file path. The expectations
-# are the outcomes of the row-by-row parser on its own.
+# were recorded from the row-by-row parser alone, before the bulk path.
 READ_CASES = [
     ('underscore', 'time_s,value\n0,1_0\n1,2\n', 'auto',
      ((0.0, 1.0), (10.0, 2.0), 'K')),
@@ -482,6 +482,8 @@ READ_CASES = [
      '{path}:2: expected 3 columns, got 4'),
     ('comma_moved_fixed_format', 'time_s,value\n0.000000,1.000000,2.000000\n3.000000\n', 'auto',
      '{path}:2: expected 2 columns, got 3'),
+    ('stray_minus_fixed_format', 'time_s,value\n0.000000,1-2.000000\n1.000000,2.000000\n', 'auto',
+     '{path}:2: non-numeric row'),
     ('negative_fixed_format', 'time_s,value\n0.000000,-1.500000\n1.000000,-0.000000\n', 'auto',
      ((0.0, 1.0), (-1.5, -0.0), 'K')),
     ('eighteen_digits_fixed_format', 'time_s,value\n0.000000,940964324912.066172\n1.000000,2.000000\n', 'auto',

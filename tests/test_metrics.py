@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phototherm import (
@@ -59,6 +59,15 @@ class TestMeasurementSeries:
     def test_rejects_unknown_unit(self):
         with pytest.raises(ValidationError):
             MeasurementSeries((0.0, 1.0), (1.0, 2.0), unit="F")
+
+    def test_arrays_are_read_only_copies_built_once(self):
+        series = MeasurementSeries((0.0, 0.5, 2.0), (1.0, -0.0, 3.5))
+        times, values = series.arrays
+        assert times.tolist() == list(series.times)
+        assert repr(values.tolist()) == repr(list(series.values))
+        assert series.arrays[0] is times
+        with pytest.raises(ValueError):
+            values[0] = 7.0
 
 
 class TestResponseTime:
@@ -214,6 +223,8 @@ class TestPlateauOracle:
            pair=st.tuples(st.integers(0, 80), st.integers(0, 80)),
            threshold=st.one_of(st.floats(1e-6, 50.0), st.sampled_from([0.25, 1.0, 2.0])))
     @settings(max_examples=400, deadline=None)
+    @example(series=MeasurementSeries((0.466, 9.899), (1.0, 1.0)), window_kind="span",
+             fraction=1.0, pair=(0, 1), threshold=1.0)  # span rounds: the anchor needs _TIME_EPS
     def test_matches_window_scan(self, series, window_kind, fraction, pair, threshold):
         times = series.times
         if window_kind == "span":  # a single anchor
