@@ -160,7 +160,7 @@ def objective(problem: CalibrationProblem, candidate) -> float:
         trajectory = run(assembly, source, schedule, problem.env, problem.config)
         series = series_from_trajectory(trajectory, problem.channel)
         simulated = np.interp(problem.target.times, series.times, series.values)
-    diff = simulated - np.asarray(problem.target.values)
+    diff = simulated - problem.target.values
     return float(diff @ diff)
 
 

@@ -9,6 +9,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from . import calibrate as _calibrate
 from . import fileio
 from .errors import (
@@ -193,7 +195,7 @@ def _cmd_metrics(args) -> int:
 
     if is_kelvin:
         # cooling fit on the decaying tail after the peak, when there is one
-        peak_idx = series.values.index(report.peak_value)
+        peak_idx = int(np.argmax(series.values))
         tail_t = series.times[peak_idx:]
         tail_v = series.values[peak_idx:]
         if len(tail_t) >= 2 and tail_v[-1] < tail_v[0]:

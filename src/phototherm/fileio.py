@@ -8,6 +8,7 @@ kelvin. Every emitted file is re-ingestible by the matching reader.
 """
 
 import configparser
+import io
 import math
 import os
 from contextlib import nullcontext
@@ -69,8 +70,10 @@ def illuminance_scale(d: float, d_ref: float, p: float = 1.0) -> float:
     The default exponent 1 matches a beam lamp whose illuminance doubles
     when the distance halves; p = 2 covers point-like sources.
     """
-    if not (d > 0.0 and d_ref > 0.0):
-        raise ValidationError("distances must be strictly positive")
+    if not (0.0 < d < math.inf and 0.0 < d_ref < math.inf):
+        raise ValidationError("distances must be finite and strictly positive")
+    if not math.isfinite(p):
+        raise ValidationError(f"illuminance exponent must be finite, got {p!r}")
     return (d_ref / d) ** p
 
 
@@ -322,25 +325,27 @@ def read_series(path, column: str = "auto", label: str | None = None) -> Measure
     if len(times) < 2:
         raise SeriesFormatError(f"{path}: need at least 2 data rows, got {len(times)}")
     if unit == "C":
-        values = [v + KELVIN_OFFSET for v in values]
+        values = np.add(values, KELVIN_OFFSET)
         unit = "K"
     try:
-        return MeasurementSeries(tuple(times), tuple(values), unit=unit,
+        return MeasurementSeries(times, values, unit=unit,
                                  label=label if label is not None else path.stem)
     except ValidationError as exc:
         raise SeriesFormatError(f"{path}: {exc}") from exc
 
 
 def _bulk_rows(text: str, column: str):
-    """(times, values, unit) of a file laid out as the writers lay it out,
-    read with array operations; None for anything else.
+    """(times, values, unit) of a well-formed file, parsed by np.loadtxt;
+    None for anything else.
 
     Accepted: the header on the first line, or a `# unit: K|C|deg` line
     and then the header; then rows of exactly the header's number of
-    cells, each cell read either empty (theta_L of a single-layer
-    trajectory) or in the writers' fixed format (see _fixed6_values), with
-    strictly increasing times. On None, read_series reruns the row loop,
-    which makes every error message and reports every line number.
+    cells, with no NaN and strictly increasing times. A single-layer
+    trajectory's empty theta_L cells are never parsed. np.loadtxt reads a
+    float as float() does (CPython's correctly rounded parser) but accepts
+    fewer spellings: no underscores or non-ASCII digits. On None,
+    read_series reruns the row loop, which accepts those too, makes every
+    error message and reports every line number.
     """
     unit = "K"
     header, _, body = text.partition("\n")
@@ -356,63 +361,27 @@ def _bulk_rows(text: str, column: str):
     if not body.endswith("\n"):
         body += "\n"
     data = body.encode("utf-8")
-    if data.translate(None, b"0123456789.-,\n"):
-        return None
     raw = np.frombuffer(data, dtype=np.uint8)
-    cuts = np.flatnonzero(raw <= ord(","))  # the commas and newlines
+    cuts = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     row = np.frombuffer(b"," * (n_cols - 1) + b"\n", dtype=np.uint8)
-    if cuts.size % n_cols or (raw[cuts].reshape(-1, n_cols) != row).any():
+    if len(cuts) % n_cols or (raw[cuts].reshape(-1, n_cols) != row).any():
         return None
-    # cell k of the body spans raw[starts[k]:ends[k]]
-    ends = cuts.reshape(-1, n_cols)
-    starts = np.concatenate(([0], cuts[:-1] + 1)).reshape(-1, n_cols)
     value_idx = 1
     if n_cols == 3 and column in ("auto", "theta_L"):
-        if (ends[:, 2] > starts[:, 2]).any():
+        # the theta_L cell runs from the row's second comma to its newline
+        if (np.diff(cuts)[1::3] > 1).any():
             value_idx = 2
         elif column == "theta_L":
             return None
-    picked = [0, value_idx]
-    numbers = _fixed6_values(raw, starts[:, picked].T.ravel(), ends[:, picked].T.ravel())
-    if numbers is None:
+    try:
+        # the bytes go line by line, which keeps no decoded copy of the body
+        times, values = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None,
+                                   usecols=(0, value_idx), ndmin=2, encoding="utf-8").T
+    except ValueError:
         return None
-    times, values = numbers.reshape(2, -1)
-    if not (times[1:] > times[:-1]).all():
+    if np.isnan(values).any() or not (times[1:] > times[:-1]).all():
         return None
-    return times.tolist(), values.tolist(), unit
-
-
-def _fixed6_values(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """float() of the cells raw[starts[k]:ends[k]] when every cell is an
-    optional minus, digits, a point and 6 decimals in 8 to 16 bytes (as
-    "%.6f" writes a value below 1e9), else None.
-
-    Such a cell is -N / 10**6 or N / 10**6 with the integer N below 10**15,
-    so N and 10**6 are exact doubles (and so is every partial sum of N).
-    float() rounds the decimal value to the nearest double, and so does
-    IEEE division of N by 10**6: the two agree bit for bit, -0.0 included.
-    """
-    width = ends - starts
-    if not ((width >= 8) & (width <= 16)).all() or (raw[ends - 7] != ord(".")).any():
-        return None
-    size = int(width.max())
-    # each cell right-aligned in `size` bytes, the bytes before it read as "0"
-    padded = np.concatenate((np.full(size, ord("0"), dtype=np.uint8), raw))
-    chars = np.lib.stride_tricks.sliding_window_view(padded, size)[ends]
-    chars[np.arange(size) < (size - width)[:, None]] = ord("0")
-    negative = raw[starts] == ord("-")
-    chars[negative, size - width[negative]] = ord("0")
-    chars[:, -7] = ord("0")  # the point, checked above
-    digits = chars - np.uint8(ord("0"))
-    if (digits > 9).any():  # a stray sign or point
-        return None
-    columns = list(digits.T)
-    del columns[-7]
-    number = np.zeros(len(chars))
-    for column in columns:
-        number = number * 10.0 + column
-    magnitude = number / 1e6
-    return np.where(negative, -magnitude, magnitude)
+    return times, values, unit
 
 
 def _parse_rows(path: Path, text: str, column: str):
@@ -528,10 +497,8 @@ def _csv_body(*columns, trailing: str = "") -> str:
     """CSV rows of the equal-length columns, each cell `"%.6f" % x` and
     each row ended by trailing + newline: the text of the %-format, built
     with array operations instead of one format call per cell."""
-    rows, n_cols = len(columns[0]), len(columns)
-    y = np.empty((rows, n_cols))
-    for j, column in enumerate(columns):
-        y[:, j] = np.fromiter(column, np.float64, rows)
+    y = np.column_stack(columns)
+    rows, n_cols = y.shape
     if not (-1e9 < y.min() and y.max() < 1e9):  # also false for inf and nan
         row_format = ",".join(["%.6f"] * n_cols) + trailing + "\n"
         return "".join(map(row_format.__mod__, zip(*columns)))
@@ -589,10 +556,13 @@ class SweepSpec:
                 raise ValidationError("distance sweeps need distances, not values")
             if not self.distances:
                 raise ValidationError("need at least one sweep point")
-            if any(not d > 0.0 for d in self.distances):
-                raise ValidationError("distances must be strictly positive")
-            if self.d_ref is None or not self.d_ref > 0.0:
-                raise ValidationError("distance sweeps need a positive d_ref")
+            if any(not 0.0 < d < math.inf for d in self.distances):
+                raise ValidationError("distances must be finite and strictly positive")
+            if self.d_ref is None or not 0.0 < self.d_ref < math.inf:
+                raise ValidationError("distance sweeps need a finite positive d_ref")
+            if not math.isfinite(self.exponent):
+                raise ValidationError(
+                    f"illuminance exponent must be finite, got {self.exponent!r}")
         else:
             if self.param not in PARAM_RANGES:
                 raise ValidationError(
@@ -676,10 +646,9 @@ def run_sweep(config: RunConfig, sweep: SweepSpec) -> SweepResult:
                                               window=config.sim.metric_window)
                     row["t63_s"] = report.t63
                 if "peak" in sweep.outputs:
-                    peak_idx = max(range(len(series.values)),
-                                   key=series.values.__getitem__)
-                    row["peak_K"] = series.values[peak_idx]
-                    row["peak_time_s"] = series.times[peak_idx]
+                    peak_idx = int(np.argmax(series.values))
+                    row["peak_K"] = float(series.values[peak_idx])
+                    row["peak_time_s"] = float(series.times[peak_idx])
                 if "plateau" in sweep.outputs:
                     value, reach = plateau_value(series, config.plateau_threshold,
                                                  config.plateau_window)

@@ -6,11 +6,8 @@ sliding window, curve normalization, exponential cooling fits, and
 peak-degradation ratios across repeated actuation cycles.
 """
 
-import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +17,7 @@ from .errors import (
     NoPlateauError,
     ValidationError,
 )
-from .simulate import Trajectory, _resolve_channel
+from .simulate import Trajectory, _column, _resolve_channel
 
 #: level fraction defining the response time: baseline + 0.632 * (final - baseline)
 RESPONSE_FRACTION = 0.632
@@ -37,45 +34,36 @@ class FinalConvention(Enum):
     SUPPLIED = "supplied"  # caller-provided final value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSeries:
-    """Time-stamped samples of one scalar channel."""
+    """Time-stamped samples of one scalar channel, held as two read-only
+    float64 columns."""
 
-    times: tuple[float, ...]
-    values: tuple[float, ...]
+    times: np.ndarray
+    values: np.ndarray
     unit: str = "K"
     label: str = ""
 
     def __post_init__(self):
-        times, values = tuple(map(float, self.times)), tuple(map(float, self.values))
+        times, values = _column(self.times), _column(self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if len(times) != len(values):
             raise ValidationError("times and values must have equal length")
         if len(times) < 2:
             raise ValidationError("series needs at least 2 points")
-        if not all(map(math.isfinite, times)):
+        if not np.isfinite(times).all():
             raise ValidationError("series times must be finite")
-        if not all(map(operator.lt, times, times[1:])):
+        if not (times[1:] > times[:-1]).all():
             raise ValidationError("series times must be strictly increasing")
-        if not all(map(math.isfinite, values)):
+        if not np.isfinite(values).all():
             raise ValidationError("series values must be finite (no NaN)")
         if self.unit not in _UNITS:
             raise ValidationError(f"unit must be one of {_UNITS}, got {self.unit!r}")
 
     @property
     def span(self) -> float:
-        return self.times[-1] - self.times[0]
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """times and values as read-only float64 arrays, converted once
-        per series however many metrics use them."""
-        arrays = tuple(np.fromiter(column, np.float64, len(column))
-                       for column in (self.times, self.values))
-        for array in arrays:
-            array.flags.writeable = False
-        return arrays
+        return float(self.times[-1] - self.times[0])
 
 
 @dataclass(frozen=True)
@@ -104,7 +92,7 @@ def series_from_trajectory(trajectory: Trajectory, channel: str = "auto",
 
 
 def _interp_at(series: MeasurementSeries, t: float) -> float:
-    return float(np.interp(t, *series.arrays))
+    return float(np.interp(t, series.times, series.values))
 
 
 def response_time_63(series: MeasurementSeries,
@@ -120,15 +108,16 @@ def response_time_63(series: MeasurementSeries,
     linearly interpolated between the bracketing samples, and falling series
     are handled symmetrically (crossing downward toward a lower final).
     """
-    baseline = series.values[0]
+    times, values = series.times, series.values
+    baseline = float(values[0])
     if convention is FinalConvention.WINDOW_FINAL:
         if window is None:
             raise ValidationError("window_final convention requires a window")
-        end = series.times[0] + window
-        if end > series.times[-1] + _TIME_EPS:
+        end, last = float(times[0]) + window, float(times[-1])
+        if end > last + _TIME_EPS:
             raise ValidationError(
                 f"window {window:g} s exceeds the series span {series.span:g} s")
-        final_value = _interp_at(series, min(end, series.times[-1]))
+        final_value = _interp_at(series, min(end, last))
     elif convention is FinalConvention.PLATEAU:
         if window is None or plateau_threshold is None:
             raise ValidationError("plateau convention requires window and plateau_threshold")
@@ -145,23 +134,21 @@ def response_time_63(series: MeasurementSeries,
     level = baseline + RESPONSE_FRACTION * (final_value - baseline)
     rising = final_value > baseline
 
-    values = series.values
-    array = series.arrays[1]
-    crossed = array[1:] >= level if rising else array[1:] <= level
+    crossed = values[1:] >= level if rising else values[1:] <= level
     i = int(np.argmax(crossed)) + 1
     if not crossed[i - 1]:
         raise NoCrossingError(
             f"series never reaches the {RESPONSE_FRACTION:.1%} level {level:g}")
     # interpolate between the bracketing samples in Python floats
-    v0, v1 = values[i - 1], values[i]
-    t0, t1 = series.times[i - 1], series.times[i]
+    v0, v1 = values[i - 1:i + 1].tolist()
+    t0, t1 = times[i - 1:i + 1].tolist()
     t63 = t0 + (level - v0) * (t1 - t0) / (v1 - v0)
 
-    peak_idx = int(np.argmax(array))
+    peak_idx = int(np.argmax(values))
     return ResponseReport(baseline=baseline, final=final_value,
                           final_convention=convention, t63=t63,
-                          peak_value=values[peak_idx],
-                          peak_time=series.times[peak_idx])
+                          peak_value=float(values[peak_idx]),
+                          peak_time=float(times[peak_idx]))
 
 
 def plateau_value(series: MeasurementSeries, threshold: float,
@@ -188,8 +175,8 @@ def plateau_value(series: MeasurementSeries, threshold: float,
         raise ValidationError(
             f"series span {series.span:g} s is shorter than the window {window:g} s")
 
-    times, values = series.arrays
-    last_anchor = series.times[-1] - window
+    times, values = series.times, series.values
+    last_anchor = times[-1] - window
     n_anchors = int(np.searchsorted(times, last_anchor + _TIME_EPS, side="right"))
     starts = np.arange(n_anchors)
     ends = np.searchsorted(times, times[:n_anchors] + window + _TIME_EPS, side="right")
@@ -210,16 +197,16 @@ def plateau_value(series: MeasurementSeries, threshold: float,
         raise NoPlateauError(
             f"no {window:g} s window stays within {threshold:g}")
     i = int(np.argmax(flat))
-    return float(values[i:ends[i]].mean()), series.times[i]
+    return float(values[i:ends[i]].mean()), float(times[i])
 
 
 def normalize_curve(series: MeasurementSeries, plateau: float) -> MeasurementSeries:
     """Affine rescale sending the first sample to 0 and the plateau to 1."""
-    start = series.values[0]
+    start = float(series.values[0])
     swing = plateau - start
     if swing == 0.0:
         raise ValidationError("plateau equals the initial value: normalization degenerate")
-    values = tuple((v - start) / swing for v in series.values)
+    values = (series.values - start) / swing
     label = f"{series.label} (normalized)" if series.label else "normalized"
     return MeasurementSeries(series.times, values, unit=series.unit, label=label)
 
@@ -227,11 +214,10 @@ def normalize_curve(series: MeasurementSeries, plateau: float) -> MeasurementSer
 def cooling_fit(series: MeasurementSeries, ambient: float) -> tuple[float, float]:
     """Newton-cooling fit of a decaying series: least squares on
     log(value - ambient) against time. Returns (tau_s, r_squared)."""
-    values = np.asarray(series.values)
+    times, values = series.times, series.values
     if not np.all(values > ambient):
         raise ValidationError(
             "all values must sit strictly above ambient for a log-domain fit")
-    times = np.asarray(series.times)
     logs = np.log(values - ambient)
     slope, intercept = np.polyfit(times, logs, 1)
     if slope >= 0.0:
@@ -257,7 +243,7 @@ def angular_change_ratio(series: MeasurementSeries, reference: float) -> float:
     """Final sample divided by a caller-supplied reference value."""
     if not reference > 0.0:
         raise ValidationError(f"reference must be > 0, got {reference!r}")
-    return series.values[-1] / reference
+    return float(series.values[-1]) / reference
 
 
 def cycle_peaks(series: MeasurementSeries, rise_fraction: float = 0.5,
@@ -271,8 +257,9 @@ def cycle_peaks(series: MeasurementSeries, rise_fraction: float = 0.5,
     """
     if not 0.0 < return_fraction < rise_fraction < 1.0:
         raise ValidationError("need 0 < return_fraction < rise_fraction < 1")
-    baseline = series.values[0]
-    swing = max(series.values) - baseline
+    values = series.values.tolist()
+    baseline = values[0]
+    swing = max(values) - baseline
     if swing <= 0.0:
         raise ValidationError("series never rises above its first sample")
     rise_level = baseline + rise_fraction * swing
@@ -280,7 +267,7 @@ def cycle_peaks(series: MeasurementSeries, rise_fraction: float = 0.5,
 
     peaks: list[float] = []
     current: float | None = None
-    for v in series.values:
+    for v in values:
         if current is None:
             if v >= rise_level:
                 current = v

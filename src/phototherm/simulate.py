@@ -8,7 +8,6 @@ step; within a step the drive scale is the value at the step start.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .model import (
     Environment,
     HeatSource,
     SourceMode,
+    ThermalLayer,
     ThermalState,
     WallAssembly,
     WallKind,
@@ -114,23 +114,36 @@ class SimConfig:
             raise ValidationError(f"metric_window must be finite and > 0, got {self.metric_window!r}")
 
 
-@dataclass(frozen=True)
+def _column(values) -> np.ndarray:
+    """values as a new read-only float64 array, so that later changes to
+    the caller's list or array do not reach it."""
+    column = np.array(values, dtype=np.float64)
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded temperature samples, uniformly spaced dt * record_stride, as
-    three columns: time stamps, silicone and lig temperatures. lig is None
-    for a single-layer wall."""
+    three read-only float64 columns: time stamps, silicone and lig
+    temperatures. lig is None for a single-layer wall."""
 
-    times: tuple[float, ...]
-    silicone: tuple[float, ...]
-    lig: tuple[float, ...] | None = None
+    times: np.ndarray
+    silicone: np.ndarray
+    lig: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.times:
+        times = _column(self.times)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "silicone", _column(self.silicone))
+        if self.lig is not None:
+            object.__setattr__(self, "lig", _column(self.lig))
+        if not len(times):
             raise ValidationError("trajectory must hold at least one sample")
-        if len(self.silicone) != len(self.times) or (
-                self.lig is not None and len(self.lig) != len(self.times)):
+        if len(self.silicone) != len(times) or (
+                self.lig is not None and len(self.lig) != len(times)):
             raise ValidationError("trajectory columns must have equal lengths")
-        if not all(map(operator.lt, self.times, self.times[1:])):
+        if not (times[1:] > times[:-1]).all():
             raise ValidationError("trajectory time stamps must be strictly increasing")
 
     @property
@@ -139,13 +152,13 @@ class Trajectory:
 
     @property
     def samples(self) -> tuple[ThermalState, ...]:
-        lig = (None,) * len(self.times) if self.lig is None else self.lig
-        return tuple(map(ThermalState, self.times, self.silicone, lig))
+        lig = (None,) * len(self.times) if self.lig is None else self.lig.tolist()
+        return tuple(map(ThermalState, self.times.tolist(), self.silicone.tolist(), lig))
 
     @property
     def final(self) -> ThermalState:
-        lig = None if self.lig is None else self.lig[-1]
-        return ThermalState(self.times[-1], self.silicone[-1], lig)
+        lig = None if self.lig is None else float(self.lig[-1])
+        return ThermalState(float(self.times[-1]), float(self.silicone[-1]), lig)
 
 
 def _resolve_channel(kind: WallKind, channel: str) -> str:
@@ -160,34 +173,55 @@ def _resolve_channel(kind: WallKind, channel: str) -> str:
     return channel
 
 
-def _stability_detail(assembly: WallAssembly) -> tuple[float, str]:
+def _stability_detail(assembly: WallAssembly, source: HeatSource, start_max: float,
+                      scale: float) -> tuple[float, str]:
+    """Smallest lumped time constant and the layer that sets it, for a run
+    that starts at or below start_max and drives at scales up to scale.
+
+    A layer's time constant is its heat capacity over its loss conductance:
+    convection, interlayer coupling and, under a radiative source, the
+    largest slope of the drive, scale * 4 sigma T^3 A / (1/eps_src +
+    1/eps_layer - 1) at T = max(start_max, source temperature). Within the
+    limit every entry of the step's Jacobian M = I + dt A is >= 0, so each
+    step is a monotone map and the temperatures stay between the coldest
+    and hottest of start and source. In the linear case Gershgorin puts
+    every eigenvalue of A within k/C of -(g + k)/C, so dt |lambda| <=
+    (g + 2k)/(g + k) < 2.
+    """
+    def loss(layer: ThermalLayer) -> float:
+        g = convective_conductance(layer)
+        if source.mode is SourceMode.CONSTANT_FLUX:
+            return g
+        _, area, resistance = _grey_body(source.source_temperature, source.source_emissivity,
+                                         layer.emissivity, layer.area)
+        hottest = max(start_max, source.source_temperature)
+        return g + scale * (4.0 * STEFAN_BOLTZMANN * hottest ** 3 * area / resistance)
+
     sil = assembly.silicone
     if assembly.kind is WallKind.SINGLE_LAYER:
-        g = convective_conductance(sil)
+        g = loss(sil)
         if g <= 0.0:
             return math.inf, "silicone"
         return heat_capacity(sil) / g, "silicone"
     k = coupling_conductance(sil)
-    tau_s = heat_capacity(sil) / (convective_conductance(sil) + k)
-    tau_l = heat_capacity(assembly.lig) / (convective_conductance(assembly.lig) + k)
+    tau_s = heat_capacity(sil) / (loss(sil) + k)
+    tau_l = heat_capacity(assembly.lig) / (loss(assembly.lig) + k)
     if tau_l <= tau_s:
         return tau_l, "lig"
     return tau_s, "silicone"
 
 
-def stability_limit(assembly: WallAssembly, env: Environment) -> float:
-    """Largest safe explicit step: the smallest lumped time constant, in s.
-
-    Each layer's time constant is its heat capacity over the total linear
-    loss conductance acting on it (convection plus interlayer coupling).
-    """
-    return _stability_detail(assembly)[0]
+def stability_limit(assembly: WallAssembly, source: HeatSource, env: Environment) -> float:
+    """Largest safe explicit step, in s, for a run from ambient at drive
+    scale 1: the smallest lumped time constant (see _stability_detail)."""
+    return _stability_detail(assembly, source, env.ambient_temperature, 1.0)[0]
 
 
-def _check_step(assembly: WallAssembly, dt: float) -> None:
+def _check_step(assembly: WallAssembly, source: HeatSource, dt: float,
+                start_max: float, scale: float) -> None:
     """Raise StabilityError, naming the limiting layer, when dt exceeds the
     stability limit."""
-    limit, limiting = _stability_detail(assembly)
+    limit, limiting = _stability_detail(assembly, source, start_max, scale)
     if dt > limit:
         raise StabilityError(
             f"dt={dt:g} s exceeds the stability limit {limit:.6g} s "
@@ -238,16 +272,13 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     Starts from ambient temperature unless an explicit initial state is
     given (its time stamp is ignored; integration always starts at t = 0).
     Recording keeps every record_stride-th step, first sample at t = 0.
-    Rejects dt above the stability limit, naming the limiting layer, and
-    raises NumericalError at the first step whose temperatures are not
-    finite and positive. Identical inputs produce bit-identical trajectories,
-    equal to a chain of euler_step calls: a radiative drive takes its
-    grey-body constants once per run but evaluates the floats of
-    radiative_exchange.
+    Rejects dt above the stability limit of this start and schedule,
+    naming the limiting layer, and raises NumericalError at the first step
+    whose temperatures are not finite and positive. Identical inputs
+    produce bit-identical trajectories, equal to a chain of euler_step
+    calls: a radiative drive takes its grey-body constants once per run but
+    evaluates the floats of radiative_exchange.
     """
-    dt = config.dt
-    _check_step(assembly, dt)
-
     bilayer = assembly.kind is WallKind.BILAYER
     theta_e = env.ambient_temperature
     if initial is None:
@@ -258,6 +289,12 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
         ts = initial.silicone_temperature
         tl = initial.lig_temperature if bilayer else theta_e
 
+    dt = config.dt
+    n_steps = int(math.floor(config.duration / dt + 1e-9))
+    segments = _segments(schedule, n_steps, dt)
+    _check_step(assembly, source, dt, max(theta_e, ts, tl),
+                max(scale for _, _, scale in segments))
+
     sil = assembly.silicone
     cap_s = heat_capacity(sil)
     g_s = convective_conductance(sil)
@@ -267,7 +304,6 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
         g_l = convective_conductance(lig)
         k = coupling_conductance(sil)
 
-    n_steps = int(math.floor(config.duration / dt + 1e-9))
     stride = config.record_stride
     constant_flux = source.mode is SourceMode.CONSTANT_FLUX
     if not constant_flux:
@@ -278,8 +314,8 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
                                      lig.emissivity, lig.area)
 
     inf = math.inf
-    times, sil_temps, lig_temps = [0.0], [ts], [tl]
-    for i0, i1, scale in _segments(schedule, n_steps, dt):
+    sil_temps, lig_temps = [ts], [tl]
+    for i0, i1, scale in segments:
         if constant_flux:
             q_s = absorbed_power(source, sil, scale)
             if bilayer:
@@ -300,11 +336,12 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
                 raise NumericalError(
                     f"temperature became non-finite or non-positive at t={step * dt:g} s")
             if step % stride == 0:
-                times.append(step * dt)
                 sil_temps.append(ts)
                 lig_temps.append(tl)
 
-    return Trajectory(tuple(times), tuple(sil_temps), tuple(lig_temps) if bilayer else None)
+    # the recorded steps are 0, stride, 2 stride, ...: the same floats as step * dt
+    times = np.arange(0, n_steps + 1, stride) * dt
+    return Trajectory(times, sil_temps, lig_temps if bilayer else None)
 
 
 def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
@@ -330,7 +367,7 @@ def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
     every iterate stays >= theta_e. The closing check catches overflow only.
     """
     dt = config.dt
-    _check_step(assembly, dt)
+    _check_step(assembly, source, dt, env.ambient_temperature, 1.0)
     channel = _resolve_channel(assembly.kind, channel)
     n_steps = int(math.floor(config.duration / dt + 1e-9))
 

@@ -178,6 +178,18 @@ class TestSweepCommand:
         steady = [float(line.split(",")[5]) for line in lines[1:]]
         assert steady[0] > steady[1] > steady[2]
 
+    @pytest.mark.parametrize("geometry", (
+        ("--distances", "0.05,0.1", "--d-ref", "0.05", "--exponent", "nan"),
+        ("--distances", "0.05,0.1", "--d-ref", "inf"),
+        ("--distances", "0.05,inf", "--d-ref", "0.05"),
+    ), ids=("nan_exponent", "inf_d_ref", "inf_distance"))
+    def test_non_finite_geometry_is_bad_input(self, capsys, geometry):
+        code, out, err = run_cli(capsys, "sweep", "--preset", "table1_bilayer",
+                                 "--param", "distance", *geometry, "--outputs", "steady")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_partial_failure_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_bilayer",
                                  "--param", "alpha_L", "--values", "0.5,2.0",
@@ -321,6 +333,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "simulate", "--preset", "table1_bilayer",
                                "--dt", "0.5", "--duration", "10")
         assert code == 3
+        assert "lig" in err
+
+    def test_hot_radiative_step_is_numerical_failure(self, capsys, tmp_path):
+        text = preset_path("table1_bilayer").read_text(encoding="utf-8").replace(
+            "mode = constant_flux\npower = 0.075",
+            "mode = radiative_body\nsource_temperature = 1500.0\nsource_emissivity = 0.9")
+        assert "1500.0" in text
+        config = tmp_path / "hot.ini"
+        config.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                                 "--dt", "0.1", "--duration", "10")
+        assert code == 3
+        assert out == ""
         assert "lig" in err
 
     def test_unknown_preset_is_bad_input(self, capsys):

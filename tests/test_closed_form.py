@@ -82,7 +82,8 @@ def schedules(draw, duration):
 @st.composite
 def scenarios(draw):
     assembly = draw(walls())
-    limit = stability_limit(assembly, Environment(AMBIENT_K))
+    source = HeatSource.constant_flux(draw(st.floats(0.0, 0.2)))
+    limit = stability_limit(assembly, source, Environment(AMBIENT_K))
     if math.isinf(limit):  # a single layer with no loss path
         limit = 100.0
     # up to and including the limit, where a diagonal entry of M is 0
@@ -91,7 +92,6 @@ def scenarios(draw):
     # duration off the step grid: the last targets lie past the last step
     duration = dt * (n_steps + draw(st.floats(0.0, 0.999)))
     config = SimConfig(duration=duration, dt=dt)
-    source = HeatSource.constant_flux(draw(st.floats(0.0, 0.2)))
     schedule = draw(schedules(duration))
     name = draw(st.sampled_from([None, "scale", "Q_h"]))
     if name is not None:

@@ -1,4 +1,6 @@
+import io
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,12 @@ class TestIlluminanceScale:
             illuminance_scale(0.0, 0.05)
         with pytest.raises(ValidationError):
             illuminance_scale(0.05, -1.0)
+
+    @pytest.mark.parametrize("d, d_ref, p", ((float("inf"), 0.05, 1.0), (0.1, float("inf"), 1.0),
+                                             (0.1, 0.05, float("nan"))))
+    def test_rejects_non_finite_geometry(self, d, d_ref, p):
+        with pytest.raises(ValidationError, match="finite"):
+            illuminance_scale(d, d_ref, p)
 
 
 class TestPresets:
@@ -224,8 +232,8 @@ class TestSeriesIO:
         path = tmp_path / "tiny.csv"
         path.write_text("time_s,value\n0,298\n1,298.09\n", encoding="utf-8")
         series = read_series(path)
-        assert series.times == (0.0, 1.0)
-        assert series.values == (298.0, 298.09)
+        assert series.times.tolist() == [0.0, 1.0]
+        assert series.values.tolist() == [298.0, 298.09]
         assert series.unit == "K"
 
     def test_celsius_converted_on_ingest(self, tmp_path):
@@ -286,8 +294,8 @@ class TestSeriesIO:
         write_series(series, path)
         back = read_series(path)
         assert back.unit == "deg"
-        assert back.times == series.times
-        assert back.values == series.values
+        assert back.times.tolist() == series.times.tolist()
+        assert back.values.tolist() == series.values.tolist()
 
 
 class TestTrajectoryIO:
@@ -381,21 +389,31 @@ ODD_CELL = st.one_of(
 )
 
 
+# spellings of a float that float() and np.loadtxt both read
+NUMBER_FORM = st.sampled_from([
+    "%.6f".__mod__, repr, "%.17g".__mod__, "%.3e".__mod__, "%+.6f".__mod__,
+    lambda x: "%d" % x, lambda x: " %r\t" % x,
+])
+
+
 class TestBulkRows:
-    @given(data=st.data(), trajectory=st.booleans(), rows=st.integers(0, 6),
+    @given(data=st.data(), trajectory=st.booleans(), single=st.booleans(),
+           rows=st.integers(0, 6),
            unit_line=st.sampled_from(["", "# unit: K\n", "# unit: C\n", "# unit: F\n"]),
            column=st.sampled_from(["auto", "value", "theta_s", "theta_L"]),
            ending=st.sampled_from(["\n", ""]))
     @settings(max_examples=400, deadline=None)
-    def test_same_result_as_row_parser(self, data, trajectory, rows, unit_line, column,
-                                       ending):
+    def test_same_result_as_row_parser(self, data, trajectory, single, rows, unit_line,
+                                       column, ending):
         n_cols = 3 if trajectory else 2
         lines = [unit_line + ("t_s,theta_s_K,theta_L_K" if trajectory else "time_s,value")]
         t = 0.0
         for _ in range(rows):
             t += data.draw(st.floats(1e-6, 100.0))
-            cells = ["%.6f" % t] + ["%.6f" % data.draw(st.floats(-1e3, 1e3))
-                                     for _ in range(n_cols - 1)]
+            cells = [data.draw(NUMBER_FORM)(x) for x in
+                     [t] + [data.draw(st.floats(-1e3, 1e3)) for _ in range(n_cols - 1)]]
+            if trajectory and single:  # a single-layer trajectory's empty theta_L
+                cells[2] = ""
             if data.draw(st.booleans()):  # spoil one cell, or the cell count
                 k = data.draw(st.integers(0, n_cols))
                 cells[k:k + 1] = [data.draw(ODD_CELL)] * data.draw(st.integers(0, 2))
@@ -405,7 +423,34 @@ class TestBulkRows:
         if bulk is None:
             return
         times, values, unit = _parse_rows(Path("case.csv"), text, column)
-        assert repr(bulk) == repr((times, values, unit))
+        assert repr((bulk[0].tolist(), bulk[1].tolist(), bulk[2])) == repr(
+            (times, values, unit))
+
+    @pytest.mark.parametrize("kind", ("single", "bilayer"))
+    def test_writer_output_takes_fast_path(self, kind, single_wall, bilayer_wall,
+                                           flux_source, environment):
+        wall = single_wall if kind == "single" else bilayer_wall
+        trajectory = run(wall, flux_source, LightSchedule.always_on(), environment,
+                         SimConfig(duration=2.0, dt=0.01, record_stride=10))
+        stream = io.StringIO()
+        write_trajectory(trajectory, stream)
+        text = stream.getvalue()
+        for column in ("auto", "theta_s"):
+            bulk = _bulk_rows(text, column)
+            assert bulk is not None
+            times, values, unit = _parse_rows(Path("case.csv"), text, column)
+            assert repr((bulk[0].tolist(), bulk[1].tolist(), bulk[2])) == repr(
+                (times, values, unit))
+
+    @pytest.mark.parametrize("text", ("time_s,value\n", "# unit: C\ntime_s,value\n",
+                                      "t_s,theta_s_K,theta_L_K\n"))
+    def test_header_only_file_rejected_without_warning(self, tmp_path, text):
+        path = tmp_path / "header.csv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesFormatError, match="got 0"):
+                read_series(path)
 
 
 # (id, file text, column, expected): a (times, values, unit) triple, or the
@@ -503,7 +548,9 @@ class TestReadSeriesCases:
             assert str(info.value) == expected.format(path=path)
         else:
             series = read_series(path, column=column)
-            assert repr((series.times, series.values, series.unit)) == repr(expected)
+            times, values, unit = expected
+            assert repr((series.times.tolist(), series.values.tolist(), series.unit)) == repr(
+                (list(times), list(values), unit))
 
 
 class TestSweepSpec:

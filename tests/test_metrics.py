@@ -12,6 +12,7 @@ from phototherm import (
     NoCrossingError,
     NoPlateauError,
     RESPONSE_FRACTION,
+    Trajectory,
     ValidationError,
     angular_change_ratio,
     cooling_fit,
@@ -60,14 +61,24 @@ class TestMeasurementSeries:
         with pytest.raises(ValidationError):
             MeasurementSeries((0.0, 1.0), (1.0, 2.0), unit="F")
 
-    def test_arrays_are_read_only_copies_built_once(self):
-        series = MeasurementSeries((0.0, 0.5, 2.0), (1.0, -0.0, 3.5))
-        times, values = series.arrays
-        assert times.tolist() == list(series.times)
-        assert repr(values.tolist()) == repr(list(series.values))
-        assert series.arrays[0] is times
-        with pytest.raises(ValueError):
-            values[0] = 7.0
+    @pytest.mark.parametrize("container", (list, np.array), ids=("list", "array"))
+    def test_columns_are_read_only_float64_copies(self, container):
+        times, values, lig = (container([0.0, 0.5, 2.0]), container([1.0, -0.0, 3.5]),
+                              container([4.0, 5.0, 6.0]))
+        series = MeasurementSeries(times, values)
+        trajectory = Trajectory(times, values, lig)
+        columns = (series.times, series.values,
+                   trajectory.times, trajectory.silicone, trajectory.lig)
+        for column in columns:
+            assert column.dtype == np.float64
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 7.0
+        times[0] = values[1] = lig[2] = 9.0  # the caller's columns change later
+        assert repr(series.times.tolist()) == repr(trajectory.times.tolist()) == "[0.0, 0.5, 2.0]"
+        assert repr(series.values.tolist()) == repr(trajectory.silicone.tolist()) \
+            == "[1.0, -0.0, 3.5]"
+        assert trajectory.lig.tolist() == [4.0, 5.0, 6.0]
 
 
 class TestResponseTime:
@@ -187,10 +198,9 @@ class TestPlateau:
 def plateau_oracle(series, threshold, window):
     """plateau_value as a window-by-window scan, O(samples x window): the
     reference the sparse-table scan must match bit for bit."""
-    times = np.asarray(series.times)
-    values = np.asarray(series.values)
-    last_anchor = series.times[-1] - window
-    for i, t0 in enumerate(series.times):
+    times, values = series.times, series.values
+    last_anchor = float(times[-1]) - window
+    for i, t0 in enumerate(times.tolist()):
         if t0 > last_anchor + _TIME_EPS:
             break
         j = int(np.searchsorted(times, t0 + window + _TIME_EPS, side="right"))
@@ -247,12 +257,12 @@ class TestPlateauOracle:
 
 def crossing_oracle(series, level, rising):
     """The t63 crossing as a sample-by-sample loop."""
-    values = series.values
+    values, times = series.values.tolist(), series.times.tolist()
     for i in range(1, len(values)):
         crossed = values[i] >= level if rising else values[i] <= level
         if crossed:
             v0, v1 = values[i - 1], values[i]
-            t0, t1 = series.times[i - 1], series.times[i]
+            t0, t1 = times[i - 1], times[i]
             return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
     return None
 
@@ -261,7 +271,7 @@ class TestResponseTimeOracle:
     @given(series=uneven_series(), final=st.floats(-30.0, 30.0))
     @settings(max_examples=300, deadline=None)
     def test_crossing_matches_loop(self, series, final):
-        baseline = series.values[0]
+        baseline = float(series.values[0])
         assume(final != baseline)
         level = baseline + RESPONSE_FRACTION * (final - baseline)
         expected = crossing_oracle(series, level, final > baseline)
@@ -277,11 +287,11 @@ class TestNormalize:
     def test_affine_map_endpoints(self):
         series = MeasurementSeries((0.0, 1.0, 2.0), (0.0, 25.85, 51.7), unit="deg")
         normalized = normalize_curve(series, plateau=51.7)
-        assert normalized.values == (0.0, 0.5, 1.0)
+        assert normalized.values.tolist() == [0.0, 0.5, 1.0]
 
     def test_already_normalized_is_identity(self):
         series = MeasurementSeries((0.0, 1.0, 2.0), (0.0, 0.5, 1.0), unit="deg")
-        assert normalize_curve(series, plateau=1.0).values == (0.0, 0.5, 1.0)
+        assert normalize_curve(series, plateau=1.0).values.tolist() == [0.0, 0.5, 1.0]
 
     def test_round_trip(self):
         values = (3.0, 8.5, 14.2, 17.0)

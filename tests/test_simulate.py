@@ -11,6 +11,7 @@ from phototherm import (
     KindMismatchError,
     LightSchedule,
     NumericalError,
+    STEFAN_BOLTZMANN,
     SimConfig,
     StabilityError,
     ThermalLayer,
@@ -24,6 +25,7 @@ from phototherm import (
     series_from_trajectory,
     stability_limit,
 )
+from phototherm.simulate import _stability_detail
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE, TAU_SINGLE_S
 from linear_oracle import exact_bilayer_grid
 
@@ -87,21 +89,23 @@ class TestSimConfig:
 
 
 class TestStabilityLimit:
-    def test_bilayer_limited_by_lig(self, bilayer_wall, environment):
+    def test_bilayer_limited_by_lig(self, bilayer_wall, flux_source, environment):
         # C_L W_L / (h_Le A + k) with the bundled constants
-        assert stability_limit(bilayer_wall, environment) == pytest.approx(
+        assert stability_limit(bilayer_wall, flux_source, environment) == pytest.approx(
             2.8e-3 / (1.8e-3 + 0.02), rel=1e-12)
 
-    def test_single_layer_value(self, single_wall, environment):
-        assert stability_limit(single_wall, environment) == pytest.approx(113.75, rel=1e-12)
+    def test_single_layer_value(self, single_wall, flux_source, environment):
+        assert stability_limit(single_wall, flux_source, environment) == pytest.approx(
+            113.75, rel=1e-12)
 
-    def test_doubling_conductances_halves_limit_exactly(self, environment):
+    def test_doubling_conductances_halves_limit_exactly(self, flux_source, environment):
         base = WallAssembly.bilayer(ThermalLayer(**SILICONE), ThermalLayer(**LIG))
         doubled = WallAssembly.bilayer(
             ThermalLayer(**dict(SILICONE, conv_coeff=2 * SILICONE["conv_coeff"],
                                 conductivity=2 * SILICONE["conductivity"])),
             ThermalLayer(**dict(LIG, conv_coeff=2 * LIG["conv_coeff"])))
-        assert stability_limit(doubled, environment) == 0.5 * stability_limit(base, environment)
+        assert stability_limit(doubled, flux_source, environment) == 0.5 * stability_limit(
+            base, flux_source, environment)
 
     def test_run_rejects_oversized_step_naming_layer(self, bilayer_wall, flux_source,
                                                      environment):
@@ -110,6 +114,66 @@ class TestStabilityLimit:
                 SimConfig(duration=10.0, dt=0.2))
         assert excinfo.value.limiting_layer == "lig"
         assert excinfo.value.limit == pytest.approx(0.12844, abs=1e-5)
+
+    def test_hot_radiative_source_limited_by_lig(self, bilayer_wall, environment):
+        # the linear limit of 0.128 s would let dt = 0.1 s settle into a
+        # 68 K / 1889 K period-2 cycle
+        source = HeatSource.radiative(1500.0, 0.9)
+        assert stability_limit(bilayer_wall, source, environment) == pytest.approx(
+            0.03197, abs=1e-5)
+        with pytest.raises(StabilityError, match="lig") as excinfo:
+            run(bilayer_wall, source, ALWAYS_ON, environment,
+                SimConfig(duration=10.0, dt=0.1))
+        assert excinfo.value.limiting_layer == "lig"
+
+    def test_light_scale_and_initial_state_tighten_radiative_limit(self, single_wall,
+                                                                   environment):
+        source = HeatSource.radiative(373.0, 0.9)
+        limit = stability_limit(single_wall, source, environment)
+        config = SimConfig(duration=10 * limit, dt=limit)
+        run(single_wall, source, ALWAYS_ON, environment, config)
+        with pytest.raises(StabilityError):
+            run(single_wall, source, LightSchedule.always_on(1.5), environment, config)
+        with pytest.raises(StabilityError):
+            run(single_wall, source, ALWAYS_ON, environment, config,
+                initial=ThermalState(0.0, 400.0))
+
+
+@st.composite
+def radiative_scenarios(draw):
+    """A radiative run from ambient, its light on at a drawn scale for part
+    of the run, with dt up to the limit the guard sets for that scale."""
+    emissivity = st.floats(0.05, 1.0)
+    silicone = ThermalLayer(**dict(SILICONE, emissivity=draw(emissivity),
+                                   conv_coeff=draw(st.floats(0.5, 40.0))))
+    if draw(st.booleans()):
+        wall = WallAssembly.single(silicone)
+    else:
+        wall = WallAssembly.bilayer(silicone, ThermalLayer(**dict(
+            LIG, emissivity=draw(emissivity), conv_coeff=draw(st.floats(0.5, 40.0)))))
+    source = HeatSource.radiative(draw(st.floats(150.0, 3000.0)), draw(emissivity))
+    env = Environment(draw(st.floats(250.0, 350.0)))
+    scale = draw(st.floats(0.0, 3.0))
+    limit = _stability_detail(wall, source, env.ambient_temperature, scale)[0]
+    dt = limit * draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    duration = dt * draw(st.integers(1, 400))
+    schedule = LightSchedule(((0.0, duration * draw(st.floats(0.1, 1.0)), scale),))
+    return wall, source, schedule, env, SimConfig(duration=duration, dt=dt)
+
+
+class TestRadiativeGuard:
+    @given(scenario=radiative_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_runs_stay_between_ambient_and_source(self, scenario):
+        # under the guard each step is a monotone map: no overshoot, no
+        # period-2 cycle, whatever the source and the scale
+        wall, source, schedule, env, config = scenario
+        trajectory = run(wall, source, schedule, env, config)
+        lo = min(env.ambient_temperature, source.source_temperature)
+        hi = max(env.ambient_temperature, source.source_temperature)
+        for column in (trajectory.silicone, trajectory.lig):
+            if column is not None:
+                assert lo <= column.min() and column.max() <= hi
 
 
 class TestEulerStep:
@@ -201,8 +265,9 @@ class TestRun:
         config = SimConfig(duration=30.0, dt=0.01, record_stride=10)
         first = run(bilayer_wall, flux_source, ALWAYS_ON, environment, config)
         second = run(bilayer_wall, flux_source, ALWAYS_ON, environment, config)
-        assert first == second
-        assert hash(first) == hash(second)
+        for name in ("times", "silicone", "lig"):
+            # bytes, unlike float ==, tell -0.0 from 0.0
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
     def test_record_stride_spacing(self, single_wall, flux_source, environment):
         config = SimConfig(duration=1.0, dt=0.01, record_stride=25)
@@ -254,19 +319,28 @@ class TestRun:
         assert traj.final.silicone_temperature == manual.silicone_temperature
 
     @pytest.mark.parametrize("record_stride", (1, 3))
-    def test_radiative_blowup_raises_numerical_error(self, environment, record_stride):
-        # radiative stiffness is not part of the linear stability guard, so a
-        # huge source with a large step diverges and must be reported, also
-        # when the first bad temperature falls on a step that is not recorded
+    def test_divergence_raises_numerical_error(self, single_wall, environment,
+                                               record_stride):
+        # a drive so large that the second step overflows must be reported,
+        # also when that step is not recorded
+        with pytest.raises(NumericalError, match="t=2 s"):
+            run(single_wall, HeatSource.constant_flux(1e308), ALWAYS_ON, environment,
+                SimConfig(duration=10.0, dt=1.0, record_stride=record_stride))
+
+    def test_radiative_stiffness_is_part_of_the_guard(self, environment):
+        # a hot source on a thin film: the linear limit alone would pass
+        # dt = 1 s and the run would diverge
         layer = ThermalLayer(specific_heat=700.0, density=400.0, thickness=1e-4,
                              area=1e-4, emissivity=1.0, absorptance=0.5,
                              conductivity=1.0, conv_coeff=0.5)
         wall = WallAssembly.single(layer)
         source = HeatSource.radiative(3000.0, 1.0)
-        assert stability_limit(wall, environment) > 1.0
-        with pytest.raises(NumericalError):
-            run(wall, source, ALWAYS_ON, environment,
-                SimConfig(duration=10.0, dt=1.0, record_stride=record_stride))
+        assert stability_limit(wall, HeatSource.constant_flux(1.0), environment) > 1.0
+        limit = stability_limit(wall, source, environment)
+        assert limit == pytest.approx(2.8e-3 / (1e-4 + 4 * STEFAN_BOLTZMANN * 3000.0 ** 3
+                                                * 1e-4), rel=1e-12)
+        with pytest.raises(StabilityError, match="silicone"):
+            run(wall, source, ALWAYS_ON, environment, SimConfig(duration=10.0, dt=1.0))
 
     @pytest.mark.parametrize("schedule", (ALWAYS_ON, LightSchedule.off()), ids=("on", "off"))
     @pytest.mark.parametrize("kind, dark", (("single", "silicone"), ("bilayer", "silicone"),
