@@ -184,9 +184,9 @@ def _stability_detail(assembly: WallAssembly, source: HeatSource, start_max: flo
     1/eps_layer - 1) at T = max(start_max, source temperature). Within the
     limit every entry of the step's Jacobian M = I + dt A is >= 0, so each
     step is a monotone map and the temperatures stay between the coldest
-    and hottest of start and source. In the linear case Gershgorin puts
-    every eigenvalue of A within k/C of -(g + k)/C, so dt |lambda| <=
-    (g + 2k)/(g + k) < 2.
+    and hottest of ambient, start and source. In the linear case
+    Gershgorin puts every eigenvalue of A within k/C of -(g + k)/C, so
+    dt |lambda| <= (g + 2k)/(g + k) < 2.
     """
     def loss(layer: ThermalLayer) -> float:
         g = convective_conductance(layer)
