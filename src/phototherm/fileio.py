@@ -74,7 +74,11 @@ def illuminance_scale(d: float, d_ref: float, p: float = 1.0) -> float:
         raise ValidationError("distances must be finite and strictly positive")
     if not math.isfinite(p):
         raise ValidationError(f"illuminance exponent must be finite, got {p!r}")
-    return (d_ref / d) ** p
+    try:
+        return (d_ref / d) ** p
+    except OverflowError:
+        raise ValidationError(
+            f"illuminance scale ({d_ref:g} / {d:g}) ** {p:g} overflows a float") from None
 
 
 @dataclass(frozen=True)

@@ -220,7 +220,13 @@ def _grey_body(theta_hot: float, eps_hot: float, eps_cold: float,
     _require(0.0 < eps_hot <= 1.0, f"emissivity must lie in (0, 1], got {eps_hot!r}")
     _require(0.0 < eps_cold <= 1.0, f"emissivity must lie in (0, 1], got {eps_cold!r}")
     _require(area > 0.0, "area must be strictly positive")
-    return theta_hot ** 4, area, 1.0 / eps_hot + 1.0 / eps_cold - 1.0
+    try:
+        th4 = theta_hot ** 4
+    except OverflowError:
+        raise ValidationError(
+            f"source temperature {theta_hot:g} K is too high: its fourth power "
+            "overflows a float") from None
+    return th4, area, 1.0 / eps_hot + 1.0 / eps_cold - 1.0
 
 
 def radiative_exchange(theta_hot: float, eps_hot: float,
@@ -260,30 +266,16 @@ def _source_input(source: HeatSource, layer: ThermalLayer, scale: float,
                                       layer.area)
 
 
-def _single_rate(theta_s: float, theta_e: float, q_in: float,
-                 g_conv: float, capacity: float) -> float:
-    # shared by the public rhs and the integrator so both produce identical floats
-    return (q_in - g_conv * (theta_s - theta_e)) / capacity
-
-
-def _bilayer_rates(theta_s: float, theta_l: float, theta_e: float,
-                   q_s: float, q_l: float, g_s: float, g_l: float,
-                   k: float, cap_s: float, cap_l: float) -> tuple[float, float]:
-    q_ls = k * (theta_l - theta_s)
-    d_s = (q_s - g_s * (theta_s - theta_e) + q_ls) / cap_s
-    d_l = (q_l - g_l * (theta_l - theta_e) - q_ls) / cap_l
-    return d_s, d_l
-
-
 def rhs_single(state: ThermalState, assembly: WallAssembly, source: HeatSource,
                env: Environment, scale: float = 1.0) -> float:
     """Temperature rate dT/dt of the lone silicone wall, in K/s."""
     if assembly.kind is not WallKind.SINGLE_LAYER:
         raise KindMismatchError("rhs_single requires a single-layer assembly")
     layer = assembly.silicone
-    q_in = _source_input(source, layer, scale, state.silicone_temperature)
-    return _single_rate(state.silicone_temperature, env.ambient_temperature,
-                        q_in, convective_conductance(layer), heat_capacity(layer))
+    theta_s = state.silicone_temperature
+    q_in = _source_input(source, layer, scale, theta_s)
+    return ((q_in - convective_conductance(layer) * (theta_s - env.ambient_temperature))
+            / heat_capacity(layer))
 
 
 def rhs_bilayer(state: ThermalState, assembly: WallAssembly, source: HeatSource,
@@ -298,13 +290,14 @@ def rhs_bilayer(state: ThermalState, assembly: WallAssembly, source: HeatSource,
     if state.lig_temperature is None:
         raise KindMismatchError("bilayer state must carry a lig_temperature")
     sil, lig = assembly.silicone, assembly.lig
-    q_s = _source_input(source, sil, scale, state.silicone_temperature)
-    q_l = _source_input(source, lig, scale, state.lig_temperature)
-    return _bilayer_rates(state.silicone_temperature, state.lig_temperature,
-                          env.ambient_temperature, q_s, q_l,
-                          convective_conductance(sil), convective_conductance(lig),
-                          coupling_conductance(sil),
-                          heat_capacity(sil), heat_capacity(lig))
+    theta_s, theta_l = state.silicone_temperature, state.lig_temperature
+    theta_e = env.ambient_temperature
+    q_s = _source_input(source, sil, scale, theta_s)
+    q_l = _source_input(source, lig, scale, theta_l)
+    q_ls = coupling_conductance(sil) * (theta_l - theta_s)
+    d_s = (q_s - convective_conductance(sil) * (theta_s - theta_e) + q_ls) / heat_capacity(sil)
+    d_l = (q_l - convective_conductance(lig) * (theta_l - theta_e) - q_ls) / heat_capacity(lig)
+    return d_s, d_l
 
 
 def _bisect(residual, lo: float, hi: float, tol: float) -> float:

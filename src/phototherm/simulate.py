@@ -22,9 +22,7 @@ from .model import (
     ThermalState,
     WallAssembly,
     WallKind,
-    _bilayer_rates,
     _grey_body,
-    _single_rate,
     absorbed_power,
     convective_conductance,
     coupling_conductance,
@@ -194,8 +192,14 @@ def _stability_detail(assembly: WallAssembly, source: HeatSource, start_max: flo
             return g
         _, area, resistance = _grey_body(source.source_temperature, source.source_emissivity,
                                          layer.emissivity, layer.area)
+        if not scale:
+            return g
         hottest = max(start_max, source.source_temperature)
-        return g + scale * (4.0 * STEFAN_BOLTZMANN * hottest ** 3 * area / resistance)
+        try:
+            cube = hottest ** 3
+        except OverflowError:  # a conductance beyond any float: no step is stable
+            cube = math.inf
+        return g + scale * (4.0 * STEFAN_BOLTZMANN * cube * area / resistance)
 
     sil = assembly.silicone
     if assembly.kind is WallKind.SINGLE_LAYER:
@@ -264,6 +268,11 @@ def _segments(schedule: LightSchedule, n_steps: int, dt: float):
     return runs
 
 
+def _diverged(step: int, dt: float) -> NumericalError:
+    return NumericalError(
+        f"temperature became non-finite or non-positive at t={step * dt:g} s")
+
+
 def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
         env: Environment, config: SimConfig,
         initial: ThermalState | None = None) -> Trajectory:
@@ -274,10 +283,11 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     Recording keeps every record_stride-th step, first sample at t = 0.
     Rejects dt above the stability limit of this start and schedule,
     naming the limiting layer, and raises NumericalError at the first step
-    whose temperatures are not finite and positive. Identical inputs
-    produce bit-identical trajectories, equal to a chain of euler_step
-    calls: a radiative drive takes its grey-body constants once per run but
-    evaluates the floats of radiative_exchange.
+    whose temperatures are not finite and positive or whose radiative drive
+    overflows a float. Identical inputs produce bit-identical trajectories,
+    equal to a chain of euler_step calls: a radiative drive takes its
+    grey-body constants once per run but evaluates the floats of
+    radiative_exchange.
     """
     bilayer = assembly.kind is WallKind.BILAYER
     theta_e = env.ambient_temperature
@@ -305,39 +315,59 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
         k = coupling_conductance(sil)
 
     stride = config.record_stride
-    constant_flux = source.mode is SourceMode.CONSTANT_FLUX
-    if not constant_flux:
+    radiative = source.mode is SourceMode.RADIATIVE_BODY
+    if radiative:
         th4, a_s, r_s = _grey_body(source.source_temperature, source.source_emissivity,
                                    sil.emissivity, sil.area)
         if bilayer:
             _, a_l, r_l = _grey_body(source.source_temperature, source.source_emissivity,
                                      lig.emissivity, lig.area)
 
-    inf = math.inf
+    # one straight-line loop body per wall kind and source mode: the float
+    # operations of rhs_single/rhs_bilayer and radiative_exchange, in order
+    sigma, inf = STEFAN_BOLTZMANN, math.inf
     sil_temps, lig_temps = [ts], [tl]
-    for i0, i1, scale in segments:
-        if constant_flux:
-            q_s = absorbed_power(source, sil, scale)
-            if bilayer:
-                q_l = absorbed_power(source, lig, scale)
-        for step in range(i0 + 1, i1 + 1):  # index of the state this update makes
-            if not constant_flux:
-                q_s = scale * (STEFAN_BOLTZMANN * (th4 - ts ** 4) * a_s / r_s)
-                if bilayer:
-                    q_l = scale * (STEFAN_BOLTZMANN * (th4 - tl ** 4) * a_l / r_l)
-            if bilayer:
-                d_s, d_l = _bilayer_rates(ts, tl, theta_e, q_s, q_l,
-                                          g_s, g_l, k, cap_s, cap_l)
-                ts = ts + dt * d_s
-                tl = tl + dt * d_l
+    keep_s, keep_l = sil_temps.append, lig_temps.append
+    try:
+        for i0, i1, scale in segments:
+            steps = range(i0 + 1, i1 + 1)  # index of the state each update makes
+            if not bilayer:
+                if not radiative:
+                    q_s = absorbed_power(source, sil, scale)
+                for step in steps:
+                    if radiative:
+                        q_s = scale * (sigma * (th4 - ts ** 4) * a_s / r_s)
+                    ts = ts + dt * ((q_s - g_s * (ts - theta_e)) / cap_s)
+                    if not 0.0 < ts < inf:
+                        raise _diverged(step, dt)
+                    if step % stride == 0:
+                        keep_s(ts)
+            elif radiative:
+                for step in steps:
+                    q_ls = k * (tl - ts)
+                    ts = ts + dt * ((scale * (sigma * (th4 - ts ** 4) * a_s / r_s)
+                                     - g_s * (ts - theta_e) + q_ls) / cap_s)
+                    tl = tl + dt * ((scale * (sigma * (th4 - tl ** 4) * a_l / r_l)
+                                     - g_l * (tl - theta_e) - q_ls) / cap_l)
+                    if not (0.0 < ts < inf and 0.0 < tl < inf):
+                        raise _diverged(step, dt)
+                    if step % stride == 0:
+                        keep_s(ts)
+                        keep_l(tl)
             else:
-                ts = ts + dt * _single_rate(ts, theta_e, q_s, g_s, cap_s)
-            if not (0.0 < ts < inf and 0.0 < tl < inf):
-                raise NumericalError(
-                    f"temperature became non-finite or non-positive at t={step * dt:g} s")
-            if step % stride == 0:
-                sil_temps.append(ts)
-                lig_temps.append(tl)
+                q_s = absorbed_power(source, sil, scale)
+                q_l = absorbed_power(source, lig, scale)
+                for step in steps:
+                    q_ls = k * (tl - ts)
+                    ts = ts + dt * ((q_s - g_s * (ts - theta_e) + q_ls) / cap_s)
+                    tl = tl + dt * ((q_l - g_l * (tl - theta_e) - q_ls) / cap_l)
+                    if not (0.0 < ts < inf and 0.0 < tl < inf):
+                        raise _diverged(step, dt)
+                    if step % stride == 0:
+                        keep_s(ts)
+                        keep_l(tl)
+    except OverflowError:  # T ** 4 of a temperature beyond the float range
+        raise _diverged(step, dt) from None
 
     # the recorded steps are 0, stride, 2 stride, ...: the same floats as step * dt
     times = np.arange(0, n_steps + 1, stride) * dt

@@ -190,6 +190,17 @@ class TestSweepCommand:
         assert out == ""
         assert "finite" in err
 
+    def test_overflowing_scale_is_a_failed_point(self, capsys, tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--preset", "table1_bilayer",
+                               "--param", "distance", "--distances", "0.001,0.05",
+                               "--d-ref", "0.05", "--exponent", "1000",
+                               "--outputs", "steady", "--out", str(out_csv))
+        assert code == 4
+        assert "1 of 2" in err
+        rows = out_csv.read_text(encoding="utf-8").strip().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["failed", "ok"]
+
     def test_partial_failure_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_bilayer",
                                  "--param", "alpha_L", "--values", "0.5,2.0",
@@ -328,6 +339,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, command, "--config", str(config))
         assert code == 2
         assert field in err
+
+    @pytest.mark.parametrize("command", ["steady", "simulate"])
+    def test_overflowing_source_temperature_is_bad_input(self, capsys, tmp_path, command):
+        # finite, but its fourth power is beyond the float range
+        text = preset_path("table1_bilayer").read_text(encoding="utf-8").replace(
+            "mode = constant_flux\npower = 0.075",
+            "mode = radiative_body\nsource_temperature = 1e100\nsource_emissivity = 0.9")
+        assert "1e100" in text
+        config = tmp_path / "overflow.ini"
+        config.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "source temperature" in err
 
     def test_unstable_step_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--preset", "table1_bilayer",

@@ -65,6 +65,10 @@ class TestIlluminanceScale:
         with pytest.raises(ValidationError, match="finite"):
             illuminance_scale(d, d_ref, p)
 
+    def test_overflowing_scale_is_bad_input(self):
+        with pytest.raises(ValidationError, match="overflows"):
+            illuminance_scale(0.001, 0.05, 1000.0)
+
 
 class TestPresets:
     def test_both_presets_listed(self):

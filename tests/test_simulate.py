@@ -235,30 +235,40 @@ class TestRun:
         assert all(s.silicone_temperature == AMBIENT_K for s in traj.samples)
         assert all(s.lig_temperature == AMBIENT_K for s in traj.samples)
 
-    @pytest.mark.parametrize("wall, source", (
-        ("bilayer_wall", HeatSource.constant_flux(POWER_W)),
-        ("single_wall", HeatSource.radiative(1500.0, 0.9)),
-        ("bilayer_wall", HeatSource.radiative(1500.0, 0.9)),
-    ), ids=("bilayer-flux", "single-radiative", "bilayer-radiative"))
+    @pytest.mark.parametrize("wall, source, record_stride", [
+        pytest.param(f"{kind}_wall", source, stride,
+                     id=f"{kind}-{mode}" + ("" if stride == 1 else f"-stride{stride}"))
+        for kind in ("single", "bilayer")
+        for mode, source in (("flux", HeatSource.constant_flux(30.0)),
+                             ("radiative", HeatSource.radiative(1500.0, 0.9)))
+        for stride in (1, 3)])
     def test_matches_manual_euler_stepping_bitwise(self, request, wall, source,
-                                                   environment):
-        # the integration loop and the public step op must agree exactly; a
-        # radiative run takes its grey-body constants once per run, while
-        # euler_step goes through radiative_exchange on every step. The hot
-        # source and the 20 s of drive make a rounding change in the inlined
-        # drive (such as T*T*T*T for T**4) reach the recorded temperatures
+                                                   environment, record_stride):
+        # each (wall kind, source mode) loop body of run must agree exactly
+        # with the public step op; a radiative run takes its grey-body
+        # constants once per run, while euler_step goes through
+        # radiative_exchange on every step. The hot source, the 30 W flux
+        # (about the power the 1500 K source delivers) and the 20 s of drive
+        # make a rounding change in an inlined rate (such as T*T*T*T for T**4)
+        # reach the recorded temperatures. The schedule switches at steps
+        # 1000, 1200 and 2000; at stride 3, 1000 and 2000 fall between
+        # recorded steps
         wall = request.getfixturevalue(wall)
         schedule = LightSchedule(((0.0, 10.0, 1.0), (12.0, 20.0, 0.37)))
-        config = SimConfig(duration=21.0, dt=0.01)
+        config = SimConfig(duration=21.0, dt=0.01, record_stride=record_stride)
         traj = run(wall, source, schedule, environment, config)
 
-        lig = AMBIENT_K if wall.kind is WallKind.BILAYER else None
-        state = ThermalState(0.0, AMBIENT_K, lig)
-        for i, sample in enumerate(traj.samples[1:]):
-            scale = schedule.scale_at(i * config.dt)  # scale at step start
+        bilayer = wall.kind is WallKind.BILAYER
+        state = ThermalState(0.0, AMBIENT_K, AMBIENT_K if bilayer else None)
+        silicone = traj.silicone.tolist()
+        lig = traj.lig.tolist() if bilayer else [None] * len(silicone)
+        assert len(silicone) == 2100 // record_stride + 1
+        for step in range(1, 2101):
+            scale = schedule.scale_at((step - 1) * config.dt)  # scale at step start
             state = euler_step(state, wall, source, environment, scale, config.dt)
-            assert sample.silicone_temperature == state.silicone_temperature
-            assert sample.lig_temperature == state.lig_temperature
+            if step % record_stride == 0:
+                assert silicone[step // record_stride] == state.silicone_temperature
+                assert lig[step // record_stride] == state.lig_temperature
         assert traj.final.silicone_temperature > AMBIENT_K  # the drive acted
 
     def test_deterministic_bit_identical(self, bilayer_wall, flux_source, environment):
@@ -318,14 +328,39 @@ class TestRun:
                                 scale, 0.5)
         assert traj.final.silicone_temperature == manual.silicone_temperature
 
-    @pytest.mark.parametrize("record_stride", (1, 3))
-    def test_divergence_raises_numerical_error(self, single_wall, environment,
-                                               record_stride):
-        # a drive so large that the second step overflows must be reported,
-        # also when that step is not recorded
+    @pytest.mark.parametrize("kind, record_stride", [
+        pytest.param(kind, stride, id=("" if kind == "single" else f"{kind}-") + str(stride))
+        for kind in ("single", "bilayer") for stride in (1, 3)])
+    def test_divergence_raises_numerical_error(self, environment, kind, record_stride):
+        # a drive so large that the second step overflows must be reported by
+        # either loop body, also when that step is not recorded. The thick
+        # film keeps dt = 1 s inside the bilayer's stability limit
+        silicone = ThermalLayer(**SILICONE)
+        wall = (WallAssembly.single(silicone) if kind == "single" else
+                WallAssembly.bilayer(silicone, ThermalLayer(**{**LIG, "thickness": 2e-2})))
         with pytest.raises(NumericalError, match="t=2 s"):
-            run(single_wall, HeatSource.constant_flux(1e308), ALWAYS_ON, environment,
+            run(wall, HeatSource.constant_flux(1e308), ALWAYS_ON, environment,
                 SimConfig(duration=10.0, dt=1.0, record_stride=record_stride))
+
+    @pytest.mark.parametrize("kind", ("single", "bilayer"))
+    def test_radiative_overflow_in_the_loop_raises_numerical_error(self, environment, kind):
+        # with the light off the guard counts no radiative conductance, but
+        # the loop still evaluates T ** 4, which overflows a float at 1e120 K
+        silicone = ThermalLayer(**SILICONE)
+        wall, lig = ((WallAssembly.single(silicone), None) if kind == "single" else
+                     (WallAssembly.bilayer(silicone, ThermalLayer(**LIG)), 1e120))
+        with pytest.raises(NumericalError, match="t=0.01 s"):
+            run(wall, HeatSource.radiative(373.0, 0.9), LightSchedule.off(), environment,
+                SimConfig(duration=1.0, dt=0.01), initial=ThermalState(0.0, 1e120, lig))
+
+    def test_radiative_overflow_in_the_guard_raises_stability_error(self, single_wall,
+                                                                    environment):
+        # the linearised radiative conductance at 1e120 K is beyond any
+        # float, so no positive step is stable
+        with pytest.raises(StabilityError, match="silicone") as info:
+            run(single_wall, HeatSource.radiative(373.0, 0.9), ALWAYS_ON, environment,
+                SimConfig(duration=1.0, dt=0.01), initial=ThermalState(0.0, 1e120))
+        assert info.value.limit == 0.0
 
     def test_radiative_stiffness_is_part_of_the_guard(self, environment):
         # a hot source on a thin film: the linear limit alone would pass
