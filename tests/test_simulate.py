@@ -357,10 +357,13 @@ class TestRun:
                                                                     environment):
         # the linearised radiative conductance at 1e120 K is beyond any
         # float, so no positive step is stable
+        source = HeatSource.radiative(373.0, 0.9)
         with pytest.raises(StabilityError, match="silicone") as info:
-            run(single_wall, HeatSource.radiative(373.0, 0.9), ALWAYS_ON, environment,
+            run(single_wall, source, ALWAYS_ON, environment,
                 SimConfig(duration=1.0, dt=0.01), initial=ThermalState(0.0, 1e120))
         assert info.value.limit == 0.0
+        # with no drive the radiative term drops out, not as 0 * inf = nan
+        assert _stability_detail(single_wall, source, 1e120, 0.0) == (TAU_SINGLE_S, "silicone")
 
     def test_radiative_stiffness_is_part_of_the_guard(self, environment):
         # a hot source on a thin film: the linear limit alone would pass
