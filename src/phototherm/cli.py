@@ -6,6 +6,7 @@ failure, 4 partial sweep failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -31,7 +32,7 @@ from .metrics import (
     response_time_63,
 )
 from .model import KELVIN_OFFSET, steady_state
-from .simulate import SimConfig, run
+from .simulate import run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,13 +144,8 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
-    sim = cfg.sim
-    if args.duration is not None or args.dt is not None or args.record_stride is not None:
-        sim = SimConfig(duration=args.duration if args.duration is not None else sim.duration,
-                        dt=args.dt if args.dt is not None else sim.dt,
-                        record_stride=args.record_stride if args.record_stride is not None
-                        else sim.record_stride,
-                        metric_window=sim.metric_window)
+    overrides = {"duration": args.duration, "dt": args.dt, "record_stride": args.record_stride}
+    sim = dataclasses.replace(cfg.sim, **{k: v for k, v in overrides.items() if v is not None})
     schedule = cfg.schedule
     if args.schedule is not None:
         schedule = fileio.parse_intervals(args.schedule, "--schedule")

@@ -168,115 +168,83 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
             key = sorted(extra)[0]
             raise ConfigError(f"{where(section, key)}: unknown key {key!r} in [{section}]")
 
-    def need_section(section: str) -> None:
-        if not cp.has_section(section):
-            raise ConfigError(f"{origin}: missing section [{section}]")
-
     _REQUIRED = object()
 
-    def get_raw(section: str, key: str, default=_REQUIRED) -> str:
+    def get(section: str, key: str, cast=float, default=_REQUIRED):
         if not cp.has_option(section, key):
             if default is _REQUIRED:
                 raise ConfigError(f"{where(section)}: [{section}] missing key {key!r}")
             return default
-        return cp.get(section, key).strip()
-
-    def get_number(section: str, key: str, default=_REQUIRED, cast=float):
-        raw = get_raw(section, key, default)
-        if raw is default and raw is not _REQUIRED:
-            return default
+        raw = cp.get(section, key).strip()
         try:
             return cast(raw)
-        except (TypeError, ValueError):
+        except ValueError:
             what = "a number" if cast is float else "an integer"
             raise ConfigError(
                 f"{where(section, key)}: [{section}] {key}: not {what}: {raw!r}") from None
 
-    def build_layer(section: str) -> ThermalLayer:
-        need_section(section)
-        kwargs = {key: get_number(section, key) for key in _LAYER_KEYS}
-        if cp.has_option(section, "conv_faces"):
-            kwargs["conv_faces"] = get_number(section, "conv_faces", cast=int)
+    def build(section: str, make):
+        """make() for a present section. A ValidationError that is not yet a
+        ConfigError is located at the key its message starts with, or else
+        at the section."""
+        if not cp.has_section(section):
+            raise ConfigError(f"{origin}: missing section [{section}]")
         try:
-            return ThermalLayer(**kwargs)
+            return make()
+        except ConfigError:
+            raise
         except ValidationError as exc:
-            key = str(exc).split()[0]
+            key = str(exc).partition(" ")[0]
             key = key if key in _SECTION_KEYS[section] else None
             raise ConfigError(f"{where(section, key)}: [{section}] {exc}") from exc
 
-    need_section("assembly")
-    kind_raw = get_raw("assembly", "kind")
-    try:
-        kind = WallKind(kind_raw)
-    except ValueError:
-        raise ConfigError(
-            f"{where('assembly', 'kind')}: [assembly] kind must be "
-            f"'single_layer' or 'bilayer', got {kind_raw!r}") from None
+    def choice(enum, section: str, key: str, *values: str):
+        raw = get(section, key, cast=str)
+        if raw not in values:
+            raise ValidationError(f"{key} must be {' or '.join(map(repr, values))}, got {raw!r}")
+        return enum(raw)
 
-    silicone = build_layer("silicone")
+    def layer(section: str) -> ThermalLayer:
+        return ThermalLayer(**{key: get(section, key) for key in _LAYER_KEYS},
+                            conv_faces=get(section, "conv_faces", cast=int, default=None))
+
+    def heat_source() -> HeatSource:
+        mode = choice(SourceMode, "source", "mode", "constant_flux", "radiative_body")
+        flux = mode is SourceMode.CONSTANT_FLUX
+        for key in ("source_temperature", "source_emissivity") if flux else ("power",):
+            if cp.has_option("source", key):
+                raise ValidationError(f"{key} is not valid in {mode.value} mode")
+        if flux:
+            return HeatSource.constant_flux(get("source", "power"))
+        return HeatSource.radiative(get("source", "source_temperature"),
+                                    get("source", "source_emissivity"))
+
+    kind = build("assembly", lambda: choice(WallKind, "assembly", "kind",
+                                            "single_layer", "bilayer"))
+    silicone = build("silicone", lambda: layer("silicone"))
     if kind is WallKind.BILAYER:
-        lig = build_layer("lig")
-        try:
-            assembly = WallAssembly.bilayer(silicone, lig)
-        except ValidationError as exc:
-            raise ConfigError(f"{origin}: {exc}") from exc
+        lig = build("lig", lambda: layer("lig"))
+        # the coupling conductance comes from the silicone layer
+        assembly = build("silicone", lambda: WallAssembly.bilayer(silicone, lig))
     else:
         if cp.has_section("lig"):
             raise ConfigError(
                 f"{where('lig')}: [lig] section is not valid for a single-layer assembly")
         assembly = WallAssembly.single(silicone)
+    source = build("source", heat_source)
+    env = build("environment",
+                lambda: Environment(get("environment", "ambient_temperature")))
+    schedule = parse_intervals(get("schedule", "intervals", cast=str, default=""),
+                               where("schedule", "intervals"))
+    sim = build("sim", lambda: SimConfig(
+        duration=get("sim", "duration"),
+        dt=get("sim", "dt", default=0.01),
+        record_stride=get("sim", "record_stride", cast=int, default=1),
+        metric_window=get("sim", "metric_window", default=300.0)))
 
-    need_section("source")
-    mode_raw = get_raw("source", "mode")
-    try:
-        mode = SourceMode(mode_raw)
-    except ValueError:
-        raise ConfigError(
-            f"{where('source', 'mode')}: [source] mode must be 'constant_flux' "
-            f"or 'radiative_body', got {mode_raw!r}") from None
-    try:
-        if mode is SourceMode.CONSTANT_FLUX:
-            for key in ("source_temperature", "source_emissivity"):
-                if cp.has_option("source", key):
-                    raise ConfigError(
-                        f"{where('source', key)}: [source] {key} is not valid in constant_flux mode")
-            source = HeatSource.constant_flux(get_number("source", "power"))
-        else:
-            if cp.has_option("source", "power"):
-                raise ConfigError(
-                    f"{where('source', 'power')}: [source] power is not valid in radiative_body mode")
-            source = HeatSource.radiative(get_number("source", "source_temperature"),
-                                          get_number("source", "source_emissivity"))
-    except ValidationError as exc:
-        raise ConfigError(f"{where('source')}: [source] {exc}") from exc
-
-    need_section("environment")
-    try:
-        env = Environment(get_number("environment", "ambient_temperature"))
-    except ValidationError as exc:
-        raise ConfigError(f"{where('environment', 'ambient_temperature')}: "
-                          f"[environment] {exc}") from exc
-
-    if cp.has_section("schedule") and cp.has_option("schedule", "intervals"):
-        schedule = parse_intervals(get_raw("schedule", "intervals", ""),
-                                   where("schedule", "intervals"))
-    else:
-        schedule = LightSchedule.off()
-
-    need_section("sim")
-    try:
-        sim = SimConfig(duration=get_number("sim", "duration"),
-                        dt=get_number("sim", "dt", 0.01),
-                        record_stride=get_number("sim", "record_stride", 1, cast=int),
-                        metric_window=get_number("sim", "metric_window", 300.0))
-    except ValidationError as exc:
-        raise ConfigError(f"{where('sim')}: [sim] {exc}") from exc
-
-    plateau_window = get_number("metrics", "plateau_window", None) \
-        if cp.has_section("metrics") else None
-    plateau_threshold = get_number("metrics", "plateau_threshold", None) \
-        if cp.has_section("metrics") else None
-    channel = get_raw("metrics", "channel", "auto") if cp.has_section("metrics") else "auto"
+    plateau_window = get("metrics", "plateau_window", default=None)
+    plateau_threshold = get("metrics", "plateau_threshold", default=None)
+    channel = get("metrics", "channel", cast=str, default="auto")
     if channel not in ("auto", "theta_s", "theta_L"):
         raise ConfigError(f"{where('metrics', 'channel')}: [metrics] channel must be "
                           f"auto, theta_s or theta_L, got {channel!r}")
@@ -307,7 +275,7 @@ def parse_intervals(text: str, where: str = "<schedule>") -> LightSchedule:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def read_series(path, column: str = "auto", label: str | None = None) -> MeasurementSeries:
+def read_series(path, column: str = "auto") -> MeasurementSeries:
     """Read a measurement CSV or a trajectory CSV as one series.
 
     Plain series files carry `time_s,value` plus an optional leading
@@ -332,8 +300,7 @@ def read_series(path, column: str = "auto", label: str | None = None) -> Measure
         values = np.add(values, KELVIN_OFFSET)
         unit = "K"
     try:
-        return MeasurementSeries(times, values, unit=unit,
-                                 label=label if label is not None else path.stem)
+        return MeasurementSeries(times, values, unit=unit)
     except ValidationError as exc:
         raise SeriesFormatError(f"{path}: {exc}") from exc
 

@@ -42,7 +42,6 @@ class MeasurementSeries:
     times: np.ndarray
     values: np.ndarray
     unit: str = "K"
-    label: str = ""
 
     def __post_init__(self):
         times, values = _column(self.times), _column(self.values)
@@ -78,8 +77,7 @@ class ResponseReport:
     peak_time: float  # s
 
 
-def series_from_trajectory(trajectory: Trajectory, channel: str = "auto",
-                           label: str = "") -> MeasurementSeries:
+def series_from_trajectory(trajectory: Trajectory, channel: str = "auto") -> MeasurementSeries:
     """View one trajectory channel as a measurement series.
 
     channel "auto" picks the liquid-contact surface: the absorber film when
@@ -87,8 +85,7 @@ def series_from_trajectory(trajectory: Trajectory, channel: str = "auto",
     """
     channel = _resolve_channel(trajectory.kind, channel)
     values = trajectory.lig if channel == "theta_L" else trajectory.silicone
-    return MeasurementSeries(trajectory.times, values, unit="K",
-                             label=label or channel)
+    return MeasurementSeries(trajectory.times, values, unit="K")
 
 
 def _interp_at(series: MeasurementSeries, t: float) -> float:
@@ -207,8 +204,7 @@ def normalize_curve(series: MeasurementSeries, plateau: float) -> MeasurementSer
     if swing == 0.0:
         raise ValidationError("plateau equals the initial value: normalization degenerate")
     values = (series.values - start) / swing
-    label = f"{series.label} (normalized)" if series.label else "normalized"
-    return MeasurementSeries(series.times, values, unit=series.unit, label=label)
+    return MeasurementSeries(series.times, values, unit=series.unit)
 
 
 def cooling_fit(series: MeasurementSeries, ambient: float) -> tuple[float, float]:

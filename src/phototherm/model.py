@@ -238,7 +238,13 @@ def radiative_exchange(theta_hot: float, eps_hot: float,
     """
     _require(theta_cold > 0.0, "temperatures must be > 0 K")
     th4, area, resistance = _grey_body(theta_hot, eps_hot, eps_cold, area)
-    return STEFAN_BOLTZMANN * (th4 - theta_cold ** 4) * area / resistance
+    try:
+        tc4 = theta_cold ** 4
+    except OverflowError:
+        raise NumericalError(
+            f"temperature {theta_cold:g} K is too high: its fourth power "
+            "overflows a float") from None
+    return STEFAN_BOLTZMANN * (th4 - tc4) * area / resistance
 
 
 def absorbed_power(source: HeatSource, layer: ThermalLayer, scale: float = 1.0) -> float:

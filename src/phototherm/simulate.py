@@ -106,10 +106,18 @@ class SimConfig:
             raise ValidationError(f"duration must be finite and > 0, got {self.duration!r}")
         if self.duration < self.dt:
             raise ValidationError("duration must be at least dt")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValidationError(
+                f"duration / dt must be finite, got {self.duration!r} / {self.dt!r}")
         if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
             raise ValidationError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         if not (self.metric_window > 0.0 and math.isfinite(self.metric_window)):
             raise ValidationError(f"metric_window must be finite and > 0, got {self.metric_window!r}")
+
+    @property
+    def n_steps(self) -> int:
+        """Number of steps of length dt within duration."""
+        return int(math.floor(self.duration / self.dt + 1e-9))
 
 
 def _column(values) -> np.ndarray:
@@ -252,9 +260,10 @@ def _segments(schedule: LightSchedule, n_steps: int, dt: float):
     runs = []
     cursor = 0
     for start, end, scale in schedule.intervals:
-        i0 = int(round(start / dt))
-        i1 = n_steps if math.isinf(end) else int(round(end / dt))
-        i0, i1 = max(i0, cursor), min(i1, n_steps)
+        # clamp to the grid before rounding: a finite end such as 1e308 s
+        # over a small dt is an infinite step index
+        i0 = max(round(min(start / dt, n_steps)), cursor)
+        i1 = round(min(end / dt, n_steps))
         if i1 <= i0:
             continue
         if i0 > cursor:
@@ -299,8 +308,7 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
         ts = initial.silicone_temperature
         tl = initial.lig_temperature if bilayer else theta_e
 
-    dt = config.dt
-    n_steps = int(math.floor(config.duration / dt + 1e-9))
+    dt, n_steps = config.dt, config.n_steps
     segments = _segments(schedule, n_steps, dt)
     _check_step(assembly, source, dt, max(theta_e, ts, tl),
                 max(scale for _, _, scale in segments))
@@ -399,7 +407,7 @@ def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
     dt = config.dt
     _check_step(assembly, source, dt, env.ambient_temperature, 1.0)
     channel = _resolve_channel(assembly.kind, channel)
-    n_steps = int(math.floor(config.duration / dt + 1e-9))
+    n_steps = config.n_steps
 
     sil = assembly.silicone
     cap_s, g_s = heat_capacity(sil), convective_conductance(sil)

@@ -283,6 +283,55 @@ class TestAnalyzeBending:
         assert float(report["t63_s"]) == pytest.approx(15.0, abs=2.0)
 
 
+def preset_copy(tmp_path, old, new, preset="table1_bilayer"):
+    """Path of a copy of a bundled preset with one line replaced."""
+    text = preset_path(preset).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "scenario.ini"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(path)
+
+
+class TestHugeFiniteSchedule:
+    """A finite schedule bound far beyond the step grid acts like an
+    infinite one instead of overflowing the step index."""
+
+    @pytest.mark.parametrize("huge, same", [("0:1e308:1", "0:inf:1"), ("1e308:inf:1", "")])
+    def test_simulate_matches_unbounded_schedule(self, capsys, huge, same):
+        argv = ("simulate", "--preset", "table1_bilayer", "--duration", "5",
+                "--record-stride", "10")
+        code, out, _ = run_cli(capsys, *argv, "--schedule", huge)
+        assert code == 0
+        assert out == run_cli(capsys, *argv, "--schedule", same)[1]
+
+    def test_sweep_matches_unbounded_schedule(self, capsys, tmp_path):
+        rows = []
+        for intervals in ("0:1e308:1", "0:inf:1"):
+            config = preset_copy(tmp_path, "intervals = 0:inf:1", f"intervals = {intervals}")
+            code, out, _ = run_cli(capsys, "sweep", "--config", config, "--param", "scale",
+                                   "--values", "0.5", "--outputs", "t63,peak")
+            assert code == 0
+            rows.append(out)
+        assert rows[0] == rows[1]
+        assert rows[0].splitlines()[1].split(",")[4] == "ok"
+
+    def test_calibrate_matches_unbounded_schedule(self, capsys, tmp_path):
+        target = tmp_path / "target.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--preset", "table1_bilayer",
+                             "--duration", "120", "--record-stride", "100",
+                             "--schedule", "0:inf:0.8", "--out", str(target))
+        assert code == 0
+        reports = []
+        for intervals in ("0:1e308:1", "0:inf:1"):
+            config = preset_copy(tmp_path, "intervals = 0:inf:1", f"intervals = {intervals}")
+            code, out, _ = run_cli(capsys, "calibrate", "--config", config,
+                                   "--target", str(target), "--param", "scale:0.1:2.0:1.0")
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert float(parse_report(reports[0])["scale"]) == pytest.approx(0.8, rel=1e-3)
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "explode")
@@ -353,6 +402,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "source temperature" in err
+
+    @pytest.mark.parametrize("source", ["options", "config"])
+    def test_overflowing_step_count_is_bad_input(self, capsys, tmp_path, source):
+        if source == "options":
+            argv = ("--preset", "table1_bilayer", "--duration", "1e300", "--dt", "1e-10")
+        else:
+            argv = ("--config", preset_copy(tmp_path, "dt = 0.01\nduration = 300.0",
+                                            "dt = 1e-10\nduration = 1e300"))
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 2
+        assert out == ""
+        assert "duration / dt must be finite, got 1e+300 / 1e-10" in err
 
     def test_unstable_step_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--preset", "table1_bilayer",

@@ -185,6 +185,46 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(minimal_single_config(old, new))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("power = 0.075", "power = abc", "<config>:17: [source] power: not a number: 'abc'"),
+        ("ambient_temperature = 298.0", "ambient_temperature = warm",
+         "<config>:20: [environment] ambient_temperature: not a number: 'warm'"),
+        ("duration = 10.0", "duration = long",
+         "<config>:26: [sim] duration: not a number: 'long'"),
+        ("conv_coeff = 6.0", "conv_coeff = 6.0\nconv_faces = two",
+         "<config>:14: [silicone] conv_faces: not an integer: 'two'"),
+        ("power = 0.075", "power = 0.075\nsource_temperature = 600.0",
+         "<config>:18: [source] source_temperature is not valid in constant_flux mode"),
+        ("kind = single_layer", "kind = trilayer",
+         "<config>:3: [assembly] kind must be 'single_layer' or 'bilayer', got 'trilayer'"),
+        ("mode = constant_flux", "mode = laser",
+         "<config>:16: [source] mode must be 'constant_flux' or 'radiative_body', "
+         "got 'laser'"),
+        ("duration = 10.0", "duration = 10.0\ndt = -1",
+         "<config>:27: [sim] dt must be finite and > 0, got -1.0"),
+        ("duration = 10.0", "duration = 1e300\ndt = 1e-10",
+         "<config>:26: [sim] duration / dt must be finite, got 1e+300 / 1e-10"),
+        ("emissivity = 0.95", "emissivity = 1.3",
+         "<config>:10: [silicone] emissivity must lie in [0, 1], got 1.3"),
+    ])
+    def test_error_names_location_once(self, old, new, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_single_config(old, new))
+        assert str(info.value) == message
+
+    def test_vanishing_coupling_reported_at_silicone(self):
+        text = minimal_single_config(
+            "kind = single_layer\n", "kind = bilayer\n[lig]\n" + "".join(
+                f"{k} = {v}\n" for k, v in LIG.items()))
+        for old, new in (("conductivity = 0.2", "conductivity = 1e-300"),
+                         ("area = 1.0e-4", "area = 1e-300")):
+            assert old in text
+            text = text.replace(old, new)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == (
+            "<config>:14: [silicone] interlayer coupling conductance must be strictly positive")
+
     def test_missing_section_reported(self):
         text = minimal_single_config().replace("[environment]\nambient_temperature = 298.0", "")
         with pytest.raises(ConfigError, match=r"missing section \[environment\]"):

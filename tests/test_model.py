@@ -143,6 +143,11 @@ class TestRadiativeExchange:
         with pytest.raises(ValidationError):
             radiative_exchange(0.0, 1.0, 300.0, 1.0, 1e-4)
 
+    def test_overflowing_cold_side_is_numerical_error(self):
+        # finite, but its fourth power is beyond the float range
+        with pytest.raises(NumericalError, match="1e\\+80 K is too high"):
+            radiative_exchange(373.0, 0.9, 1e80, 0.9, 1e-4)
+
 
 class TestAbsorbedPower:
     def test_silicone_share(self, flux_source, silicone_layer):

@@ -25,7 +25,7 @@ from phototherm import (
     series_from_trajectory,
     stability_limit,
 )
-from phototherm.simulate import _stability_detail
+from phototherm.simulate import _segments, _stability_detail
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE, TAU_SINGLE_S
 from linear_oracle import exact_bilayer_grid
 
@@ -86,6 +86,15 @@ class TestSimConfig:
     def test_rejects_bad_stride(self):
         with pytest.raises(ValidationError):
             SimConfig(duration=10.0, record_stride=0)
+
+    def test_rejects_overflowing_step_count(self):
+        with pytest.raises(ValidationError, match="duration / dt must be finite"):
+            SimConfig(duration=1e300, dt=1e-10)
+
+    @pytest.mark.parametrize("duration, dt, n_steps", [
+        (300.0, 0.01, 30000), (0.3, 0.1, 3), (0.35, 0.1, 3)])
+    def test_step_count(self, duration, dt, n_steps):
+        assert SimConfig(duration=duration, dt=dt).n_steps == n_steps
 
 
 class TestStabilityLimit:
@@ -205,6 +214,56 @@ class TestEulerStep:
         with pytest.raises(ValidationError):
             euler_step(ThermalState(0.0, 298.0), single_wall, flux_source,
                        environment, 1.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["single", "bilayer"])
+    def test_overflowing_radiative_drive_is_numerical_error(self, kind, single_wall,
+                                                            bilayer_wall, environment):
+        wall, lig = (single_wall, None) if kind == "single" else (bilayer_wall, 1e80)
+        with pytest.raises(NumericalError, match="1e\\+80 K is too high"):
+            euler_step(ThermalState(0.0, 1e80, lig), wall, HeatSource.radiative(373.0, 0.9),
+                       environment, 1.0, 0.01)
+
+
+def segments_with_round_first(schedule, n_steps, dt):
+    """_segments as it was before its step indices were clamped to the grid
+    ahead of rounding; it overflows on bounds far beyond the grid."""
+    runs, cursor = [], 0
+    for start, end, scale in schedule.intervals:
+        i0 = int(round(start / dt))
+        i1 = n_steps if end == np.inf else int(round(end / dt))
+        i0, i1 = max(i0, cursor), min(i1, n_steps)
+        if i1 <= i0:
+            continue
+        if i0 > cursor:
+            runs.append((cursor, i0, 0.0))
+        runs.append((i0, i1, scale))
+        cursor = i1
+        if cursor >= n_steps:
+            break
+    if cursor < n_steps:
+        runs.append((cursor, n_steps, 0.0))
+    return runs
+
+
+class TestSegments:
+    @settings(max_examples=300, deadline=None)
+    @given(bounds=st.lists(st.one_of(st.floats(0.0, 1e4), st.sampled_from([1e300, 1e308])),
+                           max_size=8, unique=True).map(sorted),
+           open_end=st.booleans(), scale=st.floats(0.0, 10.0),
+           n_steps=st.integers(1, 10**6), dt=st.floats(1e-3, 10.0))
+    def test_same_runs_as_rounding_first(self, bounds, open_end, scale, n_steps, dt):
+        if open_end and len(bounds) % 2:
+            bounds.append(np.inf)
+        pairs = list(zip(bounds[::2], bounds[1::2]))
+        schedule = LightSchedule(tuple((a, b, scale) for a, b in pairs))
+        runs = _segments(schedule, n_steps, dt)
+        assert runs[0][0] == 0 and runs[-1][1] == n_steps
+        assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+        try:
+            expected = segments_with_round_first(schedule, n_steps, dt)
+        except OverflowError:
+            return
+        assert runs == expected
 
 
 class TestRun:
