@@ -9,14 +9,15 @@ yield identical results.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .metrics import MeasurementSeries, series_from_trajectory
 from .model import Environment, HeatSource, SourceMode, WallAssembly, WallKind
-from .simulate import LightSchedule, SimConfig, _constant_flux_at, run
+from .simulate import (LightSchedule, SimConfig, _constant_flux_on, _flux_grid, _FluxGrid,
+                       run)
 
 #: tunable parameter names and the hard physical range each must stay inside
 PARAM_RANGES = {
@@ -54,6 +55,9 @@ class ParamSpec:
         if self.lower < lo or self.upper > hi:
             raise ValidationError(
                 f"{self.name}: bounds must stay within the physical range [{lo}, {hi}]")
+        if self.name in ("h_se", "h_Le") and not self.lower > 0.0:
+            raise ValidationError(f"{self.name}: lower bound must be > 0, "
+                                  "a convection coefficient must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,8 @@ class CalibrationProblem:
     schedule: LightSchedule
     config: SimConfig
     channel: str = "auto"
+    # the constant-flux target grid, the same for every candidate
+    _grid: _FluxGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "free", tuple(self.free))
@@ -85,6 +91,8 @@ class CalibrationProblem:
         # interpolation error must stay bounded by the integration step
         if self.config.record_stride != 1:
             object.__setattr__(self, "config", replace(self.config, record_stride=1))
+        object.__setattr__(self, "_grid",
+                           _flux_grid(self.schedule, self.config, self.target.times))
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,7 @@ class CalibrationResult:
     rmse: float  # K
     iterations: int
     converged: bool
+    evaluations: int  # objective calls, the final unpenalized one included
 
 
 def _check_applicable(name: str, assembly: WallAssembly, source: HeatSource) -> None:
@@ -153,9 +162,8 @@ def objective(problem: CalibrationProblem, candidate) -> float:
             raise ValidationError(f"{spec.name}={value!r} is outside its bounds")
     assembly, source, schedule = _apply(problem, candidate)
     if source.mode is SourceMode.CONSTANT_FLUX:
-        simulated = _constant_flux_at(assembly, source, schedule, problem.env,
-                                      problem.config, problem.target.times,
-                                      problem.channel)
+        simulated = _constant_flux_on(problem._grid, assembly, source, schedule,
+                                      problem.env, problem.config, problem.channel)
     else:
         trajectory = run(assembly, source, schedule, problem.env, problem.config)
         series = series_from_trajectory(trajectory, problem.channel)
@@ -189,55 +197,58 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
     width = upper - lower
     x0 = np.array([s.initial for s in specs])
 
+    evaluations = 0
+
     def penalized(x: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
         clamped = np.clip(x, lower, upper)
         excess = (x - clamped) / width
-        # transient simplex candidates may be unphysical on purpose; only the
-        # final fitted point (evaluated below, unsuppressed) should warn
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            sse = objective(problem, clamped)
-        return sse + _PENALTY_WEIGHT * float(excess @ excess)
+        return objective(problem, clamped) + _PENALTY_WEIGHT * float(excess @ excess)
 
-    simplex = _initial_simplex(specs, x0)
-    fvals = [penalized(v) for v in simplex]
+    # transient simplex candidates may be unphysical on purpose; only the
+    # final fitted point (evaluated below, unsuppressed) should warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        simplex = _initial_simplex(specs, x0)
+        fvals = [penalized(v) for v in simplex]
 
-    iterations = 0
-    converged = False
-    while iterations < _MAX_ITERATIONS:
-        iterations += 1
-        order = sorted(range(len(simplex)), key=fvals.__getitem__)
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        if fvals[-1] - fvals[0] <= _REL_SPREAD_TOL * max(1.0, abs(fvals[0])):
-            converged = True
-            break
+        iterations = 0
+        converged = False
+        while iterations < _MAX_ITERATIONS:
+            iterations += 1
+            order = sorted(range(len(simplex)), key=fvals.__getitem__)
+            simplex = [simplex[i] for i in order]
+            fvals = [fvals[i] for i in order]
+            if fvals[-1] - fvals[0] <= _REL_SPREAD_TOL * max(1.0, abs(fvals[0])):
+                converged = True
+                break
 
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_reflected = penalized(reflected)
-        if f_reflected < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_expanded = penalized(expanded)
-            if f_expanded < f_reflected:
-                simplex[-1], fvals[-1] = expanded, f_expanded
-            else:
+            centroid = np.mean(simplex[:-1], axis=0)
+            worst = simplex[-1]
+            reflected = centroid + (centroid - worst)
+            f_reflected = penalized(reflected)
+            if f_reflected < fvals[0]:
+                expanded = centroid + 2.0 * (centroid - worst)
+                f_expanded = penalized(expanded)
+                if f_expanded < f_reflected:
+                    simplex[-1], fvals[-1] = expanded, f_expanded
+                else:
+                    simplex[-1], fvals[-1] = reflected, f_reflected
+            elif f_reflected < fvals[-2]:
                 simplex[-1], fvals[-1] = reflected, f_reflected
-        elif f_reflected < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_reflected
-        else:
-            if f_reflected < fvals[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
             else:
-                contracted = centroid - 0.5 * (centroid - worst)
-            f_contracted = penalized(contracted)
-            if f_contracted < min(f_reflected, fvals[-1]):
-                simplex[-1], fvals[-1] = contracted, f_contracted
-            else:
-                best = simplex[0]
-                simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
-                fvals = [fvals[0]] + [penalized(v) for v in simplex[1:]]
+                if f_reflected < fvals[-1]:
+                    contracted = centroid + 0.5 * (reflected - centroid)
+                else:
+                    contracted = centroid - 0.5 * (centroid - worst)
+                f_contracted = penalized(contracted)
+                if f_contracted < min(f_reflected, fvals[-1]):
+                    simplex[-1], fvals[-1] = contracted, f_contracted
+                else:
+                    best = simplex[0]
+                    simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
+                    fvals = [fvals[0]] + [penalized(v) for v in simplex[1:]]
 
     best_idx = min(range(len(simplex)), key=fvals.__getitem__)
     fitted = np.clip(simplex[best_idx], lower, upper)
@@ -245,4 +256,5 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
     rmse = math.sqrt(sse / len(problem.target.times))
     return CalibrationResult(
         values={spec.name: float(v) for spec, v in zip(specs, fitted)},
-        sse=sse, rmse=rmse, iterations=iterations, converged=converged)
+        sse=sse, rmse=rmse, iterations=iterations, converged=converged,
+        evaluations=evaluations + 1)

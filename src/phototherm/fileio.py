@@ -148,12 +148,30 @@ def load_config(path) -> RunConfig:
     return parse_config(text, origin=str(path))
 
 
+def _parse_error(exc: configparser.Error, origin: str) -> ConfigError:
+    """configparser's error as `origin:line: message`, built from its
+    attributes: its own text names the file a second time."""
+    lineno = getattr(exc, "lineno", None)
+    if isinstance(exc, configparser.DuplicateOptionError):
+        message = f"[{exc.section}] option {exc.option!r} already exists"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        message = f"section {exc.section!r} already exists"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        message = f"line before the first [section] header: {exc.line.strip()!r}"
+    elif isinstance(exc, configparser.ParsingError) and exc.errors:
+        lineno = exc.errors[0][0]
+        message = "expected a [section] header or a key = value line"
+    else:
+        message = exc.message
+    return ConfigError(f"{origin}:{lineno}: {message}" if lineno else f"{origin}: {message}")
+
+
 def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     try:
         cp.read_string(text, source=origin)
     except configparser.Error as exc:
-        raise ConfigError(f"{origin}: parse error: {exc}") from exc
+        raise _parse_error(exc, origin) from exc
     lines = _key_lines(text)
 
     def where(section: str, key: str | None = None) -> str:

@@ -382,12 +382,53 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     return Trajectory(times, sil_temps, lig_temps if bilayer else None)
 
 
+@dataclass(frozen=True, eq=False)
+class _FluxGrid:
+    """The part of `_constant_flux_at` that depends only on the schedule's
+    run boundaries, the step grid and the target times, not on the model:
+    run lengths, and for each target's lower then upper bracketing step its
+    run index and the steps into that run (a column), plus each target's
+    weight of the upper step."""
+
+    lengths: np.ndarray
+    run: np.ndarray
+    into: np.ndarray
+    weight: np.ndarray
+
+
+def _flux_grid(schedule: LightSchedule, config: SimConfig, times) -> _FluxGrid:
+    """The target grid of `_constant_flux_at` for these times. It stays valid
+    for any schedule with the same interval bounds, such as a rescaled one."""
+    dt, n_steps = config.dt, config.n_steps
+    # run r covers steps (start, end]
+    starts, ends, _ = np.array(_segments(schedule, n_steps, dt)).T
+    # bracketing grid steps (lower, lower + 1) and the weight of the upper one
+    t = np.asarray(times, dtype=float) / dt
+    lower = np.minimum(np.maximum(np.floor(t), 0.0), n_steps - 1)
+    weight = np.minimum(np.maximum(t - lower, 0.0), 1.0)
+    steps = np.concatenate((lower, lower + 1.0))
+    r = np.searchsorted(ends, steps)
+    return _FluxGrid(ends - starts, r, (steps - starts[r])[:, None], weight)
+
+
 def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
                       schedule: LightSchedule, env: Environment,
                       config: SimConfig, times, channel: str) -> np.ndarray:
     """One channel of the trajectory `run` would record from ambient under a
     constant-flux source, linearly interpolated at the strictly increasing
     times (clamped to the recorded span, like np.interp), without stepping.
+    See `_constant_flux_on`, which evaluates it on `_flux_grid(schedule,
+    config, times)`."""
+    return _constant_flux_on(_flux_grid(schedule, config, times), assembly, source,
+                             schedule, env, config, channel)
+
+
+def _constant_flux_on(grid: _FluxGrid, assembly: WallAssembly, source: HeatSource,
+                      schedule: LightSchedule, env: Environment,
+                      config: SimConfig, channel: str) -> np.ndarray:
+    """`_constant_flux_at` on a target grid built by `_flux_grid` from a
+    schedule with the interval bounds of this one; the run scales come
+    from this schedule.
 
     In excess temperatures x = theta - theta_e one Euler step is the affine
     map x -> M x + dt f with M = I + dt A. A is similar to the symmetric
@@ -407,7 +448,6 @@ def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
     dt = config.dt
     _check_step(assembly, source, dt, env.ambient_temperature, 1.0)
     channel = _resolve_channel(assembly.kind, channel)
-    n_steps = config.n_steps
 
     sil = assembly.silicone
     cap_s, g_s = heat_capacity(sil), convective_conductance(sil)
@@ -449,24 +489,18 @@ def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
         power = mu ** m
         return power * w0 + scale * ((1.0 - power) * gain + m * ramp)
 
-    # run r covers steps (start, end]; its start state is the previous run's end
-    runs = np.array(_segments(schedule, n_steps, dt))
-    starts, ends, scales = runs.T
-    w_start = np.zeros((len(runs), lam.size))  # step 0 is ambient: w = 0
-    for r in range(1, len(runs)):
-        w_start[r] = advance(w_start[r - 1], ends[r - 1] - starts[r - 1], scales[r - 1])
+    # each run starts from the previous run's end state; step 0 is ambient: w = 0
+    scales = np.array([scale for _, _, scale in _segments(schedule, config.n_steps, dt)])
+    w_start = np.zeros((len(scales), lam.size))
+    for r in range(1, len(scales)):
+        w_start[r] = advance(w_start[r - 1], grid.lengths[r - 1], scales[r - 1])
 
-    # bracketing grid steps (lower, lower + 1) and the weight of the upper one
-    t = np.asarray(times, dtype=float) / dt
-    lower = np.minimum(np.maximum(np.floor(t), 0.0), n_steps - 1)
-    weight = np.minimum(np.maximum(t - lower, 0.0), 1.0)
-    steps = np.concatenate((lower, lower + 1.0))
-    r = np.searchsorted(ends, steps)
-    w = advance(w_start[r], (steps - starts[r])[:, None], scales[r, None])
+    # take: the same rows as fancy indexing, gathered faster
+    w = advance(w_start.take(grid.run, axis=0), grid.into, scales.take(grid.run)[:, None])
 
     excess = w @ readout
-    below, above = excess[:lower.size], excess[lower.size:]
-    values = env.ambient_temperature + (below + weight * (above - below))
+    below, above = excess[:grid.weight.size], excess[grid.weight.size:]
+    values = env.ambient_temperature + (below + grid.weight * (above - below))
     if not (np.isfinite(values).all() and (values > 0.0).all()):
         raise NumericalError("temperature became non-finite or non-positive")
     return values

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import phototherm.calibrate as calibrate_module
 from phototherm import (
     CalibrationProblem,
     Environment,
@@ -67,6 +68,15 @@ class TestParamSpec:
             ParamSpec("alpha_L", 0.5, 1.5, 0.7)
         with pytest.raises(ValidationError):
             ParamSpec("h_Le", -5.0, 40.0, 18.0)
+
+    @pytest.mark.parametrize("name", ["h_se", "h_Le"])
+    def test_convection_lower_bound_must_be_positive(self, name):
+        # the layer needs conv_coeff > 0, so a clamped candidate at 0 would
+        # abort the fit with an error that does not name the parameter
+        for initial in (0.0, 6.0):
+            with pytest.raises(ValidationError, match=f"^{name}: lower bound must be > 0"):
+                ParamSpec(name, 0.0, 12.0, initial)
+        assert ParamSpec(name, 1e-3, 12.0, 6.0).lower == 1e-3
 
 
 class TestProblemValidation:
@@ -212,6 +222,34 @@ class TestFit:
         initial = objective(problem, [0.83])
         fitted = objective(problem, [result.values["alpha_L"]])
         assert fitted <= initial
+
+    def joint_problem(self, config=CONFIG):
+        target = synthetic_target(make_bilayer(absorptance=0.70))
+        return make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                            ParamSpec("h_Le", 5.0, 40.0, 24.0), config=config)
+
+    def test_evaluations_count_every_objective_call(self, monkeypatch):
+        calls = []
+
+        def counting(problem, candidate):
+            calls.append(candidate)
+            return objective(problem, candidate)
+
+        monkeypatch.setattr(calibrate_module, "objective", counting)
+        result = fit(self.joint_problem())
+        assert result.evaluations == len(calls)
+        assert np.array_equal(calls[-1], list(result.values.values()))
+
+    def test_fit_path_is_pinned(self):
+        # recorded before the objective reused one target grid per problem:
+        # every objective value, and so every simplex move, must stay
+        # bit-identical. At dt = 0.03 s the whole-second targets fall between
+        # grid steps, so the interpolation weights count too.
+        result = fit(self.joint_problem(SimConfig(duration=150.0, dt=0.03)))
+        assert repr(result.values) == "{'alpha_L': 0.6998785388084754, 'h_Le': 17.996957615523865}"
+        assert repr(result.sse) == "1.284167543086048e-06"
+        assert result.iterations == 45
+        assert result.evaluations == 87
 
     def test_deterministic_bit_for_bit(self):
         target = synthetic_target(make_bilayer(absorptance=0.75))

@@ -163,6 +163,24 @@ class TestCalibrateCommand:
         assert code == 2
         assert "error" in err
 
+    def test_zero_convection_bound_is_bad_input_naming_the_parameter(self, capsys, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n0,298\n1,299\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--preset", "table1_single",
+                                 "--target", str(target), "--param", "h_se:0:12:0")
+        assert code == 2
+        assert out == ""
+        assert "h_se: lower bound must be > 0" in err
+
+    def test_zero_convection_sweep_point_still_fails_its_row(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--preset", "table1_single",
+                                 "--param", "h_se", "--values", "0,6",
+                                 "--outputs", "steady")
+        assert code == 4
+        assert [line.split(",")[4] for line in out.strip().splitlines()[1:]] \
+            == ["failed", "ok"]
+        assert "1 of 2" in err
+
 
 class TestSweepCommand:
     def test_distance_sweep_csv(self, capsys, tmp_path):

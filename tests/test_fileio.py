@@ -212,6 +212,28 @@ class TestConfigParsing:
             parse_config(minimal_single_config(old, new))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        (minimal_single_config("power = 0.075", "power = 0.075\npower = 0.1"),
+         "<config>:18: [source] option 'power' already exists"),
+        (minimal_single_config("duration = 10.0", "duration = 10.0\n\n[source]\npower = 0.1"),
+         "<config>:28: section 'source' already exists"),
+        ("x = 1\n" + minimal_single_config(),
+         "<config>:1: line before the first [section] header: 'x = 1'"),
+        (minimal_single_config("duration = 10.0", "duration = 10.0\njunk"),
+         "<config>:27: expected a [section] header or a key = value line"),
+    ])
+    def test_parse_error_names_location_once(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    def test_parse_error_names_the_file_once(self, tmp_path):
+        path = tmp_path / "f.ini"
+        path.write_text(minimal_single_config("power = 0.075", "power = 0.075\npower = 0.1"))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:18: [source] option 'power' already exists"
+
     def test_vanishing_coupling_reported_at_silicone(self):
         text = minimal_single_config(
             "kind = single_layer\n", "kind = bilayer\n[lig]\n" + "".join(
