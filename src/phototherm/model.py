@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     KindMismatchError,
@@ -158,12 +159,7 @@ class WallAssembly:
                 object.__setattr__(self, "lig", replace(self.lig, conv_faces=1))
             _require(coupling_conductance(self.silicone) > 0.0,
                      "interlayer coupling conductance must be strictly positive")
-            alpha_sum = self.silicone.absorptance + self.lig.absorptance
-            if alpha_sum > 1.0 + 1e-12:
-                warnings.warn(
-                    f"layer absorptances sum to {alpha_sum:.4f} > 1; "
-                    "more power absorbed than supplied is unphysical",
-                    UserWarning, stacklevel=2)
+            _warn_absorptance_sum(self.silicone.absorptance, self.lig.absorptance)
         else:
             raise ValidationError(f"unknown wall kind {self.kind!r}")
 
@@ -174,6 +170,16 @@ class WallAssembly:
     @classmethod
     def bilayer(cls, silicone: ThermalLayer, lig: ThermalLayer) -> "WallAssembly":
         return cls(kind=WallKind.BILAYER, silicone=silicone, lig=lig)
+
+
+def _warn_absorptance_sum(alpha_s: float, alpha_l: float) -> None:
+    """Warn when a bilayer's layer absorptances sum to more than 1."""
+    alpha_sum = alpha_s + alpha_l
+    if alpha_sum > 1.0 + 1e-12:
+        warnings.warn(
+            f"layer absorptances sum to {alpha_sum:.4f} > 1; "
+            "more power absorbed than supplied is unphysical",
+            UserWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -206,8 +212,19 @@ def coupling_conductance(silicone: ThermalLayer) -> float:
 
 def convective_conductance(layer: ThermalLayer) -> float:
     """Linear convective loss conductance in W/K for one layer."""
-    faces = 2 if layer.conv_faces is None else layer.conv_faces
-    return faces * layer.conv_coeff * layer.area
+    return _convective(layer.conv_faces, layer.conv_coeff, layer.area)
+
+
+def _convective(faces: int | None, conv_coeff: float, area: float) -> float:
+    """convective_conductance from the layer's face count (None reads as 2),
+    convection coefficient and area."""
+    return (2 if faces is None else faces) * conv_coeff * area
+
+
+def _absorbed(absorptance: float, power: float) -> float:
+    """Power in W a layer of this absorptance takes from a constant flux of
+    this power at drive scale 1; absorbed_power is this times the scale."""
+    return absorptance * power
 
 
 def _grey_body(theta_hot: float, eps_hot: float, eps_cold: float,
@@ -252,7 +269,52 @@ def absorbed_power(source: HeatSource, layer: ThermalLayer, scale: float = 1.0) 
     if source.mode is not SourceMode.CONSTANT_FLUX:
         raise ModeMismatchError("absorbed_power requires a constant-flux source")
     _require(scale >= 0.0, "scale must be non-negative")
-    return layer.absorptance * source.power * scale
+    return _absorbed(layer.absorptance, source.power) * scale
+
+
+class _Coefficients(NamedTuple):
+    """The float constants of a wall under a source, as `_coefficients`
+    computes them. The lig fields (cap_l, g_l, k, q_l, a_l, r_l) are None on
+    a single-layer wall; q_s and q_l are None under a radiative source, and
+    theta_h, th4 and the grey-body fields under a constant flux."""
+
+    cap_s: float  # heat capacities, J/K
+    cap_l: float | None
+    g_s: float  # convective conductances, W/K
+    g_l: float | None
+    k: float | None  # interlayer coupling conductance, W/K
+    q_s: float | None  # absorbed constant-flux power at drive scale 1, W
+    q_l: float | None
+    theta_h: float | None  # source temperature, K, and its fourth power
+    th4: float | None
+    a_s: float | None  # grey-body area and resistance of each layer
+    r_s: float | None
+    a_l: float | None
+    r_l: float | None
+
+
+def _coefficients(assembly: WallAssembly, source: HeatSource) -> _Coefficients:
+    """The wall's constants under this source, each with the expression of
+    heat_capacity, convective_conductance, coupling_conductance,
+    absorbed_power (at scale 1) and _grey_body, so the floats are the same.
+    `run`, its stability guard, the closed-form calibration and
+    `steady_state` all read them from here. A radiative source has its
+    emissivities and its fourth power checked here."""
+    sil, lig = assembly.silicone, assembly.lig
+    cap_l = g_l = k = q_s = q_l = theta_h = th4 = a_s = r_s = a_l = r_l = None
+    if lig is not None:
+        cap_l, g_l, k = heat_capacity(lig), convective_conductance(lig), coupling_conductance(sil)
+    if source.mode is SourceMode.CONSTANT_FLUX:
+        q_s = _absorbed(sil.absorptance, source.power)
+        if lig is not None:
+            q_l = _absorbed(lig.absorptance, source.power)
+    else:
+        theta_h = source.source_temperature
+        th4, a_s, r_s = _grey_body(theta_h, source.source_emissivity, sil.emissivity, sil.area)
+        if lig is not None:
+            _, a_l, r_l = _grey_body(theta_h, source.source_emissivity, lig.emissivity, lig.area)
+    return _Coefficients(heat_capacity(sil), cap_l, convective_conductance(sil), g_l, k,
+                         q_s, q_l, theta_h, th4, a_s, r_s, a_l, r_l)
 
 
 def conduction_flow(theta_lig: float, theta_silicone: float,
@@ -363,21 +425,18 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
     """
     _require(scale >= 0.0, "scale must be non-negative")
     theta_e = env.ambient_temperature
+    bilayer = assembly.kind is WallKind.BILAYER
 
     if source.mode is SourceMode.CONSTANT_FLUX:
-        if assembly.kind is WallKind.SINGLE_LAYER:
-            g = convective_conductance(assembly.silicone)
-            q = absorbed_power(source, assembly.silicone, scale)
-            if q == 0.0:
+        c = _coefficients(assembly, source)
+        q_s = c.q_s * scale
+        if not bilayer:
+            if q_s == 0.0:
                 return ThermalState(0.0, theta_e)
-            if g <= 0.0:
+            if c.g_s <= 0.0:
                 raise NumericalError("no loss path: steady state undefined under drive")
-            return ThermalState(0.0, theta_e + q / g)
-        sil, lig = assembly.silicone, assembly.lig
-        g_s, g_l = convective_conductance(sil), convective_conductance(lig)
-        k = coupling_conductance(sil)
-        q_s = absorbed_power(source, sil, scale)
-        q_l = absorbed_power(source, lig, scale)
+            return ThermalState(0.0, theta_e + q_s / c.g_s)
+        g_s, g_l, k, q_l = c.g_s, c.g_l, c.k, c.q_l * scale
         if q_s == 0.0 and q_l == 0.0:
             return ThermalState(0.0, theta_e, theta_e)
         # zeroed balances in excess temperatures (v, u) = (Ts - Te, Tl - Te):
@@ -392,24 +451,22 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
 
     # radiative mode: one bisection in theta_s on the net power into the wall
     theta_h = source.source_temperature
-    sil, lig = assembly.silicone, assembly.lig
     if scale == 0.0 or theta_h == theta_e:
-        return ThermalState(0.0, theta_e, None if lig is None else theta_e)
+        return ThermalState(0.0, theta_e, theta_e if bilayer else None)
+    c = _coefficients(assembly, source)
+    th4 = c.th4
 
-    def drive(layer: ThermalLayer):
+    def drive(area: float, resistance: float):
         # the floats of _source_input, with the grey-body constants taken once
-        th4, area, resistance = _grey_body(theta_h, source.source_emissivity,
-                                           layer.emissivity, layer.area)
         return lambda theta: scale * (STEFAN_BOLTZMANN * (th4 - theta ** 4)
                                       * area / resistance)
 
-    q_s, g_s = drive(sil), convective_conductance(sil)
+    q_s, g_s = drive(c.a_s, c.r_s), c.g_s
     # tight enough that the rate residuals stay well below 1e-6 K/s
-    tol = min(_STEADY_RESIDUAL_TOL, 1e-7 * heat_capacity(sil))
-    if lig is not None:
-        q_l, g_l = drive(lig), convective_conductance(lig)
-        k = coupling_conductance(sil)
-        tol = min(tol, 1e-7 * heat_capacity(lig))
+    tol = min(_STEADY_RESIDUAL_TOL, 1e-7 * c.cap_s)
+    if bilayer:
+        q_l, g_l, k = drive(c.a_l, c.r_l), c.g_l, c.k
+        tol = min(tol, 1e-7 * c.cap_l)
 
     lo, hi = min(theta_e, theta_h), max(theta_e, theta_h)
 
@@ -417,7 +474,7 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
         # net power into the wall, and the lig temperature that zeroes the
         # silicone balance p + k (theta_l - theta_s) = 0
         p = q_s(theta_s) - g_s * (theta_s - theta_e)
-        if lig is None:
+        if not bilayer:
             return p, None
         theta_l = min(max(theta_s - p / k, lo), hi)
         return p + q_l(theta_l) - g_l * (theta_l - theta_e), theta_l

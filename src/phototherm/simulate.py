@@ -18,18 +18,20 @@ from .model import (
     Environment,
     HeatSource,
     SourceMode,
-    ThermalLayer,
     ThermalState,
     WallAssembly,
     WallKind,
-    _grey_body,
-    absorbed_power,
-    convective_conductance,
-    coupling_conductance,
-    heat_capacity,
+    _coefficients,
+    _Coefficients,
     rhs_bilayer,
     rhs_single,
 )
+
+# run keeps its samples in Python float lists until the loop ends: at the
+# peak, about 100 B per recorded bilayer sample (measured: 97.5 B, 57 B on a
+# single layer), so 1 GiB holds this many
+_RECORD_BUDGET_BYTES = 2 ** 30
+_MAX_SAMPLES = _RECORD_BUDGET_BYTES // 100
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,13 @@ def _resolve_channel(kind: WallKind, channel: str) -> str:
 def _stability_detail(assembly: WallAssembly, source: HeatSource, start_max: float,
                       scale: float) -> tuple[float, str]:
     """Smallest lumped time constant and the layer that sets it, for a run
-    that starts at or below start_max and drives at scales up to scale.
+    that starts at or below start_max and drives at scales up to scale (see
+    _time_constant)."""
+    return _time_constant(_coefficients(assembly, source), start_max, scale)
+
+
+def _time_constant(c: _Coefficients, start_max: float, scale: float) -> tuple[float, str]:
+    """_stability_detail on the wall's constants.
 
     A layer's time constant is its heat capacity over its loss conductance:
     convection, interlayer coupling and, under a radiative source, the
@@ -194,30 +202,23 @@ def _stability_detail(assembly: WallAssembly, source: HeatSource, start_max: flo
     Gershgorin puts every eigenvalue of A within k/C of -(g + k)/C, so
     dt |lambda| <= (g + 2k)/(g + k) < 2.
     """
-    def loss(layer: ThermalLayer) -> float:
-        g = convective_conductance(layer)
-        if source.mode is SourceMode.CONSTANT_FLUX:
+    def loss(g: float, area: float | None, resistance: float | None) -> float:
+        if c.th4 is None or not scale:  # a constant flux, or the light off
             return g
-        _, area, resistance = _grey_body(source.source_temperature, source.source_emissivity,
-                                         layer.emissivity, layer.area)
-        if not scale:
-            return g
-        hottest = max(start_max, source.source_temperature)
+        hottest = max(start_max, c.theta_h)
         try:
             cube = hottest ** 3
         except OverflowError:  # a conductance beyond any float: no step is stable
             cube = math.inf
         return g + scale * (4.0 * STEFAN_BOLTZMANN * cube * area / resistance)
 
-    sil = assembly.silicone
-    if assembly.kind is WallKind.SINGLE_LAYER:
-        g = loss(sil)
+    if c.k is None:
+        g = loss(c.g_s, c.a_s, c.r_s)
         if g <= 0.0:
             return math.inf, "silicone"
-        return heat_capacity(sil) / g, "silicone"
-    k = coupling_conductance(sil)
-    tau_s = heat_capacity(sil) / (loss(sil) + k)
-    tau_l = heat_capacity(assembly.lig) / (loss(assembly.lig) + k)
+        return c.cap_s / g, "silicone"
+    tau_s = c.cap_s / (loss(c.g_s, c.a_s, c.r_s) + c.k)
+    tau_l = c.cap_l / (loss(c.g_l, c.a_l, c.r_l) + c.k)
     if tau_l <= tau_s:
         return tau_l, "lig"
     return tau_s, "silicone"
@@ -225,15 +226,14 @@ def _stability_detail(assembly: WallAssembly, source: HeatSource, start_max: flo
 
 def stability_limit(assembly: WallAssembly, source: HeatSource, env: Environment) -> float:
     """Largest safe explicit step, in s, for a run from ambient at drive
-    scale 1: the smallest lumped time constant (see _stability_detail)."""
+    scale 1: the smallest lumped time constant (see _time_constant)."""
     return _stability_detail(assembly, source, env.ambient_temperature, 1.0)[0]
 
 
-def _check_step(assembly: WallAssembly, source: HeatSource, dt: float,
-                start_max: float, scale: float) -> None:
+def _check_step(c: _Coefficients, dt: float, start_max: float, scale: float) -> None:
     """Raise StabilityError, naming the limiting layer, when dt exceeds the
-    stability limit."""
-    limit, limiting = _stability_detail(assembly, source, start_max, scale)
+    stability limit of a wall with these constants."""
+    limit, limiting = _time_constant(c, start_max, scale)
     if dt > limit:
         raise StabilityError(
             f"dt={dt:g} s exceeds the stability limit {limit:.6g} s "
@@ -290,7 +290,8 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     Starts from ambient temperature unless an explicit initial state is
     given (its time stamp is ignored; integration always starts at t = 0).
     Recording keeps every record_stride-th step, first sample at t = 0.
-    Rejects dt above the stability limit of this start and schedule,
+    Before it allocates anything, it rejects a run that would record more
+    than _MAX_SAMPLES samples (a 1 GiB budget). It rejects dt above the stability limit of this start and schedule,
     naming the limiting layer, and raises NumericalError at the first step
     whose temperatures are not finite and positive or whose radiative drive
     overflows a float. Identical inputs produce bit-identical trajectories,
@@ -298,6 +299,13 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     grey-body constants once per run but evaluates the floats of
     radiative_exchange.
     """
+    dt, n_steps, stride = config.dt, config.n_steps, config.record_stride
+    samples = n_steps // stride + 1
+    if samples > _MAX_SAMPLES:
+        raise ValidationError(
+            f"dt={dt:g} s and record_stride={stride} would record {samples:.4g} samples, "
+            f"more than the {_MAX_SAMPLES} that fit the {_RECORD_BUDGET_BYTES // 2 ** 20} MiB "
+            "recording budget; raise dt or record_stride")
     bilayer = assembly.kind is WallKind.BILAYER
     theta_e = env.ambient_temperature
     if initial is None:
@@ -308,28 +316,12 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
         ts = initial.silicone_temperature
         tl = initial.lig_temperature if bilayer else theta_e
 
-    dt, n_steps = config.dt, config.n_steps
     segments = _segments(schedule, n_steps, dt)
-    _check_step(assembly, source, dt, max(theta_e, ts, tl),
-                max(scale for _, _, scale in segments))
-
-    sil = assembly.silicone
-    cap_s = heat_capacity(sil)
-    g_s = convective_conductance(sil)
-    if bilayer:
-        lig = assembly.lig
-        cap_l = heat_capacity(lig)
-        g_l = convective_conductance(lig)
-        k = coupling_conductance(sil)
-
-    stride = config.record_stride
+    c = _coefficients(assembly, source)
+    _check_step(c, dt, max(theta_e, ts, tl), max(scale for _, _, scale in segments))
+    cap_s, cap_l, g_s, g_l, k = c.cap_s, c.cap_l, c.g_s, c.g_l, c.k
+    th4, a_s, r_s, a_l, r_l = c.th4, c.a_s, c.r_s, c.a_l, c.r_l
     radiative = source.mode is SourceMode.RADIATIVE_BODY
-    if radiative:
-        th4, a_s, r_s = _grey_body(source.source_temperature, source.source_emissivity,
-                                   sil.emissivity, sil.area)
-        if bilayer:
-            _, a_l, r_l = _grey_body(source.source_temperature, source.source_emissivity,
-                                     lig.emissivity, lig.area)
 
     # one straight-line loop body per wall kind and source mode: the float
     # operations of rhs_single/rhs_bilayer and radiative_exchange, in order
@@ -341,7 +333,7 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
             steps = range(i0 + 1, i1 + 1)  # index of the state each update makes
             if not bilayer:
                 if not radiative:
-                    q_s = absorbed_power(source, sil, scale)
+                    q_s = c.q_s * scale
                 for step in steps:
                     if radiative:
                         q_s = scale * (sigma * (th4 - ts ** 4) * a_s / r_s)
@@ -363,8 +355,7 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
                         keep_s(ts)
                         keep_l(tl)
             else:
-                q_s = absorbed_power(source, sil, scale)
-                q_l = absorbed_power(source, lig, scale)
+                q_s, q_l = c.q_s * scale, c.q_l * scale
                 for step in steps:
                     q_ls = k * (tl - ts)
                     ts = ts + dt * ((q_s - g_s * (ts - theta_e) + q_ls) / cap_s)
@@ -388,12 +379,14 @@ class _FluxGrid:
     run boundaries, the step grid and the target times, not on the model:
     run lengths, and for each target's lower then upper bracketing step its
     run index and the steps into that run (a column), plus each target's
-    weight of the upper step."""
+    weight of the upper step. scales are the run scales of the schedule the
+    grid was built from."""
 
     lengths: np.ndarray
     run: np.ndarray
     into: np.ndarray
     weight: np.ndarray
+    scales: np.ndarray
 
 
 def _flux_grid(schedule: LightSchedule, config: SimConfig, times) -> _FluxGrid:
@@ -401,14 +394,14 @@ def _flux_grid(schedule: LightSchedule, config: SimConfig, times) -> _FluxGrid:
     for any schedule with the same interval bounds, such as a rescaled one."""
     dt, n_steps = config.dt, config.n_steps
     # run r covers steps (start, end]
-    starts, ends, _ = np.array(_segments(schedule, n_steps, dt)).T
+    starts, ends, scales = np.array(_segments(schedule, n_steps, dt)).T
     # bracketing grid steps (lower, lower + 1) and the weight of the upper one
     t = np.asarray(times, dtype=float) / dt
     lower = np.minimum(np.maximum(np.floor(t), 0.0), n_steps - 1)
     weight = np.minimum(np.maximum(t - lower, 0.0), 1.0)
     steps = np.concatenate((lower, lower + 1.0))
     r = np.searchsorted(ends, steps)
-    return _FluxGrid(ends - starts, r, (steps - starts[r])[:, None], weight)
+    return _FluxGrid(ends - starts, r, (steps - starts[r])[:, None], weight, scales)
 
 
 def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
@@ -417,18 +410,21 @@ def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
     """One channel of the trajectory `run` would record from ambient under a
     constant-flux source, linearly interpolated at the strictly increasing
     times (clamped to the recorded span, like np.interp), without stepping.
-    See `_constant_flux_on`, which evaluates it on `_flux_grid(schedule,
-    config, times)`."""
-    return _constant_flux_on(_flux_grid(schedule, config, times), assembly, source,
-                             schedule, env, config, channel)
+    It checks dt against the stability guard and resolves the channel, then
+    evaluates `_constant_flux_on` on `_flux_grid(schedule, config, times)`."""
+    c = _coefficients(assembly, source)
+    _check_step(c, config.dt, env.ambient_temperature, 1.0)
+    channel = _resolve_channel(assembly.kind, channel)
+    grid = _flux_grid(schedule, config, times)
+    return _constant_flux_on(grid, c, grid.scales, env.ambient_temperature, config.dt,
+                             channel)
 
 
-def _constant_flux_on(grid: _FluxGrid, assembly: WallAssembly, source: HeatSource,
-                      schedule: LightSchedule, env: Environment,
-                      config: SimConfig, channel: str) -> np.ndarray:
-    """`_constant_flux_at` on a target grid built by `_flux_grid` from a
-    schedule with the interval bounds of this one; the run scales come
-    from this schedule.
+def _constant_flux_on(grid: _FluxGrid, c: _Coefficients, scales: np.ndarray,
+                      theta_e: float, dt: float, channel: str) -> np.ndarray:
+    """`_constant_flux_at` for a wall with the constants c, on a target grid
+    built by `_flux_grid` from a schedule with the interval bounds of the
+    one whose run scales are scales, for a resolved channel.
 
     In excess temperatures x = theta - theta_e one Euler step is the affine
     map x -> M x + dt f with M = I + dt A. A is similar to the symmetric
@@ -441,34 +437,26 @@ def _constant_flux_on(grid: _FluxGrid, assembly: WallAssembly, source: HeatSourc
     O(segments + targets), not O(steps), and the values match stepping to
     rounding (the tests hold every target to 1e-9 K).
 
-    run's per-step NumericalError cannot fire here: under the stability
-    guard M >= 0 entrywise, the drive is >= 0 and the start is ambient, so
-    every iterate stays >= theta_e. The closing check catches overflow only.
+    The caller has checked dt against the stability guard. run's per-step
+    NumericalError cannot fire here: under the guard M >= 0 entrywise, the
+    drive is >= 0 and the start is ambient, so every iterate stays >=
+    theta_e. The closing check catches overflow only.
     """
-    dt = config.dt
-    _check_step(assembly, source, dt, env.ambient_temperature, 1.0)
-    channel = _resolve_channel(assembly.kind, channel)
-
-    sil = assembly.silicone
-    cap_s, g_s = heat_capacity(sil), convective_conductance(sil)
-    q_s = absorbed_power(source, sil)
-    if assembly.kind is WallKind.SINGLE_LAYER:
+    cap_s, g_s, q_s = c.cap_s, c.g_s, c.q_s
+    if c.k is None:
         lam = np.array([-g_s / cap_s])
         drive = np.array([q_s / cap_s])
         readout = np.array([1.0])
     else:
-        lig = assembly.lig
-        cap_l, g_l = heat_capacity(lig), convective_conductance(lig)
-        k = coupling_conductance(sil)
-        q_l = absorbed_power(source, lig)
+        cap_l, g_l, k, q_l = c.cap_l, c.g_l, c.k, c.q_l
         # S = [[a, c], [c, d]]; its eigenpairs in closed form
         a, d = -(g_s + k) / cap_s, -(g_l + k) / cap_l
-        c = k / math.sqrt(cap_s * cap_l)
-        lam_fast = 0.5 * (a + d) - math.hypot(0.5 * (a - d), c)
+        off = k / math.sqrt(cap_s * cap_l)
+        lam_fast = 0.5 * (a + d) - math.hypot(0.5 * (a - d), off)
         # det S from the conductances avoids the cancellation in a*d - c*c
         lam_slow = (g_s * g_l + k * (g_s + g_l)) / (cap_s * cap_l) / lam_fast
         # Q = [[cos, -sin], [sin, cos]], columns ordered (slow, fast)
-        phi = 0.5 * math.atan2(2.0 * c, a - d)
+        phi = 0.5 * math.atan2(2.0 * off, a - d)
         cos, sin = math.cos(phi), math.sin(phi)
         f_s, f_l = q_s / math.sqrt(cap_s), q_l / math.sqrt(cap_l)  # D^{1/2} f
         lam = np.array([lam_slow, lam_fast])
@@ -479,18 +467,22 @@ def _constant_flux_on(grid: _FluxGrid, assembly: WallAssembly, source: HeatSourc
             readout = np.array([sin, cos]) / math.sqrt(cap_l)
     mu = 1.0 + dt * lam
     # dt b (1 - mu^m) / (1 - mu) = (1 - mu^m) gain + m ramp: where mu = 1 (no
-    # loss path) the first term is 0 and the second is the limit m dt b
+    # loss path) the first term is 0 and the second is the limit m dt b.
+    # Without such a mode the ramp is a signed zero, and adding it could
+    # change at most the sign of a zero, which theta_e + x erases: skip it.
     flat = mu == 1.0
     gain = dt * drive / (1.0 - mu + flat)
-    ramp = dt * drive * flat
+    ramp = dt * drive * flat if flat.any() else None
 
     def advance(w0, m, scale):
         """Mode states m steps on from w0 under a constant drive scale."""
         power = mu ** m
-        return power * w0 + scale * ((1.0 - power) * gain + m * ramp)
+        drift = (1.0 - power) * gain
+        if ramp is not None:
+            drift = drift + m * ramp
+        return power * w0 + scale * drift
 
     # each run starts from the previous run's end state; step 0 is ambient: w = 0
-    scales = np.array([scale for _, _, scale in _segments(schedule, config.n_steps, dt)])
     w_start = np.zeros((len(scales), lam.size))
     for r in range(1, len(scales)):
         w_start[r] = advance(w_start[r - 1], grid.lengths[r - 1], scales[r - 1])
@@ -500,7 +492,8 @@ def _constant_flux_on(grid: _FluxGrid, assembly: WallAssembly, source: HeatSourc
 
     excess = w @ readout
     below, above = excess[:grid.weight.size], excess[grid.weight.size:]
-    values = env.ambient_temperature + (below + grid.weight * (above - below))
-    if not (np.isfinite(values).all() and (values > 0.0).all()):
+    values = theta_e + (below + grid.weight * (above - below))
+    # a NaN makes both comparisons false
+    if not (values.min() > 0.0 and values.max() < math.inf):
         raise NumericalError("temperature became non-finite or non-positive")
     return values

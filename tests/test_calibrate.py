@@ -1,5 +1,12 @@
+import itertools
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phototherm.calibrate as calibrate_module
 from phototherm import (
@@ -21,6 +28,8 @@ from phototherm import (
     run,
     series_from_trajectory,
 )
+from phototherm.model import _coefficients
+from phototherm.simulate import _check_step, _segments
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE
 
 SCHEDULE = LightSchedule.always_on()
@@ -68,6 +77,14 @@ class TestParamSpec:
             ParamSpec("alpha_L", 0.5, 1.5, 0.7)
         with pytest.raises(ValidationError):
             ParamSpec("h_Le", -5.0, 40.0, 18.0)
+
+    @pytest.mark.parametrize("lower, upper", [(0.5, math.inf), (-math.inf, 0.9)])
+    def test_infinite_bound_rejected(self, lower, upper):
+        # a candidate at an infinite bound is no valid model input
+        with pytest.raises(ValidationError, match="^alpha_L: bounds must be finite$"):
+            ParamSpec("alpha_L", lower, upper, 0.7)
+        with pytest.raises(ValidationError, match="^scale: bounds must be finite$"):
+            ParamSpec("scale", 0.0, math.inf, 1.0)
 
     @pytest.mark.parametrize("name", ["h_se", "h_Le"])
     def test_convection_lower_bound_must_be_positive(self, name):
@@ -301,3 +318,160 @@ class TestApplyNamedParameter:
         with pytest.raises(ValidationError):
             apply_named_parameter(wall, HeatSource.constant_flux(POWER_W),
                                   SCHEDULE, "tau", 1.0)
+
+
+class TestStableBox:
+    def test_unstable_upper_bound_names_the_largest_stable_one(self):
+        # the lig film's limit falls below dt = 0.01 s once h_Le passes 2600
+        target = synthetic_target(make_bilayer())
+        with pytest.raises(ValidationError) as info:
+            make_problem(target, ParamSpec("h_Le", 5.0, 1e5, 18.0))
+        message = str(info.value)
+        assert message.startswith("h_Le: dt=0.01 s exceeds the stability limit 0.000279441 s "
+                                  "set by the lig layer at the upper bound 100000;")
+        bound = float(re.search(r"largest stable upper bound is (\S+)$", message)[1])
+        assert bound == 2599.9999999999995
+        make_problem(target, ParamSpec("h_Le", 5.0, bound, 18.0))
+        with pytest.raises(ValidationError, match="^h_Le: "):
+            make_problem(target, ParamSpec("h_Le", 5.0, math.nextafter(bound, math.inf), 18.0))
+
+    def test_overflowing_scale_bound_rejected(self):
+        target = synthetic_target(make_bilayer())
+        huge = LightSchedule(((0.0, math.inf, 1e300),))
+        with pytest.raises(ValidationError, match="interval scale must be finite"):
+            CalibrationProblem(
+                target=target, free=(ParamSpec("scale", 0.5, 1e10, 1.0),),
+                assembly=make_bilayer(), source=HeatSource.constant_flux(POWER_W),
+                env=Environment(AMBIENT_K), schedule=huge, config=CONFIG)
+
+    @pytest.mark.filterwarnings("ignore:layer absorptances sum:UserWarning")
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_box_is_rejected_or_every_corner_agrees(self, data):
+        # the guard's loss grows with h_se, h_Le and, under a radiative
+        # source, the scale: a problem that is built has every corner of
+        # its box stable, or none (then objective raises the guard's error)
+        draw = data.draw
+        radiative, bilayer = draw(st.booleans()), draw(st.booleans())
+        wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
+        source = (HeatSource.radiative(draw(st.floats(300.0, 1500.0)), 0.9) if radiative
+                  else HeatSource.constant_flux(POWER_W))
+        guarded = ["h_se"] + ["h_Le"] * bilayer + ["scale"] * radiative
+        names = draw(st.lists(st.sampled_from(guarded), min_size=1, unique=True))
+        specs = [ParamSpec("alpha_s", 0.0, 0.3, 0.1)] * draw(st.booleans())
+        for name in names:
+            lower = draw(st.floats(0.1, 50.0))
+            specs.append(ParamSpec(name, lower, lower * draw(st.floats(1.01, 1e4)), lower))
+        dt = draw(st.floats(1e-4, 0.5))
+        schedule = LightSchedule(((0.0, 2.0, 1.0),))
+        config = SimConfig(duration=3.0, dt=dt)
+        target = MeasurementSeries((0.0, 1.0, 2.0, 3.0), (AMBIENT_K,) * 4)
+
+        def build(specs):
+            return CalibrationProblem(target=target, free=tuple(specs), assembly=wall,
+                                      source=source, env=Environment(AMBIENT_K),
+                                      schedule=schedule, config=config)
+
+        try:
+            problem = build(specs)
+        except ValidationError as exc:
+            # the named bound makes the box stable, the next float up does not
+            found = re.search(r"^(\w+): .*largest stable upper bound is (\S+)$", str(exc))
+            if found is None:
+                assert ", ".join(names) in str(exc) and str(exc).endswith("lower them")
+                return
+            i = [s.name for s in specs].index(found[1])
+            bound = float(found[2])
+            lowered = list(specs)
+            lowered[i] = ParamSpec(found[1], specs[i].lower, bound, specs[i].lower)
+            build(lowered)
+            lowered[i] = ParamSpec(found[1], specs[i].lower, math.nextafter(bound, math.inf),
+                                   specs[i].lower)
+            with pytest.raises(ValidationError):
+                build(lowered)
+            return
+
+        stable = set()
+        for corner in itertools.product(*((s.lower, s.upper) for s in specs)):
+            assembly, src, sched = wall, source, schedule
+            for spec, value in zip(specs, corner):
+                assembly, src, sched = apply_named_parameter(assembly, src, sched,
+                                                             spec.name, value)
+            scale = max(sc for _, _, sc in _segments(sched, config.n_steps, dt))
+            try:
+                _check_step(_coefficients(assembly, src), dt, AMBIENT_K, scale)
+                stable.add(True)
+            except StabilityError:
+                stable.add(False)
+        assert len(stable) == 1
+        if stable == {False}:
+            with pytest.raises(StabilityError):
+                objective(problem, [s.upper for s in specs])
+
+
+class TestCandidateChecks:
+    def test_out_of_box_candidate_names_the_parameter_and_value(self):
+        target = synthetic_target(make_bilayer())
+        problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                               ParamSpec("h_Le", 5.0, 40.0, 18.0))
+        for candidate, message in (([0.49, 18.0], "alpha_L=0.49 is outside its bounds"),
+                                   ([0.83, 40.5], "h_Le=40.5 is outside its bounds"),
+                                   ([0.83, math.nan], "h_Le=nan is outside its bounds")):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                objective(problem, candidate)
+
+    def test_absorptance_sum_above_one_warns_once_per_call(self):
+        # both absorptances free: the warning looks at their final values,
+        # once, whatever the order they are applied in
+        target = synthetic_target(make_bilayer())
+        problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                               ParamSpec("alpha_s", 0.0, 0.5, 0.17))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            objective(problem, [0.9, 0.3])
+        assert [str(w.message) for w in caught] == [
+            "layer absorptances sum to 1.2000 > 1; "
+            "more power absorbed than supplied is unphysical"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            objective(problem, [0.8, 0.1])  # sums to 0.9
+
+    @pytest.mark.filterwarnings("ignore:layer absorptances sum:UserWarning")
+    def test_fit_warns_at_the_fitted_point_only(self):
+        # every point of this box sums to more than 1; only the final,
+        # unsuppressed objective call may warn
+        target = synthetic_target(make_bilayer(absorptance=0.90))
+        problem = make_problem(target, ParamSpec("alpha_L", 0.86, 0.95, 0.93))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fit(problem)
+        assert result.evaluations > 10
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith("layer absorptances sum to 1.07")
+
+
+class TestRadiativeObjective:
+    @pytest.mark.parametrize("bilayer", [True, False], ids=["bilayer", "single"])
+    @pytest.mark.parametrize("last", [23.0, 23.004, 59.999, 60.0])
+    def test_stops_after_the_last_target_with_the_same_value(self, bilayer, last):
+        # the run stops one step after the last target's upper bracketing
+        # step; the value equals interpolating the full-duration run
+        wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
+        source, env = HeatSource.radiative(373.0, 0.9), Environment(AMBIENT_K)
+        schedule = LightSchedule(((0.0, 15.0, 1.0), (20.0, math.inf, 0.5)))
+        config = SimConfig(duration=60.0, dt=0.01)
+        times = np.linspace(0.0, last, 40)
+        values = AMBIENT_K + 0.3 * times
+        free = (ParamSpec("scale", 0.1, 2.0, 1.0), ParamSpec("h_se", 2.0, 12.0, 6.0))
+        problem = CalibrationProblem(
+            target=MeasurementSeries(times, values), free=free, assembly=wall,
+            source=source, env=env, schedule=schedule, config=config)
+        assert problem._run_config.n_steps == min(6000, math.floor(last / 0.01) + 2)
+        for candidate in ([0.7, 6.0], [1.9, 11.5], [0.1, 2.0]):
+            assembly, src, sched = wall, source, schedule
+            for spec, value in zip(free, candidate):
+                assembly, src, sched = apply_named_parameter(assembly, src, sched,
+                                                             spec.name, value)
+            series = series_from_trajectory(run(assembly, src, sched, env, config))
+            diff = np.interp(times, series.times, series.values) - values
+            assert objective(problem, candidate) == float(diff @ diff)

@@ -172,6 +172,18 @@ class TestCalibrateCommand:
         assert out == ""
         assert "h_se: lower bound must be > 0" in err
 
+    def test_unstable_box_is_bad_input_naming_the_largest_stable_bound(self, capsys,
+                                                                        tmp_path):
+        # the fit used to start and exit 3 once the simplex reached h_Le = 5018
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n0,298\n1,299\n2,300\n3,300.5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--preset", "table1_bilayer",
+                                 "--target", str(target), "--param", "h_Le:5:1e5:18")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: h_Le: dt=0.01 s exceeds the stability limit")
+        assert err.rstrip().endswith("the largest stable upper bound is 2599.9999999999995")
+
     def test_zero_convection_sweep_point_still_fails_its_row(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_single",
                                  "--param", "h_se", "--values", "0,6",
@@ -432,6 +444,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "duration / dt must be finite, got 1e+300 / 1e-10" in err
+
+    def test_unrecordable_step_count_is_bad_input(self, capsys):
+        # 3e302 steps pass SimConfig; run refuses them before stepping
+        code, out, err = run_cli(capsys, "simulate", "--preset", "table1_single",
+                                 "--dt", "1e-300")
+        assert code == 2
+        assert out == ""
+        assert "would record 3e+302 samples" in err
+        assert err.rstrip().endswith("raise dt or record_stride")
 
     def test_unstable_step_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--preset", "table1_bilayer",

@@ -6,6 +6,7 @@ tests hold it to `run` followed by np.interp, target by target.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +212,37 @@ class TestObjectiveIsClosedForm:
     def test_equals_a_fresh_closed_form_evaluation(self, drawn):
         # the objective reuses the target grid it built with the problem;
         # a grid built afresh for the candidate must give the same float
+        problem, candidate = drawn
+        assembly, source, schedule = problem.assembly, problem.source, problem.schedule
+        for spec, value in zip(problem.free, candidate):
+            assembly, source, schedule = apply_named_parameter(
+                assembly, source, schedule, spec.name, value)
+        diff = _constant_flux_at(assembly, source, schedule, problem.env, problem.config,
+                                 problem.target.times, problem.channel) - problem.target.values
+        assert objective(problem, candidate) == float(diff @ diff)
+
+
+@st.composite
+def flux_and_absorptance_problems(draw):
+    """fit_problems with Q_h free together with one or both absorptances, in
+    a drawn order: each absorbed power depends on the final Q_h and the
+    final absorptance, whichever is applied first."""
+    problem, _ = draw(fit_problems())
+    names = ["alpha_s", "Q_h"]
+    if problem.assembly.kind is WallKind.BILAYER:
+        names += draw(st.sampled_from([["alpha_L"], []]))
+    free = tuple(ParamSpec(name, *free_bounds(name, problem.assembly),
+                           free_bounds(name, problem.assembly)[0])
+                 for name in draw(st.permutations(names)))
+    candidate = [draw(st.floats(p.lower, p.upper)) for p in free]
+    return replace(problem, free=free), candidate
+
+
+class TestObjectiveAppliesFinalValues:
+    @pytest.mark.filterwarnings("ignore:layer absorptances sum:UserWarning")
+    @given(flux_and_absorptance_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_flux_with_absorptances_equals_a_fresh_evaluation(self, drawn):
         problem, candidate = drawn
         assembly, source, schedule = problem.assembly, problem.source, problem.schedule
         for spec, value in zip(problem.free, candidate):

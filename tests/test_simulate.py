@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from phototherm import (
     series_from_trajectory,
     stability_limit,
 )
+import phototherm.simulate as simulate_module
 from phototherm.simulate import _segments, _stability_detail
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE, TAU_SINGLE_S
 from linear_oracle import exact_bilayer_grid
@@ -462,6 +464,34 @@ class TestRun:
         traj = run(single_wall, source, ALWAYS_ON, environment,
                    SimConfig(duration=600.0, dt=0.05, record_stride=200))
         assert traj.final.silicone_temperature == pytest.approx(target, abs=0.05)
+
+
+class TestRecordingBudget:
+    def test_rejected_before_anything_is_allocated(self, bilayer_wall, flux_source,
+                                                   environment):
+        # 1e12 recorded steps: the check must come before the loop and its lists
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=(
+                    r"^dt=1e-06 s and record_stride=1 would record 1e\+12 samples, more than "
+                    r"the 10737418 that fit the 1024 MiB recording budget; "
+                    r"raise dt or record_stride$")):
+                run(bilayer_wall, flux_source, ALWAYS_ON, environment,
+                    SimConfig(duration=1e6, dt=1e-6))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_counts_recorded_samples_not_steps(self, monkeypatch, single_wall, flux_source,
+                                               environment):
+        monkeypatch.setattr(simulate_module, "_MAX_SAMPLES", 100)
+        for duration, stride in ((0.99, 1), (1.99, 2)):  # 99 and 199 steps
+            config = SimConfig(duration=duration, dt=0.01, record_stride=stride)
+            assert len(run(single_wall, flux_source, ALWAYS_ON, environment, config).times) == 100
+        for duration, stride in ((1.0, 1), (2.0, 2)):
+            with pytest.raises(ValidationError, match=f"record_stride={stride} would record 101 "):
+                run(single_wall, flux_source, ALWAYS_ON, environment,
+                    SimConfig(duration=duration, dt=0.01, record_stride=stride))
 
 
 class TestTrajectory:
