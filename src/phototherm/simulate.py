@@ -291,10 +291,10 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     given (its time stamp is ignored; integration always starts at t = 0).
     Recording keeps every record_stride-th step, first sample at t = 0.
     Before it allocates anything, it rejects a run that would record more
-    than _MAX_SAMPLES samples (a 1 GiB budget). It rejects dt above the stability limit of this start and schedule,
-    naming the limiting layer, and raises NumericalError at the first step
-    whose temperatures are not finite and positive or whose radiative drive
-    overflows a float. Identical inputs produce bit-identical trajectories,
+    than _MAX_SAMPLES samples (a 1 GiB budget). It rejects dt above the
+    stability limit of this start and schedule, naming the limiting layer,
+    and raises NumericalError at the first step whose temperatures are not
+    finite and positive or whose radiative drive overflows a float. Identical inputs produce bit-identical trajectories,
     equal to a chain of euler_step calls: a radiative drive takes its
     grey-body constants once per run but evaluates the floats of
     radiative_exchange.
