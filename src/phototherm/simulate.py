@@ -32,6 +32,10 @@ from .model import (
 # single layer), so 1 GiB holds this many
 _RECORD_BUDGET_BYTES = 2 ** 30
 _MAX_SAMPLES = _RECORD_BUDGET_BYTES // 100
+# at the measured 500-900 ns per step, about 10-15 minutes of stepping
+_MAX_STEPS = 10 ** 9
+# run tests for divergence once per block of this many steps
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -291,13 +295,14 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     given (its time stamp is ignored; integration always starts at t = 0).
     Recording keeps every record_stride-th step, first sample at t = 0.
     Before it allocates anything, it rejects a run that would record more
-    than _MAX_SAMPLES samples (a 1 GiB budget). It rejects dt above the
-    stability limit of this start and schedule, naming the limiting layer,
-    and raises NumericalError at the first step whose temperatures are not
-    finite and positive or whose radiative drive overflows a float. Identical inputs produce bit-identical trajectories,
-    equal to a chain of euler_step calls: a radiative drive takes its
-    grey-body constants once per run but evaluates the floats of
-    radiative_exchange.
+    than _MAX_SAMPLES samples (a 1 GiB budget) or take more than _MAX_STEPS
+    steps. It rejects dt above the stability limit of this start and
+    schedule, naming the limiting layer, and raises NumericalError at the
+    first step whose temperatures are not finite and positive or whose
+    radiative drive overflows a float. Identical inputs produce
+    bit-identical trajectories, equal to a chain of euler_step calls: a
+    radiative drive takes its grey-body constants once per run but evaluates
+    the floats of radiative_exchange.
     """
     dt, n_steps, stride = config.dt, config.n_steps, config.record_stride
     samples = n_steps // stride + 1
@@ -306,6 +311,10 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
             f"dt={dt:g} s and record_stride={stride} would record {samples:.4g} samples, "
             f"more than the {_MAX_SAMPLES} that fit the {_RECORD_BUDGET_BYTES // 2 ** 20} MiB "
             "recording budget; raise dt or record_stride")
+    if n_steps > _MAX_STEPS:
+        raise ValidationError(
+            f"dt={dt:g} s would take {n_steps:.4g} steps, more than the {_MAX_STEPS:.0e} "
+            "a run may take; raise dt")
     bilayer = assembly.kind is WallKind.BILAYER
     theta_e = env.ambient_temperature
     if initial is None:
@@ -324,49 +333,67 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     radiative = source.mode is SourceMode.RADIATIVE_BODY
 
     # one straight-line loop body per wall kind and source mode: the float
-    # operations of rhs_single/rhs_bilayer and radiative_exchange, in order
+    # operations of rhs_single/rhs_bilayer and radiative_exchange, in order.
+    # A body steps a block of up to _BLOCK steps and keeps the steps its
+    # flags mark, the multiples of stride
     sigma, inf = STEFAN_BOLTZMANN, math.inf
     sil_temps, lig_temps = [ts], [tl]
     keep_s, keep_l = sil_temps.append, lig_temps.append
-    try:
-        for i0, i1, scale in segments:
-            steps = range(i0 + 1, i1 + 1)  # index of the state each update makes
-            if not bilayer:
-                if not radiative:
-                    q_s = c.q_s * scale
-                for step in steps:
-                    if radiative:
-                        q_s = scale * (sigma * (th4 - ts ** 4) * a_s / r_s)
-                    ts = ts + dt * ((q_s - g_s * (ts - theta_e)) / cap_s)
-                    if not 0.0 < ts < inf:
-                        raise _diverged(step, dt)
-                    if step % stride == 0:
-                        keep_s(ts)
-            elif radiative:
-                for step in steps:
-                    q_ls = k * (tl - ts)
-                    ts = ts + dt * ((scale * (sigma * (th4 - ts ** 4) * a_s / r_s)
-                                     - g_s * (ts - theta_e) + q_ls) / cap_s)
-                    tl = tl + dt * ((scale * (sigma * (th4 - tl ** 4) * a_l / r_l)
-                                     - g_l * (tl - theta_e) - q_ls) / cap_l)
-                    if not (0.0 < ts < inf and 0.0 < tl < inf):
-                        raise _diverged(step, dt)
-                    if step % stride == 0:
-                        keep_s(ts)
-                        keep_l(tl)
+    for i0, i1, scale in segments:
+        if not radiative:
+            q_s = c.q_s * scale
+            if bilayer:
+                q_l = c.q_l * scale
+        done, block = i0, _BLOCK
+        while done < i1:
+            n = min(block, i1 - done)
+            start = ts, tl
+            flags = [False] * n
+            first = stride - 1 - done % stride  # flag of the first multiple of stride
+            flags[first::stride] = (True,) * len(range(first, n, stride))
+            try:
+                if not bilayer:
+                    for keep in flags:
+                        if radiative:
+                            q_s = scale * (sigma * (th4 - ts ** 4) * a_s / r_s)
+                        ts = ts + dt * ((q_s - g_s * (ts - theta_e)) / cap_s)
+                        if keep:
+                            keep_s(ts)
+                elif radiative:
+                    for keep in flags:
+                        q_ls = k * (tl - ts)
+                        ts = ts + dt * ((scale * (sigma * (th4 - ts ** 4) * a_s / r_s)
+                                         - g_s * (ts - theta_e) + q_ls) / cap_s)
+                        tl = tl + dt * ((scale * (sigma * (th4 - tl ** 4) * a_l / r_l)
+                                         - g_l * (tl - theta_e) - q_ls) / cap_l)
+                        if keep:
+                            keep_s(ts)
+                            keep_l(tl)
+                else:
+                    for keep in flags:
+                        q_ls = k * (tl - ts)
+                        ts = ts + dt * ((q_s - g_s * (ts - theta_e) + q_ls) / cap_s)
+                        tl = tl + dt * ((q_l - g_l * (tl - theta_e) - q_ls) / cap_l)
+                        if keep:
+                            keep_s(ts)
+                            keep_l(tl)
+                # under the guard every finite iterate stays between the
+                # coldest and the hottest of ambient, start and source, so a
+                # failed test means an overflow, and it lasts to the block's
+                # end: +-inf turns NaN on the next step, and NaN is absorbing
+                failed = not (0.0 < ts < inf and 0.0 < tl < inf)
+            except OverflowError:  # T ** 4 of a temperature beyond the float range
+                failed = True
+            if not failed:
+                done += n
+            elif block > 1:
+                # replay the block one checked step at a time: it recomputes
+                # the same floats, so it fails at the first failing step
+                # and the samples it records again are never returned
+                ts, tl = start
+                block = 1
             else:
-                q_s, q_l = c.q_s * scale, c.q_l * scale
-                for step in steps:
-                    q_ls = k * (tl - ts)
-                    ts = ts + dt * ((q_s - g_s * (ts - theta_e) + q_ls) / cap_s)
-                    tl = tl + dt * ((q_l - g_l * (tl - theta_e) - q_ls) / cap_l)
-                    if not (0.0 < ts < inf and 0.0 < tl < inf):
-                        raise _diverged(step, dt)
-                    if step % stride == 0:
-                        keep_s(ts)
-                        keep_l(tl)
-    except OverflowError:  # T ** 4 of a temperature beyond the float range
-        raise _diverged(step, dt) from None
+                raise _diverged(done + 1, dt)
 
     # the recorded steps are 0, stride, 2 stride, ...: the same floats as step * dt
     times = np.arange(0, n_steps + 1, stride) * dt

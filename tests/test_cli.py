@@ -454,6 +454,16 @@ class TestExitCodes:
         assert "would record 3e+302 samples" in err
         assert err.rstrip().endswith("raise dt or record_stride")
 
+    def test_uncapped_step_count_is_bad_input(self, capsys):
+        # 3e302 steps recorded every 1e300th: 301 samples pass the recording
+        # budget, and run refuses the steps before stepping
+        code, out, err = run_cli(capsys, "simulate", "--preset", "table1_single",
+                                 "--dt", "1e-300", "--record-stride", str(10 ** 300))
+        assert code == 2
+        assert out == ""
+        assert "dt=1e-300 s would take 3e+302 steps, more than the 1e+09" in err
+        assert err.rstrip().endswith("raise dt")
+
     def test_unstable_step_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--preset", "table1_bilayer",
                                "--dt", "0.5", "--duration", "10")

@@ -1,9 +1,11 @@
+import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phototherm import (
@@ -492,6 +494,139 @@ class TestRecordingBudget:
             with pytest.raises(ValidationError, match=f"record_stride={stride} would record 101 "):
                 run(single_wall, flux_source, ALWAYS_ON, environment,
                     SimConfig(duration=duration, dt=0.01, record_stride=stride))
+
+
+class TestStepCap:
+    def test_counts_steps_not_recorded_samples(self, monkeypatch, single_wall, flux_source,
+                                               environment):
+        monkeypatch.setattr(simulate_module, "_MAX_STEPS", 100)
+        config = SimConfig(duration=1.0, dt=0.01, record_stride=50)  # 100 steps, 3 samples
+        assert len(run(single_wall, flux_source, ALWAYS_ON, environment, config).times) == 3
+        with pytest.raises(ValidationError, match=(
+                r"^dt=0\.01 s would take 101 steps, more than the 1e\+02 a run may take; "
+                r"raise dt$")):
+            run(single_wall, flux_source, ALWAYS_ON, environment,
+                SimConfig(duration=1.01, dt=0.01, record_stride=1000))
+
+
+def checked_euler_chain(wall, source, schedule, env, config, initial=None):
+    """The silicone and lig columns run should record, from a chain of
+    euler_step calls checked at every step, under run's grid-snapped
+    schedule. Raises the NumericalError run should raise, naming the first
+    step whose state is not finite and > 0 (ThermalState rejects it) or
+    whose radiative drive overflows (radiative_exchange raises)."""
+    dt, stride = config.dt, config.record_stride
+    theta_e = env.ambient_temperature
+    bilayer = wall.kind is WallKind.BILAYER
+    state = initial or ThermalState(0.0, theta_e, theta_e if bilayer else None)
+    silicone, lig = [state.silicone_temperature], [state.lig_temperature]
+    for i0, i1, scale in _segments(schedule, config.n_steps, dt):
+        for step in range(i0 + 1, i1 + 1):
+            try:
+                state = euler_step(state, wall, source, env, scale, dt)
+            except (ValidationError, NumericalError):
+                raise NumericalError(f"temperature became non-finite or non-positive "
+                                     f"at t={step * dt:g} s") from None
+            if step % stride == 0:
+                silicone.append(state.silicone_temperature)
+                lig.append(state.lig_temperature)
+    return silicone, lig if bilayer else None
+
+
+def assert_run_matches_checked_chain(wall, source, schedule, env, config, initial=None):
+    try:
+        silicone, lig = checked_euler_chain(wall, source, schedule, env, config, initial)
+    except NumericalError as error:
+        with pytest.raises(NumericalError, match=f"^{re.escape(str(error))}$"):
+            run(wall, source, schedule, env, config, initial)
+        return str(error)
+    traj = run(wall, source, schedule, env, config, initial)
+    assert traj.silicone.tolist() == silicone
+    assert (traj.lig is None if lig is None else traj.lig.tolist() == lig)
+    return None
+
+
+class TestBlockCheck:
+    """run tests for divergence once per block of _BLOCK steps and replays a
+    failed block one checked step at a time; the error must name the step
+    that a check after every step names."""
+
+    N_STEPS = 2500  # blocks end at steps 1024, 2048 and 2500
+
+    @staticmethod
+    def wall(kind):
+        # the thick film keeps dt = 5 s inside the bilayer's linear limit
+        silicone = ThermalLayer(**SILICONE)
+        return (WallAssembly.single(silicone) if kind == "single" else
+                WallAssembly.bilayer(silicone, ThermalLayer(**{**LIG, "thickness": 2e-2})))
+
+    @pytest.mark.parametrize("failing", (1, 1023, 1024, 1025, 2048, 2300))
+    @pytest.mark.parametrize("stride", (1, 3, 10))
+    @pytest.mark.parametrize("kind, mode", (("single", "flux"), ("bilayer", "flux"),
+                                            ("bilayer", "radiative")))
+    def test_first_failing_step_matches_checked_chain(self, monkeypatch, environment, kind,
+                                                      mode, stride, failing):
+        # the light turns on at step failing - 1 and its first step overflows
+        # to inf. Under the guard a radiative iterate stays between ambient,
+        # start and source, so only a start whose fourth power overflows
+        # diverges, at step 1: the guard is switched off to reach that body
+        # at any step, with a drive scale that overflows
+        dt = 5.0
+        if mode == "flux":
+            source, scale = HeatSource.constant_flux(1e308), 1.0
+        else:
+            monkeypatch.setattr(simulate_module, "_check_step", lambda *args: None)
+            source, scale = HeatSource.radiative(1500.0, 0.9), 1e308
+        schedule = LightSchedule((((failing - 1) * dt, math.inf, scale),))
+        config = SimConfig(duration=self.N_STEPS * dt, dt=dt, record_stride=stride)
+        error = assert_run_matches_checked_chain(self.wall(kind), source, schedule,
+                                                 environment, config)
+        assert error is not None and error.endswith(f"at t={failing * dt:g} s")
+
+    def test_fourth_power_overflow_in_mid_block(self, monkeypatch, environment):
+        # the light drives the state at step 1500 far past any source, and
+        # step 1501, neither recorded at stride 3 nor at a block edge,
+        # overflows in ts ** 4 (guard switched off, as above)
+        monkeypatch.setattr(simulate_module, "_check_step", lambda *args: None)
+        wall, source, dt = self.wall("bilayer"), HeatSource.radiative(1500.0, 0.9), 5.0
+        schedule = LightSchedule(((1499 * dt, 1500 * dt, 1e97),))
+        reached = run(wall, source, schedule, environment,
+                      SimConfig(duration=1500 * dt, dt=dt, record_stride=3)).final
+        assert 0.0 < reached.silicone_temperature < math.inf
+        with pytest.raises(OverflowError):
+            reached.silicone_temperature ** 4
+        config = SimConfig(duration=self.N_STEPS * dt, dt=dt, record_stride=3)
+        assert assert_run_matches_checked_chain(wall, source, schedule, environment,
+                                                config).endswith("at t=7505 s")
+
+    @given(data=st.data(), bilayer=st.booleans(), radiative=st.booleans(),
+           stride=st.integers(1, 12), n_steps=st.integers(1, 2200),
+           fraction=st.floats(0.05, 1.0), on=st.integers(0, 2200),
+           length=st.integers(1, 2200), scale=st.floats(0.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_checked_chain(self, data, bilayer, radiative, stride, n_steps, fraction,
+                                   on, length, scale):
+        # drives and starts include divergent ones: a flux that overflows,
+        # and a radiative start whose fourth power overflows
+        temperature = st.one_of(st.floats(250.0, 600.0), st.floats(1e70, 1e100))
+        env = Environment(AMBIENT_K)
+        silicone = ThermalLayer(**SILICONE)
+        wall = (WallAssembly.bilayer(silicone, ThermalLayer(**LIG)) if bilayer
+                else WallAssembly.single(silicone))
+        if radiative:
+            source = HeatSource.radiative(data.draw(st.floats(250.0, 2000.0)), 0.9)
+        else:
+            source = HeatSource.constant_flux(
+                data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(1e300, 1e308))))
+        initial = ThermalState(0.0, data.draw(temperature),
+                               data.draw(temperature) if bilayer else None)
+        start_max = max(AMBIENT_K, initial.silicone_temperature, initial.lig_temperature or 0.0)
+        limit = _stability_detail(wall, source, start_max, scale)[0]
+        assume(limit > 0.0)
+        dt = fraction * min(limit, 10.0)
+        schedule = LightSchedule(((on * dt, (on + length) * dt, scale),))
+        config = SimConfig(duration=n_steps * dt, dt=dt, record_stride=stride)
+        assert_run_matches_checked_chain(wall, source, schedule, env, config, initial)
 
 
 class TestTrajectory:
