@@ -455,7 +455,7 @@ class TestExitCodes:
         assert err.rstrip().endswith("raise dt or record_stride")
 
     def test_uncapped_step_count_is_bad_input(self, capsys):
-        # 3e302 steps recorded every 1e300th: 301 samples pass the recording
+        # 3e302 steps recorded every 1e300th: 300 samples pass the recording
         # budget, and run refuses the steps before stepping
         code, out, err = run_cli(capsys, "simulate", "--preset", "table1_single",
                                  "--dt", "1e-300", "--record-stride", str(10 ** 300))
