@@ -6,7 +6,6 @@ from .errors import (
     ConfigError,
     KindMismatchError,
     MetricError,
-    ModeMismatchError,
     NoCrossingError,
     NoPlateauError,
     NumericalError,
@@ -25,21 +24,15 @@ from .model import (
     ThermalState,
     WallAssembly,
     WallKind,
-    absorbed_power,
-    conduction_flow,
     convective_conductance,
     coupling_conductance,
     heat_capacity,
-    radiative_exchange,
-    rhs_bilayer,
-    rhs_single,
     steady_state,
 )
 from .simulate import (
     LightSchedule,
     SimConfig,
     Trajectory,
-    euler_step,
     run,
     stability_limit,
 )

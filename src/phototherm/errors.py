@@ -15,10 +15,6 @@ class ValidationError(PhotothermError, ValueError):
     """A value violates a documented invariant or precondition."""
 
 
-class ModeMismatchError(PhotothermError):
-    """Operation called with a heat source in the wrong mode."""
-
-
 class KindMismatchError(PhotothermError):
     """Operation called with the wrong wall-assembly kind."""
 

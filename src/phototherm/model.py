@@ -19,12 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import (
-    KindMismatchError,
-    ModeMismatchError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
 
 STEFAN_BOLTZMANN = 5.67037442e-8  # W m^-2 K^-4
 KELVIN_OFFSET = 273.15
@@ -223,16 +218,17 @@ def _convective(faces: int | None, conv_coeff: float, area: float) -> float:
 
 def _absorbed(absorptance: float, power: float) -> float:
     """Power in W a layer of this absorptance takes from a constant flux of
-    this power at drive scale 1; absorbed_power is this times the scale."""
+    this power at drive scale 1; a drive scale multiplies it."""
     return absorptance * power
 
 
 def _grey_body(theta_hot: float, eps_hot: float, eps_cold: float,
                area: float) -> tuple[float, float, float]:
-    """Validated constants (theta_hot^4, area, grey-body resistance) of
-    radiative_exchange. Callers that hold the hot side fixed take them once
-    and evaluate sigma * (th4 - Tc^4) * area / resistance per temperature,
-    which is the same float arithmetic as radiative_exchange."""
+    """Validated constants (theta_hot^4, area, grey-body resistance) of the
+    net power a hot grey surface radiates to a cold one,
+    sigma (theta_hot^4 - Tc^4) area / (1/eps_hot + 1/eps_cold - 1). Callers
+    hold the hot side fixed, take them once and evaluate
+    sigma * (th4 - Tc^4) * area / resistance per cold temperature Tc."""
     _require(theta_hot > 0.0, "temperatures must be > 0 K")
     _require(0.0 < eps_hot <= 1.0, f"emissivity must lie in (0, 1], got {eps_hot!r}")
     _require(0.0 < eps_cold <= 1.0, f"emissivity must lie in (0, 1], got {eps_cold!r}")
@@ -244,32 +240,6 @@ def _grey_body(theta_hot: float, eps_hot: float, eps_cold: float,
             f"source temperature {theta_hot:g} K is too high: its fourth power "
             "overflows a float") from None
     return th4, area, 1.0 / eps_hot + 1.0 / eps_cold - 1.0
-
-
-def radiative_exchange(theta_hot: float, eps_hot: float,
-                       theta_cold: float, eps_cold: float, area: float) -> float:
-    """Net radiative power exchanged between two grey surfaces, in W.
-
-    Positive when theta_hot exceeds theta_cold. The grey-body resistance
-    uses both emissivities: sigma (Th^4 - Tc^4) A / (1/eps_h + 1/eps_c - 1).
-    """
-    _require(theta_cold > 0.0, "temperatures must be > 0 K")
-    th4, area, resistance = _grey_body(theta_hot, eps_hot, eps_cold, area)
-    try:
-        tc4 = theta_cold ** 4
-    except OverflowError:
-        raise NumericalError(
-            f"temperature {theta_cold:g} K is too high: its fourth power "
-            "overflows a float") from None
-    return STEFAN_BOLTZMANN * (th4 - tc4) * area / resistance
-
-
-def absorbed_power(source: HeatSource, layer: ThermalLayer, scale: float = 1.0) -> float:
-    """Power absorbed by a layer from a constant-flux source, in W."""
-    if source.mode is not SourceMode.CONSTANT_FLUX:
-        raise ModeMismatchError("absorbed_power requires a constant-flux source")
-    _require(scale >= 0.0, "scale must be non-negative")
-    return _absorbed(layer.absorptance, source.power) * scale
 
 
 class _Coefficients(NamedTuple):
@@ -295,8 +265,8 @@ class _Coefficients(NamedTuple):
 
 def _coefficients(assembly: WallAssembly, source: HeatSource) -> _Coefficients:
     """The wall's constants under this source, each with the expression of
-    heat_capacity, convective_conductance, coupling_conductance,
-    absorbed_power (at scale 1) and _grey_body, so the floats are the same.
+    heat_capacity, convective_conductance, coupling_conductance, _absorbed
+    and _grey_body, so the floats are the same wherever they are read.
     `run`, its stability guard, the closed-form calibration and
     `steady_state` all read them from here. A radiative source has its
     emissivities and its fourth power checked here."""
@@ -315,57 +285,6 @@ def _coefficients(assembly: WallAssembly, source: HeatSource) -> _Coefficients:
             _, a_l, r_l = _grey_body(theta_h, source.source_emissivity, lig.emissivity, lig.area)
     return _Coefficients(heat_capacity(sil), cap_l, convective_conductance(sil), g_l, k,
                          q_s, q_l, theta_h, th4, a_s, r_s, a_l, r_l)
-
-
-def conduction_flow(theta_lig: float, theta_silicone: float,
-                    silicone: ThermalLayer) -> float:
-    """Conductive power flowing from the LIG film into the silicone, in W."""
-    return coupling_conductance(silicone) * (theta_lig - theta_silicone)
-
-
-def _source_input(source: HeatSource, layer: ThermalLayer, scale: float,
-                  layer_temperature: float) -> float:
-    """Drive term for one layer under the current source mode, in W."""
-    if source.mode is SourceMode.CONSTANT_FLUX:
-        return absorbed_power(source, layer, scale)
-    return scale * radiative_exchange(source.source_temperature,
-                                      source.source_emissivity,
-                                      layer_temperature, layer.emissivity,
-                                      layer.area)
-
-
-def rhs_single(state: ThermalState, assembly: WallAssembly, source: HeatSource,
-               env: Environment, scale: float = 1.0) -> float:
-    """Temperature rate dT/dt of the lone silicone wall, in K/s."""
-    if assembly.kind is not WallKind.SINGLE_LAYER:
-        raise KindMismatchError("rhs_single requires a single-layer assembly")
-    layer = assembly.silicone
-    theta_s = state.silicone_temperature
-    q_in = _source_input(source, layer, scale, theta_s)
-    return ((q_in - convective_conductance(layer) * (theta_s - env.ambient_temperature))
-            / heat_capacity(layer))
-
-
-def rhs_bilayer(state: ThermalState, assembly: WallAssembly, source: HeatSource,
-                env: Environment, scale: float = 1.0) -> tuple[float, float]:
-    """Temperature rates (dTs/dt, dTl/dt) of the bilayer wall, in K/s.
-
-    The conduction term appears with equal magnitude and opposite sign in
-    the two balances, so the pair conserves energy exactly.
-    """
-    if assembly.kind is not WallKind.BILAYER:
-        raise KindMismatchError("rhs_bilayer requires a bilayer assembly")
-    if state.lig_temperature is None:
-        raise KindMismatchError("bilayer state must carry a lig_temperature")
-    sil, lig = assembly.silicone, assembly.lig
-    theta_s, theta_l = state.silicone_temperature, state.lig_temperature
-    theta_e = env.ambient_temperature
-    q_s = _source_input(source, sil, scale, theta_s)
-    q_l = _source_input(source, lig, scale, theta_l)
-    q_ls = coupling_conductance(sil) * (theta_l - theta_s)
-    d_s = (q_s - convective_conductance(sil) * (theta_s - theta_e) + q_ls) / heat_capacity(sil)
-    d_l = (q_l - convective_conductance(lig) * (theta_l - theta_e) - q_ls) / heat_capacity(lig)
-    return d_s, d_l
 
 
 def _bisect(residual, lo: float, hi: float, tol: float) -> float:
@@ -457,7 +376,7 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
     th4 = c.th4
 
     def drive(area: float, resistance: float):
-        # the floats of _source_input, with the grey-body constants taken once
+        # the floats of run's radiative drive: grey-body constants taken once
         return lambda theta: scale * (STEFAN_BOLTZMANN * (th4 - theta ** 4)
                                       * area / resistance)
 

@@ -23,8 +23,6 @@ from .model import (
     WallKind,
     _coefficients,
     _Coefficients,
-    rhs_bilayer,
-    rhs_single,
 )
 
 # run keeps its samples in Python float lists until the loop ends: at the
@@ -34,8 +32,10 @@ _RECORD_BUDGET_BYTES = 2 ** 30
 _MAX_SAMPLES = _RECORD_BUDGET_BYTES // 100
 # at the measured 500-900 ns per step, about 10-15 minutes of stepping
 _MAX_STEPS = 10 ** 9
-# run tests for divergence once per block of this many steps
+# run tests for divergence once per block of this many steps, while its
+# a-priori temperature bounds lie less than this factor apart (_block_size)
 _BLOCK = 1024
+_BOUND_RATIO = 2.0 ** 12
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,6 @@ class LightSchedule:
     @classmethod
     def off(cls) -> "LightSchedule":
         return cls(intervals=())
-
-    def scale_at(self, t: float) -> float:
-        """Drive scale at time t under the continuous-time rule: intervals
-        are half-open [start, end).
-
-        `run` does not call this. It snaps each interval boundary to the
-        nearest step of the grid and holds the scale of the step start for
-        the whole step, so near a boundary that falls between steps the
-        stepped drive can differ from this lookup.
-        """
-        for start, end, scale in self.intervals:
-            if start <= t < end:
-                return scale
-        return 0.0
 
     def scaled(self, factor: float) -> "LightSchedule":
         """New schedule with every interval scale multiplied by factor."""
@@ -185,16 +171,10 @@ def _resolve_channel(kind: WallKind, channel: str) -> str:
     return channel
 
 
-def _stability_detail(assembly: WallAssembly, source: HeatSource, start_max: float,
-                      scale: float) -> tuple[float, str]:
-    """Smallest lumped time constant and the layer that sets it, for a run
-    that starts at or below start_max and drives at scales up to scale (see
-    _time_constant)."""
-    return _time_constant(_coefficients(assembly, source), start_max, scale)
-
-
 def _time_constant(c: _Coefficients, start_max: float, scale: float) -> tuple[float, str]:
-    """_stability_detail on the wall's constants.
+    """Smallest lumped time constant of a wall with the constants c, and
+    the layer that sets it, for a run that starts at or below start_max and
+    drives at scales up to scale.
 
     A layer's time constant is its heat capacity over its loss conductance:
     convection, interlayer coupling and, under a radiative source, the
@@ -231,7 +211,7 @@ def _time_constant(c: _Coefficients, start_max: float, scale: float) -> tuple[fl
 def stability_limit(assembly: WallAssembly, source: HeatSource, env: Environment) -> float:
     """Largest safe explicit step, in s, for a run from ambient at drive
     scale 1: the smallest lumped time constant (see _time_constant)."""
-    return _stability_detail(assembly, source, env.ambient_temperature, 1.0)[0]
+    return _time_constant(_coefficients(assembly, source), env.ambient_temperature, 1.0)[0]
 
 
 def _check_step(c: _Coefficients, dt: float, start_max: float, scale: float) -> None:
@@ -242,21 +222,6 @@ def _check_step(c: _Coefficients, dt: float, start_max: float, scale: float) -> 
         raise StabilityError(
             f"dt={dt:g} s exceeds the stability limit {limit:.6g} s "
             f"set by the {limiting} layer", limit, limiting)
-
-
-def euler_step(state: ThermalState, assembly: WallAssembly, source: HeatSource,
-               env: Environment, scale: float, dt: float) -> ThermalState:
-    """One forward-Euler step of length dt."""
-    if not dt > 0.0:
-        raise ValidationError(f"dt must be > 0, got {dt!r}")
-    if assembly.kind is WallKind.SINGLE_LAYER:
-        rate = rhs_single(state, assembly, source, env, scale)
-        return ThermalState(state.time + dt,
-                            state.silicone_temperature + dt * rate)
-    d_s, d_l = rhs_bilayer(state, assembly, source, env, scale)
-    return ThermalState(state.time + dt,
-                        state.silicone_temperature + dt * d_s,
-                        state.lig_temperature + dt * d_l)
 
 
 def _segments(schedule: LightSchedule, n_steps: int, dt: float):
@@ -281,6 +246,37 @@ def _segments(schedule: LightSchedule, n_steps: int, dt: float):
     return runs
 
 
+def _block_size(c: _Coefficients, theta_e: float, ts: float, tl: float, scale: float,
+                duration: float) -> int:
+    """_BLOCK, or 1 when run must test every step for divergence.
+
+    Under the guard each step is a monotone map whose matrix is >= 0 with
+    row sums <= 1, so no iterate leaves a-priori bounds. The coldest is the
+    coldest of ambient, start and a radiative source. The hottest is the
+    hottest of those three under a radiative source. Under a constant flux
+    it is the hottest of ambient and start plus the rise the drive allows:
+    a node gains at most dt * scale * q / C per step, and with every g > 0
+    no node passes its loss balance scale * q / g. A step rounds by a few
+    ulp of the hottest bound, so over at most _MAX_STEPS < 2**30 steps the
+    rounding stays far below the coldest bound while the two lie less than
+    _BOUND_RATIO = 2**52 / 2**40 apart. Farther apart, a node can round to
+    <= 0 K and recover within a block, so the block test would miss it. A
+    NaN bound also picks 1.
+    """
+    coldest, hottest = min(theta_e, ts, tl), max(theta_e, ts, tl)
+    if c.th4 is not None:
+        coldest, hottest = min(coldest, c.theta_h), max(hottest, c.theta_h)
+    else:
+        nodes = [(c.q_s, c.cap_s, c.g_s)]
+        if c.k is not None:
+            nodes.append((c.q_l, c.cap_l, c.g_l))
+        rise = duration * scale * max(q / cap for q, cap, _ in nodes)
+        if all(g > 0.0 for _, _, g in nodes):
+            rise = min(rise, scale * max(q / g for q, _, g in nodes))
+        hottest += rise
+    return _BLOCK if hottest < _BOUND_RATIO * coldest else 1
+
+
 def _diverged(step: int, dt: float) -> NumericalError:
     return NumericalError(
         f"temperature became non-finite or non-positive at t={step * dt:g} s")
@@ -300,9 +296,8 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     schedule, naming the limiting layer, and raises NumericalError at the
     first step whose temperatures are not finite and positive or whose
     radiative drive overflows a float. Identical inputs produce
-    bit-identical trajectories, equal to a chain of euler_step calls: a
-    radiative drive takes its grey-body constants once per run but evaluates
-    the floats of radiative_exchange.
+    bit-identical trajectories; tests/reference_stepper.py steps the same
+    floats one forward-Euler step at a time.
     """
     dt, n_steps, stride = config.dt, config.n_steps, config.record_stride
     samples = n_steps // stride + 1
@@ -327,15 +322,18 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
 
     segments = _segments(schedule, n_steps, dt)
     c = _coefficients(assembly, source)
-    _check_step(c, dt, max(theta_e, ts, tl), max(scale for _, _, scale in segments))
+    max_scale = max(scale for _, _, scale in segments)
+    _check_step(c, dt, max(theta_e, ts, tl), max_scale)
+    first_block = _block_size(c, theta_e, ts, tl, max_scale, n_steps * dt)
     cap_s, cap_l, g_s, g_l, k = c.cap_s, c.cap_l, c.g_s, c.g_l, c.k
     th4, a_s, r_s, a_l, r_l = c.th4, c.a_s, c.r_s, c.a_l, c.r_l
     radiative = source.mode is SourceMode.RADIATIVE_BODY
 
-    # one straight-line loop body per wall kind and source mode: the float
-    # operations of rhs_single/rhs_bilayer and radiative_exchange, in order.
-    # A body steps a block of up to _BLOCK steps and keeps the steps its
-    # flags mark, the multiples of stride
+    # one straight-line loop body per wall kind and source mode. Each node
+    # gains dt * (drive - g (T - theta_e) +- k (T_lig - T_sil)) / C, with the
+    # radiative drive scale * sigma (theta_src^4 - T^4) A / R. A body steps a
+    # block of up to _BLOCK steps and keeps the steps its flags mark, the
+    # multiples of stride
     sigma, inf = STEFAN_BOLTZMANN, math.inf
     sil_temps, lig_temps = [ts], [tl]
     keep_s, keep_l = sil_temps.append, lig_temps.append
@@ -344,7 +342,7 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
             q_s = c.q_s * scale
             if bilayer:
                 q_l = c.q_l * scale
-        done, block = i0, _BLOCK
+        done, block = i0, first_block
         while done < i1:
             n = min(block, i1 - done)
             start = ts, tl
@@ -377,10 +375,10 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
                         if keep:
                             keep_s(ts)
                             keep_l(tl)
-                # under the guard every finite iterate stays between the
-                # coldest and the hottest of ambient, start and source, so a
-                # failed test means an overflow, and it lasts to the block's
-                # end: +-inf turns NaN on the next step, and NaN is absorbing
+                # in a block of more than one step no rounding can carry an
+                # iterate to <= 0 K and back (_block_size), so a failed test
+                # means an overflow, and it lasts to the block's end: +-inf
+                # turns NaN on the next step, and NaN is absorbing
                 failed = not (0.0 < ts < inf and 0.0 < tl < inf)
             except OverflowError:  # T ** 4 of a temperature beyond the float range
                 failed = True

@@ -37,8 +37,6 @@ from phototherm import (
     preset_path,
     read_series,
     response_time_63,
-    rhs_bilayer,
-    rhs_single,
     run,
     run_sweep,
     series_from_trajectory,
@@ -50,6 +48,7 @@ from phototherm import (
 from phototherm.fileio import RunConfig, SweepSpec
 from phototherm.metrics import RESPONSE_FRACTION
 from linear_oracle import exact_bilayer_grid
+from reference_stepper import rhs_bilayer, rhs_single
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import warnings
 from pathlib import Path
@@ -87,8 +88,7 @@ class TestPresets:
         assert cfg.source.power == 0.075
         assert cfg.env.ambient_temperature == 298.0
         assert cfg.sim.dt == 0.01
-        assert cfg.schedule.scale_at(0.0) == 1.0
-        assert cfg.schedule.scale_at(1e9) == 1.0
+        assert cfg.schedule.intervals == ((0.0, math.inf, 1.0),)
 
     def test_single_preset_values(self):
         cfg = load_config(preset_path("table1_single"))

@@ -8,27 +8,30 @@ from hypothesis import strategies as st
 from phototherm import (
     Environment,
     HeatSource,
-    KindMismatchError,
-    ModeMismatchError,
+    LightSchedule,
     NumericalError,
     STEFAN_BOLTZMANN,
+    SimConfig,
     SourceMode,
     ThermalLayer,
     ThermalState,
     ValidationError,
     WallAssembly,
     WallKind,
-    absorbed_power,
-    conduction_flow,
     convective_conductance,
     coupling_conductance,
     heat_capacity,
-    radiative_exchange,
-    rhs_bilayer,
-    rhs_single,
+    run,
     steady_state,
 )
 from conftest import AMBIENT_K, CAP_LIG, CAP_SILICONE, LIG, POWER_W, SILICONE
+from reference_stepper import (
+    absorbed_power,
+    conduction_flow,
+    radiative_exchange,
+    rhs_bilayer,
+    rhs_single,
+)
 
 # immutable shared instances for hypothesis-driven tests (fixtures are
 # function-scoped, which hypothesis rejects inside @given)
@@ -115,6 +118,7 @@ class TestHeatCapacity:
 
 
 class TestRadiativeExchange:
+    # the reference stepper's grey-body exchange
     def test_equal_temperatures_exchange_nothing(self):
         assert radiative_exchange(350.0, 0.9, 350.0, 0.8, 1e-4) == 0.0
 
@@ -133,23 +137,9 @@ class TestRadiativeExchange:
         backward = radiative_exchange(tc, ec, th, eh, area)
         assert forward == -backward
 
-    def test_rejects_bad_emissivity(self):
-        with pytest.raises(ValidationError):
-            radiative_exchange(400.0, 0.0, 300.0, 1.0, 1e-4)
-        with pytest.raises(ValidationError):
-            radiative_exchange(400.0, 1.0, 300.0, -0.2, 1e-4)
-
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValidationError):
-            radiative_exchange(0.0, 1.0, 300.0, 1.0, 1e-4)
-
-    def test_overflowing_cold_side_is_numerical_error(self):
-        # finite, but its fourth power is beyond the float range
-        with pytest.raises(NumericalError, match="1e\\+80 K is too high"):
-            radiative_exchange(373.0, 0.9, 1e80, 0.9, 1e-4)
-
 
 class TestAbsorbedPower:
+    # the reference stepper's constant-flux drive
     def test_silicone_share(self, flux_source, silicone_layer):
         assert absorbed_power(flux_source, silicone_layer) == pytest.approx(0.01275, rel=1e-12)
 
@@ -159,17 +149,9 @@ class TestAbsorbedPower:
     def test_scale_zero_means_off(self, flux_source, lig_layer):
         assert absorbed_power(flux_source, lig_layer, scale=0.0) == 0.0
 
-    def test_radiative_mode_rejected(self, silicone_layer):
-        source = HeatSource.radiative(600.0, 0.9)
-        with pytest.raises(ModeMismatchError):
-            absorbed_power(source, silicone_layer)
-
-    def test_negative_scale_rejected(self, flux_source, silicone_layer):
-        with pytest.raises(ValidationError):
-            absorbed_power(flux_source, silicone_layer, scale=-0.5)
-
 
 class TestConduction:
+    # the reference stepper's interlayer conduction
     def test_no_gradient_no_flow(self, silicone_layer):
         assert conduction_flow(310.0, 310.0, silicone_layer) == 0.0
 
@@ -187,6 +169,7 @@ class TestConduction:
 
 
 class TestRhsSingle:
+    # the reference stepper's single-layer rate
     def test_initial_rate(self, single_wall, flux_source, environment):
         state = ThermalState(0.0, AMBIENT_K)
         rate = rhs_single(state, single_wall, flux_source, environment)
@@ -201,13 +184,9 @@ class TestRhsSingle:
         rate = rhs_single(steady, single_wall, flux_source, environment)
         assert abs(rate) < 1e-9
 
-    def test_bilayer_assembly_rejected(self, bilayer_wall, flux_source, environment):
-        with pytest.raises(KindMismatchError):
-            rhs_single(ThermalState(0.0, 300.0, 300.0), bilayer_wall,
-                       flux_source, environment)
-
 
 class TestRhsBilayer:
+    # the reference stepper's bilayer rates
     def test_initial_rates(self, bilayer_wall, flux_source, environment):
         state = ThermalState(0.0, AMBIENT_K, AMBIENT_K)
         d_s, d_l = rhs_bilayer(state, bilayer_wall, flux_source, environment)
@@ -218,32 +197,29 @@ class TestRhsBilayer:
         state = ThermalState(0.0, AMBIENT_K, AMBIENT_K)
         assert rhs_bilayer(state, bilayer_wall, flux_source, environment, scale=0.0) == (0.0, 0.0)
 
-    def test_single_assembly_rejected(self, single_wall, flux_source, environment):
-        with pytest.raises(KindMismatchError):
-            rhs_bilayer(ThermalState(0.0, 300.0), single_wall, flux_source, environment)
 
-    def test_state_without_lig_rejected(self, bilayer_wall, flux_source, environment):
-        with pytest.raises(KindMismatchError):
-            rhs_bilayer(ThermalState(0.0, 300.0), bilayer_wall, flux_source, environment)
-
+class TestOneStepEnergy:
     @given(ts=st.floats(250.0, 400.0), tl=st.floats(250.0, 400.0),
            scale=st.floats(0.0, 3.0))
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @example(ts=253.171875, tl=313.0, scale=0.0)  # convective losses nearly cancel
     def test_energy_bookkeeping(self, ts, tl, scale):
-        # stored-energy rate plus convective losses must equal absorbed power;
-        # the conduction term cancels between the two balances, but each
-        # balance rounds it, so it belongs in the reference magnitude too
-        state = ThermalState(0.0, ts, tl)
-        d_s, d_l = rhs_bilayer(state, BILAYER, FLUX, ENV, scale)
-        stored = CAP_SILICONE * d_s + CAP_LIG * d_l
+        # over one step of run, the stored-energy rate plus the convective
+        # losses must equal the absorbed power. The conduction term cancels
+        # between the two balances, but each balance rounds it, and the step
+        # rounds each C T / dt, so both belong in the reference magnitude
+        dt = 0.1
+        traj = run(BILAYER, FLUX, LightSchedule.always_on(scale), ENV,
+                   SimConfig(duration=dt, dt=dt), initial=ThermalState(0.0, ts, tl))
+        stored = (CAP_SILICONE * (traj.silicone[1] - ts) + CAP_LIG * (traj.lig[1] - tl)) / dt
         conv = (convective_conductance(BILAYER.silicone) * (ts - AMBIENT_K)
                 + convective_conductance(BILAYER.lig) * (tl - AMBIENT_K))
         absorbed = (BILAYER.silicone.absorptance
                     + BILAYER.lig.absorptance) * POWER_W * scale
         residual = stored + conv - absorbed
         conduction = coupling_conductance(BILAYER.silicone) * (tl - ts)
-        reference = max(abs(absorbed), abs(conv), abs(stored), abs(conduction), 1e-6)
+        stepped = (CAP_SILICONE * ts + CAP_LIG * tl) / dt
+        reference = max(abs(absorbed), abs(conv), abs(stored), abs(conduction), stepped)
         assert abs(residual) <= 1e-12 * reference
 
 

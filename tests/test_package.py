@@ -1,0 +1,35 @@
+from types import ModuleType
+
+import phototherm
+
+# every public name the package exports; adding or removing one is an API change
+PUBLIC_NAMES = {
+    # errors
+    "ConfigError", "KindMismatchError", "MetricError", "NoCrossingError", "NoPlateauError",
+    "NumericalError", "PhotothermError", "SeriesFormatError", "StabilityError",
+    "ValidationError",
+    # model
+    "Environment", "HeatSource", "KELVIN_OFFSET", "STEFAN_BOLTZMANN", "SourceMode",
+    "ThermalLayer", "ThermalState", "WallAssembly", "WallKind", "convective_conductance",
+    "coupling_conductance", "heat_capacity", "steady_state",
+    # simulate
+    "LightSchedule", "SimConfig", "Trajectory", "run", "stability_limit",
+    # metrics
+    "FinalConvention", "MeasurementSeries", "RESPONSE_FRACTION", "ResponseReport",
+    "angular_change_ratio", "cooling_fit", "cycle_degradation", "cycle_peaks",
+    "normalize_curve", "plateau_value", "response_time_63", "series_from_trajectory",
+    # calibrate
+    "CalibrationProblem", "CalibrationResult", "ParamSpec", "apply_named_parameter", "fit",
+    "objective",
+    # fileio
+    "RunConfig", "SweepResult", "SweepSpec", "available_presets", "illuminance_scale",
+    "load_config", "preset_path", "read_series", "run_sweep", "write_series",
+    "write_trajectory",
+}
+
+
+def test_exports_exactly_the_public_names():
+    # submodules become attributes once imported, so they are left out
+    exported = {name for name, value in vars(phototherm).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert exported == PUBLIC_NAMES

@@ -23,15 +23,16 @@ from phototherm import (
     ValidationError,
     WallAssembly,
     WallKind,
-    euler_step,
     run,
     series_from_trajectory,
     stability_limit,
 )
 import phototherm.simulate as simulate_module
-from phototherm.simulate import _segments, _stability_detail
+from phototherm.model import _coefficients
+from phototherm.simulate import _segments, _time_constant
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE, TAU_SINGLE_S
 from linear_oracle import exact_bilayer_grid
+from reference_stepper import euler_step, scale_at
 
 ALWAYS_ON = LightSchedule.always_on()
 
@@ -56,17 +57,19 @@ class TestLightSchedule:
             LightSchedule(((0.0, 5.0, -0.1),))
 
     def test_scale_at_half_open_lookup(self):
+        # the reference stepper's continuous-time lookup
         sched = LightSchedule(((0.0, 10.0, 1.0), (20.0, 30.0, 0.5)))
-        assert sched.scale_at(0.0) == 1.0
-        assert sched.scale_at(9.999) == 1.0
-        assert sched.scale_at(10.0) == 0.0  # end is exclusive
-        assert sched.scale_at(15.0) == 0.0  # gap means off
-        assert sched.scale_at(20.0) == 0.5
-        assert sched.scale_at(31.0) == 0.0
+        assert scale_at(sched, 0.0) == 1.0
+        assert scale_at(sched, 9.999) == 1.0
+        assert scale_at(sched, 10.0) == 0.0  # end is exclusive
+        assert scale_at(sched, 15.0) == 0.0  # gap means off
+        assert scale_at(sched, 20.0) == 0.5
+        assert scale_at(sched, 31.0) == 0.0
 
     def test_infinite_tail_allowed(self):
         sched = LightSchedule.always_on(0.7)
-        assert sched.scale_at(1e12) == 0.7
+        assert sched.intervals == ((0.0, math.inf, 0.7),)
+        assert scale_at(sched, 1e12) == 0.7
 
     def test_scaled_multiplies(self):
         sched = LightSchedule(((0.0, 10.0, 1.0),)).scaled(0.25)
@@ -75,7 +78,8 @@ class TestLightSchedule:
             sched.scaled(-1.0)
 
     def test_empty_schedule_is_off(self):
-        assert LightSchedule.off().scale_at(3.0) == 0.0
+        assert LightSchedule.off().intervals == ()
+        assert scale_at(LightSchedule.off(), 3.0) == 0.0
 
 
 class TestSimConfig:
@@ -167,7 +171,7 @@ def radiative_scenarios(draw):
     source = HeatSource.radiative(draw(st.floats(150.0, 3000.0)), draw(emissivity))
     env = Environment(draw(st.floats(250.0, 350.0)))
     scale = draw(st.floats(0.0, 3.0))
-    limit = _stability_detail(wall, source, env.ambient_temperature, scale)[0]
+    limit = _time_constant(_coefficients(wall, source), env.ambient_temperature, scale)[0]
     dt = limit * draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
     duration = dt * draw(st.integers(1, 400))
     schedule = LightSchedule(((0.0, duration * draw(st.floats(0.1, 1.0)), scale),))
@@ -190,6 +194,7 @@ class TestRadiativeGuard:
 
 
 class TestEulerStep:
+    # the reference stepper's single step
     def test_single_step_from_ambient(self, single_wall, flux_source, environment):
         state = ThermalState(0.0, 298.0)
         after = euler_step(state, single_wall, flux_source, environment,
@@ -213,19 +218,6 @@ class TestEulerStep:
         half = euler_step(state, single_wall, flux_source, environment, 1.0, dt / 2)
         two = euler_step(half, single_wall, flux_source, environment, 1.0, dt / 2)
         assert abs(two.silicone_temperature - one.silicone_temperature) < 1e-4
-
-    def test_rejects_nonpositive_dt(self, single_wall, flux_source, environment):
-        with pytest.raises(ValidationError):
-            euler_step(ThermalState(0.0, 298.0), single_wall, flux_source,
-                       environment, 1.0, 0.0)
-
-    @pytest.mark.parametrize("kind", ["single", "bilayer"])
-    def test_overflowing_radiative_drive_is_numerical_error(self, kind, single_wall,
-                                                            bilayer_wall, environment):
-        wall, lig = (single_wall, None) if kind == "single" else (bilayer_wall, 1e80)
-        with pytest.raises(NumericalError, match="1e\\+80 K is too high"):
-            euler_step(ThermalState(0.0, 1e80, lig), wall, HeatSource.radiative(373.0, 0.9),
-                       environment, 1.0, 0.01)
 
 
 def segments_with_round_first(schedule, n_steps, dt):
@@ -308,9 +300,9 @@ class TestRun:
     def test_matches_manual_euler_stepping_bitwise(self, request, wall, source,
                                                    environment, record_stride):
         # each (wall kind, source mode) loop body of run must agree exactly
-        # with the public step op; a radiative run takes its grey-body
-        # constants once per run, while euler_step goes through
-        # radiative_exchange on every step. The hot source, the 30 W flux
+        # with the reference stepper; a radiative run takes its grey-body
+        # constants once per run, while the stepper evaluates the whole
+        # radiative exchange on every step. The hot source, the 30 W flux
         # (about the power the 1500 K source delivers) and the 20 s of drive
         # make a rounding change in an inlined rate (such as T*T*T*T for T**4)
         # reach the recorded temperatures. The schedule switches at steps
@@ -327,7 +319,7 @@ class TestRun:
         lig = traj.lig.tolist() if bilayer else [None] * len(silicone)
         assert len(silicone) == 2100 // record_stride + 1
         for step in range(1, 2101):
-            scale = schedule.scale_at((step - 1) * config.dt)  # scale at step start
+            scale = scale_at(schedule, (step - 1) * config.dt)  # scale at step start
             state = euler_step(state, wall, source, environment, scale, config.dt)
             if step % record_stride == 0:
                 assert silicone[step // record_stride] == state.silicone_temperature
@@ -379,6 +371,13 @@ class TestRun:
         assert traj.samples[0].silicone_temperature == 308.625
         assert traj.final.silicone_temperature < 308.625
 
+    def test_bilayer_start_needs_a_lig_temperature(self, bilayer_wall, flux_source,
+                                                   environment):
+        with pytest.raises(KindMismatchError,
+                           match="^bilayer run needs an initial lig_temperature$"):
+            run(bilayer_wall, flux_source, ALWAYS_ON, environment,
+                SimConfig(duration=1.0, dt=0.1), initial=ThermalState(0.0, 300.0))
+
     def test_schedule_boundary_snapped_to_step(self, single_wall, flux_source,
                                                environment):
         # an interval ending mid-step acts until the nearest step boundary
@@ -426,7 +425,8 @@ class TestRun:
                 SimConfig(duration=1.0, dt=0.01), initial=ThermalState(0.0, 1e120))
         assert info.value.limit == 0.0
         # with no drive the radiative term drops out, not as 0 * inf = nan
-        assert _stability_detail(single_wall, source, 1e120, 0.0) == (TAU_SINGLE_S, "silicone")
+        assert _time_constant(_coefficients(single_wall, source), 1e120, 0.0) == (
+            TAU_SINGLE_S, "silicone")
 
     def test_radiative_stiffness_is_part_of_the_guard(self, environment):
         # a hot source on a thin film: the linear limit alone would pass
@@ -511,10 +511,10 @@ class TestStepCap:
 
 def checked_euler_chain(wall, source, schedule, env, config, initial=None):
     """The silicone and lig columns run should record, from a chain of
-    euler_step calls checked at every step, under run's grid-snapped
-    schedule. Raises the NumericalError run should raise, naming the first
-    step whose state is not finite and > 0 (ThermalState rejects it) or
-    whose radiative drive overflows (radiative_exchange raises)."""
+    reference euler_step calls checked at every step, under run's
+    grid-snapped schedule. Raises the NumericalError run should raise,
+    naming the first step whose state is not finite and > 0 (ThermalState
+    rejects it) or whose radiative drive overflows a float."""
     dt, stride = config.dt, config.record_stride
     theta_e = env.ambient_temperature
     bilayer = wall.kind is WallKind.BILAYER
@@ -524,7 +524,7 @@ def checked_euler_chain(wall, source, schedule, env, config, initial=None):
         for step in range(i0 + 1, i1 + 1):
             try:
                 state = euler_step(state, wall, source, env, scale, dt)
-            except (ValidationError, NumericalError):
+            except (ValidationError, OverflowError):
                 raise NumericalError(f"temperature became non-finite or non-positive "
                                      f"at t={step * dt:g} s") from None
             if step % stride == 0:
@@ -567,12 +567,15 @@ class TestBlockCheck:
     def test_first_failing_step_matches_checked_chain(self, monkeypatch, environment, kind,
                                                       mode, stride, failing):
         # the light turns on at step failing - 1 and its first step overflows
-        # to inf. Under the guard a radiative iterate stays between ambient,
-        # start and source, so only a start whose fourth power overflows
-        # diverges, at step 1: the guard is switched off to reach that body
-        # at any step, with a drive scale that overflows
+        # to inf. A flux that large would make run test every step, so its
+        # bound ratio is lifted to reach the block replay. Under the guard a
+        # radiative iterate stays between ambient, start and source, so only
+        # a start whose fourth power overflows diverges, at step 1: the guard
+        # is switched off to reach that body at any step, with a drive scale
+        # that overflows
         dt = 5.0
         if mode == "flux":
+            monkeypatch.setattr(simulate_module, "_BOUND_RATIO", math.inf)
             source, scale = HeatSource.constant_flux(1e308), 1.0
         else:
             monkeypatch.setattr(simulate_module, "_check_step", lambda *args: None)
@@ -599,6 +602,33 @@ class TestBlockCheck:
         assert assert_run_matches_checked_chain(wall, source, schedule, environment,
                                                 config).endswith("at t=7505 s")
 
+    @pytest.mark.parametrize("stride", (1, 3))
+    @pytest.mark.parametrize("case, failing", (("bilayer-pulse", 2), ("single-pulse", 502),
+                                               ("bilayer-hot-start", 1)))
+    def test_node_rounded_below_zero_k_within_a_block(self, environment, case, failing,
+                                                      stride):
+        # at dt equal to the limit a diagonal entry of the step matrix is
+        # about 0, so a step rounds by about eps times the hottest node. With
+        # that node ~1e16 times the coldest bound, another node can round to
+        # <= 0 K and recover before the block ends, where a block-end test
+        # misses it: run must test every step of such a run
+        silicone, lig = ThermalLayer(**SILICONE), ThermalLayer(**LIG)
+        source, initial = HeatSource.constant_flux(1e300), None
+        if case == "bilayer-pulse":  # the lig film alone takes a 1-step pulse at step 1
+            wall, on, n_steps = WallAssembly.bilayer(replace(silicone, absorptance=0.0), lig), 0, 8
+        elif case == "single-pulse":  # a 1-step pulse; the block starts and ends at 298 K
+            wall, on, n_steps = WallAssembly.single(silicone), 500, 1024
+        else:  # an example test_matches_checked_chain found: no drive, a 1e70 K lig start
+            wall, on, n_steps = WallAssembly.bilayer(silicone, lig), None, 5
+            source, initial = HeatSource.constant_flux(0.0), ThermalState(0.0, 250.0, 1e70)
+        dt = stability_limit(wall, source, environment)
+        schedule = (LightSchedule.off() if on is None
+                    else LightSchedule(((on * dt, (on + 1) * dt, 1.0),)))
+        config = SimConfig(duration=n_steps * dt, dt=dt, record_stride=stride)
+        error = assert_run_matches_checked_chain(wall, source, schedule, environment,
+                                                 config, initial)
+        assert error is not None and error.endswith(f"at t={failing * dt:g} s")
+
     @given(data=st.data(), bilayer=st.booleans(), radiative=st.booleans(),
            stride=st.integers(1, 12), n_steps=st.integers(1, 2200),
            fraction=st.floats(0.05, 1.0), on=st.integers(0, 2200),
@@ -621,7 +651,7 @@ class TestBlockCheck:
         initial = ThermalState(0.0, data.draw(temperature),
                                data.draw(temperature) if bilayer else None)
         start_max = max(AMBIENT_K, initial.silicone_temperature, initial.lig_temperature or 0.0)
-        limit = _stability_detail(wall, source, start_max, scale)[0]
+        limit = _time_constant(_coefficients(wall, source), start_max, scale)[0]
         assume(limit > 0.0)
         dt = fraction * min(limit, 10.0)
         schedule = LightSchedule(((on * dt, (on + length) * dt, scale),))
