@@ -181,8 +181,9 @@ def _time_constant(c: _Coefficients, start_max: float, scale: float) -> tuple[fl
     largest slope of the drive, scale * 4 sigma T^3 A / (1/eps_src +
     1/eps_layer - 1) at T = max(start_max, source temperature). Within the
     limit every entry of the step's Jacobian M = I + dt A is >= 0, so each
-    step is a monotone map and the temperatures stay between the coldest
-    and hottest of ambient, start and source. In the linear case
+    step is a monotone map and, up to rounding, the temperatures stay
+    between the coldest and hottest of ambient, start and source (see
+    _block_size for what rounding can do). In the linear case
     Gershgorin puts every eigenvalue of A within k/C of -(g + k)/C, so
     dt |lambda| <= (g + 2k)/(g + k) < 2.
     """

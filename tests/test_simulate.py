@@ -567,15 +567,16 @@ class TestBlockCheck:
     def test_first_failing_step_matches_checked_chain(self, monkeypatch, environment, kind,
                                                       mode, stride, failing):
         # the light turns on at step failing - 1 and its first step overflows
-        # to inf. A flux that large would make run test every step, so its
-        # bound ratio is lifted to reach the block replay. Under the guard a
+        # to inf. A flux that large would make run test every step, so full
+        # blocks are forced to reach the block replay. Under the guard a
         # radiative iterate stays between ambient, start and source, so only
         # a start whose fourth power overflows diverges, at step 1: the guard
         # is switched off to reach that body at any step, with a drive scale
         # that overflows
         dt = 5.0
         if mode == "flux":
-            monkeypatch.setattr(simulate_module, "_BOUND_RATIO", math.inf)
+            monkeypatch.setattr(simulate_module, "_block_size",
+                                lambda *args: simulate_module._BLOCK)
             source, scale = HeatSource.constant_flux(1e308), 1.0
         else:
             monkeypatch.setattr(simulate_module, "_check_step", lambda *args: None)
