@@ -430,6 +430,17 @@ class TestHeatSourceValidation:
         with pytest.raises(ValidationError, match="finite source_temperature"):
             HeatSource.radiative(value, 0.9)
 
+    @pytest.mark.parametrize("value", [0.0, -300.0])
+    def test_radiative_rejects_nonpositive_temperature(self, value):
+        with pytest.raises(ValidationError, match="source_temperature > 0"):
+            HeatSource.radiative(value, 0.9)
+
+    @pytest.mark.parametrize("value", [0.0, -0.2, 1.5, math.nan])
+    def test_radiative_rejects_emissivity_outside_unit_interval(self, value):
+        # the grey-body resistance divides by the source emissivity too
+        with pytest.raises(ValidationError, match=r"source_emissivity in \(0, 1\]"):
+            HeatSource.radiative(400.0, value)
+
     def test_environment_positive(self):
         with pytest.raises(ValidationError):
             Environment(0.0)

@@ -26,6 +26,7 @@ from phototherm import (
     run,
     series_from_trajectory,
     stability_limit,
+    steady_state,
 )
 import phototherm.simulate as simulate_module
 from phototherm.model import _coefficients
@@ -428,6 +429,23 @@ class TestRun:
         assert _time_constant(_coefficients(single_wall, source), 1e120, 0.0) == (
             TAU_SINGLE_S, "silicone")
 
+    @pytest.mark.parametrize("entry", ("run", "stability_limit", "steady_state"))
+    def test_source_whose_fourth_power_overflows_is_bad_input(self, single_wall,
+                                                              environment, entry):
+        # 1e80 K is a finite, valid source temperature, but sigma T^4 is not
+        # a float: each entry point that takes the grey-body constants
+        # reports a bad input, not an OverflowError
+        source = HeatSource.radiative(1e80, 0.9)
+        calls = {
+            "run": lambda: run(single_wall, source, ALWAYS_ON, environment,
+                               SimConfig(duration=1.0, dt=0.01)),
+            "stability_limit": lambda: stability_limit(single_wall, source, environment),
+            "steady_state": lambda: steady_state(single_wall, source, environment),
+        }
+        with pytest.raises(ValidationError,
+                           match=r"^source temperature 1e\+80 K is too high: its fourth power"):
+            calls[entry]()
+
     def test_radiative_stiffness_is_part_of_the_guard(self, environment):
         # a hot source on a thin film: the linear limit alone would pass
         # dt = 1 s and the run would diverge
@@ -459,8 +477,6 @@ class TestRun:
                 SimConfig(duration=1.0, dt=0.01))
 
     def test_radiative_run_approaches_its_steady_state(self, single_wall, environment):
-        from phototherm import steady_state
-
         source = HeatSource.radiative(500.0, 0.9)
         target = steady_state(single_wall, source, environment).silicone_temperature
         traj = run(single_wall, source, ALWAYS_ON, environment,
