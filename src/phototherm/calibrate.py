@@ -15,11 +15,11 @@ from functools import partial
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import MeasurementSeries, series_from_trajectory
+from .metrics import MeasurementSeries
 from .model import (Environment, HeatSource, SourceMode, WallAssembly, WallKind, _absorbed,
                     _coefficients, _Coefficients, _convective, _warn_absorptance_sum)
 from .simulate import (LightSchedule, SimConfig, _check_step, _constant_flux_on, _flux_grid,
-                       _FluxGrid, _resolve_channel, _time_constant, run)
+                       _FluxGrid, _integrate, _resolve_channel, _segments, _time_constant)
 
 #: tunable parameter names and the hard physical range each must stay inside
 PARAM_RANGES = {
@@ -29,17 +29,6 @@ PARAM_RANGES = {
     "h_Le": (0.0, math.inf),
     "Q_h": (0.0, math.inf),
     "scale": (0.0, math.inf),
-}
-
-#: the fields of the wall's constants (model._Coefficients) that each
-#: parameter sets; "scales" are the run scales
-_SETS = {
-    "alpha_s": ("q_s",),
-    "alpha_L": ("q_l",),
-    "h_se": ("g_s",),
-    "h_Le": ("g_l",),
-    "Q_h": ("q_s", "q_l"),
-    "scale": ("scales",),
 }
 
 _MAX_ITERATIONS = 500
@@ -88,16 +77,14 @@ class CalibrationProblem:
     config: SimConfig
     channel: str = "auto"
     # computed once per problem, the same for every candidate: the target
-    # grid and run scales, the wall's constants, the parameter values, the
-    # fields of the constants that the free parameters set, whether every
-    # candidate passes the stability guard, and the run config of a
-    # radiative objective
+    # grid and run scales, the wall's constants, the parameter values,
+    # whether every candidate passes the stability guard, and the number of
+    # steps a radiative objective takes
     _grid: _FluxGrid = field(init=False, repr=False, compare=False)
     _coef: _Coefficients = field(init=False, repr=False, compare=False)
     _values: dict = field(init=False, repr=False, compare=False)
-    _fields: tuple = field(init=False, repr=False, compare=False)
     _stable: bool = field(init=False, repr=False, compare=False)
-    _run_config: SimConfig = field(init=False, repr=False, compare=False)
+    _steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "free", tuple(self.free))
@@ -124,25 +111,17 @@ class CalibrationProblem:
                   "Q_h": self.source.power, "scale": 1.0}
         if lig is not None:
             values.update(alpha_L=lig.absorptance, h_Le=lig.conv_coeff)
-        coef = _coefficients(self.assembly, self.source)
         set_field("_grid", _flux_grid(self.schedule, self.config, self.target.times))
-        set_field("_coef", coef)
+        set_field("_coef", _coefficients(self.assembly, self.source))
         set_field("_values", values)
-        # a field the wall or the source lacks (None) stays unset
-        set_field("_fields", tuple(dict.fromkeys(
-            f for name in names for f in _SETS[name]
-            if f == "scales" or getattr(coef, f) is not None)))
         set_field("_stable", _box_is_stable(self))
         # a radiative run need not go past the last target: stop one step
         # after its upper bracketing step, a margin for the rounding of
         # t / dt against the recorded stamps step * dt. A box with no
         # stable point runs in full, so that run's guard raises as before.
-        set_field("_run_config", self.config)
         steps = math.floor(self.target.times[-1] / self.config.dt) + 2
-        if self._stable and steps < self.config.n_steps:
-            short = replace(self.config, duration=steps * self.config.dt)
-            if short.n_steps == steps:
-                set_field("_run_config", short)
+        set_field("_steps", min(steps, self.config.n_steps) if self._stable
+                  else self.config.n_steps)
 
 
 @dataclass(frozen=True)
@@ -189,34 +168,23 @@ def apply_named_parameter(assembly: WallAssembly, source: HeatSource,
     return WallAssembly(kind=assembly.kind, silicone=sil, lig=lig), source, schedule
 
 
-def _apply(problem: CalibrationProblem, candidate) -> tuple[WallAssembly, HeatSource, LightSchedule]:
-    assembly, source, schedule = problem.assembly, problem.source, problem.schedule
-    for spec, value in zip(problem.free, candidate):
-        assembly, source, schedule = apply_named_parameter(
-            assembly, source, schedule, spec.name, value)
-    return assembly, source, schedule
-
-
 def _coefficients_at(problem: CalibrationProblem, values: dict
                      ) -> tuple[_Coefficients, np.ndarray]:
     """The wall's constants and the run scales at these parameter values.
-    Only the fields the free parameters set are recomputed, each from the
-    final values with the expression of model._coefficients, so the order
-    in which the parameters are applied does not matter."""
-    sil, lig = problem.assembly.silicone, problem.assembly.lig
-    scales, fields = problem._grid.scales, {}
-    for name in problem._fields:
-        if name == "q_s":
-            fields[name] = _absorbed(values["alpha_s"], values["Q_h"])
-        elif name == "q_l":
-            fields[name] = _absorbed(values["alpha_L"], values["Q_h"])
-        elif name == "g_s":
-            fields[name] = _convective(sil.conv_faces, values["h_se"], sil.area)
-        elif name == "g_l":
-            fields[name] = _convective(lig.conv_faces, values["h_Le"], lig.area)
-        else:  # the floats of LightSchedule.scaled
-            scales = scales * values["scale"]
-    return problem._coef._replace(**fields), scales
+    Every field a parameter can set and the wall and source carry (g_s,
+    g_l, q_s, q_l) and the scales are recomputed from the final values,
+    each with the expression of model._coefficients and
+    LightSchedule.scaled. A parameter at its problem value gives back the
+    same float, and the order in which parameters are set does not matter."""
+    c, sil, lig = problem._coef, problem.assembly.silicone, problem.assembly.lig
+    fields = {"g_s": _convective(sil.conv_faces, values["h_se"], sil.area)}
+    if lig is not None:
+        fields["g_l"] = _convective(lig.conv_faces, values["h_Le"], lig.area)
+    if c.q_s is not None:  # a constant flux
+        fields["q_s"] = _absorbed(values["alpha_s"], values["Q_h"])
+        if lig is not None:
+            fields["q_l"] = _absorbed(values["alpha_L"], values["Q_h"])
+    return c._replace(**fields), problem._grid.scales * values["scale"]
 
 
 def _box_is_stable(problem: CalibrationProblem) -> bool:
@@ -263,10 +231,10 @@ def objective(problem: CalibrationProblem, candidate) -> float:
     """Sum of squared sim-minus-measured temperature errors, in K^2.
 
     The trajectory is sampled at the target time stamps by linear
-    interpolation. Constant-flux problems evaluate the Euler iterates in
-    closed form at those stamps only, from the problem's wall constants
-    with the fields the candidate sets recomputed. Radiative ones step the
-    run up to the last target.
+    interpolation. Both source modes take the wall constants at the
+    candidate from `_coefficients_at`. Constant-flux problems evaluate the
+    Euler iterates in closed form at those stamps only. Radiative ones step
+    those constants up to the last target.
     """
     candidate = [float(v) for v in candidate]
     if len(candidate) != len(problem.free):
@@ -274,23 +242,27 @@ def objective(problem: CalibrationProblem, candidate) -> float:
     for spec, value in zip(problem.free, candidate):
         if not spec.lower <= value <= spec.upper:
             raise ValidationError(f"{spec.name}={value!r} is outside its bounds")
+    # the box's bounds already hold every check the model's constructors
+    # would make at the candidate, but the absorptance sum's warning
+    values = {**problem._values, **{s.name: v for s, v in zip(problem.free, candidate)}}
+    if problem.assembly.kind is WallKind.BILAYER:
+        _warn_absorptance_sum(values["alpha_s"], values["alpha_L"])
+    c, scales = _coefficients_at(problem, values)
+    theta_e, dt = problem.env.ambient_temperature, problem.config.dt
     if problem.source.mode is SourceMode.CONSTANT_FLUX:
-        # the box's bounds already hold every check the model's constructors
-        # would make at the candidate, but the absorptance sum's warning
-        values = {**problem._values, **{s.name: v for s, v in zip(problem.free, candidate)}}
-        if problem.assembly.kind is WallKind.BILAYER:
-            _warn_absorptance_sum(values["alpha_s"], values["alpha_L"])
-        c, scales = _coefficients_at(problem, values)
-        theta_e, dt = problem.env.ambient_temperature, problem.config.dt
         if not problem._stable:  # a stable box needs no check (see _box_is_stable)
             _check_step(c, dt, theta_e, 1.0)
         channel = _resolve_channel(problem.assembly.kind, problem.channel)
         simulated = _constant_flux_on(problem._grid, c, scales, theta_e, dt, channel)
     else:
-        assembly, source, schedule = _apply(problem, candidate)
-        trajectory = run(assembly, source, schedule, problem.env, problem._run_config)
-        series = series_from_trajectory(trajectory, problem.channel)
-        simulated = np.interp(problem.target.times, series.times, series.values)
+        # the runs of the shortened grid are the first runs of the full one,
+        # the last one cut at _steps; the guard is _integrate's
+        runs = [(i0, i1, scale) for (i0, i1, _), scale
+                in zip(_segments(problem.schedule, problem._steps, dt), scales.tolist())]
+        trajectory = _integrate(c, runs, theta_e, theta_e, theta_e, dt, problem._steps, 1)
+        channel = _resolve_channel(problem.assembly.kind, problem.channel)
+        column = trajectory.lig if channel == "theta_L" else trajectory.silicone
+        simulated = np.interp(problem.target.times, trajectory.times, column)
     diff = simulated - problem.target.values
     return float(diff @ diff)
 

@@ -340,9 +340,11 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
     binds p and the lig's net gain have the same nonzero sign; without it
     a silicone drive much larger than k can put theta_L below 0 K near
     ambient, where the residual has the wrong sign. The returned state
-    carries time 0.
+    carries time 0. A constant-flux steady state beyond the float range is
+    a ValidationError.
     """
-    _require(scale >= 0.0, "scale must be non-negative")
+    _require(scale >= 0.0 and math.isfinite(scale),
+             f"scale must be finite and >= 0, got {scale!r}")
     theta_e = env.ambient_temperature
     bilayer = assembly.kind is WallKind.BILAYER
 
@@ -354,19 +356,25 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
                 return ThermalState(0.0, theta_e)
             if c.g_s <= 0.0:
                 raise NumericalError("no loss path: steady state undefined under drive")
-            return ThermalState(0.0, theta_e + q_s / c.g_s)
-        g_s, g_l, k, q_l = c.g_s, c.g_l, c.k, c.q_l * scale
-        if q_s == 0.0 and q_l == 0.0:
-            return ThermalState(0.0, theta_e, theta_e)
-        # zeroed balances in excess temperatures (v, u) = (Ts - Te, Tl - Te):
-        #   (g_s + k) v - k u = q_s
-        #   -k v + (g_l + k) u = q_l
-        det = (g_s + k) * (g_l + k) - k * k
-        if det <= 0.0:
-            raise NumericalError("no loss path: steady state undefined under drive")
-        v = (q_s * (g_l + k) + k * q_l) / det
-        u = ((g_s + k) * q_l + k * q_s) / det
-        return ThermalState(0.0, theta_e + v, theta_e + u)
+            temperatures = (theta_e + q_s / c.g_s,)
+        else:
+            g_s, g_l, k, q_l = c.g_s, c.g_l, c.k, c.q_l * scale
+            if q_s == 0.0 and q_l == 0.0:
+                return ThermalState(0.0, theta_e, theta_e)
+            # zeroed balances in excess temperatures (v, u) = (Ts - Te, Tl - Te):
+            #   (g_s + k) v - k u = q_s
+            #   -k v + (g_l + k) u = q_l
+            det = (g_s + k) * (g_l + k) - k * k
+            if det <= 0.0:
+                raise NumericalError("no loss path: steady state undefined under drive")
+            v = (q_s * (g_l + k) + k * q_l) / det
+            u = ((g_s + k) * q_l + k * q_s) / det
+            temperatures = (theta_e + v, theta_e + u)
+        # the drive is >= 0, so only an overflow leaves the float range
+        _require(all(map(math.isfinite, temperatures)),
+                 f"the steady state under a {source.power:g} W flux at scale {scale:g} "
+                 "overflows a float; lower the power or the scale")
+        return ThermalState(0.0, *temperatures)
 
     # radiative mode: one bisection in theta_s on the net power into the wall
     theta_h = source.source_temperature

@@ -17,7 +17,6 @@ from .model import (
     STEFAN_BOLTZMANN,
     Environment,
     HeatSource,
-    SourceMode,
     ThermalState,
     WallAssembly,
     WallKind,
@@ -59,8 +58,6 @@ class LightSchedule:
                 raise ValidationError(f"interval start must be finite and >= 0, got {start!r}")
             if not end > start:
                 raise ValidationError(f"interval ({start}, {end}) must have start < end")
-            if math.isnan(end):
-                raise ValidationError("interval end must not be NaN")
             if start < prev_end:
                 raise ValidationError("intervals must be sorted and non-overlapping")
             if not (scale >= 0.0 and math.isfinite(scale)):
@@ -291,7 +288,7 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     Starts from ambient temperature unless an explicit initial state is
     given (its time stamp is ignored; integration always starts at t = 0).
     Recording keeps every record_stride-th step, first sample at t = 0.
-    Before it allocates anything, it rejects a run that would record more
+    Before it steps or records, it rejects a run that would record more
     than _MAX_SAMPLES samples (a 1 GiB budget) or take more than _MAX_STEPS
     steps. It rejects dt above the stability limit of this start and
     schedule, naming the limiting layer, and raises NumericalError at the
@@ -300,7 +297,28 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     bit-identical trajectories; tests/reference_stepper.py steps the same
     floats one forward-Euler step at a time.
     """
-    dt, n_steps, stride = config.dt, config.n_steps, config.record_stride
+    theta_e = env.ambient_temperature
+    if initial is None:
+        ts = tl = theta_e
+    else:
+        bilayer = assembly.kind is WallKind.BILAYER
+        if bilayer and initial.lig_temperature is None:
+            raise KindMismatchError("bilayer run needs an initial lig_temperature")
+        ts = initial.silicone_temperature
+        tl = initial.lig_temperature if bilayer else theta_e
+    dt, n_steps = config.dt, config.n_steps
+    return _integrate(_coefficients(assembly, source), _segments(schedule, n_steps, dt),
+                      theta_e, ts, tl, dt, n_steps, config.record_stride)
+
+
+def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
+               dt: float, n_steps: int, stride: int) -> Trajectory:
+    """`run` for a wall with the constants c, from silicone and lig start
+    temperatures ts and tl (tl is ambient on a single layer), over the
+    (start_step, end_step, scale) runs of `_segments` that cover [0,
+    n_steps). The wall kind and source mode are those of c. It makes every
+    check `run` lists. Each scale must be a Python float: a numpy float64
+    in the loop bodies makes every step several times slower."""
     samples = n_steps // stride + 1
     if samples > _MAX_SAMPLES:
         raise ValidationError(
@@ -311,24 +329,12 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
         raise ValidationError(
             f"dt={dt:g} s would take {n_steps:.4g} steps, more than the {_MAX_STEPS:.0e} "
             "a run may take; raise dt")
-    bilayer = assembly.kind is WallKind.BILAYER
-    theta_e = env.ambient_temperature
-    if initial is None:
-        ts = tl = theta_e
-    else:
-        if bilayer and initial.lig_temperature is None:
-            raise KindMismatchError("bilayer run needs an initial lig_temperature")
-        ts = initial.silicone_temperature
-        tl = initial.lig_temperature if bilayer else theta_e
-
-    segments = _segments(schedule, n_steps, dt)
-    c = _coefficients(assembly, source)
     max_scale = max(scale for _, _, scale in segments)
     _check_step(c, dt, max(theta_e, ts, tl), max_scale)
     first_block = _block_size(c, theta_e, ts, tl, max_scale, n_steps * dt)
     cap_s, cap_l, g_s, g_l, k = c.cap_s, c.cap_l, c.g_s, c.g_l, c.k
     th4, a_s, r_s, a_l, r_l = c.th4, c.a_s, c.r_s, c.a_l, c.r_l
-    radiative = source.mode is SourceMode.RADIATIVE_BODY
+    bilayer, radiative = k is not None, th4 is not None
 
     # one straight-line loop body per wall kind and source mode. Each node
     # gains dt * (drive - g (T - theta_e) +- k (T_lig - T_sil)) / C, with the

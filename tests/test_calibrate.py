@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phototherm.calibrate as calibrate_module
+import phototherm.simulate as simulate_module
 from phototherm import (
     CalibrationProblem,
     Environment,
@@ -422,19 +424,20 @@ class TestCandidateChecks:
 
     def test_absorptance_sum_above_one_warns_once_per_call(self):
         # both absorptances free: the warning looks at their final values,
-        # once, whatever the order they are applied in
+        # once, whatever the order they are applied in, under either source
         target = synthetic_target(make_bilayer())
-        problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
-                               ParamSpec("alpha_s", 0.0, 0.5, 0.17))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            objective(problem, [0.9, 0.3])
-        assert [str(w.message) for w in caught] == [
-            "layer absorptances sum to 1.2000 > 1; "
-            "more power absorbed than supplied is unphysical"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            objective(problem, [0.8, 0.1])  # sums to 0.9
+        flux = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                            ParamSpec("alpha_s", 0.0, 0.5, 0.17))
+        for problem in (flux, replace(flux, source=HeatSource.radiative(373.0, 0.9))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                objective(problem, [0.9, 0.3])
+            assert [str(w.message) for w in caught] == [
+                "layer absorptances sum to 1.2000 > 1; "
+                "more power absorbed than supplied is unphysical"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                objective(problem, [0.8, 0.1])  # sums to 0.9
 
     @pytest.mark.filterwarnings("ignore:layer absorptances sum:UserWarning")
     def test_fit_warns_at_the_fitted_point_only(self):
@@ -450,28 +453,53 @@ class TestCandidateChecks:
         assert str(caught[0].message).startswith("layer absorptances sum to 1.07")
 
 
+def radiative_problem(bilayer=True, last=60.0, free=(ParamSpec("scale", 0.1, 2.0, 1.0),
+                                                     ParamSpec("h_se", 2.0, 12.0, 6.0)),
+                      channel="auto", config=SimConfig(duration=60.0, dt=0.01)):
+    """A radiative problem with 40 targets up to last, on a schedule whose
+    second interval is on until the end."""
+    wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
+    times = np.linspace(0.0, last, 40)
+    return CalibrationProblem(
+        target=MeasurementSeries(times, AMBIENT_K + 0.3 * times), free=free, assembly=wall,
+        source=HeatSource.radiative(373.0, 0.9), env=Environment(AMBIENT_K),
+        schedule=LightSchedule(((0.0, 15.0, 1.0), (20.0, math.inf, 0.5))), config=config,
+        channel=channel)
+
+
 class TestRadiativeObjective:
-    @pytest.mark.parametrize("bilayer", [True, False], ids=["bilayer", "single"])
-    @pytest.mark.parametrize("last", [23.0, 23.004, 59.999, 60.0])
-    def test_stops_after_the_last_target_with_the_same_value(self, bilayer, last):
+    @pytest.mark.parametrize("bilayer, free_h, channel", [
+        (True, "h_se", "auto"), (False, "h_se", "auto"), (True, "h_Le", "auto"),
+        (True, "h_se", "theta_s")], ids=["bilayer", "single", "bilayer-h_Le", "bilayer-theta_s"])
+    @pytest.mark.parametrize("last", [17.0, 23.0, 23.004, 59.999, 60.0])
+    def test_stops_after_the_last_target_with_the_same_value(self, bilayer, free_h, channel,
+                                                             last):
         # the run stops one step after the last target's upper bracketing
-        # step; the value equals interpolating the full-duration run
-        wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
-        source, env = HeatSource.radiative(373.0, 0.9), Environment(AMBIENT_K)
-        schedule = LightSchedule(((0.0, 15.0, 1.0), (20.0, math.inf, 0.5)))
-        config = SimConfig(duration=60.0, dt=0.01)
-        times = np.linspace(0.0, last, 40)
-        values = AMBIENT_K + 0.3 * times
-        free = (ParamSpec("scale", 0.1, 2.0, 1.0), ParamSpec("h_se", 2.0, 12.0, 6.0))
-        problem = CalibrationProblem(
-            target=MeasurementSeries(times, values), free=free, assembly=wall,
-            source=source, env=env, schedule=schedule, config=config)
-        assert problem._run_config.n_steps == min(6000, math.floor(last / 0.01) + 2)
+        # step, before the second interval at 17 s; the value equals
+        # interpolating the full-duration run
+        free = (ParamSpec("scale", 0.1, 2.0, 1.0), ParamSpec(free_h, 2.0, 12.0, 6.0))
+        problem = radiative_problem(bilayer, last, free, channel)
+        assert problem._steps == min(6000, math.floor(last / 0.01) + 2)
+        times, values = problem.target.times, problem.target.values
         for candidate in ([0.7, 6.0], [1.9, 11.5], [0.1, 2.0]):
-            assembly, src, sched = wall, source, schedule
+            assembly, src, sched = problem.assembly, problem.source, problem.schedule
             for spec, value in zip(free, candidate):
                 assembly, src, sched = apply_named_parameter(assembly, src, sched,
                                                              spec.name, value)
-            series = series_from_trajectory(run(assembly, src, sched, env, config))
+            trajectory = run(assembly, src, sched, problem.env, problem.config)
+            series = series_from_trajectory(trajectory, channel)
             diff = np.interp(times, series.times, series.values) - values
             assert objective(problem, candidate) == float(diff @ diff)
+
+    @pytest.mark.parametrize("limit", ["_MAX_SAMPLES", "_MAX_STEPS"])
+    def test_run_over_its_limits_raises_runs_error(self, monkeypatch, limit):
+        # the run, shortened to 2302 steps, is over either limit at 2000
+        monkeypatch.setattr(simulate_module, limit, 2000)
+        problem = radiative_problem(last=23.0)
+        assert problem._steps == 2302
+        short = SimConfig(duration=23.02, dt=0.01)
+        with pytest.raises(ValidationError) as expected:
+            run(problem.assembly, problem.source, problem.schedule, problem.env, short)
+        with pytest.raises(ValidationError) as raised:
+            objective(problem, [1.0, 6.0])
+        assert str(raised.value) == str(expected.value)

@@ -42,6 +42,15 @@ class TestSteady:
         assert code == 0
         assert float(parse_report(out)["theta_s_K"]) == 298.0
 
+    @pytest.mark.parametrize("preset, scale, message", [
+        ("table1_bilayer", "inf", "scale must be finite and >= 0, got inf"),
+        ("table1_single", "1e308", "the steady state under a 0.075 W flux at scale 1e+308 "
+                                   "overflows a float; lower the power or the scale")])
+    def test_scale_beyond_the_float_range_exits_2(self, capsys, preset, scale, message):
+        code, out, err = run_cli(capsys, "steady", "--preset", preset, "--scale", scale)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestSimulateAndMetrics:
     def test_paper_flow_bilayer(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,25 @@ class TestSteadyState:
         assert both.lig_temperature == AMBIENT_K
         lone = steady_state(single_wall, flux_source, environment, scale=0.0)
         assert lone.silicone_temperature == AMBIENT_K
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("source", [FLUX, HeatSource.radiative(373.0, 0.9)],
+                             ids=["flux", "radiative"])
+    def test_rejects_scale_not_finite_and_non_negative(self, bilayer_wall, environment,
+                                                       source, scale):
+        with pytest.raises(ValidationError,
+                           match=rf"^scale must be finite and >= 0, got {scale!r}$"):
+            steady_state(bilayer_wall, source, environment, scale=scale)
+
+    @pytest.mark.parametrize("power, scale", [(1e308, 1.0), (POWER_W, 1e308)])
+    @pytest.mark.parametrize("wall", ["single_wall", "bilayer_wall"])
+    def test_flux_beyond_the_float_range_is_bad_input(self, request, environment, wall,
+                                                      power, scale):
+        message = (f"the steady state under a {power:g} W flux at scale {scale:g} "
+                   "overflows a float; lower the power or the scale")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            steady_state(request.getfixturevalue(wall), HeatSource.constant_flux(power),
+                         environment, scale=scale)
 
     @given(st.floats(0.01, 5.0), st.floats(0.01, 5.0))
     @settings(max_examples=50)

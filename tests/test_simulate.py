@@ -53,6 +53,11 @@ class TestLightSchedule:
         with pytest.raises(ValidationError):
             LightSchedule(((5.0, 5.0, 1.0),))
 
+    def test_nan_end_fails_the_span_check(self):
+        with pytest.raises(ValidationError,
+                           match=r"^interval \(0\.0, nan\) must have start < end$"):
+            LightSchedule(((0.0, math.nan, 1.0),))
+
     def test_rejects_negative_scale(self):
         with pytest.raises(ValidationError):
             LightSchedule(((0.0, 5.0, -0.1),))
