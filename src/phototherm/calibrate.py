@@ -77,13 +77,12 @@ class CalibrationProblem:
     config: SimConfig
     channel: str = "auto"
     # computed once per problem, the same for every candidate: the target
-    # grid and run scales, the wall's constants, the parameter values,
-    # whether every candidate passes the stability guard, and the number of
-    # steps a radiative objective takes
+    # grid and run scales, the wall's constants, the parameter values, the
+    # resolved channel and the number of steps a radiative objective takes
     _grid: _FluxGrid = field(init=False, repr=False, compare=False)
     _coef: _Coefficients = field(init=False, repr=False, compare=False)
     _values: dict = field(init=False, repr=False, compare=False)
-    _stable: bool = field(init=False, repr=False, compare=False)
+    _channel: str = field(init=False, repr=False, compare=False)
     _steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,9 +98,6 @@ class CalibrationProblem:
             raise ValidationError("target span must not exceed the simulated duration")
         for name in names:
             _check_applicable(name, self.assembly, self.source)
-        # interpolation error must stay bounded by the integration step
-        if self.config.record_stride != 1:
-            object.__setattr__(self, "config", replace(self.config, record_stride=1))
         for spec in self.free:  # a rescaled interval must stay finite
             if spec.name == "scale":
                 self.schedule.scaled(spec.upper)
@@ -114,14 +110,13 @@ class CalibrationProblem:
         set_field("_grid", _flux_grid(self.schedule, self.config, self.target.times))
         set_field("_coef", _coefficients(self.assembly, self.source))
         set_field("_values", values)
-        set_field("_stable", _box_is_stable(self))
+        _check_box(self)
+        set_field("_channel", _resolve_channel(self.assembly.kind, self.channel))
         # a radiative run need not go past the last target: stop one step
         # after its upper bracketing step, a margin for the rounding of
-        # t / dt against the recorded stamps step * dt. A box with no
-        # stable point runs in full, so that run's guard raises as before.
+        # t / dt against the recorded stamps step * dt
         steps = math.floor(self.target.times[-1] / self.config.dt) + 2
-        set_field("_steps", min(steps, self.config.n_steps) if self._stable
-                  else self.config.n_steps)
+        set_field("_steps", min(steps, self.config.n_steps))
 
 
 @dataclass(frozen=True)
@@ -187,33 +182,35 @@ def _coefficients_at(problem: CalibrationProblem, values: dict
     return c._replace(**fields), problem._grid.scales * values["scale"]
 
 
-def _box_is_stable(problem: CalibrationProblem) -> bool:
-    """Whether every candidate in the box passes the stability guard.
+def _check_box(problem: CalibrationProblem) -> None:
+    """Reject a box in which some candidate breaks the stability guard.
 
     The guard's loss conductances grow with h_se and h_Le and, under a
     radiative source, with the drive scale; the absorptances and Q_h do not
     enter them. So, in those parameters, the box's upper corner is its
     least stable point and its lower corner its most stable one. The box
-    is stable when its upper corner is. When its lower corner is not,
-    no candidate is, and objective raises the guard's StabilityError.
-    Every other box is rejected with a ValidationError that names a
+    is stable when its upper corner is. When its lower corner is not, no
+    candidate is, and this raises the guard's StabilityError at the initial
+    point. Every other box is rejected with a ValidationError that names a
     parameter and the largest stable upper bound for it.
     """
     radiative = problem.source.mode is SourceMode.RADIATIVE_BODY
     guarded = [s for s in problem.free
                if s.name in ("h_se", "h_Le") or (radiative and s.name == "scale")]
-    dt = problem.config.dt
+    dt, theta_e = problem.config.dt, problem.env.ambient_temperature
 
     def limit(**at) -> tuple[float, str]:
         c, scales = _coefficients_at(problem, {**problem._values, **at})
-        return _time_constant(c, problem.env.ambient_temperature, float(scales.max()))
+        return _time_constant(c, theta_e, float(scales.max()))
 
     top = {s.name: s.upper for s in guarded}
     tau, layer = limit(**top)
     if dt <= tau:
-        return True
+        return
     if dt > limit(**{s.name: s.lower for s in guarded})[0]:
-        return False
+        c, scales = _coefficients_at(
+            problem, {**problem._values, **{s.name: s.initial for s in problem.free}})
+        _check_step(c, dt, theta_e, float(scales.max()))  # raises: see above
     unstable = (f"dt={dt:g} s exceeds the stability limit {tau:.6g} s set by the {layer} "
                 "layer at the upper bound")
     for s in guarded:
@@ -250,18 +247,14 @@ def objective(problem: CalibrationProblem, candidate) -> float:
     c, scales = _coefficients_at(problem, values)
     theta_e, dt = problem.env.ambient_temperature, problem.config.dt
     if problem.source.mode is SourceMode.CONSTANT_FLUX:
-        if not problem._stable:  # a stable box needs no check (see _box_is_stable)
-            _check_step(c, dt, theta_e, 1.0)
-        channel = _resolve_channel(problem.assembly.kind, problem.channel)
-        simulated = _constant_flux_on(problem._grid, c, scales, theta_e, dt, channel)
+        simulated = _constant_flux_on(problem._grid, c, scales, theta_e, dt, problem._channel)
     else:
         # the runs of the shortened grid are the first runs of the full one,
         # the last one cut at _steps; the guard is _integrate's
         runs = [(i0, i1, scale) for (i0, i1, _), scale
                 in zip(_segments(problem.schedule, problem._steps, dt), scales.tolist())]
         trajectory = _integrate(c, runs, theta_e, theta_e, theta_e, dt, problem._steps, 1)
-        channel = _resolve_channel(problem.assembly.kind, problem.channel)
-        column = trajectory.lig if channel == "theta_L" else trajectory.silicone
+        column = trajectory.lig if problem._channel == "theta_L" else trajectory.silicone
         simulated = np.interp(problem.target.times, trajectory.times, column)
     diff = simulated - problem.target.values
     return float(diff @ diff)

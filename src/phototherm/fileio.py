@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import PARAM_RANGES, apply_named_parameter
+from .calibrate import PARAM_RANGES, _check_applicable, apply_named_parameter
 from .errors import ConfigError, PhotothermError, SeriesFormatError, ValidationError
 from .metrics import (
     FinalConvention,
@@ -37,7 +37,7 @@ from .model import (
     WallKind,
     steady_state,
 )
-from .simulate import LightSchedule, SimConfig, Trajectory, run
+from .simulate import LightSchedule, SimConfig, Trajectory, _resolve_channel, run
 
 TRAJECTORY_HEADER = "t_s,theta_s_K,theta_L_K"
 SERIES_HEADER = "time_s,value"
@@ -598,18 +598,23 @@ def run_sweep(config: RunConfig, sweep: SweepSpec) -> SweepResult:
     """Evaluate the requested outputs at every sweep point.
 
     Rows keep the input order; a point that fails validation or simulation
-    is marked failed and the sweep continues.
+    is marked failed and the sweep continues. A parameter, or a channel an
+    output reads, that the scenario lacks fails the sweep before any point.
     """
     if "plateau" in sweep.outputs and (config.plateau_threshold is None
                                        or config.plateau_window is None):
         raise ConfigError("plateau output needs plateau_threshold and plateau_window "
                           "in the [metrics] config section")
+    if sweep.param != "distance":
+        _check_applicable(sweep.param, config.assembly, config.source)
+    needs_run = any(o in sweep.outputs for o in ("t63", "peak", "plateau"))
+    if needs_run:
+        _resolve_channel(config.assembly.kind, config.channel)
 
     columns = ["index", "param", "value", "scale", "status"]
     for output in sweep.outputs:
         columns.extend(_OUTPUT_COLUMNS[output])
 
-    needs_run = any(o in sweep.outputs for o in ("t63", "peak", "plateau"))
     rows = []
     failures = 0
     for index, point in enumerate(sweep.points):

@@ -228,11 +228,9 @@ def _grey_body(theta_hot: float, eps_hot: float, eps_cold: float,
     net power a hot grey surface radiates to a cold one,
     sigma (theta_hot^4 - Tc^4) area / (1/eps_hot + 1/eps_cold - 1). Callers
     hold the hot side fixed, take them once and evaluate
-    sigma * (th4 - Tc^4) * area / resistance per cold temperature Tc."""
-    _require(theta_hot > 0.0, "temperatures must be > 0 K")
-    _require(0.0 < eps_hot <= 1.0, f"emissivity must lie in (0, 1], got {eps_hot!r}")
+    sigma * (th4 - Tc^4) * area / resistance per cold temperature Tc.
+    HeatSource and ThermalLayer check every input but a layer emissivity of 0."""
     _require(0.0 < eps_cold <= 1.0, f"emissivity must lie in (0, 1], got {eps_cold!r}")
-    _require(area > 0.0, "area must be strictly positive")
     try:
         th4 = theta_hot ** 4
     except OverflowError:

@@ -407,7 +407,7 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
 
 @dataclass(frozen=True, eq=False)
 class _FluxGrid:
-    """The part of `_constant_flux_at` that depends only on the schedule's
+    """The part of `_constant_flux_on` that depends only on the schedule's
     run boundaries, the step grid and the target times, not on the model:
     run lengths, and for each target's lower then upper bracketing step its
     run index and the steps into that run (a column), plus each target's
@@ -422,7 +422,7 @@ class _FluxGrid:
 
 
 def _flux_grid(schedule: LightSchedule, config: SimConfig, times) -> _FluxGrid:
-    """The target grid of `_constant_flux_at` for these times. It stays valid
+    """The target grid of `_constant_flux_on` for these times. It stays valid
     for any schedule with the same interval bounds, such as a rescaled one."""
     dt, n_steps = config.dt, config.n_steps
     # run r covers steps (start, end]
@@ -436,27 +436,11 @@ def _flux_grid(schedule: LightSchedule, config: SimConfig, times) -> _FluxGrid:
     return _FluxGrid(ends - starts, r, (steps - starts[r])[:, None], weight, scales)
 
 
-def _constant_flux_at(assembly: WallAssembly, source: HeatSource,
-                      schedule: LightSchedule, env: Environment,
-                      config: SimConfig, times, channel: str) -> np.ndarray:
-    """One channel of the trajectory `run` would record from ambient under a
-    constant-flux source, linearly interpolated at the strictly increasing
-    times (clamped to the recorded span, like np.interp), without stepping.
-    It checks dt against the stability guard and resolves the channel, then
-    evaluates `_constant_flux_on` on `_flux_grid(schedule, config, times)`."""
-    c = _coefficients(assembly, source)
-    _check_step(c, config.dt, env.ambient_temperature, 1.0)
-    channel = _resolve_channel(assembly.kind, channel)
-    grid = _flux_grid(schedule, config, times)
-    return _constant_flux_on(grid, c, grid.scales, env.ambient_temperature, config.dt,
-                             channel)
-
-
 def _constant_flux_on(grid: _FluxGrid, c: _Coefficients, scales: np.ndarray,
                       theta_e: float, dt: float, channel: str) -> np.ndarray:
-    """`_constant_flux_at` for a wall with the constants c, on a target grid
-    built by `_flux_grid` from a schedule with the interval bounds of the
-    one whose run scales are scales, for a resolved channel.
+    """A resolved channel of what `run` records from ambient under a constant
+    flux, interpolated at grid's target times like np.interp, for a wall with
+    the constants c and a schedule with grid's interval bounds and run scales.
 
     In excess temperatures x = theta - theta_e one Euler step is the affine
     map x -> M x + dt f with M = I + dt A. A is similar to the symmetric

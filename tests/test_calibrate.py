@@ -123,12 +123,23 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.7), config=short)
 
-    def test_record_stride_forced_to_one(self):
-        target = synthetic_target(make_bilayer())
-        problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.7),
-                               config=SimConfig(duration=150.0, dt=0.01,
-                                                record_stride=50))
-        assert problem.config.record_stride == 1
+    @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
+    def test_record_stride_leaves_the_objective_bit_identical(self, radiative):
+        # the objective reads the step grid, not the samples a run records,
+        # and the problem keeps the caller's config
+        target = synthetic_target(make_bilayer(absorptance=0.70))
+
+        def build(stride):
+            config = SimConfig(duration=150.0, dt=0.01, record_stride=stride)
+            if radiative:
+                return radiative_problem(config=config)
+            return make_problem(target, ParamSpec("scale", 0.1, 2.0, 1.0),
+                                ParamSpec("h_se", 2.0, 12.0, 6.0), config=config)
+
+        strided, every = build(50), build(1)
+        assert strided.config.record_stride == 50
+        for candidate in ([0.7, 6.0], [1.9, 11.5], [0.1, 2.0]):
+            assert repr(objective(strided, candidate)) == repr(objective(every, candidate))
 
 
 class TestObjective:
@@ -163,25 +174,27 @@ class TestObjective:
             objective(problem, [0.49])
 
     def test_step_above_stability_limit_raises(self):
-        # the bilayer preset's film limits the step to 0.128 s
+        # the bilayer preset's film limits the step to 0.128 s for every
+        # candidate, so building the problem raises the guard's error
         target = synthetic_target(make_bilayer())
-        problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
-                               config=SimConfig(duration=150.0, dt=0.2))
         with pytest.raises(StabilityError, match="set by the lig layer") as info:
-            objective(problem, [0.83])
+            make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                         config=SimConfig(duration=150.0, dt=0.2))
         assert info.value.limiting_layer == "lig"
         assert info.value.limit == pytest.approx(0.12844, abs=1e-5)
 
     def test_lig_channel_on_single_layer_raises(self):
+        # the channel is resolved when the problem is built
         single = WallAssembly.single(ThermalLayer(**SILICONE))
         target = synthetic_target(single)
-        problem = CalibrationProblem(
-            target=target, free=(ParamSpec("h_se", 2.0, 12.0, 6.0),),
-            assembly=single, source=HeatSource.constant_flux(POWER_W),
-            env=Environment(AMBIENT_K), schedule=SCHEDULE, config=CONFIG,
-            channel="theta_L")
-        with pytest.raises(KindMismatchError):
-            objective(problem, [6.0])
+        for channel, message in (("theta_L", "single-layer trajectory has no lig channel"),
+                                 ("bogus", "unknown trajectory channel 'bogus'")):
+            with pytest.raises(KindMismatchError, match=f"^{re.escape(message)}$"):
+                CalibrationProblem(
+                    target=target, free=(ParamSpec("h_se", 2.0, 12.0, 6.0),),
+                    assembly=single, source=HeatSource.constant_flux(POWER_W),
+                    env=Environment(AMBIENT_K), schedule=SCHEDULE, config=CONFIG,
+                    channel=channel)
 
     def test_radiative_source_steps_the_run(self):
         # radiative drive is nonlinear, so the objective must fall back to
@@ -352,7 +365,8 @@ class TestStableBox:
     def test_box_is_rejected_or_every_corner_agrees(self, data):
         # the guard's loss grows with h_se, h_Le and, under a radiative
         # source, the scale: a problem that is built has every corner of
-        # its box stable, or none (then objective raises the guard's error)
+        # its box stable; one with no stable corner raises the guard's
+        # error at the initial point when it is built
         draw = data.draw
         radiative, bilayer = draw(st.booleans()), draw(st.booleans())
         wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
@@ -363,7 +377,8 @@ class TestStableBox:
         specs = [ParamSpec("alpha_s", 0.0, 0.3, 0.1)] * draw(st.booleans())
         for name in names:
             lower = draw(st.floats(0.1, 50.0))
-            specs.append(ParamSpec(name, lower, lower * draw(st.floats(1.01, 1e4)), lower))
+            upper = lower * draw(st.floats(1.01, 1e4))
+            specs.append(ParamSpec(name, lower, upper, draw(st.floats(lower, upper))))
         dt = draw(st.floats(1e-4, 0.5))
         schedule = LightSchedule(((0.0, 2.0, 1.0),))
         config = SimConfig(duration=3.0, dt=dt)
@@ -374,8 +389,23 @@ class TestStableBox:
                                       source=source, env=Environment(AMBIENT_K),
                                       schedule=schedule, config=config)
 
+        def guard(values):
+            assembly, src, sched = wall, source, schedule
+            for spec, value in zip(specs, values):
+                assembly, src, sched = apply_named_parameter(assembly, src, sched,
+                                                             spec.name, value)
+            scale = max(sc for _, _, sc in _segments(sched, config.n_steps, dt))
+            _check_step(_coefficients(assembly, src), dt, AMBIENT_K, scale)
+
         try:
-            problem = build(specs)
+            build(specs)
+            built = True
+        except StabilityError as exc:
+            with pytest.raises(StabilityError) as initial:
+                guard([s.initial for s in specs])
+            assert (str(exc), exc.limit, exc.limiting_layer) \
+                == (str(initial.value), initial.value.limit, initial.value.limiting_layer)
+            built = False
         except ValidationError as exc:
             # the named bound makes the box stable, the next float up does not
             found = re.search(r"^(\w+): .*largest stable upper bound is (\S+)$", str(exc))
@@ -395,20 +425,12 @@ class TestStableBox:
 
         stable = set()
         for corner in itertools.product(*((s.lower, s.upper) for s in specs)):
-            assembly, src, sched = wall, source, schedule
-            for spec, value in zip(specs, corner):
-                assembly, src, sched = apply_named_parameter(assembly, src, sched,
-                                                             spec.name, value)
-            scale = max(sc for _, _, sc in _segments(sched, config.n_steps, dt))
             try:
-                _check_step(_coefficients(assembly, src), dt, AMBIENT_K, scale)
+                guard(corner)
                 stable.add(True)
             except StabilityError:
                 stable.add(False)
-        assert len(stable) == 1
-        if stable == {False}:
-            with pytest.raises(StabilityError):
-                objective(problem, [s.upper for s in specs])
+        assert stable == {built}
 
 
 class TestCandidateChecks:

@@ -193,6 +193,30 @@ class TestCalibrateCommand:
         assert err.startswith("error: h_Le: dt=0.01 s exceeds the stability limit")
         assert err.rstrip().endswith("the largest stable upper bound is 2599.9999999999995")
 
+    @pytest.mark.parametrize("source, limit", [
+        ("mode = constant_flux\npower = 0.075", "0.12844"),
+        ("mode = radiative_body\nsource_temperature = 373.0\nsource_emissivity = 0.9",
+         "0.122745"),
+    ], ids=["constant_flux", "radiative"])
+    def test_box_with_no_stable_point_is_a_numerical_failure(self, capsys, tmp_path, source,
+                                                             limit):
+        # at dt = 0.2 s even the box's lower corner breaks the guard
+        preset = preset_path("table1_bilayer").read_text(encoding="utf-8")
+        text = (preset.replace("dt = 0.01", "dt = 0.2")
+                .replace("mode = constant_flux\npower = 0.075", source))
+        assert "dt = 0.2" in text and source in text
+        config = tmp_path / "coarse.ini"
+        config.write_text(text, encoding="utf-8")
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n0,298\n1,299\n2,300\n3,300.5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--config", str(config),
+                                 "--target", str(target), "--param", "h_Le:5:40:18",
+                                 "--param", "alpha_L:0.5:0.95:0.7")
+        assert code == 3
+        assert out == ""
+        assert err == (f"error: dt=0.2 s exceeds the stability limit {limit} s "
+                       "set by the lig layer\n")
+
     def test_zero_convection_sweep_point_still_fails_its_row(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_single",
                                  "--param", "h_se", "--values", "0,6",
@@ -239,6 +263,39 @@ class TestSweepCommand:
         assert "1 of 2" in err
         rows = out_csv.read_text(encoding="utf-8").strip().splitlines()[1:]
         assert [row.split(",")[4] for row in rows] == ["failed", "ok"]
+
+    def test_parameter_the_scenario_lacks_is_bad_input(self, capsys, tmp_path):
+        # it fails every point, so the sweep fails before its first one
+        preset = preset_path("table1_single").read_text(encoding="utf-8")
+        text = preset.replace("mode = constant_flux\npower = 0.075",
+                              "mode = radiative_body\nsource_temperature = 373.0\n"
+                              "source_emissivity = 0.9")
+        assert "radiative_body" in text
+        radiative = tmp_path / "radiative.ini"
+        radiative.write_text(text, encoding="utf-8")
+        for scenario, param, message in (
+                (("--preset", "table1_single"), "alpha_L", "alpha_L needs a bilayer assembly"),
+                (("--config", str(radiative)), "Q_h",
+                 "Q_h applies to constant-flux sources only")):
+            code, out, err = run_cli(capsys, "sweep", *scenario, "--param", param,
+                                     "--values", "0.5,0.6")
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("outputs", ["t63", "peak", "plateau", "steady,peak"])
+    def test_channel_the_wall_lacks_is_bad_input(self, capsys, tmp_path, outputs):
+        preset = preset_path("table1_single").read_text(encoding="utf-8")
+        text = preset.replace("[sim]", "[metrics]\nchannel = theta_L\nplateau_threshold = 0.5\n"
+                                       "plateau_window = 20\n\n[sim]")
+        assert "channel = theta_L" in text
+        config = tmp_path / "lig_channel.ini"
+        config.write_text(text, encoding="utf-8")
+        argv = ("sweep", "--config", str(config), "--param", "h_se", "--values", "5,6")
+        code, out, err = run_cli(capsys, *argv, "--outputs", outputs)
+        assert (code, out, err) == (2, "", "error: single-layer trajectory has no lig channel\n")
+        # a steady-only sweep never reads the channel
+        code, out, err = run_cli(capsys, *argv, "--outputs", "steady")
+        assert code == 0
+        assert [row.split(",")[4] for row in out.strip().splitlines()[1:]] == ["ok", "ok"]
 
     def test_partial_failure_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_bilayer",

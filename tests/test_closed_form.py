@@ -32,11 +32,26 @@ from phototherm import (
     series_from_trajectory,
     stability_limit,
 )
-from phototherm.simulate import _constant_flux_at
+from phototherm.model import _coefficients
+from phototherm.simulate import _check_step, _constant_flux_on, _flux_grid, _resolve_channel
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE
 
 TARGET_TOL_K = 1e-9
 SSE_TOL_K2 = 1e-9
+
+
+def constant_flux_at(assembly, source, schedule, env, config, times, channel):
+    """The closed form from a fresh model: one channel of the trajectory
+    `run` would record from ambient under a constant-flux source, at the
+    strictly increasing times. It checks dt against the stability guard and
+    resolves the channel, then evaluates `_constant_flux_on` on a target
+    grid built for these times."""
+    c = _coefficients(assembly, source)
+    _check_step(c, config.dt, env.ambient_temperature, 1.0)
+    channel = _resolve_channel(assembly.kind, channel)
+    grid = _flux_grid(schedule, config, times)
+    return _constant_flux_on(grid, c, grid.scales, env.ambient_temperature, config.dt,
+                             channel)
 
 
 def stepped_at(assembly, source, schedule, env, config, times, channel):
@@ -149,8 +164,8 @@ class TestAgainstStepping:
     def test_matches_run_at_every_target(self, scenario):
         assembly, source, schedule, config, times, channel = scenario
         env = Environment(AMBIENT_K)
-        closed = _constant_flux_at(assembly, source, schedule, env, config,
-                                   tuple(times), channel)
+        closed = constant_flux_at(assembly, source, schedule, env, config,
+                                  tuple(times), channel)
         stepped = stepped_at(assembly, source, schedule, env, config, times, channel)
         assert np.all(np.abs(closed - stepped) <= TARGET_TOL_K)
 
@@ -164,8 +179,8 @@ class TestAgainstStepping:
         config = SimConfig(duration=5.0, dt=0.01)
         times = np.linspace(0.0, 5.0, 51)
         for assembly in (WallAssembly.single(sil), WallAssembly.bilayer(sil, lig)):
-            closed = _constant_flux_at(assembly, source, schedule, env, config,
-                                       tuple(times), "auto")
+            closed = constant_flux_at(assembly, source, schedule, env, config,
+                                      tuple(times), "auto")
             stepped = stepped_at(assembly, source, schedule, env, config, times, "auto")
             assert np.all(np.isfinite(closed))
             assert np.all(np.abs(closed - stepped) <= TARGET_TOL_K)
@@ -217,8 +232,8 @@ class TestObjectiveIsClosedForm:
         for spec, value in zip(problem.free, candidate):
             assembly, source, schedule = apply_named_parameter(
                 assembly, source, schedule, spec.name, value)
-        diff = _constant_flux_at(assembly, source, schedule, problem.env, problem.config,
-                                 problem.target.times, problem.channel) - problem.target.values
+        diff = constant_flux_at(assembly, source, schedule, problem.env, problem.config,
+                                problem.target.times, problem.channel) - problem.target.values
         assert objective(problem, candidate) == float(diff @ diff)
 
 
@@ -248,6 +263,6 @@ class TestObjectiveAppliesFinalValues:
         for spec, value in zip(problem.free, candidate):
             assembly, source, schedule = apply_named_parameter(
                 assembly, source, schedule, spec.name, value)
-        diff = _constant_flux_at(assembly, source, schedule, problem.env, problem.config,
-                                 problem.target.times, problem.channel) - problem.target.values
+        diff = constant_flux_at(assembly, source, schedule, problem.env, problem.config,
+                                problem.target.times, problem.channel) - problem.target.values
         assert objective(problem, candidate) == float(diff @ diff)

@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import phototherm
@@ -33,3 +35,16 @@ def test_exports_exactly_the_public_names():
     exported = {name for name, value in vars(phototherm).items()
                 if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def test_every_private_function_and_class_is_used_in_the_package():
+    # a private helper that only tests call belongs with the tests
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(phototherm.__file__).parent.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and node.name not in used]
+    assert unused == []
