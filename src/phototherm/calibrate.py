@@ -94,8 +94,13 @@ class CalibrationProblem:
             raise ValidationError("free parameter names must be unique")
         if self.target.unit != "K":
             raise ValidationError("calibration target must be a temperature series in K")
-        if self.target.times[-1] > self.config.duration + 1e-9:
-            raise ValidationError("target span must not exceed the simulated duration")
+        # a run ends at its last step, n_steps * dt, which may fall short of
+        # the duration; past it both objective modes would read its value
+        dt, n_steps, last = self.config.dt, self.config.n_steps, self.target.times[-1]
+        if last / dt > n_steps + 1e-9:
+            raise ValidationError(
+                f"the target ends at t={last:g} s, after the last step of the run at "
+                f"t={n_steps * dt:g} s ({n_steps} steps of dt={dt:g} s)")
         for name in names:
             _check_applicable(name, self.assembly, self.source)
         for spec in self.free:  # a rescaled interval must stay finite
@@ -115,8 +120,7 @@ class CalibrationProblem:
         # a radiative run need not go past the last target: stop one step
         # after its upper bracketing step, a margin for the rounding of
         # t / dt against the recorded stamps step * dt
-        steps = math.floor(self.target.times[-1] / self.config.dt) + 2
-        set_field("_steps", min(steps, self.config.n_steps))
+        set_field("_steps", min(math.floor(last / dt) + 2, n_steps))
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ def apply_named_parameter(assembly: WallAssembly, source: HeatSource,
 
 
 def _coefficients_at(problem: CalibrationProblem, values: dict
-                     ) -> tuple[_Coefficients, np.ndarray]:
+                     ) -> tuple[_Coefficients, tuple[float, ...]]:
     """The wall's constants and the run scales at these parameter values.
     Every field a parameter can set and the wall and source carry (g_s,
     g_l, q_s, q_l) and the scales are recomputed from the final values,
@@ -179,7 +183,8 @@ def _coefficients_at(problem: CalibrationProblem, values: dict
         fields["q_s"] = _absorbed(values["alpha_s"], values["Q_h"])
         if lig is not None:
             fields["q_l"] = _absorbed(values["alpha_L"], values["Q_h"])
-    return c._replace(**fields), problem._grid.scales * values["scale"]
+    scale = values["scale"]
+    return c._replace(**fields), tuple(s * scale for s in problem._grid.scales)
 
 
 def _check_box(problem: CalibrationProblem) -> None:
@@ -201,7 +206,7 @@ def _check_box(problem: CalibrationProblem) -> None:
 
     def limit(**at) -> tuple[float, str]:
         c, scales = _coefficients_at(problem, {**problem._values, **at})
-        return _time_constant(c, theta_e, float(scales.max()))
+        return _time_constant(c, theta_e, max(scales))
 
     top = {s.name: s.upper for s in guarded}
     tau, layer = limit(**top)
@@ -210,7 +215,7 @@ def _check_box(problem: CalibrationProblem) -> None:
     if dt > limit(**{s.name: s.lower for s in guarded})[0]:
         c, scales = _coefficients_at(
             problem, {**problem._values, **{s.name: s.initial for s in problem.free}})
-        _check_step(c, dt, theta_e, float(scales.max()))  # raises: see above
+        _check_step(c, dt, theta_e, max(scales))  # raises: see above
     unstable = (f"dt={dt:g} s exceeds the stability limit {tau:.6g} s set by the {layer} "
                 "layer at the upper bound")
     for s in guarded:
@@ -252,24 +257,12 @@ def objective(problem: CalibrationProblem, candidate) -> float:
         # the runs of the shortened grid are the first runs of the full one,
         # the last one cut at _steps; the guard is _integrate's
         runs = [(i0, i1, scale) for (i0, i1, _), scale
-                in zip(_segments(problem.schedule, problem._steps, dt), scales.tolist())]
+                in zip(_segments(problem.schedule, problem._steps, dt), scales)]
         trajectory = _integrate(c, runs, theta_e, theta_e, theta_e, dt, problem._steps, 1)
         column = trajectory.lig if problem._channel == "theta_L" else trajectory.silicone
         simulated = np.interp(problem.target.times, trajectory.times, column)
     diff = simulated - problem.target.values
     return float(diff @ diff)
-
-
-def _initial_simplex(specs, x0: np.ndarray) -> list[np.ndarray]:
-    """x0 plus one vertex per axis offset by 5% of the box width, stepping
-    down instead of up when up would leave the box."""
-    simplex = [x0.copy()]
-    for i, spec in enumerate(specs):
-        step = 0.05 * (spec.upper - spec.lower)
-        vertex = x0.copy()
-        vertex[i] = x0[i] + step if x0[i] + step <= spec.upper else x0[i] - step
-        simplex.append(vertex)
-    return simplex
 
 
 def fit(problem: CalibrationProblem) -> CalibrationResult:
@@ -278,27 +271,48 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
     Stops when the simplex objective spread falls below 1e-8 relative to the
     best value (floored at 1 for near-zero minima) or after 500 iterations;
     hitting the cap is reported through converged=False, not an error.
+
+    The simplex starts at the initial guess plus one vertex per axis offset
+    by 5% of the box width, stepping down instead of up when up would leave
+    the box. Vertices are lists of Python floats: each coordinate takes the
+    same float operations, in the same order, as numpy vectors would, and
+    the fit matches the numpy version in tests/reference_fit.py bit for bit.
     """
     specs = problem.free
-    lower = np.array([s.lower for s in specs])
-    upper = np.array([s.upper for s in specs])
-    width = upper - lower
-    x0 = np.array([s.initial for s in specs])
+    lower = [s.lower for s in specs]
+    upper = [s.upper for s in specs]
+    width = [hi - lo for lo, hi in zip(lower, upper)]
+
+    def clip(x: list) -> list:
+        # np.clip's choices for numbers: the bound unless x lies strictly
+        # inside it, so that 0.0 clamps -0.0
+        return [min(hi, max(lo, v)) for v, lo, hi in zip(x, lower, upper)]
 
     evaluations = 0
 
-    def penalized(x: np.ndarray) -> float:
+    def penalized(x: list) -> float:
         nonlocal evaluations
         evaluations += 1
-        clamped = np.clip(x, lower, upper)
-        excess = (x - clamped) / width
-        return objective(problem, clamped) + _PENALTY_WEIGHT * float(excess @ excess)
+        clamped = clip(x)
+        sse = objective(problem, clamped)
+        if clamped == x:  # inside the box, the penalty is 0
+            return sse
+        # numpy's dot: its summation (fused on some BLAS builds) is not a
+        # Python sum's
+        excess = np.array([(v - c) / w for v, c, w in zip(x, clamped, width)])
+        return sse + _PENALTY_WEIGHT * float(excess @ excess)
 
     # transient simplex candidates may be unphysical on purpose; only the
     # final fitted point (evaluated below, unsuppressed) should warn
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        simplex = _initial_simplex(specs, x0)
+        x0 = [s.initial for s in specs]
+        simplex = [x0]
+        for i, spec in enumerate(specs):
+            step = 0.05 * width[i]
+            vertex = list(x0)
+            vertex[i] = x0[i] + step if x0[i] + step <= spec.upper else x0[i] - step
+            simplex.append(vertex)
         fvals = [penalized(v) for v in simplex]
 
         iterations = 0
@@ -312,12 +326,16 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
                 converged = True
                 break
 
-            centroid = np.mean(simplex[:-1], axis=0)
+            # np.mean over the vertices: a running sum, then one division
+            centroid = list(simplex[0])
+            for vertex in simplex[1:-1]:
+                centroid = [c + v for c, v in zip(centroid, vertex)]
+            centroid = [c / (len(simplex) - 1) for c in centroid]
             worst = simplex[-1]
-            reflected = centroid + (centroid - worst)
+            reflected = [c + (c - v) for c, v in zip(centroid, worst)]
             f_reflected = penalized(reflected)
             if f_reflected < fvals[0]:
-                expanded = centroid + 2.0 * (centroid - worst)
+                expanded = [c + 2.0 * (c - v) for c, v in zip(centroid, worst)]
                 f_expanded = penalized(expanded)
                 if f_expanded < f_reflected:
                     simplex[-1], fvals[-1] = expanded, f_expanded
@@ -327,22 +345,23 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
                 simplex[-1], fvals[-1] = reflected, f_reflected
             else:
                 if f_reflected < fvals[-1]:
-                    contracted = centroid + 0.5 * (reflected - centroid)
+                    contracted = [c + 0.5 * (r - c) for c, r in zip(centroid, reflected)]
                 else:
-                    contracted = centroid - 0.5 * (centroid - worst)
+                    contracted = [c - 0.5 * (c - v) for c, v in zip(centroid, worst)]
                 f_contracted = penalized(contracted)
                 if f_contracted < min(f_reflected, fvals[-1]):
                     simplex[-1], fvals[-1] = contracted, f_contracted
                 else:
                     best = simplex[0]
-                    simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
+                    simplex = [best] + [[b + 0.5 * (v - b) for b, v in zip(best, vertex)]
+                                        for vertex in simplex[1:]]
                     fvals = [fvals[0]] + [penalized(v) for v in simplex[1:]]
 
     best_idx = min(range(len(simplex)), key=fvals.__getitem__)
-    fitted = np.clip(simplex[best_idx], lower, upper)
+    fitted = clip(simplex[best_idx])
     sse = objective(problem, fitted)
     rmse = math.sqrt(sse / len(problem.target.times))
     return CalibrationResult(
-        values={spec.name: float(v) for spec, v in zip(specs, fitted)},
+        values={spec.name: v for spec, v in zip(specs, fitted)},
         sse=sse, rmse=rmse, iterations=iterations, converged=converged,
         evaluations=evaluations + 1)

@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import functools
 import sys
+import warnings
 
 import numpy as np
 
@@ -298,6 +299,13 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one "warning: <message>" line on stderr, without the
+    source path and line Python would print, so that stderr is the same in
+    every checkout."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cli_main(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
     parser = _build_parser()
@@ -305,14 +313,16 @@ def cli_main(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
-    except (StabilityError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (PhotothermError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return _COMMANDS[args.command](args)
+        except (StabilityError, NumericalError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except (PhotothermError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
 
 
 def main() -> None:

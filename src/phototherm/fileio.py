@@ -266,6 +266,9 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     if channel not in ("auto", "theta_s", "theta_L"):
         raise ConfigError(f"{where('metrics', 'channel')}: [metrics] channel must be "
                           f"auto, theta_s or theta_L, got {channel!r}")
+    if channel == "theta_L" and kind is not WallKind.BILAYER:
+        raise ConfigError(f"{where('metrics', 'channel')}: [metrics] channel theta_L "
+                          "is not valid for a single-layer assembly")
 
     return RunConfig(assembly=assembly, source=source, env=env, schedule=schedule,
                      sim=sim, plateau_window=plateau_window,

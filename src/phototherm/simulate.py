@@ -283,7 +283,8 @@ def _diverged(step: int, dt: float) -> NumericalError:
 def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
         env: Environment, config: SimConfig,
         initial: ThermalState | None = None) -> Trajectory:
-    """Integrate the wall temperatures over [0, duration].
+    """Integrate the wall temperatures over the config's n_steps whole
+    steps of dt, so up to t = n_steps * dt, which may fall short of duration.
 
     Starts from ambient temperature unless an explicit initial state is
     given (its time stamp is ignored; integration always starts at t = 0).
@@ -409,16 +410,16 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
 class _FluxGrid:
     """The part of `_constant_flux_on` that depends only on the schedule's
     run boundaries, the step grid and the target times, not on the model:
-    run lengths, and for each target's lower then upper bracketing step its
-    run index and the steps into that run (a column), plus each target's
-    weight of the upper step. scales are the run scales of the schedule the
-    grid was built from."""
+    run lengths in steps and run scales, as Python ints and floats, and for
+    each target's lower then upper bracketing step its run index and the
+    steps into that run, plus each target's weight of the upper step. scales
+    are the run scales of the schedule the grid was built from."""
 
-    lengths: np.ndarray
+    lengths: tuple
     run: np.ndarray
     into: np.ndarray
     weight: np.ndarray
-    scales: np.ndarray
+    scales: tuple
 
 
 def _flux_grid(schedule: LightSchedule, config: SimConfig, times) -> _FluxGrid:
@@ -426,32 +427,53 @@ def _flux_grid(schedule: LightSchedule, config: SimConfig, times) -> _FluxGrid:
     for any schedule with the same interval bounds, such as a rescaled one."""
     dt, n_steps = config.dt, config.n_steps
     # run r covers steps (start, end]
-    starts, ends, scales = np.array(_segments(schedule, n_steps, dt)).T
+    segments = _segments(schedule, n_steps, dt)
+    starts, ends, _ = np.array(segments).T
     # bracketing grid steps (lower, lower + 1) and the weight of the upper one
     t = np.asarray(times, dtype=float) / dt
     lower = np.minimum(np.maximum(np.floor(t), 0.0), n_steps - 1)
     weight = np.minimum(np.maximum(t - lower, 0.0), 1.0)
     steps = np.concatenate((lower, lower + 1.0))
     r = np.searchsorted(ends, steps)
-    return _FluxGrid(ends - starts, r, (steps - starts[r])[:, None], weight, scales)
+    return _FluxGrid(tuple(i1 - i0 for i0, i1, _ in segments), r, steps - starts[r], weight,
+                     tuple(scale for _, _, scale in segments))
 
 
-def _constant_flux_on(grid: _FluxGrid, c: _Coefficients, scales: np.ndarray,
+def _grow(h: float, m, expm1):
+    """The growth factor of m steps of a mode with mu = 1 + h: mu^m - 1, as
+    expm1(m log1p(h)) where mu > 0 and as a power where mu <= 0, or m where
+    h = 0, the ramp of a mode with no loss path. m is an int with expm1 =
+    math.expm1, or an array with np.expm1."""
+    if h == 0.0:
+        return m
+    if h > -1.0:
+        return expm1(m * math.log1p(h))
+    return (1.0 + h) ** m - 1.0
+
+
+def _constant_flux_on(grid: _FluxGrid, c: _Coefficients, scales,
                       theta_e: float, dt: float, channel: str) -> np.ndarray:
     """A resolved channel of what `run` records from ambient under a constant
     flux, interpolated at grid's target times like np.interp, for a wall with
-    the constants c and a schedule with grid's interval bounds and run scales.
+    the constants c and a schedule with grid's interval bounds and run scales
+    (Python floats).
 
     In excess temperatures x = theta - theta_e one Euler step is the affine
     map x -> M x + dt f with M = I + dt A. A is similar to the symmetric
     S = D^{1/2} A D^{-1/2}, D = diag(C). In the modes w = Q^T D^{1/2} x of
     S = Q diag(lam) Q^T a step is w -> mu w + dt b with mu = 1 + dt lam, so
-    m steps from w0 give exactly
-        w_m = mu^m w0 + dt b (1 - mu^m) / (1 - mu),
-    with the geometric factor read as m where mu = 1 (no loss path). Only
-    the grid steps bracketing each target are evaluated: the cost is
-    O(segments + targets), not O(steps), and the values match stepping to
-    rounding (the tests hold every target to 1e-9 K).
+    m steps from w0 under a drive scale s give exactly
+        w_m = w0 + (mu^m - 1) (w0 + s b / lam),
+    or w0 + m dt s b where dt lam = 0 (no loss path) or is too small to
+    matter over the run. mu^m - 1 is taken as
+    expm1(m log1p(dt lam)), never from a rounded mu: where dt |lam| is
+    small, (1 - mu^m) / (1 - mu) would multiply the rounding of mu by
+    about eps / (dt |lam|). Only where mu <= 0, which the guard allows a
+    fast mode, is it a power. Only the grid steps bracketing each target are
+    evaluated, so the cost is O(segments + targets), not O(steps). The
+    values match the Euler iterates to a few ulp of the excess; against an
+    80-bit Euler run the tests hold every target to 1e-9 K, at weak loss
+    too.
 
     The caller has checked dt against the stability guard. run's per-step
     NumericalError cannot fire here: under the guard M >= 0 entrywise, the
@@ -460,9 +482,7 @@ def _constant_flux_on(grid: _FluxGrid, c: _Coefficients, scales: np.ndarray,
     """
     cap_s, g_s, q_s = c.cap_s, c.g_s, c.q_s
     if c.k is None:
-        lam = np.array([-g_s / cap_s])
-        drive = np.array([q_s / cap_s])
-        readout = np.array([1.0])
+        modes = [(-g_s / cap_s, q_s / cap_s, 1.0)]  # (lam, b, readout)
     else:
         cap_l, g_l, k, q_l = c.cap_l, c.g_l, c.k, c.q_l
         # S = [[a, c], [c, d]]; its eigenpairs in closed form
@@ -475,38 +495,46 @@ def _constant_flux_on(grid: _FluxGrid, c: _Coefficients, scales: np.ndarray,
         phi = 0.5 * math.atan2(2.0 * off, a - d)
         cos, sin = math.cos(phi), math.sin(phi)
         f_s, f_l = q_s / math.sqrt(cap_s), q_l / math.sqrt(cap_l)  # D^{1/2} f
-        lam = np.array([lam_slow, lam_fast])
-        drive = np.array([cos * f_s + sin * f_l, cos * f_l - sin * f_s])
         if channel == "theta_s":
-            readout = np.array([cos, -sin]) / math.sqrt(cap_s)
+            root, r_slow, r_fast = math.sqrt(cap_s), cos, -sin
         else:
-            readout = np.array([sin, cos]) / math.sqrt(cap_l)
-    mu = 1.0 + dt * lam
-    # dt b (1 - mu^m) / (1 - mu) = (1 - mu^m) gain + m ramp: where mu = 1 (no
-    # loss path) the first term is 0 and the second is the limit m dt b.
-    # Without such a mode the ramp is a signed zero, and adding it could
-    # change at most the sign of a zero, which theta_e + x erases: skip it.
-    flat = mu == 1.0
-    gain = dt * drive / (1.0 - mu + flat)
-    ramp = dt * drive * flat if flat.any() else None
+            root, r_slow, r_fast = math.sqrt(cap_l), sin, cos
+        modes = [(lam_slow, cos * f_s + sin * f_l, r_slow / root),
+                 (lam_fast, cos * f_l - sin * f_s, r_fast / root)]
+    # per mode: h = dt lam, (keep, g) such that m steps from w0 under a
+    # drive scale s reach w0 + _grow(h, m) (keep w0 + s g), and the readout.
+    # A mode with m |h| below the rounding of 1 for every m of the run
+    # ramps by dt s b per step, to rounding, as with no loss path; there
+    # b / lam could overflow
+    n_steps = sum(grid.lengths)
+    terms = []
+    for lam, b, readout in modes:
+        h = dt * lam
+        if abs(h) * n_steps < 2.0 ** -53:
+            terms.append((0.0, 0.0, dt * b, readout))
+        else:
+            terms.append((h, 1.0, b / lam, readout))
 
-    def advance(w0, m, scale):
-        """Mode states m steps on from w0 under a constant drive scale."""
-        power = mu ** m
-        drift = (1.0 - power) * gain
-        if ramp is not None:
-            drift = drift + m * ramp
-        return power * w0 + scale * drift
+    # per run, in Python floats: the channel's excess at the run start, then
+    # per mode readout (keep w0 + s g). Each run starts from the previous run's
+    # end state, and step 0 is ambient: w = 0
+    table = []
+    w = [0.0] * len(terms)
+    for length, scale in zip(grid.lengths, scales):
+        start, pulls, ends = 0.0, [], []
+        for (h, keep, g, readout), w0 in zip(terms, w):
+            pull = keep * w0 + scale * g
+            start += readout * w0
+            pulls.append(readout * pull)
+            ends.append(w0 + _grow(h, length, math.expm1) * pull)
+        table.append([start] + pulls)
+        w = ends
 
-    # each run starts from the previous run's end state; step 0 is ambient: w = 0
-    w_start = np.zeros((len(scales), lam.size))
-    for r in range(1, len(scales)):
-        w_start[r] = advance(w_start[r - 1], grid.lengths[r - 1], scales[r - 1])
-
-    # take: the same rows as fancy indexing, gathered faster
-    w = advance(w_start.take(grid.run, axis=0), grid.into, scales.take(grid.run)[:, None])
-
-    excess = w @ readout
+    # each bracketing step's row of the table, as one array per column
+    columns = np.array(table).take(grid.run, axis=0).T
+    excess = columns[0]
+    for (h, *_), column in zip(terms, columns[1:]):
+        excess = excess + _grow(h, grid.into, np.expm1) * column
     below, above = excess[:grid.weight.size], excess[grid.weight.size:]
     values = theta_e + (below + grid.weight * (above - below))
     # a NaN makes both comparisons false

@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from phototherm import (
 from phototherm.model import _coefficients
 from phototherm.simulate import _check_step, _segments
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE
+import reference_fit as reference_fit_module
+from reference_fit import reference_fit
 
 SCHEDULE = LightSchedule.always_on()
 CONFIG = SimConfig(duration=150.0, dt=0.01)
@@ -122,6 +125,26 @@ class TestProblemValidation:
         short = SimConfig(duration=100.0, dt=0.01)
         with pytest.raises(ValidationError):
             make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.7), config=short)
+
+    @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
+    def test_target_past_the_last_step_rejected(self, radiative):
+        # 10 s is not a whole number of 0.3 s steps: the run ends at 9.9 s
+        config = SimConfig(duration=10.0, dt=0.3)
+        source = HeatSource.radiative(373.0, 0.9) if radiative else HeatSource.constant_flux(
+            POWER_W)
+
+        def build(last):
+            target = MeasurementSeries((0.0, 5.0, last), (AMBIENT_K,) * 3)
+            return CalibrationProblem(
+                target=target, free=(ParamSpec("h_se", 2.0, 12.0, 6.0),),
+                assembly=WallAssembly.single(ThermalLayer(**SILICONE)), source=source,
+                env=Environment(AMBIENT_K), schedule=SCHEDULE, config=config)
+
+        with pytest.raises(ValidationError, match=re.escape(
+                "the target ends at t=10 s, after the last step of the run at t=9.9 s "
+                "(33 steps of dt=0.3 s)")):
+            build(10.0)
+        assert build(33 * 0.3)._steps == 33
 
     @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
     def test_record_stride_leaves_the_objective_bit_identical(self, radiative):
@@ -274,12 +297,13 @@ class TestFit:
 
     def test_fit_path_is_pinned(self):
         # recorded before the objective reused one target grid per problem:
-        # every objective value, and so every simplex move, must stay
-        # bit-identical. At dt = 0.03 s the whole-second targets fall between
-        # grid steps, so the interpolation weights count too.
+        # every simplex move must stay bit-identical. At dt = 0.03 s the
+        # whole-second targets fall between grid steps, so the interpolation
+        # weights count too. The SSE was re-recorded when the closed form
+        # moved to expm1(m log1p(dt lam)); it was 1.284167543086048e-06.
         result = fit(self.joint_problem(SimConfig(duration=150.0, dt=0.03)))
         assert repr(result.values) == "{'alpha_L': 0.6998785388084754, 'h_Le': 17.996957615523865}"
-        assert repr(result.sse) == "1.284167543086048e-06"
+        assert repr(result.sse) == "1.2841675428867521e-06"
         assert result.iterations == 45
         assert result.evaluations == 87
 
@@ -309,6 +333,64 @@ class TestFit:
             target.times, tuple(AMBIENT_K + c * (v - AMBIENT_K) for v in target.values))
         problem_c = make_problem(squeezed, ParamSpec("scale", 0.05, 2.0, 1.0))
         assert fit(problem_c).values["scale"] == pytest.approx(c * 0.8, rel=1e-3)
+
+
+@st.composite
+def small_fit_problems(draw):
+    """A 1- or 2-parameter problem on either wall under either source, with
+    a synthetic heating curve as target: a few hundred steps, so that a
+    radiative fit stays cheap. The curve's amplitude is drawn freely, so
+    many fits end on a bound, through the clamp and the penalty."""
+    bilayer = draw(st.booleans())
+    wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
+    radiative = draw(st.booleans())
+    source = (HeatSource.radiative(draw(st.floats(320.0, 600.0)), 0.9) if radiative
+              else HeatSource.constant_flux(POWER_W))
+    names = ["alpha_s", "h_se", "scale"] + ["alpha_L", "h_Le"] * bilayer \
+        + ["Q_h"] * (not radiative)
+    boxes = {"alpha_s": (0.0, 0.5), "alpha_L": (0.3, 1.0), "h_se": (1.0, 30.0),
+             "h_Le": (1.0, 30.0), "scale": (0.1, 2.0), "Q_h": (0.01, 0.2)}
+    free = []
+    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)):
+        lo, hi = boxes[name]
+        lower = draw(st.floats(lo, lo + 0.4 * (hi - lo)))
+        upper = draw(st.floats(lower + 0.1 * (hi - lo), hi))
+        free.append(ParamSpec(name, lower, upper, draw(st.floats(lower, upper))))
+    dt = draw(st.sampled_from([0.01, 0.02, 0.05]))
+    duration = draw(st.floats(2.0, 6.0))
+    times = np.linspace(0.0, dt * math.floor(duration / dt), draw(st.integers(3, 30)))
+    rise, tau = draw(st.floats(0.0, 5.0)), draw(st.floats(0.5, 10.0))
+    target = MeasurementSeries(times, AMBIENT_K + rise * -np.expm1(-times / tau))
+    return CalibrationProblem(
+        target=target, free=tuple(free), assembly=wall, source=source,
+        env=Environment(AMBIENT_K), schedule=LightSchedule(((0.0, 0.6 * duration, 1.0),)),
+        config=SimConfig(duration=duration, dt=dt))
+
+
+class TestFitMatchesNumpyReference:
+    @given(small_fit_problems())
+    @settings(max_examples=80, deadline=None)
+    def test_float_lists_take_the_numpy_path_bit_for_bit(self, problem):
+        # every candidate either fit evaluates, in order, and the results
+        def recorded(module, fitter):
+            calls = []
+
+            def recording(problem, candidate):
+                calls.append(tuple(float(v) for v in candidate))
+                return objective(problem, candidate)
+
+            with mock.patch.object(module, "objective", recording):
+                return fitter(problem), calls
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            (got, got_calls), (want, want_calls) = (
+                recorded(calibrate_module, fit), recorded(reference_fit_module, reference_fit))
+        assert list(map(repr, got_calls)) == list(map(repr, want_calls))
+        assert repr(got.values) == repr(want.values)
+        assert repr(got.sse) == repr(want.sse)
+        assert (got.iterations, got.evaluations, got.converged) \
+            == (want.iterations, want.evaluations, want.converged)
 
 
 class TestApplyNamedParameter:
@@ -382,7 +464,8 @@ class TestStableBox:
         dt = draw(st.floats(1e-4, 0.5))
         schedule = LightSchedule(((0.0, 2.0, 1.0),))
         config = SimConfig(duration=3.0, dt=dt)
-        target = MeasurementSeries((0.0, 1.0, 2.0, 3.0), (AMBIENT_K,) * 4)
+        # the last target at the run's last step, at or before 3 s
+        target = MeasurementSeries((0.0, 1.0, 2.0, config.n_steps * dt), (AMBIENT_K,) * 4)
 
         def build(specs):
             return CalibrationProblem(target=target, free=tuple(specs), assembly=wall,

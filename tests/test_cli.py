@@ -163,6 +163,20 @@ class TestCalibrateCommand:
         assert report["converged"] == "true"
         assert float(report["rmse_K"]) < 0.01
 
+    def test_warning_is_one_line_without_a_source_path(self, capsys, tmp_path):
+        # the fit ends on alpha_L's upper bound, where the absorptances sum
+        # above 1: stderr carries the message alone, with no checkout path
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n0,298.0\n50,318.0\n100,327.0\n150,331.0\n",
+                          encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--preset", "table1_bilayer",
+                                 "--target", str(target), "--param", "h_Le:5:40:18",
+                                 "--param", "alpha_L:0.5:0.95:0.7", "--channel", "theta_s")
+        assert code == 0
+        assert parse_report(out)["alpha_L"] == "0.950000"
+        assert err == ("warning: layer absorptances sum to 1.1200 > 1; "
+                       "more power absorbed than supplied is unphysical\n")
+
     def test_bad_param_spec_is_bad_input(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
         target.write_text("time_s,value\n0,298\n1,299\n", encoding="utf-8")
@@ -281,7 +295,7 @@ class TestSweepCommand:
                                      "--values", "0.5,0.6")
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("outputs", ["t63", "peak", "plateau", "steady,peak"])
+    @pytest.mark.parametrize("outputs", ["t63", "peak", "plateau", "steady,peak", "steady"])
     def test_channel_the_wall_lacks_is_bad_input(self, capsys, tmp_path, outputs):
         preset = preset_path("table1_single").read_text(encoding="utf-8")
         text = preset.replace("[sim]", "[metrics]\nchannel = theta_L\nplateau_threshold = 0.5\n"
@@ -289,13 +303,12 @@ class TestSweepCommand:
         assert "channel = theta_L" in text
         config = tmp_path / "lig_channel.ini"
         config.write_text(text, encoding="utf-8")
+        # the config is rejected when it is loaded, whatever the sweep reads
+        line = text.splitlines().index("channel = theta_L") + 1
         argv = ("sweep", "--config", str(config), "--param", "h_se", "--values", "5,6")
         code, out, err = run_cli(capsys, *argv, "--outputs", outputs)
-        assert (code, out, err) == (2, "", "error: single-layer trajectory has no lig channel\n")
-        # a steady-only sweep never reads the channel
-        code, out, err = run_cli(capsys, *argv, "--outputs", "steady")
-        assert code == 0
-        assert [row.split(",")[4] for row in out.strip().splitlines()[1:]] == ["ok", "ok"]
+        assert (code, out, err) == (2, "", f"error: {config}:{line}: [metrics] channel "
+                                           "theta_L is not valid for a single-layer assembly\n")
 
     def test_partial_failure_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_bilayer",

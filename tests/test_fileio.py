@@ -292,6 +292,14 @@ class TestConfigParsing:
         assert cfg.plateau_threshold == 1.0
         assert cfg.channel == "theta_s"
 
+    def test_lig_channel_on_a_single_layer_rejected_with_its_line(self):
+        text = minimal_single_config() + "\n[metrics]\nchannel = theta_L\n"
+        line = text.splitlines().index("channel = theta_L") + 1
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == (f"<config>:{line}: [metrics] channel theta_L is not "
+                                   "valid for a single-layer assembly")
+
 
 class TestSeriesIO:
     def test_two_point_file(self, tmp_path):
