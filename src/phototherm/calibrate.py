@@ -9,12 +9,13 @@ yield identical results.
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .metrics import MeasurementSeries
 from .model import (Environment, HeatSource, SourceMode, WallAssembly, WallKind, _absorbed,
                     _coefficients, _Coefficients, _convective, _warn_absorptance_sum)
@@ -30,6 +31,9 @@ PARAM_RANGES = {
     "Q_h": (0.0, math.inf),
     "scale": (0.0, math.inf),
 }
+
+#: the order in which a problem's evaluator holds the parameter values
+_SLOTS = ("h_se", "h_Le", "alpha_s", "alpha_L", "Q_h", "scale")
 
 _MAX_ITERATIONS = 500
 _REL_SPREAD_TOL = 1e-8
@@ -78,12 +82,14 @@ class CalibrationProblem:
     channel: str = "auto"
     # computed once per problem, the same for every candidate: the target
     # grid and run scales, the wall's constants, the parameter values, the
-    # resolved channel and the number of steps a radiative objective takes
+    # resolved channel, the number of steps a radiative objective takes and
+    # the evaluator objective calls (see _evaluator)
     _grid: _FluxGrid = field(init=False, repr=False, compare=False)
     _coef: _Coefficients = field(init=False, repr=False, compare=False)
     _values: dict = field(init=False, repr=False, compare=False)
     _channel: str = field(init=False, repr=False, compare=False)
     _steps: int = field(init=False, repr=False, compare=False)
+    _evaluate: Callable[[list], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "free", tuple(self.free))
@@ -121,6 +127,13 @@ class CalibrationProblem:
         # after its upper bracketing step, a margin for the rounding of
         # t / dt against the recorded stamps step * dt
         set_field("_steps", min(math.floor(last / dt) + 2, n_steps))
+        set_field("_evaluate", _evaluator(self))
+
+    def __reduce__(self):
+        # the evaluator is a closure, which pickle cannot save: a copy is
+        # built again from the fields
+        return type(self), (self.target, self.free, self.assembly, self.source,
+                            self.env, self.schedule, self.config, self.channel)
 
 
 @dataclass(frozen=True)
@@ -167,24 +180,15 @@ def apply_named_parameter(assembly: WallAssembly, source: HeatSource,
     return WallAssembly(kind=assembly.kind, silicone=sil, lig=lig), source, schedule
 
 
-def _coefficients_at(problem: CalibrationProblem, values: dict
-                     ) -> tuple[_Coefficients, tuple[float, ...]]:
-    """The wall's constants and the run scales at these parameter values.
-    Every field a parameter can set and the wall and source carry (g_s,
-    g_l, q_s, q_l) and the scales are recomputed from the final values,
-    each with the expression of model._coefficients and
-    LightSchedule.scaled. A parameter at its problem value gives back the
-    same float, and the order in which parameters are set does not matter."""
+def _guard_at(problem: CalibrationProblem, values: dict) -> tuple[_Coefficients, float]:
+    """What the stability guard reads at these parameter values: the wall's
+    constants with the convective conductances at h_se and h_Le, and the
+    largest run scale at scale."""
     c, sil, lig = problem._coef, problem.assembly.silicone, problem.assembly.lig
-    fields = {"g_s": _convective(sil.conv_faces, values["h_se"], sil.area)}
+    c = c._replace(g_s=_convective(sil.conv_faces, values["h_se"], sil.area))
     if lig is not None:
-        fields["g_l"] = _convective(lig.conv_faces, values["h_Le"], lig.area)
-    if c.q_s is not None:  # a constant flux
-        fields["q_s"] = _absorbed(values["alpha_s"], values["Q_h"])
-        if lig is not None:
-            fields["q_l"] = _absorbed(values["alpha_L"], values["Q_h"])
-    scale = values["scale"]
-    return c._replace(**fields), tuple(s * scale for s in problem._grid.scales)
+        c = c._replace(g_l=_convective(lig.conv_faces, values["h_Le"], lig.area))
+    return c, max(s * values["scale"] for s in problem._grid.scales)
 
 
 def _check_box(problem: CalibrationProblem) -> None:
@@ -205,17 +209,17 @@ def _check_box(problem: CalibrationProblem) -> None:
     dt, theta_e = problem.config.dt, problem.env.ambient_temperature
 
     def limit(**at) -> tuple[float, str]:
-        c, scales = _coefficients_at(problem, {**problem._values, **at})
-        return _time_constant(c, theta_e, max(scales))
+        c, scale = _guard_at(problem, {**problem._values, **at})
+        return _time_constant(c, theta_e, scale)
 
     top = {s.name: s.upper for s in guarded}
     tau, layer = limit(**top)
     if dt <= tau:
         return
     if dt > limit(**{s.name: s.lower for s in guarded})[0]:
-        c, scales = _coefficients_at(
+        c, scale = _guard_at(
             problem, {**problem._values, **{s.name: s.initial for s in problem.free}})
-        _check_step(c, dt, theta_e, max(scales))  # raises: see above
+        _check_step(c, dt, theta_e, scale)  # raises: see above
     unstable = (f"dt={dt:g} s exceeds the stability limit {tau:.6g} s set by the {layer} "
                 "layer at the upper bound")
     for s in guarded:
@@ -229,14 +233,85 @@ def _check_box(problem: CalibrationProblem) -> None:
     raise ValidationError(f"{', '.join(top)}: {unstable}s together; lower them")
 
 
+def _evaluator(problem: CalibrationProblem) -> Callable[[list], float]:
+    """The SSE at a candidate, a list of Python floats in the order of
+    problem.free that lies inside the box: objective's work after its checks.
+
+    Built once per problem, it is specialised on source mode, wall kind and
+    channel, and takes once what no candidate changes: each layer's face
+    count and area, the run bounds and base scales, the target values, and
+    the closed form's constants (see _constant_flux_on) or, under a
+    radiative source, the runs of the grid cut at _steps. Per candidate it
+    computes g_s, g_l, q_s, q_l and the run scales from the final parameter
+    values, with model._convective, model._absorbed and the expression of
+    LightSchedule.scaled: a parameter at its problem value gives back the
+    problem's float, and the order in which parameters are set does not
+    matter. A bilayer candidate first has its absorptance sum checked; the
+    warning points at objective's caller.
+    """
+    sil, lig, c = problem.assembly.silicone, problem.assembly.lig, problem._coef
+    slots = [_SLOTS.index(spec.name) for spec in problem.free]
+    base = [problem._values.get(name) for name in _SLOTS]
+    base_scales = problem._grid.scales
+    faces_s, area_s = sil.conv_faces, sil.area
+    bilayer = lig is not None
+    faces_l, area_l = (lig.conv_faces, lig.area) if bilayer else (None, None)
+    theta_e, dt = problem.env.ambient_temperature, problem.config.dt
+    times, measured = problem.target.times, problem.target.values
+    radiative = problem.source.mode is SourceMode.RADIATIVE_BODY
+    if radiative:
+        # the runs of the shortened grid are the first runs of the full one,
+        # the last one cut at _steps; the guard is _integrate's
+        steps = problem._steps
+        bounds = [(i0, i1) for i0, i1, _ in _segments(problem.schedule, steps, dt)]
+        lig_channel = problem._channel == "theta_L"
+    else:
+        flux = _constant_flux_on(problem._grid, c, theta_e, dt, problem._channel)
+    inf = math.inf
+
+    def evaluate(candidate: list) -> float:
+        values = base.copy()
+        for slot, value in zip(slots, candidate):
+            values[slot] = value
+        h_se, h_le, alpha_s, alpha_l, q_h, scale = values
+        g_s, g_l = _convective(faces_s, h_se, area_s), None
+        if bilayer:
+            _warn_absorptance_sum(alpha_s, alpha_l, stacklevel=4)
+            g_l = _convective(faces_l, h_le, area_l)
+        if radiative:
+            runs = [(i0, i1, s * scale) for (i0, i1), s in zip(bounds, base_scales)]
+            # c's fields in order, with this candidate's g_s and g_l
+            at = _Coefficients(c.cap_s, c.cap_l, g_s, g_l, *c[4:])
+            trajectory = _integrate(at, runs, theta_e, theta_e, theta_e, dt, steps, 1)
+            column = trajectory.lig if lig_channel else trajectory.silicone
+            diff = np.interp(times, trajectory.times, column) - measured
+            return float(diff @ diff)
+        simulated = flux(g_s, g_l, _absorbed(alpha_s, q_h),
+                         _absorbed(alpha_l, q_h) if bilayer else None,
+                         [s * scale for s in base_scales])
+        diff = simulated - measured
+        sse = float(diff @ diff)
+        # a NaN or infinite temperature makes the SSE NaN or inf, so a finite
+        # SSE leaves only the sign to test. Finite temperatures whose squared
+        # errors overflow make it inf too: the full test tells them apart,
+        # and they give inf
+        if not (sse < inf and simulated.min() > 0.0):
+            if not (simulated.min() > 0.0 and simulated.max() < inf):
+                raise NumericalError("temperature became non-finite or non-positive")
+        return sse
+
+    return evaluate
+
+
 def objective(problem: CalibrationProblem, candidate) -> float:
     """Sum of squared sim-minus-measured temperature errors, in K^2.
 
     The trajectory is sampled at the target time stamps by linear
-    interpolation. Both source modes take the wall constants at the
-    candidate from `_coefficients_at`. Constant-flux problems evaluate the
-    Euler iterates in closed form at those stamps only. Radiative ones step
-    those constants up to the last target.
+    interpolation. After checking the candidate's length and bounds, it
+    calls the problem's evaluator (see _evaluator). Constant-flux problems
+    evaluate the Euler iterates in closed form at those stamps only.
+    Radiative ones step the wall's constants at the candidate up to the
+    last target.
     """
     candidate = [float(v) for v in candidate]
     if len(candidate) != len(problem.free):
@@ -245,24 +320,9 @@ def objective(problem: CalibrationProblem, candidate) -> float:
         if not spec.lower <= value <= spec.upper:
             raise ValidationError(f"{spec.name}={value!r} is outside its bounds")
     # the box's bounds already hold every check the model's constructors
-    # would make at the candidate, but the absorptance sum's warning
-    values = {**problem._values, **{s.name: v for s, v in zip(problem.free, candidate)}}
-    if problem.assembly.kind is WallKind.BILAYER:
-        _warn_absorptance_sum(values["alpha_s"], values["alpha_L"])
-    c, scales = _coefficients_at(problem, values)
-    theta_e, dt = problem.env.ambient_temperature, problem.config.dt
-    if problem.source.mode is SourceMode.CONSTANT_FLUX:
-        simulated = _constant_flux_on(problem._grid, c, scales, theta_e, dt, problem._channel)
-    else:
-        # the runs of the shortened grid are the first runs of the full one,
-        # the last one cut at _steps; the guard is _integrate's
-        runs = [(i0, i1, scale) for (i0, i1, _), scale
-                in zip(_segments(problem.schedule, problem._steps, dt), scales)]
-        trajectory = _integrate(c, runs, theta_e, theta_e, theta_e, dt, problem._steps, 1)
-        column = trajectory.lig if problem._channel == "theta_L" else trajectory.silicone
-        simulated = np.interp(problem.target.times, trajectory.times, column)
-    diff = simulated - problem.target.values
-    return float(diff @ diff)
+    # would make at the candidate, but the absorptance sum's warning, which
+    # the evaluator gives
+    return problem._evaluate(candidate)
 
 
 def fit(problem: CalibrationProblem) -> CalibrationResult:
@@ -297,10 +357,13 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
         sse = objective(problem, clamped)
         if clamped == x:  # inside the box, the penalty is 0
             return sse
-        # numpy's dot: its summation (fused on some BLAS builds) is not a
-        # Python sum's
-        excess = np.array([(v - c) / w for v, c, w in zip(x, clamped, width)])
-        return sse + _PENALTY_WEIGHT * float(excess @ excess)
+        # the squared excess summed in Python floats, axis by axis: a BLAS
+        # dot may fuse its multiply-adds on one machine and not on another
+        penalty = 0.0
+        for v, c, w in zip(x, clamped, width):
+            excess = (v - c) / w
+            penalty += excess * excess
+        return sse + _PENALTY_WEIGHT * penalty
 
     # transient simplex candidates may be unphysical on purpose; only the
     # final fitted point (evaluated below, unsuppressed) should warn

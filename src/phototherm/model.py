@@ -167,14 +167,16 @@ class WallAssembly:
         return cls(kind=WallKind.BILAYER, silicone=silicone, lig=lig)
 
 
-def _warn_absorptance_sum(alpha_s: float, alpha_l: float) -> None:
-    """Warn when a bilayer's layer absorptances sum to more than 1."""
+def _warn_absorptance_sum(alpha_s: float, alpha_l: float, stacklevel: int = 3) -> None:
+    """Warn when a bilayer's layer absorptances sum to more than 1. stacklevel
+    goes to warnings.warn, where 2 names this function's caller; the default
+    names the caller's caller."""
     alpha_sum = alpha_s + alpha_l
     if alpha_sum > 1.0 + 1e-12:
         warnings.warn(
             f"layer absorptances sum to {alpha_sum:.4f} > 1; "
             "more power absorbed than supplied is unphysical",
-            UserWarning, stacklevel=3)
+            UserWarning, stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)

@@ -146,11 +146,6 @@ class Trajectory:
         return WallKind.SINGLE_LAYER if self.lig is None else WallKind.BILAYER
 
     @property
-    def samples(self) -> tuple[ThermalState, ...]:
-        lig = (None,) * len(self.times) if self.lig is None else self.lig.tolist()
-        return tuple(map(ThermalState, self.times.tolist(), self.silicone.tolist(), lig))
-
-    @property
     def final(self) -> ThermalState:
         lig = None if self.lig is None else float(self.lig[-1])
         return ThermalState(float(self.times[-1]), float(self.silicone[-1]), lig)
@@ -451,12 +446,17 @@ def _grow(h: float, m, expm1):
     return (1.0 + h) ** m - 1.0
 
 
-def _constant_flux_on(grid: _FluxGrid, c: _Coefficients, scales,
-                      theta_e: float, dt: float, channel: str) -> np.ndarray:
-    """A resolved channel of what `run` records from ambient under a constant
-    flux, interpolated at grid's target times like np.interp, for a wall with
-    the constants c and a schedule with grid's interval bounds and run scales
-    (Python floats).
+def _constant_flux_on(grid: _FluxGrid, c: _Coefficients, theta_e: float, dt: float,
+                      channel: str):
+    """The closed form of a resolved channel of what `run` records from
+    ambient under a constant flux, at grid's target times, interpolated like
+    np.interp. It takes once what no calibration parameter changes: the heat
+    capacities and coupling of c, their square roots, the channel's readout
+    and grid's run lengths. It returns values(g_s, g_l, q_s, q_l, scales),
+    the channel for a wall with these convective conductances and absorbed
+    powers at drive scale 1 (a single layer reads no g_l or q_l), under a
+    schedule with grid's interval bounds and these run scales (Python
+    floats).
 
     In excess temperatures x = theta - theta_e one Euler step is the affine
     map x -> M x + dt f with M = I + dt A. A is similar to the symmetric
@@ -478,66 +478,77 @@ def _constant_flux_on(grid: _FluxGrid, c: _Coefficients, scales,
     The caller has checked dt against the stability guard. run's per-step
     NumericalError cannot fire here: under the guard M >= 0 entrywise, the
     drive is >= 0 and the start is ambient, so every iterate stays >=
-    theta_e. The closing check catches overflow only.
+    theta_e. Only overflow remains, and values does not test for it: the
+    caller checks what it returns.
     """
-    cap_s, g_s, q_s = c.cap_s, c.g_s, c.q_s
-    if c.k is None:
-        modes = [(-g_s / cap_s, q_s / cap_s, 1.0)]  # (lam, b, readout)
+    cap_s, cap_l, k = c.cap_s, c.cap_l, c.k
+    if k is None:
+        def modes(g_s, g_l, q_s, q_l):  # (lam, b, readout) per mode
+            return ((-g_s / cap_s, q_s / cap_s, 1.0),)
     else:
-        cap_l, g_l, k, q_l = c.cap_l, c.g_l, c.k, c.q_l
-        # S = [[a, c], [c, d]]; its eigenpairs in closed form
-        a, d = -(g_s + k) / cap_s, -(g_l + k) / cap_l
-        off = k / math.sqrt(cap_s * cap_l)
-        lam_fast = 0.5 * (a + d) - math.hypot(0.5 * (a - d), off)
-        # det S from the conductances avoids the cancellation in a*d - c*c
-        lam_slow = (g_s * g_l + k * (g_s + g_l)) / (cap_s * cap_l) / lam_fast
-        # Q = [[cos, -sin], [sin, cos]], columns ordered (slow, fast)
-        phi = 0.5 * math.atan2(2.0 * off, a - d)
-        cos, sin = math.cos(phi), math.sin(phi)
-        f_s, f_l = q_s / math.sqrt(cap_s), q_l / math.sqrt(cap_l)  # D^{1/2} f
-        if channel == "theta_s":
-            root, r_slow, r_fast = math.sqrt(cap_s), cos, -sin
-        else:
-            root, r_slow, r_fast = math.sqrt(cap_l), sin, cos
-        modes = [(lam_slow, cos * f_s + sin * f_l, r_slow / root),
-                 (lam_fast, cos * f_l - sin * f_s, r_fast / root)]
-    # per mode: h = dt lam, (keep, g) such that m steps from w0 under a
-    # drive scale s reach w0 + _grow(h, m) (keep w0 + s g), and the readout.
-    # A mode with m |h| below the rounding of 1 for every m of the run
-    # ramps by dt s b per step, to rounding, as with no loss path; there
-    # b / lam could overflow
-    n_steps = sum(grid.lengths)
-    terms = []
-    for lam, b, readout in modes:
-        h = dt * lam
-        if abs(h) * n_steps < 2.0 ** -53:
-            terms.append((0.0, 0.0, dt * b, readout))
-        else:
-            terms.append((h, 1.0, b / lam, readout))
+        cap_sl = cap_s * cap_l
+        off = k / math.sqrt(cap_sl)
+        root_s, root_l = math.sqrt(cap_s), math.sqrt(cap_l)
+        lig = channel == "theta_L"
+        root = root_l if lig else root_s
 
-    # per run, in Python floats: the channel's excess at the run start, then
-    # per mode readout (keep w0 + s g). Each run starts from the previous run's
-    # end state, and step 0 is ambient: w = 0
-    table = []
-    w = [0.0] * len(terms)
-    for length, scale in zip(grid.lengths, scales):
-        start, pulls, ends = 0.0, [], []
-        for (h, keep, g, readout), w0 in zip(terms, w):
-            pull = keep * w0 + scale * g
-            start += readout * w0
-            pulls.append(readout * pull)
-            ends.append(w0 + _grow(h, length, math.expm1) * pull)
-        table.append([start] + pulls)
-        w = ends
+        def modes(g_s, g_l, q_s, q_l):
+            # S = [[a, c], [c, d]]; its eigenpairs in closed form
+            a, d = -(g_s + k) / cap_s, -(g_l + k) / cap_l
+            lam_fast = 0.5 * (a + d) - math.hypot(0.5 * (a - d), off)
+            # det S from the conductances avoids the cancellation in a*d - c*c
+            lam_slow = (g_s * g_l + k * (g_s + g_l)) / cap_sl / lam_fast
+            # Q = [[cos, -sin], [sin, cos]], columns ordered (slow, fast)
+            phi = 0.5 * math.atan2(2.0 * off, a - d)
+            cos, sin = math.cos(phi), math.sin(phi)
+            f_s, f_l = q_s / root_s, q_l / root_l  # D^{1/2} f
+            r_slow, r_fast = (sin, cos) if lig else (cos, -sin)
+            return ((lam_slow, cos * f_s + sin * f_l, r_slow / root),
+                    (lam_fast, cos * f_l - sin * f_s, r_fast / root))
 
-    # each bracketing step's row of the table, as one array per column
-    columns = np.array(table).take(grid.run, axis=0).T
-    excess = columns[0]
-    for (h, *_), column in zip(terms, columns[1:]):
-        excess = excess + _grow(h, grid.into, np.expm1) * column
-    below, above = excess[:grid.weight.size], excess[grid.weight.size:]
-    values = theta_e + (below + grid.weight * (above - below))
-    # a NaN makes both comparisons false
-    if not (values.min() > 0.0 and values.max() < math.inf):
-        raise NumericalError("temperature became non-finite or non-positive")
+    lengths, into, weight = grid.lengths, grid.into, grid.weight
+    n_steps, targets = sum(lengths), weight.size
+    # per column, where each bracketing step finds its value in the flat
+    # table below: a run start, then one pull per mode, per run
+    width = 2 if k is None else 3
+    gather = grid.run * width + np.arange(width)[:, None]
+
+    def values(g_s, g_l, q_s, q_l, scales) -> np.ndarray:
+        # per mode: h = dt lam, (keep, g) such that m steps from w0 under a
+        # drive scale s reach w0 + _grow(h, m) (keep w0 + s g), and the
+        # readout. A mode with m |h| below the rounding of 1 for every m of
+        # the run ramps by dt s b per step, to rounding, as with no loss
+        # path; there b / lam could overflow
+        terms = []
+        for lam, b, readout in modes(g_s, g_l, q_s, q_l):
+            h = dt * lam
+            if abs(h) * n_steps < 2.0 ** -53:
+                terms.append((0.0, 0.0, dt * b, readout))
+            else:
+                terms.append((h, 1.0, b / lam, readout))
+
+        # per run, in Python floats: the channel's excess at the run start,
+        # then per mode readout (keep w0 + s g), one run after another. Each
+        # run starts from the previous run's end state, and step 0 is
+        # ambient: w = 0
+        table = []
+        w = [0.0] * len(terms)
+        for length, scale in zip(lengths, scales):
+            start, pulls, ends = 0.0, [], []
+            for (h, keep, g, readout), w0 in zip(terms, w):
+                pull = keep * w0 + scale * g
+                start += readout * w0
+                pulls.append(readout * pull)
+                ends.append(w0 + _grow(h, length, math.expm1) * pull)
+            table += [start, *pulls]
+            w = ends
+
+        # per column of the table, its value at each bracketing step
+        columns = np.array(table).take(gather)
+        excess = columns[0]
+        for (h, *_), column in zip(terms, columns[1:]):
+            excess = excess + _grow(h, into, np.expm1) * column
+        below, above = excess[:targets], excess[targets:]
+        return theta_e + (below + weight * (above - below))
+
     return values

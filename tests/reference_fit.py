@@ -2,8 +2,9 @@
 match bit for bit.
 
 It is the fit as it was written on numpy vectors: np.clip for the box,
-np.mean for the centroid, a dot product for the penalty and vector
-arithmetic for every move. `fit` keeps its vertices in lists of Python
+np.mean for the centroid and vector arithmetic for every move. Only the
+penalty's sum of squares is Python floats, summed axis by axis, as `fit`
+sums it: a BLAS dot may fuse it on one machine and not on another. `fit` keeps its vertices in lists of Python
 floats; each coordinate must take the same floats in the same order, so
 both return the same values, SSE, iteration and evaluation counts.
 """
@@ -29,7 +30,9 @@ def initial_simplex(specs, x0):
     return simplex
 
 
-def reference_fit(problem):
+def reference_fit(problem, outside=None):
+    """The numpy fit. outside, when given, collects each evaluated point that
+    lies outside the box, as one flag per axis: is it outside on that one."""
     specs = problem.free
     lower = np.array([s.lower for s in specs])
     upper = np.array([s.upper for s in specs])
@@ -42,8 +45,12 @@ def reference_fit(problem):
         nonlocal evaluations
         evaluations += 1
         clamped = np.clip(x, lower, upper)
-        excess = (x - clamped) / width
-        return objective(problem, clamped) + _PENALTY_WEIGHT * float(excess @ excess)
+        if outside is not None and (x != clamped).any():
+            outside.append((x != clamped).tolist())
+        penalty = 0.0
+        for excess in ((x - clamped) / width).tolist():
+            penalty += excess * excess
+        return objective(problem, clamped) + _PENALTY_WEIGHT * penalty
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)

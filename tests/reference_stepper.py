@@ -11,6 +11,15 @@ segments, so the two agree wherever no interval bound falls between steps.
 from phototherm import STEFAN_BOLTZMANN, SourceMode, ThermalState, WallKind
 
 
+def samples(trajectory):
+    """The trajectory's recorded samples as ThermalStates of Python floats,
+    built from its columns."""
+    lig = trajectory.lig
+    lig = (None,) * len(trajectory.times) if lig is None else lig.tolist()
+    return tuple(map(ThermalState, trajectory.times.tolist(), trajectory.silicone.tolist(),
+                     lig))
+
+
 def scale_at(schedule, t):
     """Drive scale of schedule at time t; intervals are half-open
     [start, end) and gaps are off."""

@@ -48,7 +48,7 @@ from phototherm import (
 from phototherm.fileio import RunConfig, SweepSpec
 from phototherm.metrics import RESPONSE_FRACTION
 from linear_oracle import exact_bilayer_grid
-from reference_stepper import rhs_bilayer, rhs_single
+from reference_stepper import rhs_bilayer, rhs_single, samples
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -141,7 +141,8 @@ def test_criterion_5_energy_bookkeeping(bilayer_cfg):
     g_l = convective_conductance(assembly.lig)
     absorbed = (assembly.silicone.absorptance + assembly.lig.absorptance) * source.power
     worst = 0.0
-    for state in traj.samples:
+    states = samples(traj)
+    for state in states:
         d_s, d_l = rhs_bilayer(state, assembly, source, env, scale=1.0)
         stored = cap_s * d_s + cap_l * d_l
         conv = (g_s * (state.silicone_temperature - env.ambient_temperature)
@@ -149,7 +150,7 @@ def test_criterion_5_energy_bookkeeping(bilayer_cfg):
         worst = max(worst, abs(stored + conv - absorbed))
     ok = worst < 1e-10
     report("criterion 5 (power balance residual < 1e-10 W at every recorded step)",
-           ok, f"worst residual = {worst:.2e} W over {len(traj.samples)} states")
+           ok, f"worst residual = {worst:.2e} W over {len(states)} states")
 
 
 def test_criterion_6_newton_cooling(single_cfg):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import re
 import warnings
 from dataclasses import replace
@@ -19,6 +21,7 @@ from phototherm import (
     KindMismatchError,
     LightSchedule,
     MeasurementSeries,
+    NumericalError,
     ParamSpec,
     SimConfig,
     StabilityError,
@@ -164,6 +167,18 @@ class TestProblemValidation:
         for candidate in ([0.7, 6.0], [1.9, 11.5], [0.1, 2.0]):
             assert repr(objective(strided, candidate)) == repr(objective(every, candidate))
 
+    @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
+    def test_problem_pickles_and_copies(self, radiative):
+        # a copy builds its own evaluator and gives the same values
+        problem = make_problem(synthetic_target(make_bilayer()),
+                               ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                               ParamSpec("h_Le", 5.0, 40.0, 18.0))
+        if radiative:
+            problem = replace(problem, source=HeatSource.radiative(373.0, 0.9))
+        for copied in (pickle.loads(pickle.dumps(problem)), copy.deepcopy(problem)):
+            assert copied._evaluate is not problem._evaluate
+            assert objective(copied, [0.7, 20.0]) == objective(problem, [0.7, 20.0])
+
 
 class TestObjective:
     def test_self_consistency_is_zero(self):
@@ -218,6 +233,23 @@ class TestObjective:
                     assembly=single, source=HeatSource.constant_flux(POWER_W),
                     env=Environment(AMBIENT_K), schedule=SCHEDULE, config=CONFIG,
                     channel=channel)
+
+    def test_closed_form_is_built_once_per_problem(self, monkeypatch):
+        # a candidate recomputes only what it changes: the closed form's
+        # constants are taken when the problem is built
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return simulate_module._constant_flux_on(*args)
+
+        monkeypatch.setattr(calibrate_module, "_constant_flux_on", counting)
+        problem = make_problem(synthetic_target(make_bilayer()),
+                               ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                               ParamSpec("h_Le", 5.0, 40.0, 18.0))
+        values = [objective(problem, [0.6 + 0.05 * i, 10.0 + i]) for i in range(5)]
+        assert len(built) == 1
+        assert len(set(values)) == 5
 
     def test_radiative_source_steps_the_run(self):
         # radiative drive is nonlinear, so the objective must fall back to
@@ -368,11 +400,10 @@ def small_fit_problems(draw):
 
 
 class TestFitMatchesNumpyReference:
-    @given(small_fit_problems())
-    @settings(max_examples=80, deadline=None)
-    def test_float_lists_take_the_numpy_path_bit_for_bit(self, problem):
+    @staticmethod
+    def assert_same_path(problem, **reference_options):
         # every candidate either fit evaluates, in order, and the results
-        def recorded(module, fitter):
+        def recorded(module, fitter, **options):
             calls = []
 
             def recording(problem, candidate):
@@ -380,17 +411,34 @@ class TestFitMatchesNumpyReference:
                 return objective(problem, candidate)
 
             with mock.patch.object(module, "objective", recording):
-                return fitter(problem), calls
+                return fitter(problem, **options), calls
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             (got, got_calls), (want, want_calls) = (
-                recorded(calibrate_module, fit), recorded(reference_fit_module, reference_fit))
+                recorded(calibrate_module, fit),
+                recorded(reference_fit_module, reference_fit, **reference_options))
         assert list(map(repr, got_calls)) == list(map(repr, want_calls))
         assert repr(got.values) == repr(want.values)
         assert repr(got.sse) == repr(want.sse)
         assert (got.iterations, got.evaluations, got.converged) \
             == (want.iterations, want.evaluations, want.converged)
+
+    @given(small_fit_problems())
+    @settings(max_examples=80, deadline=None)
+    def test_float_lists_take_the_numpy_path_bit_for_bit(self, problem):
+        self.assert_same_path(problem)
+
+    def test_a_fit_that_leaves_the_box_on_two_axes_takes_the_same_path(self):
+        # the preset's alpha_L = 0.83 and h_Le = 18 lie beyond the box's
+        # corner (0.8, 20): the simplex steps past both bounds at once, so
+        # the penalty sums two nonzero squares
+        problem = make_problem(synthetic_target(make_bilayer()),
+                               ParamSpec("alpha_L", 0.5, 0.8, 0.7),
+                               ParamSpec("h_Le", 20.0, 40.0, 30.0))
+        outside = []
+        self.assert_same_path(problem, outside=outside)
+        assert sum(all(outside_by_axis) for outside_by_axis in outside) > 10
 
 
 class TestApplyNamedParameter:
@@ -540,6 +588,7 @@ class TestCandidateChecks:
             assert [str(w.message) for w in caught] == [
                 "layer absorptances sum to 1.2000 > 1; "
                 "more power absorbed than supplied is unphysical"]
+            assert caught[0].filename == __file__  # the caller's, not the package's
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 objective(problem, [0.8, 0.1])  # sums to 0.9
@@ -556,6 +605,33 @@ class TestCandidateChecks:
         assert result.evaluations > 10
         assert len(caught) == 1
         assert str(caught[0].message).startswith("layer absorptances sum to 1.07")
+
+
+class TestOverflow:
+    """A constant flux beyond the float range: the closed form's values
+    leave the float range, and objective and fit raise NumericalError."""
+
+    @pytest.mark.parametrize("bilayer", [False, True], ids=["single", "bilayer"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_temperature_raises(self, bilayer):
+        wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
+        problem = make_problem(synthetic_target(wall), ParamSpec("Q_h", 1.0, 1e308, 1e308),
+                               assembly=wall)
+        message = "^temperature became non-finite or non-positive$"
+        with pytest.raises(NumericalError, match=message):
+            objective(problem, [1e308])
+        with pytest.raises(NumericalError, match=message):
+            fit(problem)
+
+    @pytest.mark.parametrize("bilayer", [False, True], ids=["single", "bilayer"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_temperatures_whose_sse_overflows_give_inf(self, bilayer):
+        # every temperature is finite and positive, about 1e162 K, but their
+        # squared errors are not: the objective is inf, not an error
+        wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
+        problem = make_problem(synthetic_target(wall), ParamSpec("Q_h", 1.0, 1e308, 1.0),
+                               assembly=wall)
+        assert objective(problem, [1e160]) == math.inf
 
 
 def radiative_problem(bilayer=True, last=60.0, free=(ParamSpec("scale", 0.1, 2.0, 1.0),

@@ -231,6 +231,23 @@ class TestCalibrateCommand:
         assert err == (f"error: dt=0.2 s exceeds the stability limit {limit} s "
                        "set by the lig layer\n")
 
+    @pytest.mark.parametrize("preset", ["table1_single", "table1_bilayer"])
+    @pytest.mark.filterwarnings("always:invalid value encountered:RuntimeWarning")
+    def test_flux_beyond_the_float_range_is_a_numerical_failure(self, capsys, tmp_path,
+                                                                 preset):
+        # the closed form's temperatures overflow at the initial point; numpy's
+        # warnings on the way are printed as warning lines
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n0,298.0\n50,318.0\n100,327.0\n150,331.0\n",
+                          encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--preset", preset,
+                                 "--target", str(target), "--param", "Q_h:1:1e308:1e308")
+        assert code == 3
+        assert out == ""
+        *warned, error = err.splitlines()
+        assert error == "error: temperature became non-finite or non-positive"
+        assert all(line.startswith("warning: ") for line in warned)
+
     def test_zero_convection_sweep_point_still_fails_its_row(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_single",
                                  "--param", "h_se", "--values", "0,6",

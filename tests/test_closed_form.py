@@ -50,8 +50,8 @@ def constant_flux_at(assembly, source, schedule, env, config, times, channel):
     _check_step(c, config.dt, env.ambient_temperature, 1.0)
     channel = _resolve_channel(assembly.kind, channel)
     grid = _flux_grid(schedule, config, times)
-    return _constant_flux_on(grid, c, grid.scales, env.ambient_temperature, config.dt,
-                             channel)
+    values = _constant_flux_on(grid, c, env.ambient_temperature, config.dt, channel)
+    return values(c.g_s, c.g_l, c.q_s, c.q_l, grid.scales)
 
 
 def stepped_at(assembly, source, schedule, env, config, times, channel):

@@ -388,7 +388,7 @@ class TestTrajectoryIO:
         write_trajectory(single_run, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "t_s,theta_s_K,theta_L_K"
-        assert len(lines) == 1 + len(single_run.samples)
+        assert len(lines) == 1 + len(single_run.times)
         assert lines[1].endswith(",")  # empty lig column
 
     def test_bilayer_columns_populated(self, tmp_path, bilayer_run):

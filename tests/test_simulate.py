@@ -33,7 +33,7 @@ from phototherm.model import _coefficients
 from phototherm.simulate import _segments, _time_constant
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE, TAU_SINGLE_S
 from linear_oracle import exact_bilayer_grid
-from reference_stepper import euler_step, scale_at
+from reference_stepper import euler_step, samples, scale_at
 
 ALWAYS_ON = LightSchedule.always_on()
 
@@ -293,8 +293,8 @@ class TestRun:
                                              environment):
         traj = run(bilayer_wall, flux_source, LightSchedule.off(), environment,
                    SimConfig(duration=5.0, dt=0.05))
-        assert all(s.silicone_temperature == AMBIENT_K for s in traj.samples)
-        assert all(s.lig_temperature == AMBIENT_K for s in traj.samples)
+        assert all(s.silicone_temperature == AMBIENT_K for s in samples(traj))
+        assert all(s.lig_temperature == AMBIENT_K for s in samples(traj))
 
     @pytest.mark.parametrize("wall, source, record_stride", [
         pytest.param(f"{kind}_wall", source, stride,
@@ -374,7 +374,7 @@ class TestRun:
         start = ThermalState(0.0, 308.625)
         traj = run(single_wall, flux_source, LightSchedule.off(), environment,
                    SimConfig(duration=10.0, dt=0.01), initial=start)
-        assert traj.samples[0].silicone_temperature == 308.625
+        assert traj.silicone[0] == 308.625
         assert traj.final.silicone_temperature < 308.625
 
     def test_bilayer_start_needs_a_lig_temperature(self, bilayer_wall, flux_source,
@@ -716,11 +716,12 @@ class TestTrajectory:
         traj = run(assembly, flux_source, ALWAYS_ON, environment,
                    SimConfig(duration=1.0, dt=0.1, record_stride=3))
         assert traj.kind is assembly.kind
-        assert len(traj.samples) == len(traj.times) == 4  # steps 0, 3, 6, 9
-        for i, state in enumerate(traj.samples):
+        states = samples(traj)
+        assert len(states) == len(traj.times) == 4  # steps 0, 3, 6, 9
+        for i, state in enumerate(states):
             lig = None if traj.lig is None else traj.lig[i]
             assert state == ThermalState(traj.times[i], traj.silicone[i], lig)
-        assert traj.final == traj.samples[-1]
+        assert traj.final == states[-1]
 
 
 class TestAccuracy:
