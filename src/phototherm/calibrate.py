@@ -285,12 +285,14 @@ def _evaluator(problem: CalibrationProblem) -> Callable[[list], float]:
             trajectory = _integrate(at, runs, theta_e, theta_e, theta_e, dt, steps, 1)
             column = trajectory.lig if lig_channel else trajectory.silicone
             diff = np.interp(times, trajectory.times, column) - measured
-            return float(diff @ diff)
+            return float(np.add.reduce(diff * diff))
         simulated = flux(g_s, g_l, _absorbed(alpha_s, q_h),
                          _absorbed(alpha_l, q_h) if bilayer else None,
                          [s * scale for s in base_scales])
         diff = simulated - measured
-        sse = float(diff @ diff)
+        # numpy's pairwise sum takes the same additions on every machine,
+        # where a BLAS dot may fuse its multiply-adds on one and not another
+        sse = float(np.add.reduce(diff * diff))
         # a NaN or infinite temperature makes the SSE NaN or inf, so a finite
         # SSE leaves only the sign to test. Finite temperatures whose squared
         # errors overflow make it inf too: the full test tells them apart,
@@ -325,6 +327,9 @@ def objective(problem: CalibrationProblem, candidate) -> float:
     return problem._evaluate(candidate)
 
 
+# a candidate's temperatures that leave the float range raise NumericalError
+# in the evaluator: numpy's warnings on the way would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def fit(problem: CalibrationProblem) -> CalibrationResult:
     """Minimize the objective by Nelder-Mead within the declared bounds.
 
@@ -337,6 +342,8 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
     the box. Vertices are lists of Python floats: each coordinate takes the
     same float operations, in the same order, as numpy vectors would, and
     the fit matches the numpy version in tests/reference_fit.py bit for bit.
+    A clamped candidate the fit has evaluated before reuses its SSE, so
+    evaluations counts the distinct ones, plus the final call.
     """
     specs = problem.free
     lower = [s.lower for s in specs]
@@ -348,13 +355,14 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
         # inside it, so that 0.0 clamps -0.0
         return [min(hi, max(lo, v)) for v, lo, hi in zip(x, lower, upper)]
 
-    evaluations = 0
+    sse_at: dict = {}  # the objective at each clamped candidate evaluated
 
     def penalized(x: list) -> float:
-        nonlocal evaluations
-        evaluations += 1
         clamped = clip(x)
-        sse = objective(problem, clamped)
+        key = tuple(clamped)
+        sse = sse_at.get(key)
+        if sse is None:
+            sse = sse_at[key] = objective(problem, clamped)
         if clamped == x:  # inside the box, the penalty is 0
             return sse
         # the squared excess summed in Python floats, axis by axis: a BLAS
@@ -427,4 +435,4 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
     return CalibrationResult(
         values={spec.name: v for spec, v in zip(specs, fitted)},
         sse=sse, rmse=rmse, iterations=iterations, converged=converged,
-        evaluations=evaluations + 1)
+        evaluations=len(sse_at) + 1)

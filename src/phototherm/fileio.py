@@ -7,7 +7,6 @@ line. Series files are two-column CSV (`time_s,value`) with an optional
 kelvin. Every emitted file is re-ingestible by the matching reader.
 """
 
-import configparser
 import io
 import math
 import os
@@ -119,23 +118,6 @@ def preset_path(name: str) -> Path:
     return path
 
 
-def _key_lines(text: str) -> dict:
-    """Map (section, key) and (section, None) to 1-based line numbers."""
-    mapping: dict = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", ";")):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            mapping[(section, None)] = lineno
-        elif "=" in line and section is not None:
-            key = line.split("=", 1)[0].strip()
-            mapping[(section, key)] = lineno
-    return mapping
-
-
 def load_config(path) -> RunConfig:
     """Parse and validate a scenario config file."""
     path = Path(path)
@@ -148,40 +130,70 @@ def load_config(path) -> RunConfig:
     return parse_config(text, origin=str(path))
 
 
-def _parse_error(exc: configparser.Error, origin: str) -> ConfigError:
-    """configparser's error as `origin:line: message`, built from its
-    attributes: its own text names the file a second time."""
-    lineno = getattr(exc, "lineno", None)
-    if isinstance(exc, configparser.DuplicateOptionError):
-        message = f"[{exc.section}] option {exc.option!r} already exists"
-    elif isinstance(exc, configparser.DuplicateSectionError):
-        message = f"section {exc.section!r} already exists"
-    elif isinstance(exc, configparser.MissingSectionHeaderError):
-        message = f"line before the first [section] header: {exc.line.strip()!r}"
-    elif isinstance(exc, configparser.ParsingError) and exc.errors:
-        lineno = exc.errors[0][0]
-        message = "expected a [section] header or a key = value line"
-    else:
-        message = exc.message
-    return ConfigError(f"{origin}:{lineno}: {message}" if lineno else f"{origin}: {message}")
+def _read_ini(text: str, origin: str) -> tuple[dict, dict]:
+    """{section: {key: value}} of an INI text, and the line of each section
+    at (section, None) and each key at (section, key). It reads as
+    ConfigParser(interpolation=None, delimiters=("=",)) does, to the same
+    values and errors, but [DEFAULT] is a plain section: full-line # and ;
+    comments, lower-cased keys, values continued on deeper-indented lines. A
+    duplicate or a line before the first header raises at once, the first
+    malformed line at the end."""
+    sections: dict = {}
+    lines: dict = {}
+    name = section = key = malformed = None
+    indent = blanks = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped:
+            blanks += 1
+            continue
+        if stripped[0] in "#;":
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key and depth > indent:
+            # blank lines join a value only once a line follows them
+            section[key] += "\n" * (blanks + 1) + stripped
+            blanks = 0
+            continue
+        indent, blanks = depth, 0
+        end = stripped.rfind("]")
+        # a header is configparser's match of \[(.+)\]: up to the last ]
+        if stripped[0] == "[" and end > 1:
+            name, key = stripped[1:end], None
+            if name in sections:
+                raise ConfigError(f"{origin}:{lineno}: section {name!r} already exists")
+            section = sections[name] = {}
+            lines[name, None] = lineno
+        elif section is None:
+            raise ConfigError(
+                f"{origin}:{lineno}: line before the first [section] header: {stripped!r}")
+        elif "=" in stripped:
+            raw, _, value = stripped.partition("=")
+            key = raw.rstrip().lower()
+            if key in section:
+                raise ConfigError(f"{origin}:{lineno}: [{name}] option {key!r} already exists")
+            section[key], lines[name, key] = value.strip(), lineno
+            if not key:  # malformed, but held like any other key
+                malformed = malformed or lineno
+        else:
+            malformed = malformed or lineno
+    if malformed:
+        raise ConfigError(
+            f"{origin}:{malformed}: expected a [section] header or a key = value line")
+    return sections, lines
 
 
 def parse_config(text: str, origin: str = "<config>") -> RunConfig:
-    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    try:
-        cp.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise _parse_error(exc, origin) from exc
-    lines = _key_lines(text)
+    sections, lines = _read_ini(text, origin)
 
     def where(section: str, key: str | None = None) -> str:
         lineno = lines.get((section, key)) or lines.get((section, None))
         return f"{origin}:{lineno}" if lineno else origin
 
-    for section in cp.sections():
+    for section, keys in sections.items():
         if section not in _SECTION_KEYS:
             raise ConfigError(f"{where(section)}: unknown section [{section}]")
-        extra = set(cp.options(section)) - _SECTION_KEYS[section]
+        extra = keys.keys() - _SECTION_KEYS[section]
         if extra:
             key = sorted(extra)[0]
             raise ConfigError(f"{where(section, key)}: unknown key {key!r} in [{section}]")
@@ -189,11 +201,12 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     _REQUIRED = object()
 
     def get(section: str, key: str, cast=float, default=_REQUIRED):
-        if not cp.has_option(section, key):
+        raw = sections.get(section, {}).get(key)
+        if raw is None:
             if default is _REQUIRED:
                 raise ConfigError(f"{where(section)}: [{section}] missing key {key!r}")
             return default
-        raw = cp.get(section, key).strip()
+        raw = raw.strip()
         try:
             return cast(raw)
         except ValueError:
@@ -205,7 +218,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         """make() for a present section. A ValidationError that is not yet a
         ConfigError is located at the key its message starts with, or else
         at the section."""
-        if not cp.has_section(section):
+        if section not in sections:
             raise ConfigError(f"{origin}: missing section [{section}]")
         try:
             return make()
@@ -230,7 +243,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         mode = choice(SourceMode, "source", "mode", "constant_flux", "radiative_body")
         flux = mode is SourceMode.CONSTANT_FLUX
         for key in ("source_temperature", "source_emissivity") if flux else ("power",):
-            if cp.has_option("source", key):
+            if key in sections["source"]:
                 raise ValidationError(f"{key} is not valid in {mode.value} mode")
         if flux:
             return HeatSource.constant_flux(get("source", "power"))
@@ -245,7 +258,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         # the coupling conductance comes from the silicone layer
         assembly = build("silicone", lambda: WallAssembly.bilayer(silicone, lig))
     else:
-        if cp.has_section("lig"):
+        if "lig" in sections:
             raise ConfigError(
                 f"{where('lig')}: [lig] section is not valid for a single-layer assembly")
         assembly = WallAssembly.single(silicone)

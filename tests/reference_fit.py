@@ -6,7 +6,9 @@ np.mean for the centroid and vector arithmetic for every move. Only the
 penalty's sum of squares is Python floats, summed axis by axis, as `fit`
 sums it: a BLAS dot may fuse it on one machine and not on another. `fit` keeps its vertices in lists of Python
 floats; each coordinate must take the same floats in the same order, so
-both return the same values, SSE, iteration and evaluation counts.
+both return the same values, SSE and iteration count. This fit evaluates
+every candidate it meets, also one it met before; `fit` reuses the SSE of
+a repeat, so its evaluations are this fit's distinct calls.
 """
 
 import math

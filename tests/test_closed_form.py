@@ -298,7 +298,7 @@ class TestObjectiveIsClosedForm:
                 assembly, source, schedule, spec.name, value)
         diff = constant_flux_at(assembly, source, schedule, problem.env, problem.config,
                                 problem.target.times, problem.channel) - problem.target.values
-        assert objective(problem, candidate) == float(diff @ diff)
+        assert objective(problem, candidate) == float(np.add.reduce(diff * diff))
 
 
 @st.composite
@@ -329,4 +329,4 @@ class TestObjectiveAppliesFinalValues:
                 assembly, source, schedule, spec.name, value)
         diff = constant_flux_at(assembly, source, schedule, problem.env, problem.config,
                                 problem.target.times, problem.channel) - problem.target.values
-        assert objective(problem, candidate) == float(diff @ diff)
+        assert objective(problem, candidate) == float(np.add.reduce(diff * diff))

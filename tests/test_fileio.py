@@ -1,6 +1,9 @@
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -35,8 +38,10 @@ from phototherm import (
     write_series,
     write_trajectory,
 )
-from phototherm.fileio import RunConfig, _bulk_rows, _csv_body, _parse_rows, parse_config
+from phototherm.fileio import (RunConfig, _bulk_rows, _csv_body, _parse_rows,
+                               _read_ini, parse_config)
 from conftest import LIG, POWER_W, SILICONE
+from reference_ini import reference_read_ini
 
 
 class TestIlluminanceScale:
@@ -299,6 +304,103 @@ class TestConfigParsing:
             parse_config(text)
         assert str(info.value) == (f"<config>:{line}: [metrics] channel theta_L is not "
                                    "valid for a single-layer assembly")
+
+    def test_a_key_is_located_at_its_own_line_whatever_its_case(self):
+        text = minimal_single_config("power = 0.075", "Power = lots")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == "<config>:17: [source] power: not a number: 'lots'"
+
+    def test_default_section_is_an_unknown_section(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("[DEFAULT]\nkind = bilayer\n" + minimal_single_config())
+        assert str(info.value) == "<config>:1: unknown section [DEFAULT]"
+
+    def test_continuation_lines_join_the_value(self):
+        text = minimal_single_config("intervals = 0:inf:1",
+                                     "intervals = 0:10:1,\n  # off\n\n  20:inf:0.5\n\n")
+        assert parse_config(text).schedule.intervals == ((0.0, 10.0, 1.0), (20.0, math.inf, 0.5))
+
+    def test_readme_example_is_the_bilayer_preset(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        preset = load_config(preset_path("table1_bilayer"))
+        readme_config = parse_config(example, origin="README.md")
+        assert readme_config == RunConfig(**{**vars(preset), "plateau_window": 20.0,
+                                             "plateau_threshold": 1.0})
+
+    def test_importing_the_cli_does_not_load_configparser(self):
+        src = Path(__file__).parent.parent / "src"
+        code = "import sys, phototherm.cli; print('configparser' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out == "False\n"
+
+
+_INDENTS = st.sampled_from(["", " ", "  ", "\t", "    ", "\u00a0"])
+_NAMES = st.sampled_from(["a", "b", "A", "Key", "sim", "x y"])
+_INI_LINES = st.one_of(
+    # headers, well-formed or not
+    st.builds("{}[{}]{}".format, _INDENTS, st.sampled_from(["a", "b", "A", " x ", "a] tail",
+                                                            "a]", "sim"]),
+              st.sampled_from(["", " tail", " ", "]"])),
+    st.builds("{}[]".format, _INDENTS),
+    # key = value lines, with mixed case and spacing
+    st.builds("{}{}{}={}{}{}".format, _INDENTS, _NAMES, st.sampled_from(["", " ", "\t"]),
+              st.sampled_from(["", " ", "  "]),
+              st.sampled_from(["1", "", "0:inf:1", "x = y", "[c]", "# not a comment"]),
+              st.sampled_from(["", " ", "\r"])),
+    st.builds("{}= {}".format, _INDENTS, st.sampled_from(["1", ""])),
+    # continuation-shaped and blank lines
+    st.builds("{}{}".format, _INDENTS, st.sampled_from(["more", "a = 2", "[a]", "2:3:1"])),
+    st.sampled_from(["", " ", "\t", "\r"]),
+    # comments and junk
+    st.builds("{}{}".format, _INDENTS, st.sampled_from(["# note", "; note", "#", ";a = 1"])),
+    st.builds("{}{}".format, _INDENTS, st.sampled_from(["junk", "a : 1", "[a"])),
+)
+# a key line and the indented, blank and comment lines that may follow it
+_INI_VALUES = st.builds(
+    "{} = {}\n{}".format, _NAMES, st.sampled_from(["1", "", "0:10:1,"]),
+    st.lists(st.one_of(st.builds("{}{}".format, _INDENTS.filter(bool),
+                                 st.sampled_from(["20:inf:1", "b = 2", "[b]", "# note"])),
+                       st.sampled_from(["", " ", "; note"])),
+             min_size=1, max_size=4).map("\n".join))
+
+
+class TestIniReaderMatchesConfigparser:
+    """_read_ini against configparser, the oracle in tests/reference_ini.py:
+    the same texts accepted, the same sections and values, the same error
+    at the same line. [DEFAULT], which configparser holds as every
+    section's defaults, is never generated."""
+
+    @staticmethod
+    def outcome(read, text):
+        try:
+            return read(text, "<t>")
+        except ConfigError as exc:
+            return str(exc)
+
+    @given(st.lists(st.one_of(_INI_LINES, _INI_VALUES), max_size=12),
+           st.sampled_from(["", "\n"]), st.booleans())
+    @settings(max_examples=600, deadline=None)
+    def test_same_result_on_generated_texts(self, body, end, headed):
+        lines = (["[a]"] if headed else []) + body
+        text = "\n".join(lines) + end
+        got, want = self.outcome(_read_ini, text), self.outcome(reference_read_ini, text)
+        if isinstance(want, str):
+            assert got == want
+            return
+        sections, located = got
+        assert sections == want
+        # every section and key is located at the line that names it
+        raw = text.split("\n")
+        for (section, key), lineno in located.items():
+            line = raw[lineno - 1].strip()
+            if key is None:
+                assert line[0] == "[" and line[1:line.rindex("]")] == section
+            else:
+                assert line.partition("=")[0].rstrip().lower() == key
+                assert key in sections[section]
 
 
 class TestSeriesIO:
