@@ -41,7 +41,6 @@ from .metrics import (
     MeasurementSeries,
     RESPONSE_FRACTION,
     ResponseReport,
-    angular_change_ratio,
     cooling_fit,
     cycle_degradation,
     cycle_peaks,

@@ -11,7 +11,6 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -19,8 +18,8 @@ from .errors import NumericalError, ValidationError
 from .metrics import MeasurementSeries
 from .model import (Environment, HeatSource, SourceMode, WallAssembly, WallKind, _absorbed,
                     _coefficients, _Coefficients, _convective, _warn_absorptance_sum)
-from .simulate import (LightSchedule, SimConfig, _check_step, _constant_flux_on, _flux_grid,
-                       _FluxGrid, _integrate, _resolve_channel, _segments, _time_constant)
+from .simulate import (LightSchedule, SimConfig, _check_step, _integrate, _resolve_channel,
+                       _segments, _time_constant)
 
 #: tunable parameter names and the hard physical range each must stay inside
 PARAM_RANGES = {
@@ -80,15 +79,7 @@ class CalibrationProblem:
     schedule: LightSchedule
     config: SimConfig
     channel: str = "auto"
-    # computed once per problem, the same for every candidate: the target
-    # grid and run scales, the wall's constants, the parameter values, the
-    # resolved channel, the number of steps a radiative objective takes and
-    # the evaluator objective calls (see _evaluator)
-    _grid: _FluxGrid = field(init=False, repr=False, compare=False)
-    _coef: _Coefficients = field(init=False, repr=False, compare=False)
-    _values: dict = field(init=False, repr=False, compare=False)
-    _channel: str = field(init=False, repr=False, compare=False)
-    _steps: int = field(init=False, repr=False, compare=False)
+    # the function objective calls, built once per problem (see _evaluator)
     _evaluate: Callable[[list], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,9 +91,14 @@ class CalibrationProblem:
             raise ValidationError("free parameter names must be unique")
         if self.target.unit != "K":
             raise ValidationError("calibration target must be a temperature series in K")
-        # a run ends at its last step, n_steps * dt, which may fall short of
-        # the duration; past it both objective modes would read its value
-        dt, n_steps, last = self.config.dt, self.config.n_steps, self.target.times[-1]
+        # a run covers [0, n_steps * dt], and n_steps * dt may fall short of
+        # the duration; outside it both objective modes would read the value
+        # at its nearer end
+        dt, n_steps = self.config.dt, self.config.n_steps
+        first, last = self.target.times[0], self.target.times[-1]
+        if first / dt < -1e-9:
+            raise ValidationError(
+                f"the target starts at t={first:g} s, before the run starts at t=0 s")
         if last / dt > n_steps + 1e-9:
             raise ValidationError(
                 f"the target ends at t={last:g} s, after the last step of the run at "
@@ -112,22 +108,16 @@ class CalibrationProblem:
         for spec in self.free:  # a rescaled interval must stay finite
             if spec.name == "scale":
                 self.schedule.scaled(spec.upper)
-        set_field = partial(object.__setattr__, self)
         sil, lig = self.assembly.silicone, self.assembly.lig
         values = {"alpha_s": sil.absorptance, "h_se": sil.conv_coeff,
                   "Q_h": self.source.power, "scale": 1.0}
         if lig is not None:
             values.update(alpha_L=lig.absorptance, h_Le=lig.conv_coeff)
-        set_field("_grid", _flux_grid(self.schedule, self.config, self.target.times))
-        set_field("_coef", _coefficients(self.assembly, self.source))
-        set_field("_values", values)
-        _check_box(self)
-        set_field("_channel", _resolve_channel(self.assembly.kind, self.channel))
-        # a radiative run need not go past the last target: stop one step
-        # after its upper bracketing step, a margin for the rounding of
-        # t / dt against the recorded stamps step * dt
-        set_field("_steps", min(math.floor(last / dt) + 2, n_steps))
-        set_field("_evaluate", _evaluator(self))
+        c = _coefficients(self.assembly, self.source)
+        segments = _segments(self.schedule, n_steps, dt)
+        _check_box(self, c, values, segments)
+        channel = _resolve_channel(self.assembly.kind, self.channel)
+        object.__setattr__(self, "_evaluate", _evaluator(self, c, values, segments, channel))
 
     def __reduce__(self):
         # the evaluator is a closure, which pickle cannot save: a copy is
@@ -180,18 +170,20 @@ def apply_named_parameter(assembly: WallAssembly, source: HeatSource,
     return WallAssembly(kind=assembly.kind, silicone=sil, lig=lig), source, schedule
 
 
-def _guard_at(problem: CalibrationProblem, values: dict) -> tuple[_Coefficients, float]:
+def _guard_at(problem: CalibrationProblem, c: _Coefficients, values: dict,
+              segments) -> tuple[_Coefficients, float]:
     """What the stability guard reads at these parameter values: the wall's
-    constants with the convective conductances at h_se and h_Le, and the
-    largest run scale at scale."""
-    c, sil, lig = problem._coef, problem.assembly.silicone, problem.assembly.lig
+    constants c with the convective conductances at h_se and h_Le, and the
+    largest scale of the runs at scale."""
+    sil, lig = problem.assembly.silicone, problem.assembly.lig
     c = c._replace(g_s=_convective(sil.conv_faces, values["h_se"], sil.area))
     if lig is not None:
         c = c._replace(g_l=_convective(lig.conv_faces, values["h_Le"], lig.area))
-    return c, max(s * values["scale"] for s in problem._grid.scales)
+    return c, max(s * values["scale"] for *_, s in segments)
 
 
-def _check_box(problem: CalibrationProblem) -> None:
+def _check_box(problem: CalibrationProblem, c: _Coefficients, values: dict,
+               segments) -> None:
     """Reject a box in which some candidate breaks the stability guard.
 
     The guard's loss conductances grow with h_se and h_Le and, under a
@@ -201,7 +193,8 @@ def _check_box(problem: CalibrationProblem) -> None:
     is stable when its upper corner is. When its lower corner is not, no
     candidate is, and this raises the guard's StabilityError at the initial
     point. Every other box is rejected with a ValidationError that names a
-    parameter and the largest stable upper bound for it.
+    parameter and the largest stable upper bound for it. c, values and
+    segments are the problem's wall constants, parameter values and runs.
     """
     radiative = problem.source.mode is SourceMode.RADIATIVE_BODY
     guarded = [s for s in problem.free
@@ -209,17 +202,17 @@ def _check_box(problem: CalibrationProblem) -> None:
     dt, theta_e = problem.config.dt, problem.env.ambient_temperature
 
     def limit(**at) -> tuple[float, str]:
-        c, scale = _guard_at(problem, {**problem._values, **at})
-        return _time_constant(c, theta_e, scale)
+        wall, scale = _guard_at(problem, c, {**values, **at}, segments)
+        return _time_constant(wall, theta_e, scale)
 
     top = {s.name: s.upper for s in guarded}
     tau, layer = limit(**top)
     if dt <= tau:
         return
     if dt > limit(**{s.name: s.lower for s in guarded})[0]:
-        c, scale = _guard_at(
-            problem, {**problem._values, **{s.name: s.initial for s in problem.free}})
-        _check_step(c, dt, theta_e, scale)  # raises: see above
+        initial = {s.name: s.initial for s in problem.free}
+        wall, scale = _guard_at(problem, c, {**values, **initial}, segments)
+        _check_step(wall, dt, theta_e, scale)  # raises: see above
     unstable = (f"dt={dt:g} s exceeds the stability limit {tau:.6g} s set by the {layer} "
                 "layer at the upper bound")
     for s in guarded:
@@ -233,15 +226,145 @@ def _check_box(problem: CalibrationProblem) -> None:
     raise ValidationError(f"{', '.join(top)}: {unstable}s together; lower them")
 
 
-def _evaluator(problem: CalibrationProblem) -> Callable[[list], float]:
+def _grow(h: float, m, expm1):
+    """The growth factor of m steps of a mode with mu = 1 + h: mu^m - 1, as
+    expm1(m log1p(h)) where mu > 0 and as a power where mu <= 0, or m where
+    h = 0, the ramp of a mode with no loss path. m is an int with expm1 =
+    math.expm1, or an array with np.expm1."""
+    if h == 0.0:
+        return m
+    if h > -1.0:
+        return expm1(m * math.log1p(h))
+    return (1.0 + h) ** m - 1.0
+
+
+def _constant_flux_on(segments, times, c: _Coefficients, theta_e: float, dt: float,
+                      channel: str):
+    """The closed form of a resolved channel of what `run` records from
+    ambient under a constant flux over the `_segments` runs, at the target
+    times, interpolated like np.interp. It takes once what no calibration
+    parameter changes: the heat capacities and coupling of c, their square
+    roots, the channel's readout, the run lengths and each target's
+    bracketing steps. It returns values(g_s, g_l, q_s, q_l, scales), the
+    channel for a wall with these convective conductances and absorbed
+    powers at drive scale 1 (a single layer reads no g_l or q_l), under a
+    schedule with the runs' bounds and these run scales (Python floats).
+
+    In excess temperatures x = theta - theta_e one Euler step is the affine
+    map x -> M x + dt f with M = I + dt A. A is similar to the symmetric
+    S = D^{1/2} A D^{-1/2}, D = diag(C). In the modes w = Q^T D^{1/2} x of
+    S = Q diag(lam) Q^T a step is w -> mu w + dt b with mu = 1 + dt lam, so
+    m steps from w0 under a drive scale s give exactly
+        w_m = w0 + (mu^m - 1) (w0 + s b / lam),
+    or w0 + m dt s b where dt lam = 0 (no loss path) or is too small to
+    matter over the run. mu^m - 1 is taken as expm1(m log1p(dt lam)), never
+    from a rounded mu: where dt |lam| is small, (1 - mu^m) / (1 - mu) would
+    multiply the rounding of mu by about eps / (dt |lam|). Only where mu <=
+    0, which the guard allows a fast mode, is it a power. Only the grid
+    steps bracketing each target are evaluated, so the cost is O(segments +
+    targets), not O(steps). The values match the Euler iterates to a few
+    ulp of the excess; against an 80-bit Euler run the tests hold every
+    target to 1e-9 K, at weak loss too.
+
+    The caller has checked dt against the stability guard. run's per-step
+    NumericalError cannot fire here: under the guard M >= 0 entrywise, the
+    drive is >= 0 and the start is ambient, so every iterate stays >=
+    theta_e. Only overflow remains, and values does not test for it: the
+    caller checks what it returns.
+    """
+    cap_s, cap_l, k = c.cap_s, c.cap_l, c.k
+    if k is None:
+        def modes(g_s, g_l, q_s, q_l):  # (lam, b, readout) per mode
+            return ((-g_s / cap_s, q_s / cap_s, 1.0),)
+    else:
+        cap_sl = cap_s * cap_l
+        off = k / math.sqrt(cap_sl)
+        root_s, root_l = math.sqrt(cap_s), math.sqrt(cap_l)
+        lig = channel == "theta_L"
+        root = root_l if lig else root_s
+
+        def modes(g_s, g_l, q_s, q_l):
+            # S = [[a, c], [c, d]]; its eigenpairs in closed form
+            a, d = -(g_s + k) / cap_s, -(g_l + k) / cap_l
+            lam_fast = 0.5 * (a + d) - math.hypot(0.5 * (a - d), off)
+            # det S from the conductances avoids the cancellation in a*d - c*c
+            lam_slow = (g_s * g_l + k * (g_s + g_l)) / cap_sl / lam_fast
+            # Q = [[cos, -sin], [sin, cos]], columns ordered (slow, fast)
+            phi = 0.5 * math.atan2(2.0 * off, a - d)
+            cos, sin = math.cos(phi), math.sin(phi)
+            f_s, f_l = q_s / root_s, q_l / root_l  # D^{1/2} f
+            r_slow, r_fast = (sin, cos) if lig else (cos, -sin)
+            return ((lam_slow, cos * f_s + sin * f_l, r_slow / root),
+                    (lam_fast, cos * f_l - sin * f_s, r_fast / root))
+
+    # run r covers steps (start, end], the last one ending at n_steps
+    lengths = [i1 - i0 for i0, i1, _ in segments]
+    starts, ends, _ = np.array(segments).T
+    n_steps = segments[-1][1]
+    # bracketing grid steps (lower, lower + 1) and the weight of the upper one
+    t = np.asarray(times, dtype=float) / dt
+    lower = np.minimum(np.maximum(np.floor(t), 0.0), n_steps - 1)
+    weight = np.minimum(np.maximum(t - lower, 0.0), 1.0)
+    steps = np.concatenate((lower, lower + 1.0))
+    r = np.searchsorted(ends, steps)
+    into, targets = steps - starts[r], weight.size
+    # per column, where each bracketing step finds its value in the flat
+    # table below: a run start, then one pull per mode, per run
+    width = 2 if k is None else 3
+    gather = r * width + np.arange(width)[:, None]
+
+    def values(g_s, g_l, q_s, q_l, scales) -> np.ndarray:
+        # per mode: h = dt lam, (keep, g) such that m steps from w0 under a
+        # drive scale s reach w0 + _grow(h, m) (keep w0 + s g), and the
+        # readout. A mode with m |h| below the rounding of 1 for every m of
+        # the run ramps by dt s b per step, to rounding, as with no loss
+        # path; there b / lam could overflow
+        terms = []
+        for lam, b, readout in modes(g_s, g_l, q_s, q_l):
+            h = dt * lam
+            if abs(h) * n_steps < 2.0 ** -53:
+                terms.append((0.0, 0.0, dt * b, readout))
+            else:
+                terms.append((h, 1.0, b / lam, readout))
+
+        # per run, in Python floats: the channel's excess at the run start,
+        # then per mode readout (keep w0 + s g), one run after another. Each
+        # run starts from the previous run's end state, and step 0 is
+        # ambient: w = 0
+        table = []
+        w = [0.0] * len(terms)
+        for length, scale in zip(lengths, scales):
+            start, pulls, ends = 0.0, [], []
+            for (h, keep, g, readout), w0 in zip(terms, w):
+                pull = keep * w0 + scale * g
+                start += readout * w0
+                pulls.append(readout * pull)
+                ends.append(w0 + _grow(h, length, math.expm1) * pull)
+            table += [start, *pulls]
+            w = ends
+
+        # per column of the table, its value at each bracketing step
+        columns = np.array(table).take(gather)
+        excess = columns[0]
+        for (h, *_), column in zip(terms, columns[1:]):
+            excess = excess + _grow(h, into, np.expm1) * column
+        below, above = excess[:targets], excess[targets:]
+        return theta_e + (below + weight * (above - below))
+
+    return values
+
+
+def _evaluator(problem: CalibrationProblem, c: _Coefficients, values: dict, segments,
+               channel: str) -> Callable[[list], float]:
     """The SSE at a candidate, a list of Python floats in the order of
     problem.free that lies inside the box: objective's work after its checks.
 
-    Built once per problem, it is specialised on source mode, wall kind and
-    channel, and takes once what no candidate changes: each layer's face
+    Built once per problem from its wall constants c, parameter values,
+    runs and resolved channel, it is specialised on source mode, wall kind
+    and channel, and takes once what no candidate changes: each layer's face
     count and area, the run bounds and base scales, the target values, and
     the closed form's constants (see _constant_flux_on) or, under a
-    radiative source, the runs of the grid cut at _steps. Per candidate it
+    radiative source, the runs cut after the last target. Per candidate it
     computes g_s, g_l, q_s, q_l and the run scales from the final parameter
     values, with model._convective, model._absorbed and the expression of
     LightSchedule.scaled: a parameter at its problem value gives back the
@@ -249,10 +372,10 @@ def _evaluator(problem: CalibrationProblem) -> Callable[[list], float]:
     matter. A bilayer candidate first has its absorptance sum checked; the
     warning points at objective's caller.
     """
-    sil, lig, c = problem.assembly.silicone, problem.assembly.lig, problem._coef
+    sil, lig = problem.assembly.silicone, problem.assembly.lig
     slots = [_SLOTS.index(spec.name) for spec in problem.free]
-    base = [problem._values.get(name) for name in _SLOTS]
-    base_scales = problem._grid.scales
+    base = [values.get(name) for name in _SLOTS]
+    base_scales = [s for *_, s in segments]
     faces_s, area_s = sil.conv_faces, sil.area
     bilayer = lig is not None
     faces_l, area_l = (lig.conv_faces, lig.area) if bilayer else (None, None)
@@ -260,20 +383,23 @@ def _evaluator(problem: CalibrationProblem) -> Callable[[list], float]:
     times, measured = problem.target.times, problem.target.values
     radiative = problem.source.mode is SourceMode.RADIATIVE_BODY
     if radiative:
-        # the runs of the shortened grid are the first runs of the full one,
-        # the last one cut at _steps; the guard is _integrate's
-        steps = problem._steps
+        # the run need not go past the last target: it stops one step after
+        # its upper bracketing step, a margin for the rounding of t / dt
+        # against the recorded stamps step * dt. The runs of that shorter
+        # grid are the first runs of the full one, the last one cut; the
+        # guard is _integrate's
+        steps = min(math.floor(times[-1] / dt) + 2, problem.config.n_steps)
         bounds = [(i0, i1) for i0, i1, _ in _segments(problem.schedule, steps, dt)]
-        lig_channel = problem._channel == "theta_L"
+        lig_channel = channel == "theta_L"
     else:
-        flux = _constant_flux_on(problem._grid, c, theta_e, dt, problem._channel)
+        flux = _constant_flux_on(segments, times, c, theta_e, dt, channel)
     inf = math.inf
 
     def evaluate(candidate: list) -> float:
-        values = base.copy()
+        point = base.copy()
         for slot, value in zip(slots, candidate):
-            values[slot] = value
-        h_se, h_le, alpha_s, alpha_l, q_h, scale = values
+            point[slot] = value
+        h_se, h_le, alpha_s, alpha_l, q_h, scale = point
         g_s, g_l = _convective(faces_s, h_se, area_s), None
         if bilayer:
             _warn_absorptance_sum(alpha_s, alpha_l, stacklevel=4)

@@ -167,8 +167,8 @@ def _cmd_steady(args) -> int:
 def _cmd_metrics(args) -> int:
     series = fileio.read_series(args.file, column=args.channel)
     convention = _CONVENTIONS[args.convention]
-    report = response_time_63(series, convention, window=args.window,
-                              final=args.final,
+    window = args.plateau_window if convention is FinalConvention.PLATEAU else args.window
+    report = response_time_63(series, convention, window=window, final=args.final,
                               plateau_threshold=args.plateau_threshold)
     is_kelvin = series.unit == "K"
 

@@ -583,6 +583,9 @@ class SweepSpec:
                 f"unknown sweep outputs {sorted(unknown)}; choose from {SWEEP_OUTPUTS}")
         if not self.outputs:
             raise ValidationError("need at least one requested output")
+        repeated = sorted({o for o in self.outputs if self.outputs.count(o) > 1})
+        if repeated:
+            raise ValidationError(f"repeated sweep outputs {repeated}; name each once")
 
     @property
     def points(self) -> tuple[float, ...]:

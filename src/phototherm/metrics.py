@@ -235,13 +235,6 @@ def cycle_degradation(peak_angles) -> list[float]:
     return [p / first for p in peaks]
 
 
-def angular_change_ratio(series: MeasurementSeries, reference: float) -> float:
-    """Final sample divided by a caller-supplied reference value."""
-    if not reference > 0.0:
-        raise ValidationError(f"reference must be > 0, got {reference!r}")
-    return float(series.values[-1]) / reference
-
-
 def cycle_peaks(series: MeasurementSeries, rise_fraction: float = 0.5,
                 return_fraction: float = 0.1) -> list[float]:
     """Peak value of each actuation cycle in a multi-cycle series.

@@ -400,155 +400,3 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
     times = np.arange(0, n_steps + 1, stride) * dt
     return Trajectory(times, sil_temps, lig_temps if bilayer else None)
 
-
-@dataclass(frozen=True, eq=False)
-class _FluxGrid:
-    """The part of `_constant_flux_on` that depends only on the schedule's
-    run boundaries, the step grid and the target times, not on the model:
-    run lengths in steps and run scales, as Python ints and floats, and for
-    each target's lower then upper bracketing step its run index and the
-    steps into that run, plus each target's weight of the upper step. scales
-    are the run scales of the schedule the grid was built from."""
-
-    lengths: tuple
-    run: np.ndarray
-    into: np.ndarray
-    weight: np.ndarray
-    scales: tuple
-
-
-def _flux_grid(schedule: LightSchedule, config: SimConfig, times) -> _FluxGrid:
-    """The target grid of `_constant_flux_on` for these times. It stays valid
-    for any schedule with the same interval bounds, such as a rescaled one."""
-    dt, n_steps = config.dt, config.n_steps
-    # run r covers steps (start, end]
-    segments = _segments(schedule, n_steps, dt)
-    starts, ends, _ = np.array(segments).T
-    # bracketing grid steps (lower, lower + 1) and the weight of the upper one
-    t = np.asarray(times, dtype=float) / dt
-    lower = np.minimum(np.maximum(np.floor(t), 0.0), n_steps - 1)
-    weight = np.minimum(np.maximum(t - lower, 0.0), 1.0)
-    steps = np.concatenate((lower, lower + 1.0))
-    r = np.searchsorted(ends, steps)
-    return _FluxGrid(tuple(i1 - i0 for i0, i1, _ in segments), r, steps - starts[r], weight,
-                     tuple(scale for _, _, scale in segments))
-
-
-def _grow(h: float, m, expm1):
-    """The growth factor of m steps of a mode with mu = 1 + h: mu^m - 1, as
-    expm1(m log1p(h)) where mu > 0 and as a power where mu <= 0, or m where
-    h = 0, the ramp of a mode with no loss path. m is an int with expm1 =
-    math.expm1, or an array with np.expm1."""
-    if h == 0.0:
-        return m
-    if h > -1.0:
-        return expm1(m * math.log1p(h))
-    return (1.0 + h) ** m - 1.0
-
-
-def _constant_flux_on(grid: _FluxGrid, c: _Coefficients, theta_e: float, dt: float,
-                      channel: str):
-    """The closed form of a resolved channel of what `run` records from
-    ambient under a constant flux, at grid's target times, interpolated like
-    np.interp. It takes once what no calibration parameter changes: the heat
-    capacities and coupling of c, their square roots, the channel's readout
-    and grid's run lengths. It returns values(g_s, g_l, q_s, q_l, scales),
-    the channel for a wall with these convective conductances and absorbed
-    powers at drive scale 1 (a single layer reads no g_l or q_l), under a
-    schedule with grid's interval bounds and these run scales (Python
-    floats).
-
-    In excess temperatures x = theta - theta_e one Euler step is the affine
-    map x -> M x + dt f with M = I + dt A. A is similar to the symmetric
-    S = D^{1/2} A D^{-1/2}, D = diag(C). In the modes w = Q^T D^{1/2} x of
-    S = Q diag(lam) Q^T a step is w -> mu w + dt b with mu = 1 + dt lam, so
-    m steps from w0 under a drive scale s give exactly
-        w_m = w0 + (mu^m - 1) (w0 + s b / lam),
-    or w0 + m dt s b where dt lam = 0 (no loss path) or is too small to
-    matter over the run. mu^m - 1 is taken as
-    expm1(m log1p(dt lam)), never from a rounded mu: where dt |lam| is
-    small, (1 - mu^m) / (1 - mu) would multiply the rounding of mu by
-    about eps / (dt |lam|). Only where mu <= 0, which the guard allows a
-    fast mode, is it a power. Only the grid steps bracketing each target are
-    evaluated, so the cost is O(segments + targets), not O(steps). The
-    values match the Euler iterates to a few ulp of the excess; against an
-    80-bit Euler run the tests hold every target to 1e-9 K, at weak loss
-    too.
-
-    The caller has checked dt against the stability guard. run's per-step
-    NumericalError cannot fire here: under the guard M >= 0 entrywise, the
-    drive is >= 0 and the start is ambient, so every iterate stays >=
-    theta_e. Only overflow remains, and values does not test for it: the
-    caller checks what it returns.
-    """
-    cap_s, cap_l, k = c.cap_s, c.cap_l, c.k
-    if k is None:
-        def modes(g_s, g_l, q_s, q_l):  # (lam, b, readout) per mode
-            return ((-g_s / cap_s, q_s / cap_s, 1.0),)
-    else:
-        cap_sl = cap_s * cap_l
-        off = k / math.sqrt(cap_sl)
-        root_s, root_l = math.sqrt(cap_s), math.sqrt(cap_l)
-        lig = channel == "theta_L"
-        root = root_l if lig else root_s
-
-        def modes(g_s, g_l, q_s, q_l):
-            # S = [[a, c], [c, d]]; its eigenpairs in closed form
-            a, d = -(g_s + k) / cap_s, -(g_l + k) / cap_l
-            lam_fast = 0.5 * (a + d) - math.hypot(0.5 * (a - d), off)
-            # det S from the conductances avoids the cancellation in a*d - c*c
-            lam_slow = (g_s * g_l + k * (g_s + g_l)) / cap_sl / lam_fast
-            # Q = [[cos, -sin], [sin, cos]], columns ordered (slow, fast)
-            phi = 0.5 * math.atan2(2.0 * off, a - d)
-            cos, sin = math.cos(phi), math.sin(phi)
-            f_s, f_l = q_s / root_s, q_l / root_l  # D^{1/2} f
-            r_slow, r_fast = (sin, cos) if lig else (cos, -sin)
-            return ((lam_slow, cos * f_s + sin * f_l, r_slow / root),
-                    (lam_fast, cos * f_l - sin * f_s, r_fast / root))
-
-    lengths, into, weight = grid.lengths, grid.into, grid.weight
-    n_steps, targets = sum(lengths), weight.size
-    # per column, where each bracketing step finds its value in the flat
-    # table below: a run start, then one pull per mode, per run
-    width = 2 if k is None else 3
-    gather = grid.run * width + np.arange(width)[:, None]
-
-    def values(g_s, g_l, q_s, q_l, scales) -> np.ndarray:
-        # per mode: h = dt lam, (keep, g) such that m steps from w0 under a
-        # drive scale s reach w0 + _grow(h, m) (keep w0 + s g), and the
-        # readout. A mode with m |h| below the rounding of 1 for every m of
-        # the run ramps by dt s b per step, to rounding, as with no loss
-        # path; there b / lam could overflow
-        terms = []
-        for lam, b, readout in modes(g_s, g_l, q_s, q_l):
-            h = dt * lam
-            if abs(h) * n_steps < 2.0 ** -53:
-                terms.append((0.0, 0.0, dt * b, readout))
-            else:
-                terms.append((h, 1.0, b / lam, readout))
-
-        # per run, in Python floats: the channel's excess at the run start,
-        # then per mode readout (keep w0 + s g), one run after another. Each
-        # run starts from the previous run's end state, and step 0 is
-        # ambient: w = 0
-        table = []
-        w = [0.0] * len(terms)
-        for length, scale in zip(lengths, scales):
-            start, pulls, ends = 0.0, [], []
-            for (h, keep, g, readout), w0 in zip(terms, w):
-                pull = keep * w0 + scale * g
-                start += readout * w0
-                pulls.append(readout * pull)
-                ends.append(w0 + _grow(h, length, math.expm1) * pull)
-            table += [start, *pulls]
-            w = ends
-
-        # per column of the table, its value at each bracketing step
-        columns = np.array(table).take(gather)
-        excess = columns[0]
-        for (h, *_), column in zip(terms, columns[1:]):
-            excess = excess + _grow(h, into, np.expm1) * column
-        below, above = excess[:targets], excess[targets:]
-        return theta_e + (below + weight * (above - below))
-
-    return values

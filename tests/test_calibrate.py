@@ -67,6 +67,19 @@ def make_problem(target, *specs, assembly=None, config=CONFIG):
         schedule=SCHEDULE, config=config)
 
 
+def integrated_steps(monkeypatch):
+    """Record in the returned list the n_steps of every run the radiative
+    evaluator integrates."""
+    steps, integrate = [], calibrate_module._integrate
+
+    def recording(*args):
+        steps.append(args[6])
+        return integrate(*args)
+
+    monkeypatch.setattr(calibrate_module, "_integrate", recording)
+    return steps
+
+
 class TestParamSpec:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValidationError):
@@ -130,7 +143,26 @@ class TestProblemValidation:
             make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.7), config=short)
 
     @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
-    def test_target_past_the_last_step_rejected(self, radiative):
+    def test_target_before_the_run_start_rejected(self, radiative):
+        # before t = 0 both objective modes would read the value at t = 0
+        source = HeatSource.radiative(373.0, 0.9) if radiative else HeatSource.constant_flux(
+            POWER_W)
+
+        def build(first):
+            target = MeasurementSeries((first, 5.0, 10.0), (AMBIENT_K,) * 3)
+            return CalibrationProblem(
+                target=target, free=(ParamSpec("h_se", 2.0, 12.0, 6.0),),
+                assembly=WallAssembly.single(ThermalLayer(**SILICONE)), source=source,
+                env=Environment(AMBIENT_K), schedule=SCHEDULE, config=CONFIG)
+
+        with pytest.raises(ValidationError, match=re.escape(
+                "the target starts at t=-30 s, before the run starts at t=0 s")):
+            build(-30.0)
+        # a start within the rounding of t / dt of 0 reads the value at 0
+        assert objective(build(-1e-13), [6.0]) == objective(build(0.0), [6.0])
+
+    @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
+    def test_target_past_the_last_step_rejected(self, monkeypatch, radiative):
         # 10 s is not a whole number of 0.3 s steps: the run ends at 9.9 s
         config = SimConfig(duration=10.0, dt=0.3)
         source = HeatSource.radiative(373.0, 0.9) if radiative else HeatSource.constant_flux(
@@ -147,7 +179,9 @@ class TestProblemValidation:
                 "the target ends at t=10 s, after the last step of the run at t=9.9 s "
                 "(33 steps of dt=0.3 s)")):
             build(10.0)
-        assert build(33 * 0.3)._steps == 33
+        steps = integrated_steps(monkeypatch)
+        objective(build(33 * 0.3), [6.0])
+        assert steps == ([33] if radiative else [])
 
     @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
     def test_record_stride_leaves_the_objective_bit_identical(self, radiative):
@@ -237,11 +271,11 @@ class TestObjective:
     def test_closed_form_is_built_once_per_problem(self, monkeypatch):
         # a candidate recomputes only what it changes: the closed form's
         # constants are taken when the problem is built
-        built = []
+        built, flux_on = [], calibrate_module._constant_flux_on
 
         def counting(*args):
             built.append(args)
-            return simulate_module._constant_flux_on(*args)
+            return flux_on(*args)
 
         monkeypatch.setattr(calibrate_module, "_constant_flux_on", counting)
         problem = make_problem(synthetic_target(make_bilayer()),
@@ -281,8 +315,10 @@ class TestObjective:
             monkeypatch.setattr(calibrate_module, "_integrate", integrate)
             problem = radiative_problem()
         else:
+            constant_flux_on = calibrate_module._constant_flux_on
+
             def flux_on(*args):
-                flux = simulate_module._constant_flux_on(*args)
+                flux = constant_flux_on(*args)
 
                 def recording(*at):
                     simulated.append(flux(*at))
@@ -691,14 +727,14 @@ class TestRadiativeObjective:
         (True, "h_se", "auto"), (False, "h_se", "auto"), (True, "h_Le", "auto"),
         (True, "h_se", "theta_s")], ids=["bilayer", "single", "bilayer-h_Le", "bilayer-theta_s"])
     @pytest.mark.parametrize("last", [17.0, 23.0, 23.004, 59.999, 60.0])
-    def test_stops_after_the_last_target_with_the_same_value(self, bilayer, free_h, channel,
-                                                             last):
+    def test_stops_after_the_last_target_with_the_same_value(self, monkeypatch, bilayer,
+                                                             free_h, channel, last):
         # the run stops one step after the last target's upper bracketing
         # step, before the second interval at 17 s; the value equals
         # interpolating the full-duration run
         free = (ParamSpec("scale", 0.1, 2.0, 1.0), ParamSpec(free_h, 2.0, 12.0, 6.0))
         problem = radiative_problem(bilayer, last, free, channel)
-        assert problem._steps == min(6000, math.floor(last / 0.01) + 2)
+        steps = integrated_steps(monkeypatch)
         times, values = problem.target.times, problem.target.values
         for candidate in ([0.7, 6.0], [1.9, 11.5], [0.1, 2.0]):
             assembly, src, sched = problem.assembly, problem.source, problem.schedule
@@ -709,16 +745,18 @@ class TestRadiativeObjective:
             series = series_from_trajectory(trajectory, channel)
             diff = np.interp(times, series.times, series.values) - values
             assert objective(problem, candidate) == float(np.add.reduce(diff * diff))
+        assert steps == [min(6000, math.floor(last / 0.01) + 2)] * 3
 
     @pytest.mark.parametrize("limit", ["_MAX_SAMPLES", "_MAX_STEPS"])
     def test_run_over_its_limits_raises_runs_error(self, monkeypatch, limit):
         # the run, shortened to 2302 steps, is over either limit at 2000
         monkeypatch.setattr(simulate_module, limit, 2000)
         problem = radiative_problem(last=23.0)
-        assert problem._steps == 2302
+        steps = integrated_steps(monkeypatch)
         short = SimConfig(duration=23.02, dt=0.01)
         with pytest.raises(ValidationError) as expected:
             run(problem.assembly, problem.source, problem.schedule, problem.env, short)
         with pytest.raises(ValidationError) as raised:
             objective(problem, [1.0, 6.0])
         assert str(raised.value) == str(expected.value)
+        assert steps == [2302]

@@ -106,6 +106,24 @@ class TestSimulateAndMetrics:
         report = parse_report(out)
         assert "plateau_K" in report and "plateau_reach_s" in report
 
+    def test_plateau_convention_reads_the_plateau_window(self, capsys, tmp_path):
+        # the 0.5 K band holds over 20 s windows but over no 300 s one, the
+        # default --window of the window-final convention
+        out_csv = tmp_path / "run.csv"
+        run_cli(capsys, "simulate", "--preset", "table1_single",
+                "--duration", "400", "--record-stride", "100",
+                "--schedule", "0:inf:1", "--out", str(out_csv))
+        argv = ("metrics", str(out_csv), "--convention", "plateau",
+                "--plateau-threshold", "0.5")
+        code, out, err = run_cli(capsys, *argv, "--plateau-window", "20")
+        assert (code, err) == (0, "")
+        report = parse_report(out)
+        assert report["final_convention"] == "plateau"
+        assert report["final_K"] == report["plateau_K"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: plateau convention requires window and plateau_threshold\n"
+
 
 class TestByteIdentity:
     """sha256 of CSVs as per-cell "%.6f" formatting and a window-by-window
@@ -176,6 +194,16 @@ class TestCalibrateCommand:
         assert parse_report(out)["alpha_L"] == "0.950000"
         assert err == ("warning: layer absorptances sum to 1.1200 > 1; "
                        "more power absorbed than supplied is unphysical\n")
+
+    def test_target_before_the_run_start_is_bad_input(self, capsys, tmp_path):
+        # its rows before t = 0 would be compared with the value at t = 0
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n-30,298.0\n0,298.0\n50,318.0\n100,327.0\n",
+                          encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--preset", "table1_single",
+                                 "--target", str(target), "--param", "h_se:2:12:4")
+        assert (code, out) == (2, "")
+        assert err == "error: the target starts at t=-30 s, before the run starts at t=0 s\n"
 
     def test_bad_param_spec_is_bad_input(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
@@ -324,6 +352,14 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, *argv, "--outputs", outputs)
         assert (code, out, err) == (2, "", f"error: {config}:{line}: [metrics] channel "
                                            "theta_L is not valid for a single-layer assembly\n")
+
+    def test_repeated_output_is_bad_input(self, capsys):
+        # it would write its column twice
+        code, out, err = run_cli(capsys, "sweep", "--preset", "table1_single",
+                                 "--param", "scale", "--values", "0.5,1",
+                                 "--outputs", "t63,t63,steady")
+        assert (code, out) == (2, "")
+        assert err == "error: repeated sweep outputs ['t63']; name each once\n"
 
     def test_partial_failure_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_bilayer",

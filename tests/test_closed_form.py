@@ -33,7 +33,8 @@ from phototherm import (
     stability_limit,
 )
 from phototherm.model import _coefficients
-from phototherm.simulate import _check_step, _constant_flux_on, _flux_grid, _resolve_channel
+from phototherm.calibrate import _constant_flux_on
+from phototherm.simulate import _check_step, _resolve_channel, _segments
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE
 
 TARGET_TOL_K = 1e-9
@@ -44,14 +45,14 @@ def constant_flux_at(assembly, source, schedule, env, config, times, channel):
     """The closed form from a fresh model: one channel of the trajectory
     `run` would record from ambient under a constant-flux source, at the
     strictly increasing times. It checks dt against the stability guard and
-    resolves the channel, then evaluates `_constant_flux_on` on a target
-    grid built for these times."""
+    resolves the channel, then evaluates `_constant_flux_on` over the
+    schedule's runs at these times."""
     c = _coefficients(assembly, source)
     _check_step(c, config.dt, env.ambient_temperature, 1.0)
     channel = _resolve_channel(assembly.kind, channel)
-    grid = _flux_grid(schedule, config, times)
-    values = _constant_flux_on(grid, c, env.ambient_temperature, config.dt, channel)
-    return values(c.g_s, c.g_l, c.q_s, c.q_l, grid.scales)
+    segments = _segments(schedule, config.n_steps, config.dt)
+    values = _constant_flux_on(segments, times, c, env.ambient_temperature, config.dt, channel)
+    return values(c.g_s, c.g_l, c.q_s, c.q_l, [scale for *_, scale in segments])
 
 
 def stepped_at(assembly, source, schedule, env, config, times, channel):

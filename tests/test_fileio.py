@@ -746,6 +746,12 @@ class TestSweepSpec:
         with pytest.raises(ValidationError):
             SweepSpec(param="scale", values=(1.0,), outputs=("t63", "vibes"))
 
+    def test_repeated_output_rejected(self):
+        # a repeated output would repeat its column in the sweep CSV
+        with pytest.raises(ValidationError,
+                           match=r"^repeated sweep outputs \['t63'\]; name each once$"):
+            SweepSpec(param="scale", values=(1.0,), outputs=("t63", "t63", "steady"))
+
     def test_nonpositive_distances_rejected(self):
         with pytest.raises(ValidationError):
             SweepSpec(param="distance", distances=(0.05, 0.0), d_ref=0.05)

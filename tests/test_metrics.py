@@ -14,7 +14,6 @@ from phototherm import (
     RESPONSE_FRACTION,
     Trajectory,
     ValidationError,
-    angular_change_ratio,
     cooling_fit,
     cycle_degradation,
     cycle_peaks,
@@ -366,26 +365,6 @@ class TestCycles:
         for _ in range(20):
             peaks = rng.uniform(0.5, 60.0, size=rng.integers(1, 9))
             assert cycle_degradation(peaks)[0] == 1.0
-
-
-class TestAngularChangeRatio:
-    def test_equal_final_and_reference(self):
-        series = MeasurementSeries((0.0, 1.0), (0.0, 51.7), unit="deg")
-        assert angular_change_ratio(series, 51.7) == pytest.approx(1.0)
-
-    def test_half(self):
-        series = MeasurementSeries((0.0, 1.0), (0.0, 25.85), unit="deg")
-        assert angular_change_ratio(series, 51.7) == pytest.approx(0.5)
-
-    def test_monotone_in_final(self):
-        low = MeasurementSeries((0.0, 1.0), (0.0, 20.0), unit="deg")
-        high = MeasurementSeries((0.0, 1.0), (0.0, 30.0), unit="deg")
-        assert angular_change_ratio(high, 51.7) > angular_change_ratio(low, 51.7)
-
-    def test_bad_reference_rejected(self):
-        series = MeasurementSeries((0.0, 1.0), (0.0, 1.0), unit="deg")
-        with pytest.raises(ValidationError):
-            angular_change_ratio(series, 0.0)
 
 
 class TestCyclePeaks:

@@ -18,8 +18,8 @@ PUBLIC_NAMES = {
     "LightSchedule", "SimConfig", "Trajectory", "run", "stability_limit",
     # metrics
     "FinalConvention", "MeasurementSeries", "RESPONSE_FRACTION", "ResponseReport",
-    "angular_change_ratio", "cooling_fit", "cycle_degradation", "cycle_peaks",
-    "normalize_curve", "plateau_value", "response_time_63", "series_from_trajectory",
+    "cooling_fit", "cycle_degradation", "cycle_peaks", "normalize_curve", "plateau_value",
+    "response_time_63", "series_from_trajectory",
     # calibrate
     "CalibrationProblem", "CalibrationResult", "ParamSpec", "apply_named_parameter", "fit",
     "objective",
