@@ -37,7 +37,6 @@ from .simulate import (
     stability_limit,
 )
 from .metrics import (
-    FinalConvention,
     MeasurementSeries,
     RESPONSE_FRACTION,
     ResponseReport,

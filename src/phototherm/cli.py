@@ -23,7 +23,6 @@ from .errors import (
     ValidationError,
 )
 from .metrics import (
-    FinalConvention,
     MeasurementSeries,
     cooling_fit,
     cycle_degradation,
@@ -40,13 +39,6 @@ EXIT_USAGE = 1
 EXIT_BAD_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
-
-_CONVENTIONS = {
-    "window-final": FinalConvention.WINDOW_FINAL,
-    "plateau": FinalConvention.PLATEAU,
-    "supplied": FinalConvention.SUPPLIED,
-}
-
 
 def _emit(key: str, value) -> None:
     if isinstance(value, float):
@@ -95,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="series or trajectory CSV")
     p.add_argument("--channel", default="auto",
                    choices=["auto", "theta_s", "theta_L", "value"])
-    p.add_argument("--convention", default="window-final", choices=sorted(_CONVENTIONS))
+    p.add_argument("--convention", default="window-final",
+                   choices=["plateau", "supplied", "window-final"])
     p.add_argument("--window", type=float, default=300.0,
                    help="final-value window for window-final, s (default 300)")
     p.add_argument("--final", type=float, help="final value for the supplied convention")
@@ -166,10 +159,19 @@ def _cmd_steady(args) -> int:
 
 def _cmd_metrics(args) -> int:
     series = fileio.read_series(args.file, column=args.channel)
-    convention = _CONVENTIONS[args.convention]
-    window = args.plateau_window if convention is FinalConvention.PLATEAU else args.window
-    report = response_time_63(series, convention, window=window, final=args.final,
-                              plateau_threshold=args.plateau_threshold)
+    wants_plateau = args.plateau_threshold is not None and args.plateau_window is not None
+    plateau = None
+    if args.convention == "plateau":
+        if not wants_plateau:
+            raise ValidationError("plateau convention requires window and plateau_threshold")
+        plateau = plateau_value(series, args.plateau_threshold, args.plateau_window)
+        report = response_time_63(series, final=plateau[0])
+    elif args.convention == "supplied":
+        if args.final is None:
+            raise ValidationError("supplied convention requires a final value")
+        report = response_time_63(series, final=args.final)
+    else:
+        report = response_time_63(series, window=args.window)
     is_kelvin = series.unit == "K"
 
     def emit_value(key, value):
@@ -180,13 +182,14 @@ def _cmd_metrics(args) -> int:
 
     emit_value("baseline", report.baseline)
     emit_value("final", report.final)
-    _emit("final_convention", report.final_convention.value)
+    _emit("final_convention", args.convention.replace("-", "_"))
     _emit("t63_s", report.t63)
     emit_value("peak", report.peak_value)
     _emit("peak_time_s", report.peak_time)
 
-    if args.plateau_threshold is not None and args.plateau_window is not None:
-        value, reach = plateau_value(series, args.plateau_threshold, args.plateau_window)
+    if wants_plateau:
+        value, reach = plateau or plateau_value(series, args.plateau_threshold,
+                                                args.plateau_window)
         emit_value("plateau", value)
         _emit("plateau_reach_s", reach)
 
@@ -263,9 +266,7 @@ def _cmd_analyze_bending(args) -> int:
     normalized = normalize_curve(series, plateau)
     if args.out:
         fileio.write_series(normalized, args.out)
-    report = response_time_63(series, FinalConvention.PLATEAU,
-                              window=args.plateau_window,
-                              plateau_threshold=args.plateau_threshold)
+    report = response_time_63(series, final=plateau)
     _emit("baseline", report.baseline)
     _emit("plateau", plateau)
     _emit("plateau_reach_s", reach)

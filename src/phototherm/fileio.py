@@ -20,8 +20,8 @@ import numpy as np
 from .calibrate import PARAM_RANGES, _check_applicable, apply_named_parameter
 from .errors import ConfigError, PhotothermError, SeriesFormatError, ValidationError
 from .metrics import (
-    FinalConvention,
     MeasurementSeries,
+    _TIME_EPS,
     plateau_value,
     response_time_63,
     series_from_trajectory,
@@ -275,6 +275,13 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
 
     plateau_window = get("metrics", "plateau_window", default=None)
     plateau_threshold = get("metrics", "plateau_threshold", default=None)
+    # plateau_value's own rules, so that a bad value fails here at its line
+    if plateau_window is not None and not 0.0 < plateau_window < math.inf:
+        raise ConfigError(f"{where('metrics', 'plateau_window')}: [metrics] plateau_window "
+                          f"must be finite and > 0, got {plateau_window!r}")
+    if plateau_threshold is not None and not plateau_threshold > 0.0:
+        raise ConfigError(f"{where('metrics', 'plateau_threshold')}: [metrics] "
+                          f"plateau_threshold must be > 0, got {plateau_threshold!r}")
     channel = get("metrics", "channel", cast=str, default="auto")
     if channel not in ("auto", "theta_s", "theta_L"):
         raise ConfigError(f"{where('metrics', 'channel')}: [metrics] channel must be "
@@ -624,6 +631,16 @@ def run_sweep(config: RunConfig, sweep: SweepSpec) -> SweepResult:
                                        or config.plateau_window is None):
         raise ConfigError("plateau output needs plateau_threshold and plateau_window "
                           "in the [metrics] config section")
+    # every point records the same stamps, so a window that passes the last
+    # one would fail each point
+    sim = config.sim
+    last = (sim.n_steps // sim.record_stride) * sim.record_stride * sim.dt
+    for output, key, window in (("t63", "[sim] metric_window", sim.metric_window),
+                                ("plateau", "[metrics] plateau_window",
+                                 config.plateau_window)):
+        if output in sweep.outputs and window > last + _TIME_EPS:
+            raise ConfigError(f"{key} {window!r} s exceeds the last recorded "
+                              f"time {last:g} s of the run")
     if sweep.param != "distance":
         _check_applicable(sweep.param, config.assembly, config.source)
     needs_run = any(o in sweep.outputs for o in ("t63", "peak", "plateau"))
@@ -655,8 +672,7 @@ def run_sweep(config: RunConfig, sweep: SweepSpec) -> SweepResult:
                 trajectory = run(assembly, source, schedule, config.env, config.sim)
                 series = series_from_trajectory(trajectory, config.channel)
                 if "t63" in sweep.outputs:
-                    report = response_time_63(series, FinalConvention.WINDOW_FINAL,
-                                              window=config.sim.metric_window)
+                    report = response_time_63(series, window=config.sim.metric_window)
                     row["t63_s"] = report.t63
                 if "peak" in sweep.outputs:
                     peak_idx = int(np.argmax(series.values))

@@ -1,13 +1,13 @@
 """Descriptors of measured or simulated response curves.
 
 Covers the quantities used to compare runs against bench data: 63% response
-time with a configurable "final value" convention, plateau detection over a
+time toward a window-end or given final value, plateau detection over a
 sliding window, curve normalization, exponential cooling fits, and
 peak-degradation ratios across repeated actuation cycles.
 """
 
+import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,12 +26,6 @@ RESPONSE_FRACTION = 0.632
 _TIME_EPS = 1e-9
 
 _UNITS = ("K", "C", "deg")
-
-
-class FinalConvention(Enum):
-    WINDOW_FINAL = "window_final"  # value at the end of a finite window
-    PLATEAU = "plateau"  # detected plateau value
-    SUPPLIED = "supplied"  # caller-provided final value
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +65,6 @@ class ResponseReport:
 
     baseline: float
     final: float
-    final_convention: FinalConvention
     t63: float  # s, linearly interpolated crossing time
     peak_value: float
     peak_time: float  # s
@@ -88,48 +81,36 @@ def series_from_trajectory(trajectory: Trajectory, channel: str = "auto") -> Mea
     return MeasurementSeries(trajectory.times, values, unit="K")
 
 
-def _interp_at(series: MeasurementSeries, t: float) -> float:
-    return float(np.interp(t, series.times, series.values))
-
-
-def response_time_63(series: MeasurementSeries,
-                     convention: FinalConvention = FinalConvention.WINDOW_FINAL,
-                     window: float | None = None,
-                     final: float | None = None,
-                     plateau_threshold: float | None = None) -> ResponseReport:
+def response_time_63(series: MeasurementSeries, window: float | None = None,
+                     final: float | None = None) -> ResponseReport:
     """Earliest time the series covers 63.2% of its baseline-to-final swing.
 
-    The baseline is the first sample. The final value comes from the chosen
-    convention: the (interpolated) value at baseline time + window, a
-    detected plateau, or an explicitly supplied value. The crossing time is
-    linearly interpolated between the bracketing samples, and falling series
-    are handled symmetrically (crossing downward toward a lower final).
+    The baseline is the first sample. Pass exactly one of window, for the
+    (interpolated) value at baseline time + window as the final, or final
+    itself: a known asymptote, or a plateau found with plateau_value. The
+    crossing time is linearly interpolated between the bracketing samples,
+    and falling series are handled symmetrically (crossing downward toward
+    a lower final).
     """
+    if (window is None) == (final is None):
+        raise ValidationError("pass exactly one of window and final")
     times, values = series.times, series.values
-    baseline = float(values[0])
-    if convention is FinalConvention.WINDOW_FINAL:
-        if window is None:
-            raise ValidationError("window_final convention requires a window")
+    if window is not None:
+        if not (window > 0.0 and math.isfinite(window)):
+            raise ValidationError(f"window must be finite and > 0, got {window!r}")
         end, last = float(times[0]) + window, float(times[-1])
         if end > last + _TIME_EPS:
             raise ValidationError(
                 f"window {window:g} s exceeds the series span {series.span:g} s")
-        final_value = _interp_at(series, min(end, last))
-    elif convention is FinalConvention.PLATEAU:
-        if window is None or plateau_threshold is None:
-            raise ValidationError("plateau convention requires window and plateau_threshold")
-        final_value, _ = plateau_value(series, plateau_threshold, window)
-    elif convention is FinalConvention.SUPPLIED:
-        if final is None:
-            raise ValidationError("supplied convention requires a final value")
-        final_value = float(final)
-    else:
-        raise ValidationError(f"unknown convention {convention!r}")
+        final = np.interp(min(end, last), times, values)
+    elif not math.isfinite(final):
+        raise ValidationError(f"final must be finite, got {final!r}")
+    final, baseline = float(final), float(values[0])
 
-    if final_value == baseline:
+    if final == baseline:
         raise NoCrossingError("final equals baseline: no response to time")
-    level = baseline + RESPONSE_FRACTION * (final_value - baseline)
-    rising = final_value > baseline
+    level = baseline + RESPONSE_FRACTION * (final - baseline)
+    rising = final > baseline
 
     crossed = values[1:] >= level if rising else values[1:] <= level
     i = int(np.argmax(crossed)) + 1
@@ -142,8 +123,7 @@ def response_time_63(series: MeasurementSeries,
     t63 = t0 + (level - v0) * (t1 - t0) / (v1 - v0)
 
     peak_idx = int(np.argmax(values))
-    return ResponseReport(baseline=baseline, final=final_value,
-                          final_convention=convention, t63=t63,
+    return ResponseReport(baseline=baseline, final=final, t63=t63,
                           peak_value=float(values[peak_idx]),
                           peak_time=float(times[peak_idx]))
 

@@ -22,7 +22,6 @@ from scipy.optimize import brentq
 from phototherm import (
     CalibrationProblem,
     Environment,
-    FinalConvention,
     HeatSource,
     LightSchedule,
     MeasurementSeries,
@@ -71,7 +70,7 @@ def test_criterion_1_single_layer_response_time(single_cfg):
     traj = run(single_cfg.assembly, single_cfg.source, single_cfg.schedule,
                single_cfg.env, SimConfig(duration=300.0, dt=0.01))
     series = series_from_trajectory(traj)
-    t63 = response_time_63(series, FinalConvention.WINDOW_FINAL, window=300.0).t63
+    t63 = response_time_63(series, window=300.0).t63
     elapsed = time.perf_counter() - start
     ok = abs(t63 - 100.0) <= 5.0 and elapsed < 1.0
     report("criterion 1 (single-layer t63 = 100.0 +/- 5 s, < 1 s runtime)", ok,
@@ -83,7 +82,7 @@ def test_criterion_2_bilayer_response_time(bilayer_cfg):
     traj = run(bilayer_cfg.assembly, bilayer_cfg.source, bilayer_cfg.schedule,
                bilayer_cfg.env, SimConfig(duration=300.0, dt=0.01))
     series = series_from_trajectory(traj)  # liquid-contact channel
-    t63 = response_time_63(series, FinalConvention.WINDOW_FINAL, window=300.0).t63
+    t63 = response_time_63(series, window=300.0).t63
     elapsed = time.perf_counter() - start
     ok = abs(t63 - 54.9) <= 3.0 and elapsed < 1.0
     report("criterion 2 (bilayer t63 = 54.9 +/- 3 s, < 1 s runtime)", ok,
@@ -227,14 +226,14 @@ def test_criterion_8_cycle_and_bending_metrics():
         tau = brentq(lambda x: rise_t63(x, span) - target, 1.0, 2000.0)
         t = np.arange(0.0, span + 0.05, 0.1)
         curve = MeasurementSeries(tuple(t), tuple(1 - np.exp(-t / tau)), unit="deg")
-        got = response_time_63(curve, FinalConvention.WINDOW_FINAL, window=span).t63
+        got = response_time_63(curve, window=span).t63
         convention_ok &= abs(got - target) <= 0.2
         details.append(f"rise {target:.1f}->{got:.2f}")
     for target, span in ((42.7, 150.0), (22.1, 150.0)):
         tau = brentq(lambda x: fall_t63(x, 51.7, span) - target, 1.0, 2000.0)
         t = np.arange(0.0, span + 0.05, 0.1)
         curve = MeasurementSeries(tuple(t), tuple(51.7 * np.exp(-t / tau)), unit="deg")
-        got = response_time_63(curve, FinalConvention.WINDOW_FINAL, window=span).t63
+        got = response_time_63(curve, window=span).t63
         convention_ok &= abs(got - target) <= 0.2
         details.append(f"recovery {target:.1f}->{got:.2f}")
 

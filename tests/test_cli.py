@@ -124,6 +124,45 @@ class TestSimulateAndMetrics:
         assert (code, out) == (2, "")
         assert err == "error: plateau convention requires window and plateau_threshold\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--window", "0"), "window must be finite and > 0, got 0.0"),
+        (("--window", "-5"), "window must be finite and > 0, got -5.0"),
+        (("--window", "nan"), "window must be finite and > 0, got nan"),
+        (("--convention", "supplied", "--final", "nan"), "final must be finite, got nan")])
+    def test_bad_window_or_final_is_named(self, capsys, tmp_path, flags, message):
+        # 0 and -5 once ended in "final equals baseline", nan in a nan level
+        out_csv = tmp_path / "run.csv"
+        run_cli(capsys, "simulate", "--preset", "table1_single",
+                "--duration", "100", "--record-stride", "100", "--out", str(out_csv))
+        code, out, err = run_cli(capsys, "metrics", str(out_csv), *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_each_command_scans_the_plateau_once(self, capsys, tmp_path, monkeypatch):
+        import phototherm.cli
+        import phototherm.metrics
+
+        calls = []
+        scan = phototherm.metrics.plateau_value
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(phototherm.metrics, "plateau_value", counting)
+        monkeypatch.setattr(phototherm.cli, "plateau_value", counting)
+        out_csv = tmp_path / "run.csv"
+        run_cli(capsys, "simulate", "--preset", "table1_single",
+                "--duration", "400", "--record-stride", "100",
+                "--schedule", "0:inf:1", "--out", str(out_csv))
+        plateau = ("--plateau-threshold", "0.5", "--plateau-window", "20")
+        for argv in (("metrics", str(out_csv), "--convention", "plateau", *plateau),
+                     ("metrics", str(out_csv), *plateau),
+                     ("analyze-bending", str(out_csv), *plateau)):
+            calls.clear()
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert len(calls) == 1
+
 
 class TestByteIdentity:
     """sha256 of CSVs as per-cell "%.6f" formatting and a window-by-window
@@ -352,6 +391,39 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, *argv, "--outputs", outputs)
         assert (code, out, err) == (2, "", f"error: {config}:{line}: [metrics] channel "
                                            "theta_L is not valid for a single-layer assembly\n")
+
+    @pytest.mark.parametrize("key, raw, rule", [
+        ("plateau_threshold", "-1", "must be > 0, got -1.0"),
+        ("plateau_threshold", "nan", "must be > 0, got nan"),
+        ("plateau_window", "nan", "must be finite and > 0, got nan"),
+    ])
+    def test_bad_plateau_setting_is_bad_input(self, capsys, tmp_path, key, raw, rule):
+        # it once loaded, and then every plateau point failed with exit 4
+        settings = {"plateau_threshold": "0.5", "plateau_window": "20", key: raw}
+        text = preset_path("table1_single").read_text(encoding="utf-8").replace(
+            "[sim]", "[metrics]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items())
+            + "\n[sim]")
+        config = tmp_path / "plateau.ini"
+        config.write_text(text, encoding="utf-8")
+        line = text.splitlines().index(f"{key} = {raw}") + 1
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config), "--param",
+                                 "scale", "--values", "0.5,1", "--outputs", "plateau")
+        assert (code, out) == (2, "")
+        assert err == f"error: {config}:{line}: [metrics] {key} {rule}\n"
+
+    @pytest.mark.parametrize("old, new, outputs, key", [
+        ("metric_window = 300.0", "metric_window = 1e9", "t63,steady", "[sim] metric_window"),
+        ("[sim]", "[metrics]\nplateau_threshold = 0.5\nplateau_window = 1e9\n\n[sim]",
+         "plateau", "[metrics] plateau_window")])
+    def test_window_longer_than_the_run_is_bad_input(self, capsys, tmp_path, old, new,
+                                                     outputs, key):
+        # it once failed every row, the steady columns too, and exited 4
+        config = preset_copy(tmp_path, old, new, preset="table1_single")
+        code, out, err = run_cli(capsys, "sweep", "--config", config, "--param", "scale",
+                                 "--values", "0.5,1", "--outputs", outputs)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {key} 1000000000.0 s exceeds the last recorded time "
+                       "300 s of the run\n")
 
     def test_repeated_output_is_bad_input(self, capsys):
         # it would write its column twice

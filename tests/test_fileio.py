@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from phototherm import (
     ConfigError,
     Environment,
-    FinalConvention,
     HeatSource,
     LightSchedule,
     MeasurementSeries,
@@ -296,6 +296,23 @@ class TestConfigParsing:
         assert cfg.plateau_window == 20.0
         assert cfg.plateau_threshold == 1.0
         assert cfg.channel == "theta_s"
+
+    @pytest.mark.parametrize("key, raw, rule", [
+        ("plateau_threshold", "-1", "must be > 0, got -1.0"),
+        ("plateau_threshold", "0", "must be > 0, got 0.0"),
+        ("plateau_threshold", "nan", "must be > 0, got nan"),
+        ("plateau_window", "0", "must be finite and > 0, got 0.0"),
+        ("plateau_window", "-5", "must be finite and > 0, got -5.0"),
+        ("plateau_window", "nan", "must be finite and > 0, got nan"),
+        ("plateau_window", "inf", "must be finite and > 0, got inf"),
+    ])
+    def test_bad_plateau_setting_rejected_with_its_line(self, key, raw, rule):
+        # plateau_value would reject it at every sweep point
+        text = minimal_single_config() + f"\n[metrics]\n{key} = {raw}\n"
+        line = text.splitlines().index(f"{key} = {raw}") + 1
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == f"<config>:{line}: [metrics] {key} {rule}"
 
     def test_lig_channel_on_a_single_layer_rejected_with_its_line(self):
         text = minimal_single_config() + "\n[metrics]\nchannel = theta_L\n"
@@ -795,8 +812,7 @@ class TestRunSweep:
         trajectory = run(config.assembly, config.source, config.schedule,
                          config.env, config.sim)
         series = series_from_trajectory(trajectory, config.channel)
-        report = response_time_63(series, FinalConvention.WINDOW_FINAL,
-                                  window=config.sim.metric_window)
+        report = response_time_63(series, window=config.sim.metric_window)
         assert row["t63_s"] == report.t63
         assert row["peak_K"] == report.peak_value
 
@@ -818,6 +834,34 @@ class TestRunSweep:
         spec = SweepSpec(param="scale", values=(1.0,), outputs=("plateau",))
         with pytest.raises(ConfigError, match="plateau"):
             run_sweep(config, spec)
+
+    @pytest.mark.parametrize("duration", [120.0, 120.05])
+    @pytest.mark.parametrize("outputs, key", [(("t63", "steady"), "[sim] metric_window"),
+                                              (("plateau",), "[metrics] plateau_window")])
+    def test_window_past_the_last_stamp_fails_before_the_first_point(
+            self, config, duration, outputs, key):
+        # 120.05 s records up to 120 s only, at stride 10 x 0.01 s; a window
+        # past that would fail every point, and with it the steady columns
+        for window in (1e9, 120.0 + 1e-6):
+            sim = SimConfig(duration=duration, dt=0.01, record_stride=10,
+                            metric_window=window)
+            cfg = dataclasses.replace(config, sim=sim, plateau_window=window,
+                                      plateau_threshold=0.5)
+            spec = SweepSpec(param="scale", values=(1.0, 0.5), outputs=outputs)
+            with pytest.raises(ConfigError) as info:
+                run_sweep(cfg, spec)
+            assert str(info.value) == (f"{key} {window!r} s exceeds the last recorded "
+                                       "time 120 s of the run")
+
+    @pytest.mark.parametrize("duration", [120.0, 120.05])
+    def test_window_equal_to_the_span_still_runs(self, config, duration):
+        sim = SimConfig(duration=duration, dt=0.01, record_stride=10, metric_window=120.0)
+        cfg = dataclasses.replace(config, sim=sim, plateau_window=120.0,
+                                  plateau_threshold=1e3)
+        spec = SweepSpec(param="scale", values=(1.0, 0.5), outputs=("t63", "plateau"))
+        result = run_sweep(cfg, spec)
+        assert result.failures == 0
+        assert all(row["plateau_reach_s"] == 0.0 for row in result.rows)
 
     def test_csv_shape(self, config):
         spec = SweepSpec(param="scale", values=(1.0, 0.5), outputs=("steady",))

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phototherm import (
-    FinalConvention,
     MeasurementSeries,
     MetricError,
     NoCrossingError,
@@ -85,7 +84,7 @@ class TestResponseTime:
         # analytic inversion of the exponential with the window-final level:
         # t63 = -tau ln(1 - 0.632 (1 - e^(-300/tau))) = 100.5296 s
         series = first_order_series()
-        report = response_time_63(series, FinalConvention.WINDOW_FINAL, window=300.0)
+        report = response_time_63(series, window=300.0)
         assert report.t63 == pytest.approx(100.5296, abs=0.01)
         assert report.t63 == pytest.approx(100.4, abs=0.2)
         assert report.baseline == AMBIENT
@@ -95,27 +94,26 @@ class TestResponseTime:
     def test_supplied_final_recovers_time_constant(self):
         # with the asymptote supplied, t63 = -tau ln(1 - 0.632) = 113.7127 s
         series = first_order_series(span=600.0)
-        report = response_time_63(series, FinalConvention.SUPPLIED,
-                                  final=AMBIENT + SWING)
+        report = response_time_63(series, final=AMBIENT + SWING)
         assert report.t63 == pytest.approx(113.7127, abs=0.01)
         assert report.t63 == pytest.approx(113.75, abs=0.2)
 
     def test_constant_series_has_no_crossing(self):
         series = MeasurementSeries((0.0, 1.0, 2.0), (5.0, 5.0, 5.0), unit="deg")
         with pytest.raises(NoCrossingError):
-            response_time_63(series, FinalConvention.WINDOW_FINAL, window=2.0)
+            response_time_63(series, window=2.0)
 
     def test_window_longer_than_span_rejected(self):
         series = first_order_series(span=100.0)
         with pytest.raises(ValidationError):
-            response_time_63(series, FinalConvention.WINDOW_FINAL, window=200.0)
+            response_time_63(series, window=200.0)
 
     def test_falling_series_crossing(self):
         # recovery curve: decays from 10 toward 0 with tau = 20 s
         t = np.arange(0.0, 120.0, 0.1)
         series = MeasurementSeries(tuple(t), tuple(10.0 * np.exp(-t / 20.0)),
                                    unit="deg")
-        report = response_time_63(series, FinalConvention.WINDOW_FINAL, window=100.0)
+        report = response_time_63(series, window=100.0)
         # level = 10 + 0.632 (final - 10); analytic crossing of the decay
         final = 10.0 * math.exp(-100.0 / 20.0)
         level = 10.0 + RESPONSE_FRACTION * (final - 10.0)
@@ -126,14 +124,30 @@ class TestResponseTime:
         t = np.concatenate([np.arange(0.0, 50.0, 0.5), np.arange(50.0, 100.0, 0.5)])
         v = np.concatenate([np.linspace(0.0, 51.7, 100), np.full(100, 51.7)])
         series = MeasurementSeries(tuple(t), tuple(v), unit="deg")
-        report = response_time_63(series, FinalConvention.PLATEAU,
-                                  window=20.0, plateau_threshold=1.0)
+        report = response_time_63(series,
+                                  final=plateau_value(series, threshold=1.0, window=20.0)[0])
         assert report.final == pytest.approx(51.7, abs=0.15)
         assert report.peak_value == pytest.approx(51.7)
 
     def test_supplied_needs_final(self):
         with pytest.raises(ValidationError):
-            response_time_63(first_order_series(), FinalConvention.SUPPLIED)
+            response_time_63(first_order_series())
+
+    def test_window_and_final_together_rejected(self):
+        with pytest.raises(ValidationError, match="exactly one of window and final"):
+            response_time_63(first_order_series(), window=300.0, final=AMBIENT + SWING)
+
+    @pytest.mark.parametrize("window", [0.0, -5.0, math.nan, math.inf, -math.inf])
+    def test_bad_window_rejected_by_name(self, window):
+        # 0 and -5 once read the baseline as the final, and nan a nan level
+        with pytest.raises(ValidationError,
+                           match=rf"^window must be finite and > 0, got {window!r}$"):
+            response_time_63(first_order_series(), window=window)
+
+    @pytest.mark.parametrize("final", [math.nan, math.inf, -math.inf])
+    def test_non_finite_final_rejected_by_name(self, final):
+        with pytest.raises(ValidationError, match=rf"^final must be finite, got {final!r}$"):
+            response_time_63(first_order_series(), final=final)
 
     @given(gain=st.floats(0.01, 100.0), offset=st.floats(-500.0, 500.0))
     @settings(max_examples=60)
@@ -276,9 +290,9 @@ class TestResponseTimeOracle:
         expected = crossing_oracle(series, level, final > baseline)
         if expected is None:
             with pytest.raises(NoCrossingError):
-                response_time_63(series, FinalConvention.SUPPLIED, final=final)
+                response_time_63(series, final=final)
             return
-        report = response_time_63(series, FinalConvention.SUPPLIED, final=final)
+        report = response_time_63(series, final=final)
         assert repr(report.t63) == repr(expected)
 
 

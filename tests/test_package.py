@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     # simulate
     "LightSchedule", "SimConfig", "Trajectory", "run", "stability_limit",
     # metrics
-    "FinalConvention", "MeasurementSeries", "RESPONSE_FRACTION", "ResponseReport",
+    "MeasurementSeries", "RESPONSE_FRACTION", "ResponseReport",
     "cooling_fit", "cycle_degradation", "cycle_peaks", "normalize_curve", "plateau_value",
     "response_time_63", "series_from_trajectory",
     # calibrate
@@ -48,3 +48,11 @@ def test_every_private_function_and_class_is_used_in_the_package():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and node.name.startswith("_") and node.name not in used]
     assert unused == []
+
+
+def test_readme_api_sketch_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Python API sketch", 1)[1]
+    code = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3

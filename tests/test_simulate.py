@@ -281,12 +281,11 @@ class TestRun:
 
     def test_single_layer_window_final_response_time(self, single_wall, flux_source,
                                                      environment):
-        from phototherm import FinalConvention, response_time_63, series_from_trajectory
+        from phototherm import response_time_63, series_from_trajectory
 
         traj = run(single_wall, flux_source, ALWAYS_ON, environment,
                    SimConfig(duration=300.0, dt=0.01))
-        report = response_time_63(series_from_trajectory(traj),
-                                  FinalConvention.WINDOW_FINAL, window=300.0)
+        report = response_time_63(series_from_trajectory(traj), window=300.0)
         assert report.t63 == pytest.approx(100.4, abs=1.0)
 
     def test_empty_schedule_stays_at_ambient(self, bilayer_wall, flux_source,
