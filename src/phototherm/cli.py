@@ -94,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--final", type=float, help="final value for the supplied convention")
     p.add_argument("--plateau-threshold", type=float, help="plateau value range bound")
     p.add_argument("--plateau-window", type=float, help="plateau window length, s")
-    p.add_argument("--ambient", type=float, default=298.0,
-                   help="ambient for the cooling fit, K (default 298)")
+    p.add_argument("--ambient", type=float,
+                   help="ambient for the cooling fit, K (default: the first value)")
 
     p = sub.add_parser("calibrate", help="fit model parameters to a measured series")
     _add_scenario_options(p)
@@ -158,6 +158,8 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    """Every figure is computed before the first line is printed, so a
+    failing command prints nothing."""
     series = fileio.read_series(args.file, column=args.channel)
     wants_plateau = args.plateau_threshold is not None and args.plateau_window is not None
     plateau = None
@@ -172,7 +174,22 @@ def _cmd_metrics(args) -> int:
         report = response_time_63(series, final=args.final)
     else:
         report = response_time_63(series, window=args.window)
+    if wants_plateau and plateau is None:
+        plateau = plateau_value(series, args.plateau_threshold, args.plateau_window)
     is_kelvin = series.unit == "K"
+
+    cooling = None
+    if is_kelvin:
+        # cooling fit on the decaying tail after the peak, when there is one
+        peak_idx = int(np.argmax(series.values))
+        tail_t = series.times[peak_idx:]
+        tail_v = series.values[peak_idx:]
+        if len(tail_t) >= 2 and tail_v[-1] < tail_v[0]:
+            ambient = report.baseline if args.ambient is None else args.ambient
+            try:
+                cooling = cooling_fit(MeasurementSeries(tail_t, tail_v, unit="K"), ambient)
+            except (ValidationError, MetricError):
+                pass
 
     def emit_value(key, value):
         if is_kelvin:
@@ -186,26 +203,12 @@ def _cmd_metrics(args) -> int:
     _emit("t63_s", report.t63)
     emit_value("peak", report.peak_value)
     _emit("peak_time_s", report.peak_time)
-
-    if wants_plateau:
-        value, reach = plateau or plateau_value(series, args.plateau_threshold,
-                                                args.plateau_window)
-        emit_value("plateau", value)
-        _emit("plateau_reach_s", reach)
-
-    if is_kelvin:
-        # cooling fit on the decaying tail after the peak, when there is one
-        peak_idx = int(np.argmax(series.values))
-        tail_t = series.times[peak_idx:]
-        tail_v = series.values[peak_idx:]
-        if len(tail_t) >= 2 and tail_v[-1] < tail_v[0]:
-            try:
-                tau, r2 = cooling_fit(MeasurementSeries(tail_t, tail_v, unit="K"),
-                                      args.ambient)
-                _emit("cooling_tau_s", tau)
-                _emit("cooling_r2", r2)
-            except (ValidationError, MetricError):
-                pass
+    if plateau is not None:
+        emit_value("plateau", plateau[0])
+        _emit("plateau_reach_s", plateau[1])
+    if cooling is not None:
+        _emit("cooling_tau_s", cooling[0])
+        _emit("cooling_r2", cooling[1])
     return EXIT_OK
 
 
@@ -261,19 +264,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze_bending(args) -> int:
+    """Every figure is computed before the --out file is written and the
+    first line is printed, so a failing command writes nothing."""
     series = fileio.read_series(args.file)
     plateau, reach = plateau_value(series, args.plateau_threshold, args.plateau_window)
     normalized = normalize_curve(series, plateau)
-    if args.out:
-        fileio.write_series(normalized, args.out)
     report = response_time_63(series, final=plateau)
-    _emit("baseline", report.baseline)
-    _emit("plateau", plateau)
-    _emit("plateau_reach_s", reach)
-    _emit("t63_s", report.t63)
-    _emit("peak", report.peak_value)
-    _emit("peak_time_s", report.peak_time)
-
     if args.peaks:
         peaks = list(_parse_floats(args.peaks, "--peaks"))
     else:
@@ -283,8 +279,17 @@ def _cmd_analyze_bending(args) -> int:
             peaks = []  # recovery-only records never rise above the start
         if len(peaks) < 2:
             peaks = []
+    ratios = cycle_degradation(peaks) if peaks else []
+
+    if args.out:
+        fileio.write_series(normalized, args.out)
+    _emit("baseline", report.baseline)
+    _emit("plateau", plateau)
+    _emit("plateau_reach_s", reach)
+    _emit("t63_s", report.t63)
+    _emit("peak", report.peak_value)
+    _emit("peak_time_s", report.peak_time)
     if peaks:
-        ratios = cycle_degradation(peaks)
         _emit("cycle_peaks", ",".join(f"{p:.4f}" for p in peaks))
         _emit("cycle_ratios", ",".join(f"{r:.4f}" for r in ratios))
     return EXIT_OK

@@ -7,7 +7,6 @@ line. Series files are two-column CSV (`time_s,value`) with an optional
 kelvin. Every emitted file is re-ingestible by the matching reader.
 """
 
-import io
 import math
 import os
 from contextlib import nullcontext
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import PARAM_RANGES, _check_applicable, apply_named_parameter
+from .decimals import read_decimals
 from .errors import ConfigError, PhotothermError, SeriesFormatError, ValidationError
 from .metrics import (
     MeasurementSeries,
@@ -327,13 +327,19 @@ def read_series(path, column: str = "auto") -> MeasurementSeries:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise SeriesFormatError(f"{path}: cannot read series: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SeriesFormatError(f"{path}: series must be UTF-8: {exc}") from exc
-
-    times, values, unit = _bulk_rows(text, column) or _parse_rows(path, text, column)
+    rows = _bulk_rows(data, column)
+    if rows is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SeriesFormatError(f"{path}: series must be UTF-8: {exc}") from exc
+        if "\r" in text:  # as a text-mode read translates line ends
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        rows = _parse_rows(path, text, column)
+    times, values, unit = rows
 
     if len(times) < 2:
         raise SeriesFormatError(f"{path}: need at least 2 data rows, got {len(times)}")
@@ -346,52 +352,61 @@ def read_series(path, column: str = "auto") -> MeasurementSeries:
         raise SeriesFormatError(f"{path}: {exc}") from exc
 
 
-def _bulk_rows(text: str, column: str):
-    """(times, values, unit) of a well-formed file, parsed by np.loadtxt;
-    None for anything else.
+_UNITS = {b"K": "K", b"C": "C", b"deg": "deg"}
+
+
+def _bulk_rows(data: bytes, column: str):
+    """(times, values, unit) of a well-formed file's bytes, parsed with
+    array operations; None for anything else.
 
     Accepted: the header on the first line, or a `# unit: K|C|deg` line
-    and then the header; then rows of exactly the header's number of
-    cells, with no NaN and strictly increasing times. A single-layer
-    trajectory's empty theta_L cells are never parsed. np.loadtxt reads a
-    float as float() does (CPython's correctly rounded parser) but accepts
-    fewer spellings: no underscores or non-ASCII digits. On None,
-    read_series reruns the row loop, which accepts those too, makes every
-    error message and reports every line number.
+    and then the header; then LF-ended rows of exactly the header's number
+    of cells, ASCII only, whose time cells and read value cells are plain
+    decimals (see decimals.read_decimals) with strictly increasing times. A
+    single-layer trajectory's empty theta_L cells are never parsed. On
+    None, read_series decodes the file and reruns the row loop, which
+    accepts every other spelling float() reads, makes every error message
+    and reports every line number.
     """
-    unit = "K"
-    header, _, body = text.partition("\n")
-    if header.startswith("# unit: "):
-        unit = header[len("# unit: "):]
-        header, _, body = body.partition("\n")
-    if header == SERIES_HEADER and column in ("auto", "value") and unit in ("K", "C", "deg"):
+    unit, top = "K", 0
+    if data.startswith(b"# unit: "):
+        top = data.find(b"\n") + 1
+        unit = _UNITS.get(data[8:top - 1])
+    end = data.find(b"\n", top)
+    if unit is None or end < 0 or not data.endswith(b"\n") or end + 1 == len(data):
+        return None  # a lone unit line and a header-only file included
+    header = data[top:end]
+    if header == SERIES_HEADER.encode() and column in ("auto", "value"):
         n_cols = 2
-    elif header == TRAJECTORY_HEADER and column in ("auto", "value", "theta_s", "theta_L"):
+    elif header == TRAJECTORY_HEADER.encode() and column in ("auto", "value", "theta_s",
+                                                             "theta_L"):
         unit, n_cols = "K", 3
     else:
         return None
-    if not body.endswith("\n"):
-        body += "\n"
-    data = body.encode("utf-8")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    cuts = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    row = np.frombuffer(b"," * (n_cols - 1) + b"\n", dtype=np.uint8)
-    if len(cuts) % n_cols or (raw[cuts].reshape(-1, n_cols) != row).any():
+    # from the header on, whose separators follow the rows' pattern. Every
+    # byte below "-" must be a comma or a newline, so no CR, space or "+",
+    # and as int8 every byte past ASCII is below it too, so all would decode
+    raw = np.frombuffer(data, dtype=np.int8, offset=top)
+    cuts = np.flatnonzero(raw < 45)
+    if raw[cuts].tobytes() != (b"," * (n_cols - 1) + b"\n") * (len(cuts) // n_cols):
         return None
+    cuts = cuts.reshape(-1, n_cols)  # row 0 is the header
     value_idx = 1
     if n_cols == 3 and column in ("auto", "theta_L"):
         # the theta_L cell runs from the row's second comma to its newline
-        if (np.diff(cuts)[1::3] > 1).any():
+        if (cuts[1:, 2] - cuts[1:, 1] > 1).any():
             value_idx = 2
         elif column == "theta_L":
             return None
-    try:
-        # the bytes go line by line, which keeps no decoded copy of the body
-        times, values = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None,
-                                   usecols=(0, value_idx), ndmin=2, encoding="utf-8").T
-    except ValueError:
+    ends = np.concatenate((cuts[1:, 0], cuts[1:, value_idx]))
+    starts = np.concatenate((cuts[:-1, -1], cuts[1:, value_idx - 1]))
+    starts += 1
+    del cuts  # lowers the peak memory of what follows
+    cells = read_decimals(raw, starts, ends)
+    if cells is None:
         return None
-    if np.isnan(values).any() or not (times[1:] > times[:-1]).all():
+    times, values = cells.reshape(2, -1)
+    if not (times[1:] > times[:-1]).all():
         return None
     return times, values, unit
 

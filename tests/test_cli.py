@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phototherm.cli import cli_main
 from phototherm.fileio import preset_path
+from conftest import TAU_SINGLE_S
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +97,56 @@ class TestSimulateAndMetrics:
         assert "cooling_tau_s" in report
         assert float(report["cooling_tau_s"]) == pytest.approx(113.75, abs=1.0)
         assert float(report["cooling_r2"]) > 0.9999
+
+    @given(ambient=st.floats(270.0, 330.0))
+    @settings(max_examples=12, deadline=None)
+    def test_cooling_fit_ambient_defaults_to_the_first_value(self, tmp_path_factory, ambient):
+        # a CLI run starts at ambient, so its first value is the ambient
+        directory = tmp_path_factory.mktemp("cooling")
+        config = preset_copy(directory, "ambient_temperature = 298.0",
+                             f"ambient_temperature = {ambient!r}", preset="table1_single")
+        out_csv = directory / "run.csv"
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli_main(["simulate", "--config", config, "--schedule", "0:150:1",
+                             "--duration", "600", "--record-stride", "10",
+                             "--out", str(out_csv)]) == 0
+            assert cli_main(["metrics", str(out_csv), "--window", "600"]) == 0
+        report = parse_report(out.getvalue())
+        assert float(report["cooling_tau_s"]) == pytest.approx(TAU_SINGLE_S, rel=1e-3)
+        assert float(report["cooling_r2"]) > 0.9999
+
+    def test_explicit_ambient_wins(self, capsys, tmp_path):
+        config = preset_copy(tmp_path, "ambient_temperature = 298.0",
+                             "ambient_temperature = 310.0", preset="table1_single")
+        out_csv = tmp_path / "run.csv"
+        run_cli(capsys, "simulate", "--config", config, "--schedule", "0:150:1",
+                "--duration", "600", "--record-stride", "10", "--out", str(out_csv))
+        code, out, _ = run_cli(capsys, "metrics", str(out_csv), "--window", "600",
+                               "--ambient", "298")
+        assert code == 0
+        report = parse_report(out)
+        # the fit a 298 K ambient gave for every series before it defaulted
+        # to the first value
+        assert (report["cooling_tau_s"], report["cooling_r2"]) == ("1062.825160", "0.849313")
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--plateau-threshold", "1e-9", "--plateau-window", "20"),
+         "no 20 s window stays within 1e-09"),
+        (("--convention", "supplied", "--final", "310", "--plateau-threshold", "1e-9",
+          "--plateau-window", "20"), "no 20 s window stays within 1e-09"),
+        (("--convention", "plateau", "--plateau-threshold", "1e-9", "--plateau-window", "20"),
+         "no 20 s window stays within 1e-09"),
+        (("--convention", "supplied",), "supplied convention requires a final value"),
+        (("--window", "0", "--plateau-threshold", "0.5", "--plateau-window", "20"),
+         "window must be finite and > 0, got 0.0"),
+    ], ids=["window_final_plateau", "supplied_plateau", "plateau_convention",
+            "supplied_without_final", "bad_window"])
+    def test_failing_metrics_prints_nothing(self, capsys, tmp_path, flags, message):
+        out_csv = tmp_path / "run.csv"
+        run_cli(capsys, "simulate", "--preset", "table1_single", "--duration", "600",
+                "--record-stride", "10", "--schedule", "0:150:1", "--out", str(out_csv))
+        code, out, err = run_cli(capsys, "metrics", str(out_csv), *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_metrics_plateau_keys(self, capsys, tmp_path):
         out_csv = tmp_path / "run.csv"
@@ -483,6 +538,34 @@ class TestAnalyzeBending:
         from phototherm import read_series
         norm = read_series(normalized)
         assert norm.values[0] == 0.0
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--plateau-threshold", "1e-9", "--plateau-window", "20"),
+         "no 20 s window stays within 1e-09"),
+        (("--plateau-threshold", "1", "--plateau-window", "20", "--peaks", "51.7,abc"),
+         "--peaks must be comma-separated numbers, got '51.7,abc'"),
+        (("--plateau-threshold", "1", "--plateau-window", "20", "--peaks", "0,51.7"),
+         "first peak must be > 0, got 0.0"),
+    ], ids=["plateau", "peaks_not_numbers", "first_peak_zero"])
+    def test_failing_command_writes_nothing(self, capsys, tmp_path, flags, message):
+        path = self.bending_file(tmp_path)
+        normalized = tmp_path / "norm.csv"
+        code, out, err = run_cli(capsys, "analyze-bending", str(path), *flags,
+                                 "--out", str(normalized))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not normalized.exists()
+
+    def test_flat_record_writes_nothing(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text("# unit: deg\ntime_s,value\n" + "".join(
+            f"{t:.6f},5.000000\n" for t in range(60)), encoding="utf-8")
+        normalized = tmp_path / "norm.csv"
+        code, out, err = run_cli(capsys, "analyze-bending", str(path),
+                                 "--plateau-threshold", "1", "--plateau-window", "20",
+                                 "--out", str(normalized))
+        assert (code, out) == (2, "")
+        assert err == "error: plateau equals the initial value: normalization degenerate\n"
+        assert not normalized.exists()
 
     def test_explicit_peaks_override(self, capsys, tmp_path):
         path = self.bending_file(tmp_path, n_cycles=1)

@@ -5,9 +5,11 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,7 @@ from phototherm import (
     write_series,
     write_trajectory,
 )
+from phototherm.decimals import read_decimals
 from phototherm.fileio import (RunConfig, _bulk_rows, _csv_body, _parse_rows,
                                _read_ini, parse_config)
 from conftest import LIG, POWER_W, SILICONE
@@ -612,7 +615,7 @@ class TestBulkRows:
                 cells[k:k + 1] = [data.draw(ODD_CELL)] * data.draw(st.integers(0, 2))
             lines.append(",".join(cells))
         text = "\n".join(lines) + ending
-        bulk = _bulk_rows(text, column)
+        bulk = _bulk_rows(text.encode(), column)
         if bulk is None:
             return
         times, values, unit = _parse_rows(Path("case.csv"), text, column)
@@ -629,7 +632,7 @@ class TestBulkRows:
         write_trajectory(trajectory, stream)
         text = stream.getvalue()
         for column in ("auto", "theta_s"):
-            bulk = _bulk_rows(text, column)
+            bulk = _bulk_rows(text.encode(), column)
             assert bulk is not None
             times, values, unit = _parse_rows(Path("case.csv"), text, column)
             assert repr((bulk[0].tolist(), bulk[1].tolist(), bulk[2])) == repr(
@@ -644,6 +647,175 @@ class TestBulkRows:
             warnings.simplefilter("error")
             with pytest.raises(SeriesFormatError, match="got 0"):
                 read_series(path)
+
+
+PLAIN = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+
+
+@st.composite
+def plain_decimal(draw, decimals=None):
+    """-?d+(.d+)? with leading zeros, 1-17 integer digits, 0-22 decimals."""
+    sign = draw(st.sampled_from(["", "-"]))
+    whole = draw(st.one_of(st.text("0123456789", min_size=1, max_size=4),
+                           st.text("0123456789", min_size=1, max_size=17),
+                           st.integers(0, 10 ** 17).map(str)))
+    if decimals is None:
+        decimals = draw(st.one_of(st.integers(0, 6), st.integers(0, 22)))
+    return sign + whole + ("." * (decimals > 0)
+                           + draw(st.text("0123456789", min_size=decimals, max_size=decimals)))
+
+
+PLAIN_CELL = st.sampled_from([
+    "0", "-0", "-0.000000", "00.5", "-007.250", "298.000934", "9007199254740991",
+    "9007199254740992", "9007199254740993", "900719925474099.3", "123456789012345",
+    "1234567890123456", "12345678901234567", "-999999999.999999", "0.0000000000000000000001",
+    "0.00000000000000000000001", "1.0000000000000000000000"])
+# spellings float() may read that the fast lane leaves to the row parser
+FALLBACK_CELL = st.sampled_from([
+    "1.", ".5", "+1", "1e3", "1_0", "1.2.3", "--1", "1-2", "-", "", "inf", "nan", "1E5",
+    "٢", "0x10", "1,5"])
+
+
+def parse_bits(cells) -> bytes:
+    return np.array([float(c) for c in cells]).tobytes()
+
+
+def fits_the_fast_lane(cells) -> bool:
+    """Plain cells of at most 24 bytes whose digits, read as one integer,
+    stay below 2**53."""
+    return all(PLAIN.fullmatch(c) and len(c) <= 24
+               and int(c.lstrip("-").replace(".", "")) < 2 ** 53 for c in cells)
+
+
+class TestDecimalCells:
+    """The fast lane's values equal float(cell) bit for bit; any other
+    cell sends the whole column to the row parser."""
+
+    @given(data=st.data(), rows=st.integers(1, 8), same_decimals=st.booleans())
+    @settings(max_examples=600, deadline=None)
+    def test_value_is_float_of_the_cell(self, data, rows, same_decimals):
+        cell = plain_decimal(data.draw(st.integers(0, 22))) if same_decimals else plain_decimal()
+        cells = data.draw(st.lists(st.one_of(cell, PLAIN_CELL), min_size=rows, max_size=rows))
+        if data.draw(st.booleans()):
+            cells[data.draw(st.integers(0, rows - 1))] = data.draw(FALLBACK_CELL)
+        raw = np.frombuffer(("\n" + "".join(c + "\n" for c in cells)).encode(), dtype=np.uint8)
+        ends = np.cumsum([len(c.encode()) + 1 for c in cells])
+        starts = ends - [len(c.encode()) for c in cells]
+        got = read_decimals(raw, starts, ends)
+        if not all(PLAIN.fullmatch(c) for c in cells):
+            assert got is None
+        elif fits_the_fast_lane(cells):
+            assert got is not None
+        if got is not None:
+            assert got.tobytes() == parse_bits(cells)
+
+    @pytest.mark.parametrize("cells", [
+        ("1.000000", ".500000"), ("1.000000", "-.500000"), ("2.50", "1."), ("1.5", "1.2.3"),
+        ("10", "1.5.")])
+    def test_a_point_needs_a_digit_on_each_side(self, cells):
+        raw = np.frombuffer(("\n" + "".join(c + "\n" for c in cells)).encode(), dtype=np.uint8)
+        ends = np.cumsum([len(c) + 1 for c in cells])
+        assert read_decimals(raw, ends - [len(c) for c in cells], ends) is None
+
+    def test_negative_zero_keeps_its_sign(self):
+        text = "time_s,value\n0.000000,-0.000000\n1.000000,-0\n"
+        times, values, _ = _bulk_rows(text.encode(), "auto")
+        assert [math.copysign(1.0, v) for v in values] == [-1.0, -1.0]
+
+    @given(data=st.data(), rows=st.integers(2, 12), trajectory=st.booleans(),
+           same_decimals=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_plain_files_take_the_fast_lane(self, data, rows, trajectory, same_decimals):
+        cell = plain_decimal(data.draw(st.integers(0, 8)) if same_decimals else None)
+        times = ["%.*f" % (data.draw(st.integers(0, 6)) if not same_decimals else 3, k)
+                 for k in range(rows)]
+        lines = ["t_s,theta_s_K,theta_L_K" if trajectory else "time_s,value"]
+        for t in times:
+            values = data.draw(st.lists(cell, min_size=2 if trajectory else 1,
+                                        max_size=2 if trajectory else 1))
+            lines.append(",".join([t] + values))
+        text = "\n".join(lines) + "\n"
+        column = data.draw(st.sampled_from(["auto", "theta_s", "theta_L"] if trajectory
+                                           else ["auto", "value"]))
+        index = 2 if trajectory and column != "theta_s" else 1  # every theta_L is filled
+        read = [cell for line in lines[1:] for cell in line.split(",")[::index]]
+        bulk = _bulk_rows(text.encode(), column)
+        if fits_the_fast_lane(read):
+            assert bulk is not None
+        if bulk is not None:
+            assert repr((bulk[0].tolist(), bulk[1].tolist(), bulk[2])) == repr(
+                _parse_rows(Path("case.csv"), text, column))
+
+
+@pytest.fixture(scope="module")
+def long_trajectories(tmp_path_factory):
+    """The forward benchmark's shape: 40 001 rows of 400 s at dt = 0.01 s,
+    the light on for the first 275.5 s; one file per wall."""
+    directory = tmp_path_factory.mktemp("long")
+    paths = {}
+    for preset in ("table1_bilayer", "table1_single"):
+        config = load_config(preset_path(preset))
+        trajectory = run(config.assembly, config.source, LightSchedule(((0.0, 275.5, 1.0),)),
+                         config.env, SimConfig(duration=400.0, dt=0.01))
+        paths[preset] = directory / f"{preset}.csv"
+        write_trajectory(trajectory, paths[preset])
+    return paths
+
+
+class TestFastLaneGuards:
+    @pytest.mark.parametrize("preset", ("table1_bilayer", "table1_single"))
+    @pytest.mark.parametrize("column", ("auto", "theta_s"))
+    def test_writer_output_never_reaches_the_row_parser(self, monkeypatch, long_trajectories,
+                                                        preset, column):
+        import phototherm.fileio
+
+        path = long_trajectories[preset]
+        times, values, _ = _parse_rows(path, path.read_text(encoding="utf-8"), column)
+
+        def refuse(*args):
+            raise AssertionError("the row parser read a writer's file")
+
+        monkeypatch.setattr(phototherm.fileio, "_parse_rows", refuse)
+        series = read_series(path, column=column)
+        assert len(series.times) == 40001
+        assert series.times.tobytes() == np.array(times).tobytes()
+        assert series.values.tobytes() == np.array(values).tobytes()
+
+    def test_traced_peak_of_the_forward_read(self, long_trajectories):
+        # np.loadtxt read this 1.31 MB file with a traced peak of 6 546 148
+        # bytes (Python 3.11.7, numpy 2.4.6); the parser must not need more
+        path = long_trajectories["table1_bilayer"]
+        read_series(path)
+        tracemalloc.start()
+        try:
+            read_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_546_148
+
+
+class TestNonUtf8Series:
+    @pytest.mark.parametrize("data, position", [
+        (b"# unit: \xff\ntime_s,value\n0,1\n1,2\n", "byte 0xff in position 8: invalid start byte"),
+        (b"time_s,va\xfflue\n0,1\n1,2\n", "byte 0xff in position 9: invalid start byte"),
+        (b"time_s,value\n0,1\n1,\xff2\n", "byte 0xff in position 19: invalid start byte"),
+        # in a cell the reader never parses, and in the middle of a sequence
+        (b"t_s,theta_s_K,theta_L_K\n0.000000,29\xc3.000000,298.000000\n"
+         b"1.000000,298.000000,298.500000\n",
+         "byte 0xc3 in position 35: invalid continuation byte"),
+    ], ids=["unit_line", "header", "data_row", "unread_cell"])
+    def test_bad_byte_is_a_series_format_error(self, tmp_path, capsys, data, position):
+        from phototherm.cli import cli_main
+
+        path = tmp_path / "series.csv"
+        path.write_bytes(data)
+        message = f"{path}: series must be UTF-8: 'utf-8' codec can't decode {position}"
+        with pytest.raises(SeriesFormatError) as info:
+            read_series(path)
+        assert str(info.value) == message
+        assert cli_main(["metrics", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # (id, file text, column, expected): a (times, values, unit) triple, or the
