@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "theta_s", "theta_L", "value"])
     p.add_argument("--convention", default="window-final",
                    choices=["plateau", "supplied", "window-final"])
-    p.add_argument("--window", type=float, default=300.0,
+    p.add_argument("--window", type=float,
                    help="final-value window for window-final, s (default 300)")
     p.add_argument("--final", type=float, help="final value for the supplied convention")
     p.add_argument("--plateau-threshold", type=float, help="plateau value range bound")
@@ -160,6 +160,11 @@ def _cmd_steady(args) -> int:
 def _cmd_metrics(args) -> int:
     """Every figure is computed before the first line is printed, so a
     failing command prints nothing."""
+    for flag, value, convention in (("--window", args.window, "window-final"),
+                                    ("--final", args.final, "supplied")):
+        if value is not None and args.convention != convention:
+            print(f"error: {flag} applies only to --convention {convention}", file=sys.stderr)
+            return EXIT_USAGE
     series = fileio.read_series(args.file, column=args.channel)
     wants_plateau = args.plateau_threshold is not None and args.plateau_window is not None
     plateau = None
@@ -173,7 +178,7 @@ def _cmd_metrics(args) -> int:
             raise ValidationError("supplied convention requires a final value")
         report = response_time_63(series, final=args.final)
     else:
-        report = response_time_63(series, window=args.window)
+        report = response_time_63(series, window=300.0 if args.window is None else args.window)
     if wants_plateau and plateau is None:
         plateau = plateau_value(series, args.plateau_threshold, args.plateau_window)
     is_kelvin = series.unit == "K"

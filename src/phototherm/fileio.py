@@ -36,7 +36,7 @@ from .model import (
     WallKind,
     steady_state,
 )
-from .simulate import LightSchedule, SimConfig, Trajectory, _resolve_channel, run
+from .simulate import LightSchedule, SimConfig, Trajectory, _resolve_channel, _segments, run
 
 TRAJECTORY_HEADER = "t_s,theta_s_K,theta_L_K"
 SERIES_HEADER = "time_s,value"
@@ -484,22 +484,32 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
     """Write a trajectory to a path or an open text stream as CSV with
     6-decimal fixed formatting and LF endings; the theta_L column stays
     empty for single-layer runs."""
-    if trajectory.lig is None:
-        body = _csv_body(trajectory.times, trajectory.silicone, trailing=",")
-    else:
-        body = _csv_body(trajectory.times, trajectory.silicone, trajectory.lig)
-    with (nullcontext(path) if hasattr(path, "write")
-          else open(path, "w", encoding="utf-8", newline="")) as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        fh.write(body)
+    lig = () if trajectory.lig is None else (trajectory.lig,)
+    _write_csv(path, TRAJECTORY_HEADER + "\n", (trajectory.times, trajectory.silicone, *lig),
+               "" if lig else ",")
 
 
 def write_series(series: MeasurementSeries, path) -> None:
-    """Write a series as `time_s,value` CSV with a `# unit:` comment."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# unit: {series.unit}\n")
-        fh.write(SERIES_HEADER + "\n")
-        fh.write(_csv_body(series.times, series.values))
+    """Write a series to a path or an open text stream as `time_s,value`
+    CSV with a `# unit:` comment."""
+    _write_csv(path, f"# unit: {series.unit}\n{SERIES_HEADER}\n", (series.times, series.values))
+
+
+# Rows per formatted block: every temporary of a block stays below glibc's
+# 128 KiB mmap threshold, so each block reuses heap memory already paged in
+# instead of faulting in fresh pages for the whole file.
+_BLOCK_ROWS = 2048
+
+
+def _write_csv(path, head: str, columns, trailing: str = "") -> None:
+    """Write head and the rows of _csv_body in blocks of _BLOCK_ROWS, as
+    bytes to a path or as text to an open text stream."""
+    stream = hasattr(path, "write")
+    with nullcontext(path) if stream else open(path, "wb") as fh:
+        fh.write(head if stream else head.encode())
+        for i in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = _csv_body(*(c[i:i + _BLOCK_ROWS] for c in columns), trailing=trailing)
+            fh.write(block.decode() if stream else block)
 
 
 def _pieces(pattern: bytes) -> np.ndarray:
@@ -520,35 +530,37 @@ _POINT_DIGITS, _DIGITS_COMMA, _DIGITS_END = (_pieces(b".%03d"), _pieces(b"%03d,"
 _MINUS = np.frombuffer(b"-\0\0\0", dtype=np.uint32)[0]
 
 
-def _csv_body(*columns, trailing: str = "") -> str:
+def _csv_body(*columns, trailing: str = "") -> bytes:
     """CSV rows of the equal-length columns, each cell `"%.6f" % x` and
-    each row ended by trailing + newline: the text of the %-format, built
-    with array operations instead of one format call per cell."""
+    each row ended by trailing + newline: the ASCII bytes of the %-format,
+    built with array operations instead of one format call per cell."""
     y = np.column_stack(columns)
     rows, n_cols = y.shape
     if not (-1e9 < y.min() and y.max() < 1e9):  # also false for inf and nan
         row_format = ",".join(["%.6f"] * n_cols) + trailing + "\n"
-        return "".join(map(row_format.__mod__, zip(*columns)))
+        return "".join(map(row_format.__mod__, zip(*columns))).encode()
     y *= 1e6
     # "%.6f" prints the exact x * 10**6 rounded half to even. Below 2**52
     # every half is a double and rounding is monotone, so the rounded
     # product y lies between the same two halves as the exact one unless y
     # is itself a half: rint(y) is the printed integer except on those
-    # cells, which are formatted one by one. Every step below is exact.
+    # cells, which are formatted one by one. Every step below is exact;
+    # the digits, below 10**15 < 2**53, split as int64.
     digits = np.rint(y)
-    halves = np.nonzero(np.abs(y - digits) == 0.5)
+    halves = np.abs(y - digits) == 0.5
     negative = np.signbit(y)
     np.abs(digits, out=digits)
-    for i, j in zip(*halves):
-        digits[i, j] = abs(float(("%.6f" % columns[j][i]).replace(".", "")))
+    if halves.any():
+        for i, j in zip(*np.nonzero(halves)):
+            digits[i, j] = abs(float(("%.6f" % columns[j][i]).replace(".", "")))
     groups = -(-len("%d" % (digits.max() // 1e6)) // 3)  # integer digits, in threes
     slots = groups + 2
     text = np.zeros((rows, n_cols * slots + 1), dtype=np.uint32)
     cells = text[:, :-1].reshape(rows, n_cols, slots)
-    rest = digits
+    rest = digits.astype(np.int64)
     for k in range(slots):  # triples from the last decimal up
-        above = np.floor(rest / 1000.0)
-        triple = (rest - 1000.0 * above).astype(np.intp)
+        above = rest // 1000
+        triple = rest - 1000 * above
         if k == 0:
             cells[..., -1] = _DIGITS_COMMA[triple]
             cells[:, -1, -1] = _DIGITS_END[triple[:, -1]]  # the row's last cell
@@ -560,9 +572,10 @@ def _csv_body(*columns, trailing: str = "") -> str:
                 piece *= rest > 0  # a triple wholly ahead of the first digit
             cells[..., slots - 1 - k] = piece
         rest = above
-    cells[..., 0] |= negative * _MINUS
+    if negative.any():
+        cells[..., 0] |= negative * _MINUS
     text[:, -1] = np.frombuffer((trailing + "\n").encode().ljust(4, b"\0"), dtype=np.uint32)
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    return text.tobytes().translate(None, b"\0")
 
 
 @dataclass(frozen=True)
@@ -699,7 +712,9 @@ def run_sweep(config: RunConfig, sweep: SweepSpec) -> SweepResult:
                     row["plateau_K"] = value
                     row["plateau_reach_s"] = reach
             if "steady" in sweep.outputs:
-                state = steady_state(assembly, source, config.env, scale)
+                # the hottest drive the run sees; a schedule never on gives ambient
+                drive = max(s for _, _, s in _segments(schedule, sim.n_steps, sim.dt))
+                state = steady_state(assembly, source, config.env, drive)
                 row["steady_theta_s_K"] = state.silicone_temperature
                 row["steady_theta_L_K"] = state.lig_temperature
         except PhotothermError:

@@ -192,6 +192,36 @@ class TestSimulateAndMetrics:
         code, out, err = run_cli(capsys, "metrics", str(out_csv), *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--convention", "supplied", "--final", "310", "--window", "-4"),
+         "--window applies only to --convention window-final"),
+        (("--convention", "supplied", "--final", "310", "--window", "300"),
+         "--window applies only to --convention window-final"),
+        (("--convention", "plateau", "--plateau-threshold", "0.5", "--plateau-window", "20",
+          "--window", "300"), "--window applies only to --convention window-final"),
+        (("--convention", "window-final", "--final", "310"),
+         "--final applies only to --convention supplied"),
+        (("--final", "310",), "--final applies only to --convention supplied"),
+        (("--convention", "plateau", "--plateau-threshold", "0.5", "--plateau-window", "20",
+          "--final", "310"), "--final applies only to --convention supplied")])
+    def test_flag_of_another_convention_is_usage_error(self, capsys, tmp_path, flags,
+                                                       message):
+        # each once exited 0, the flag dropped without a word
+        out_csv = tmp_path / "run.csv"
+        run_cli(capsys, "simulate", "--preset", "table1_single", "--duration", "400",
+                "--record-stride", "100", "--schedule", "0:inf:1", "--out", str(out_csv))
+        code, out, err = run_cli(capsys, "metrics", str(out_csv), *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_window_final_defaults_to_300_s(self, capsys, tmp_path):
+        out_csv = tmp_path / "run.csv"
+        run_cli(capsys, "simulate", "--preset", "table1_single", "--duration", "400",
+                "--record-stride", "100", "--schedule", "0:inf:1", "--out", str(out_csv))
+        code, default, _ = run_cli(capsys, "metrics", str(out_csv))
+        assert code == 0
+        assert run_cli(capsys, "metrics", str(out_csv), "--window", "300") == (0, default, "")
+        assert run_cli(capsys, "metrics", str(out_csv), "--window", "200")[1] != default
+
     def test_each_command_scans_the_plateau_once(self, capsys, tmp_path, monkeypatch):
         import phototherm.cli
         import phototherm.metrics

@@ -25,6 +25,7 @@ from phototherm import (
     SourceMode,
     SweepSpec,
     ThermalLayer,
+    Trajectory,
     ValidationError,
     WallAssembly,
     WallKind,
@@ -42,7 +43,7 @@ from phototherm import (
 )
 from phototherm.decimals import read_decimals
 from phototherm.fileio import (RunConfig, _bulk_rows, _csv_body, _parse_rows,
-                               _read_ini, parse_config)
+                               _read_ini, _write_csv, parse_config)
 from conftest import LIG, POWER_W, SILICONE
 from reference_ini import reference_read_ini
 
@@ -561,6 +562,11 @@ CELLS = st.one_of(
 )
 
 
+def percent_rows(columns, trailing):
+    row_format = ",".join(["%.6f"] * len(columns)) + trailing + "\n"
+    return "".join(row_format % row for row in zip(*columns))
+
+
 class TestCsvBody:
     @given(data=st.data(), n_cols=st.integers(1, 3), rows=st.integers(1, 20),
            trailing=st.sampled_from(["", ","]))
@@ -571,9 +577,111 @@ class TestCsvBody:
         cells = data.draw(st.sampled_from([CELLS, st.floats()]))
         columns = [tuple(data.draw(st.lists(cells, min_size=rows, max_size=rows)))
                    for _ in range(n_cols)]
-        row_format = ",".join(["%.6f"] * n_cols) + trailing + "\n"
-        expected = "".join(row_format % row for row in zip(*columns))
-        assert _csv_body(*columns, trailing=trailing) == expected
+        assert _csv_body(*columns, trailing=trailing) == percent_rows(columns, trailing).encode()
+
+
+class _CountingPieces(np.ndarray):
+    """A piece table that counts its reads: the bulk formatter reads
+    _DIGITS_END once per block, the %-format fallback never."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        type(self).reads += 1
+        return np.asarray(self)[key]
+
+
+class TestBlockWriter:
+    """The writers format _BLOCK_ROWS rows at a time; the text is the
+    per-cell %-format whatever the block boundaries."""
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        config = load_config(preset_path("table1_bilayer"))
+        trajectory = run(config.assembly, config.source, LightSchedule(((0.0, 200.0, 1.0),)),
+                         config.env, SimConfig(duration=420.0, dt=0.1))
+        return trajectory.times, trajectory.silicone, trajectory.lig
+
+    @pytest.mark.parametrize("rows", (1, 2047, 2048, 2049, 4097))
+    @pytest.mark.parametrize("kind", ("single", "bilayer", "series"))
+    def test_matches_percent_format_at_block_boundaries(self, tmp_path, columns, rows, kind):
+        times, silicone, lig = (c[:max(rows, 2 * (kind == "series"))] for c in columns)
+        stream = io.StringIO()
+        path = tmp_path / "out.csv"
+        if kind == "series":  # a series holds at least 2 points
+            series = MeasurementSeries(times, silicone)
+            expected = ("# unit: K\ntime_s,value\n"
+                        + percent_rows((series.times, series.values), ""))
+            write_series(series, path)
+            write_series(series, stream)
+        else:
+            trajectory = Trajectory(times, silicone, lig if kind == "bilayer" else None)
+            expected = "t_s,theta_s_K,theta_L_K\n" + percent_rows(
+                (times, silicone) + ((lig,) if kind == "bilayer" else ()),
+                "" if kind == "bilayer" else ",")
+            write_trajectory(trajectory, path)
+            write_trajectory(trajectory, stream)
+        assert path.read_bytes() == expected.encode()
+        assert stream.getvalue() == expected
+
+    @given(data=st.data(), n_cols=st.integers(1, 3), rows=st.integers(1, 13),
+           trailing=st.sampled_from(["", ","]),
+           odd=st.sampled_from([math.inf, -math.inf, math.nan, 1e16, -0.0, 0.0078125,
+                                -0.0078125, None]))  # 0.0078125 * 1e6 is a half
+    @settings(max_examples=300, deadline=None)
+    def test_three_row_blocks(self, data, n_cols, rows, trailing, odd):
+        import phototherm.fileio
+
+        columns = [data.draw(st.lists(CELLS, min_size=rows, max_size=rows))
+                   for _ in range(n_cols)]
+        if data.draw(st.booleans()):  # one block of cells the bulk path takes
+            columns = [[math.fmod(x, 1e8) if math.isfinite(x) else 0.0 for x in column]
+                       for column in columns]
+        if odd is not None:
+            columns[data.draw(st.integers(0, n_cols - 1))][
+                data.draw(st.integers(0, rows - 1))] = odd
+        calls = []
+        body = phototherm.fileio._csv_body
+
+        def spy(*block, trailing):
+            reads = _CountingPieces.reads
+            text = body(*block, trailing=trailing)
+            calls.append((block, text, _CountingPieces.reads > reads))
+            return text
+
+        stream = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(phototherm.fileio, "_BLOCK_ROWS", 3)
+            patch.setattr(phototherm.fileio, "_DIGITS_END",
+                          phototherm.fileio._DIGITS_END.view(_CountingPieces))
+            patch.setattr(phototherm.fileio, "_csv_body", spy)
+            _write_csv(stream, "head\n", columns, trailing)
+        assert stream.getvalue() == "head\n" + percent_rows(columns, trailing)
+        assert [len(block[0]) for block, _, _ in calls] == [
+            min(3, rows - start) for start in range(0, rows, 3)]
+        for block, text, bulk in calls:
+            assert text == percent_rows(block, trailing).encode()
+            # only a block with a cell past 1e9, inf or nan takes the fallback
+            cells = np.array(block)
+            assert bulk == bool((np.abs(cells) < 1e9).all())
+
+    def test_traced_peak_of_the_forward_write(self, tmp_path):
+        # formatted whole, the 40 001-row bilayer file had a traced peak of
+        # 9 241 602 bytes (Python 3.11.7, numpy 2.4.6); in blocks it needs
+        # well under 1 MiB
+        config = load_config(preset_path("table1_bilayer"))
+        trajectory = run(config.assembly, config.source, LightSchedule(((0.0, 275.5, 1.0),)),
+                         config.env, SimConfig(duration=400.0, dt=0.01))
+        path = tmp_path / "run.csv"
+        write_trajectory(trajectory, path)
+        tracemalloc.start()
+        try:
+            write_trajectory(trajectory, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trajectory.times) == 40001
+        assert peak <= 2 ** 20
 
 
 # cells that look like the writers' output, or nearly do
@@ -971,6 +1079,38 @@ class TestRunSweep:
         assert max(t63s) - min(t63s) < 0.1
         scales = [row["scale"] for row in result.rows]
         assert scales == pytest.approx([1.0, 2 / 3, 0.5])
+
+    @given(data=st.data(), preset=st.sampled_from(["table1_single", "table1_bilayer"]),
+           radiative=st.booleans(), value=st.floats(0.0, 2.0),
+           duration=st.floats(1.0, 600.0))
+    @settings(max_examples=60, deadline=None)
+    def test_peak_never_passes_steady(self, data, preset, radiative, value, duration):
+        # the steady column is the fixed point of the hottest drive the run
+        # sees, which a run from ambient never passes; it once ignored the
+        # schedule's own interval scales. A radiative steady state is a
+        # bisection to a residual below 1e-9 W, within 1e-9 W / (1.2e-3 W/K
+        # of loss conductance) < 1e-6 K of its root on either preset.
+        bounds = sorted(set(data.draw(st.lists(st.floats(0.0, 800.0), max_size=6))))
+        if data.draw(st.booleans()):
+            bounds.append(math.inf)
+        intervals = [(start, end, data.draw(st.floats(0.0, 3.0)))
+                     for start, end in zip(bounds[::2], bounds[1::2])]
+        cfg = load_config(preset_path(preset))
+        source = HeatSource.radiative(373.0, 0.9) if radiative else cfg.source
+        config = RunConfig(assembly=cfg.assembly, source=source, env=cfg.env,
+                           schedule=LightSchedule(tuple(intervals)),
+                           sim=SimConfig(duration=duration, dt=0.05, record_stride=7))
+        row, = run_sweep(config, SweepSpec(param="scale", values=(value,),
+                                           outputs=("peak", "steady"))).rows
+        assert row["status"] == "ok"
+        steady = row["steady_theta_L_K" if preset == "table1_bilayer" else "steady_theta_s_K"]
+        assert row["peak_K"] <= steady + (1e-6 if radiative else 4 * math.ulp(steady))
+
+    def test_steady_of_a_schedule_never_on_is_ambient(self, config):
+        config = dataclasses.replace(config, schedule=LightSchedule(((500.0, 600.0, 2.0),)))
+        row, = run_sweep(config, SweepSpec(param="scale", values=(1.0,),
+                                           outputs=("steady",))).rows
+        assert (row["steady_theta_s_K"], row["steady_theta_L_K"]) == (298.0, 298.0)
 
     def test_rows_keep_input_order(self, config):
         spec = SweepSpec(param="scale", values=(1.0, 0.25, 0.75), outputs=("steady",))
