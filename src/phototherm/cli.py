@@ -262,6 +262,10 @@ def _cmd_sweep(args) -> int:
     else:
         sys.stdout.write(csv_text)
     if result.failures:
+        for row in result.rows:
+            if row["status"] == "failed":
+                print(f"index={row['index']} value={row['value']:g} error={row['error']} "
+                      f"message={row['message']}", file=sys.stderr)
         print(f"{result.failures} of {len(result.rows)} sweep points failed",
               file=sys.stderr)
         return EXIT_PARTIAL

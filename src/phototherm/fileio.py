@@ -398,8 +398,11 @@ def _bulk_rows(data: bytes, column: str):
             value_idx = 2
         elif column == "theta_L":
             return None
-    ends = np.concatenate((cuts[1:, 0], cuts[1:, value_idx]))
-    starts = np.concatenate((cuts[:-1, -1], cuts[1:, value_idx - 1]))
+    # int32 offsets halve read_decimals' index arrays; the margin covers
+    # the few bytes of padding it may add ahead of raw
+    offset = np.int32 if len(raw) < 2 ** 31 - 2 ** 10 else np.intp
+    ends = np.concatenate((cuts[1:, 0], cuts[1:, value_idx]), dtype=offset)
+    starts = np.concatenate((cuts[:-1, -1], cuts[1:, value_idx - 1]), dtype=offset)
     starts += 1
     del cuts  # lowers the peak memory of what follows
     cells = read_decimals(raw, starts, ends)
@@ -652,7 +655,8 @@ def run_sweep(config: RunConfig, sweep: SweepSpec) -> SweepResult:
     """Evaluate the requested outputs at every sweep point.
 
     Rows keep the input order; a point that fails validation or simulation
-    is marked failed and the sweep continues. A parameter, or a channel an
+    is marked failed, keeps the exception's class name as "error" and its
+    text as "message", and the sweep continues. A parameter, or a channel an
     output reads, that the scenario lacks fails the sweep before any point.
     """
     if "plateau" in sweep.outputs and (config.plateau_threshold is None
@@ -717,9 +721,9 @@ def run_sweep(config: RunConfig, sweep: SweepSpec) -> SweepResult:
                 state = steady_state(assembly, source, config.env, drive)
                 row["steady_theta_s_K"] = state.silicone_temperature
                 row["steady_theta_L_K"] = state.lig_temperature
-        except PhotothermError:
+        except PhotothermError as exc:
             failures += 1
             row = {"index": index, "param": sweep.param, "value": point,
-                   "status": "failed"}
+                   "status": "failed", "error": type(exc).__name__, "message": str(exc)}
         rows.append(row)
     return SweepResult(tuple(columns), tuple(rows), failures)

@@ -25,6 +25,11 @@ RESPONSE_FRACTION = 0.632
 #: tolerance for window-span bookkeeping on floating time stamps, in s
 _TIME_EPS = 1e-9
 
+# plateau_value scans at least this many anchors at a time. While a window
+# holds under about 14 000 samples, each of a block's arrays stays below
+# glibc's 128 KiB mmap threshold, so a warm call faults in no fresh pages
+_ANCHOR_BLOCK = 2048
+
 _UNITS = ("K", "C", "deg")
 
 
@@ -136,13 +141,17 @@ def plateau_value(series: MeasurementSeries, threshold: float,
     Windows are anchored at sample times and include every sample in
     [t, t + window].
 
-    The scan is O(n log n) in the number of samples, not O(n x window):
-    one searchsorted finds the anchors and one more every window end, and
-    each window's max and min come from two overlapping power-of-two blocks
-    (the sparse-table range query of Bender & Farach-Colton, "The LCA
-    problem revisited", LATIN 2000). The block extrema are built one level
-    at a time and only the current level is kept, so memory stays O(n).
-    Max and min are exact, so the result equals a window-by-window scan.
+    The scan is O(n log n) in the number of samples, not O(n x window).
+    It takes the anchors in blocks of at least _ANCHOR_BLOCK, and at least
+    as many as the block's first window holds, and stops at the first
+    block that holds a flat window. Within a block one searchsorted finds
+    every window end, and each window's max and min come from two
+    overlapping power-of-two runs of samples (the sparse-table range query
+    of Bender & Farach-Colton, "The LCA problem revisited", LATIN 2000),
+    built one level at a time over the block's anchors and its last
+    window. Each block starts at or past its predecessor's first window
+    end, so a sample falls in at most two blocks. Max and min are exact,
+    so the result equals a window-by-window scan.
     """
     if not threshold > 0.0:
         raise ValidationError(f"threshold must be > 0, got {threshold!r}")
@@ -155,26 +164,42 @@ def plateau_value(series: MeasurementSeries, threshold: float,
     times, values = series.times, series.values
     last_anchor = times[-1] - window
     n_anchors = int(np.searchsorted(times, last_anchor + _TIME_EPS, side="right"))
-    starts = np.arange(n_anchors)
-    ends = np.searchsorted(times, times[:n_anchors] + window + _TIME_EPS, side="right")
-    # window [i, j) is covered by the blocks of 2**k samples at i and j - 2**k
+    start = 0
+    while start < n_anchors:
+        first_end = int(np.searchsorted(times, times[start] + window + _TIME_EPS,
+                                        side="right"))
+        stop = min(max(start + _ANCHOR_BLOCK, first_end), n_anchors)
+        ends = np.searchsorted(times, times[start:stop] + window + _TIME_EPS, side="right")
+        ends -= start
+        flat = _flat_windows(values[start:start + ends[-1]], ends, threshold)
+        if flat.any():
+            i = int(np.argmax(flat))
+            return float(values[start + i:start + ends[i]].mean()), float(times[start + i])
+        start = stop
+    raise NoPlateauError(f"no {window:g} s window stays within {threshold:g}")
+
+
+def _flat_windows(values: np.ndarray, ends: np.ndarray, threshold: float) -> np.ndarray:
+    """Whether the range of values[i:ends[i]] is below threshold, for each i
+    in range(len(ends))."""
+    starts = np.arange(len(ends))
+    # window [i, j) is covered by the runs of 2**k samples at i and j - 2**k
     levels = np.frexp(ends - starts)[1] - 1
-    flat = np.zeros(n_anchors, dtype=bool)
+    counts = np.bincount(levels).tolist()
+    flat = np.zeros(len(ends), dtype=bool)
     block_max = block_min = values
-    for k in range(int(levels.max(initial=-1)) + 1):
+    for k, count in enumerate(counts):
         if k:
             half = 1 << (k - 1)
             block_max = np.maximum(block_max[:-half], block_max[half:])
             block_min = np.minimum(block_min[:-half], block_min[half:])
+        if not count:
+            continue
         lo = starts[levels == k]
         hi = ends[lo] - (1 << k)
         flat[lo] = (np.maximum(block_max[lo], block_max[hi])
                     - np.minimum(block_min[lo], block_min[hi])) < threshold
-    if not flat.any():
-        raise NoPlateauError(
-            f"no {window:g} s window stays within {threshold:g}")
-    i = int(np.argmax(flat))
-    return float(values[i:ends[i]].mean()), float(times[i])
+    return flat
 
 
 def normalize_curve(series: MeasurementSeries, plateau: float) -> MeasurementSeries:

@@ -24,9 +24,12 @@ from .errors import NumericalError, ValidationError
 STEFAN_BOLTZMANN = 5.67037442e-8  # W m^-2 K^-4
 KELVIN_OFFSET = 273.15
 
-# residual tolerance (W) and iteration cap for radiative steady-state solves
-_STEADY_RESIDUAL_TOL = 1e-9
-_STEADY_MAX_ITER = 500
+# iteration cap for radiative steady-state solves. The bracket halves each
+# step, and its ends are adjacent once it is as narrow as the float spacing
+# at the root, at least 2**-1074. Below a finite source's theta_h < 1.2e77 K
+# (th4 must be finite) that takes under log2(1.2e77 * 2**1074) < 1331
+# steps; from a room-temperature ambient, about 300
+_STEADY_MAX_ITER = 1400
 
 
 class SourceMode(Enum):
@@ -287,35 +290,37 @@ def _coefficients(assembly: WallAssembly, source: HeatSource) -> _Coefficients:
                          q_s, q_l, theta_h, th4, a_s, r_s, a_l, r_l)
 
 
-def _bisect(residual, lo: float, hi: float, tol: float) -> float:
-    """Root of a continuous residual bracketed by [lo, hi], to within tol W.
+def _bisect(residual, lo: float, hi: float) -> float:
+    """Root of a continuous residual bracketed by [lo, hi], to the float.
 
-    When lo and hi are adjacent floats no midpoint is left, and the
-    endpoint with the smaller |residual| is the best float there is: a
-    steep residual (a hot radiative source) can change by more than tol
-    over one ulp of temperature.
+    It halves the bracket until a residual is exactly 0 or lo and hi are
+    adjacent floats, and then returns the end with the smaller |residual|:
+    the best float there is. A fixed residual tolerance in W would stop a
+    small drive's solve at its first point, whatever that point's relative
+    error in the excess over ambient.
     """
     r_lo = residual(lo)
-    if abs(r_lo) < tol:
+    if r_lo == 0.0:
         return lo
     r_hi = residual(hi)
-    if abs(r_hi) < tol:
+    if r_hi == 0.0:
         return hi
-    if r_lo * r_hi > 0.0:
+    # signs, not a product, which tiny residuals can underflow to 0
+    if (r_lo > 0.0) == (r_hi > 0.0):
         raise NumericalError("steady-state residual does not change sign over bracket")
     for _ in range(_STEADY_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo if abs(r_lo) <= abs(r_hi) else hi
         r_mid = residual(mid)
-        if abs(r_mid) < tol:
+        if r_mid == 0.0:
             return mid
-        if r_lo * r_mid <= 0.0:
-            hi, r_hi = mid, r_mid
-        else:
+        if (r_mid > 0.0) == (r_lo > 0.0):
             lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
     raise NumericalError(
-        f"steady-state iteration did not reach |residual| < {tol:g} W")
+        f"steady-state bisection did not close its bracket in {_STEADY_MAX_ITER} steps")
 
 
 def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
@@ -326,8 +331,10 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
 
     Radiative sources are solved by one bisection in the silicone
     temperature theta_s over the bracket [min(theta_e, theta_h),
-    max(theta_e, theta_h)], to |residual| < min(1e-9 W, 1e-7 x the smallest
-    layer capacity). With p = q_s(theta_s) - g_s (theta_s - theta_e), the
+    max(theta_e, theta_h)], until a residual is exactly 0 or the bracket's
+    ends are adjacent floats, of which it returns the one with the smaller
+    |residual|. So a tiny drive keeps its small excess over ambient to
+    float resolution. With p = q_s(theta_s) - g_s (theta_s - theta_e), the
     silicone balance p + k (theta_L - theta_s) = 0 is linear in theta_L, so
     a bilayer's theta_L = theta_s - p / k follows from theta_s; it is
     clipped to the bracket. The residual is the net power into the wall,
@@ -389,11 +396,8 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
                                       * area / resistance)
 
     q_s, g_s = drive(c.a_s, c.r_s), c.g_s
-    # tight enough that the rate residuals stay well below 1e-6 K/s
-    tol = min(_STEADY_RESIDUAL_TOL, 1e-7 * c.cap_s)
     if bilayer:
         q_l, g_l, k = drive(c.a_l, c.r_l), c.g_l, c.k
-        tol = min(tol, 1e-7 * c.cap_l)
 
     lo, hi = min(theta_e, theta_h), max(theta_e, theta_h)
 
@@ -406,5 +410,5 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
         theta_l = min(max(theta_s - p / k, lo), hi)
         return p + q_l(theta_l) - g_l * (theta_l - theta_e), theta_l
 
-    theta_s = _bisect(lambda theta: balance(theta)[0], lo, hi, tol)
+    theta_s = _bisect(lambda theta: balance(theta)[0], lo, hi)
     return ThermalState(0.0, theta_s, balance(theta_s)[1])

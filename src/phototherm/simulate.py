@@ -24,9 +24,9 @@ from .model import (
     _Coefficients,
 )
 
-# run keeps its samples in Python float lists until the loop ends: at the
-# peak, about 100 B per recorded bilayer sample (measured: 97.5 B, 57 B on a
-# single layer), so 1 GiB holds this many
+# run holds 8 B per recorded sample and column, plus at most 2 * _BLOCK
+# Python floats per column in its kept lists. The cap allows 100 B per
+# sample of a 1 GiB budget: which runs it rejects is part of run's contract
 _RECORD_BUDGET_BYTES = 2 ** 30
 _MAX_SAMPLES = _RECORD_BUDGET_BYTES // 100
 # at the measured 500-900 ns per step, about 10-15 minutes of stepping
@@ -335,11 +335,18 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
     # one straight-line loop body per wall kind and source mode. Each node
     # gains dt * (drive - g (T - theta_e) +- k (T_lig - T_sil)) / C, with the
     # radiative drive scale * sigma (theta_src^4 - T^4) A / R. A body steps a
-    # block of up to _BLOCK steps and keeps the steps its flags mark, the
-    # multiples of stride
+    # block of up to _BLOCK steps and appends the steps its flags mark, the
+    # multiples of stride, to the kept lists. Once a block passes its
+    # divergence test and the lists hold _BLOCK samples, or the run is done,
+    # they are copied into the columns at `recorded` and emptied. A copy
+    # after every block would double the cost of a step where _block_size
+    # gives 1
     sigma, inf = STEFAN_BOLTZMANN, math.inf
-    sil_temps, lig_temps = [ts], [tl]
-    keep_s, keep_l = sil_temps.append, lig_temps.append
+    sil = np.empty(samples)
+    lig = np.empty(samples) if bilayer else None
+    kept_s, kept_l = [ts], [tl]
+    keep_s, keep_l = kept_s.append, kept_l.append
+    recorded = 0
     for i0, i1, scale in segments:
         if not radiative:
             q_s = c.q_s * scale
@@ -352,6 +359,7 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
             flags = [False] * n
             first = stride - 1 - done % stride  # flag of the first multiple of stride
             flags[first::stride] = (True,) * len(range(first, n, stride))
+            mark = len(kept_s)
             try:
                 if not bilayer:
                     for keep in flags:
@@ -387,10 +395,18 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
                 failed = True
             if not failed:
                 done += n
+                if len(kept_s) >= _BLOCK or done == n_steps:
+                    after = recorded + len(kept_s)
+                    sil[recorded:after] = kept_s
+                    if bilayer:
+                        lig[recorded:after] = kept_l
+                    recorded = after
+                    kept_s.clear()
+                    kept_l.clear()
             elif block > 1:
                 # replay the block one checked step at a time: it recomputes
                 # the same floats, so it fails at the first failing step
-                # and the samples it records again are never returned
+                del kept_s[mark:], kept_l[mark:]
                 ts, tl = start
                 block = 1
             else:
@@ -398,5 +414,5 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
 
     # the recorded steps are 0, stride, 2 stride, ...: the same floats as step * dt
     times = np.arange(0, n_steps + 1, stride) * dt
-    return Trajectory(times, sil_temps, lig_temps if bilayer else None)
+    return Trajectory(times, sil, lig)
 

@@ -1,10 +1,17 @@
+import tracemalloc
+
 import pytest
 
 from phototherm import (
     Environment,
     HeatSource,
+    LightSchedule,
+    SimConfig,
     ThermalLayer,
     WallAssembly,
+    load_config,
+    preset_path,
+    run,
 )
 
 # wall and source constants used throughout the suite (bundled preset values)
@@ -51,3 +58,24 @@ def flux_source():
 @pytest.fixture
 def environment():
     return Environment(AMBIENT_K)
+
+
+def forward_trajectory():
+    """The benchmark's forward run: the bilayer preset lit for 275 s of a
+    400 s run at dt = 0.01 s and stride 1, so 40 001 samples."""
+    cfg = load_config(preset_path("table1_bilayer"))
+    return run(cfg.assembly, cfg.source, LightSchedule(((0.0, 275.0, 1.0),)), cfg.env,
+               SimConfig(duration=400.0, dt=0.01))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated during fn(), after one untraced
+    call has done any lazy set-up. It counts Python and numpy allocations,
+    not page faults or time, so it is the same on every run."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -405,7 +405,9 @@ class TestCalibrateCommand:
         assert code == 4
         assert [line.split(",")[4] for line in out.strip().splitlines()[1:]] \
             == ["failed", "ok"]
-        assert "1 of 2" in err
+        assert err == ("index=0 value=0 error=ValidationError "
+                       "message=conv_coeff must be strictly positive, got 0.0\n"
+                       "1 of 2 sweep points failed\n")
 
 
 class TestSweepCommand:
@@ -441,7 +443,8 @@ class TestSweepCommand:
                                "--d-ref", "0.05", "--exponent", "1000",
                                "--outputs", "steady", "--out", str(out_csv))
         assert code == 4
-        assert "1 of 2" in err
+        assert err == ("index=0 value=0.001 error=ValidationError message=illuminance scale "
+                       "(0.05 / 0.001) ** 1000 overflows a float\n1 of 2 sweep points failed\n")
         rows = out_csv.read_text(encoding="utf-8").strip().splitlines()[1:]
         assert [row.split(",")[4] for row in rows] == ["failed", "ok"]
 

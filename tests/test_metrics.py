@@ -19,8 +19,11 @@ from phototherm import (
     normalize_curve,
     plateau_value,
     response_time_63,
+    series_from_trajectory,
 )
+import phototherm.metrics as metrics_module
 from phototherm.metrics import _TIME_EPS
+from conftest import forward_trajectory, traced_peak
 
 TAU = 113.75
 SWING = 10.625
@@ -240,6 +243,10 @@ def uneven_series(draw):
 
 
 class TestPlateauOracle:
+    # plateau_value scans anchors in blocks of at least _ANCHOR_BLOCK: 3
+    # puts block edges, windows longer than a block and plateaus in a late
+    # block into the drawn series
+    @pytest.mark.parametrize("anchor_block", (3, metrics_module._ANCHOR_BLOCK))
     @given(series=uneven_series(),
            window_kind=st.sampled_from(["fraction", "span", "gap"]),
            fraction=st.floats(1e-3, 1.0),
@@ -248,7 +255,15 @@ class TestPlateauOracle:
     @settings(max_examples=400, deadline=None)
     @example(series=MeasurementSeries((0.466, 9.899), (1.0, 1.0)), window_kind="span",
              fraction=1.0, pair=(0, 1), threshold=1.0)  # span rounds: the anchor needs _TIME_EPS
-    def test_matches_window_scan(self, series, window_kind, fraction, pair, threshold):
+    @example(series=MeasurementSeries(range(10), (0, 5, 10, 15, 20, 25, 30, 30, 30, 30)),
+             window_kind="fraction", fraction=2 / 9, pair=(0, 0),
+             threshold=1.0)  # flat only in the last block of 3
+    @example(series=MeasurementSeries(range(12), (0, 1) * 6), window_kind="fraction",
+             fraction=3 / 11, pair=(0, 0), threshold=1.0)  # every range equals the threshold
+    @example(series=MeasurementSeries(range(40), range(40)), window_kind="fraction",
+             fraction=10 / 39, pair=(0, 0), threshold=1.0)  # no plateau; windows of 11
+    def test_matches_window_scan(self, anchor_block, series, window_kind, fraction, pair,
+                                 threshold):
         times = series.times
         if window_kind == "span":  # a single anchor
             window = series.span
@@ -259,13 +274,23 @@ class TestPlateauOracle:
         else:
             window = fraction * series.span
         assume(window > 0.0)
-        try:
-            expected = plateau_oracle(series, threshold, window)
-        except NoPlateauError:
-            with pytest.raises(NoPlateauError):
-                plateau_value(series, threshold, window)
-            return
-        assert repr(plateau_value(series, threshold, window)) == repr(expected)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics_module, "_ANCHOR_BLOCK", anchor_block)
+            try:
+                expected = plateau_oracle(series, threshold, window)
+            except NoPlateauError:
+                with pytest.raises(NoPlateauError):
+                    plateau_value(series, threshold, window)
+                return
+            assert repr(plateau_value(series, threshold, window)) == repr(expected)
+
+
+def test_forward_plateau_scan_stops_early_in_small_blocks():
+    # the scan builds a sparse table per block of anchors and stops at the
+    # first flat window, at about 170 s of the 400 s run. One table over all
+    # 40 001 samples peaked at 3 247 325 B here
+    series = series_from_trajectory(forward_trajectory())
+    assert traced_peak(lambda: plateau_value(series, 0.5, 20.0)) <= 512 * 2 ** 10
 
 
 def crossing_oracle(series, level, rising):

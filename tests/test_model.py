@@ -370,13 +370,13 @@ class TestSteadyState:
              scale=3.0)  # the preset wall: one ulp of theta moves the residual past tol
     def test_hot_radiative_rates_within_float_resolution(self, bilayer, theta_h, eps_h,
                                                          eps_s, eps_l, scale):
-        """A hot source solves, with rates bounded by the solver tolerance
-        plus what one ulp of temperature can move.
+        """A hot source solves, with rates bounded by what one ulp of
+        temperature can move.
 
-        The bisection in theta_s stops when |residual| < tol, or when lo and
-        hi are adjacent floats, returning the endpoint with the smaller
-        |residual|. In the second case the root lies within ulp(theta_s) of
-        the result, so |residual| <= ulp(theta_s) * S, where S bounds the
+        The bisection in theta_s stops at a residual of exactly 0, or when
+        lo and hi are adjacent floats, returning the endpoint with the
+        smaller |residual|. Then the root lies within ulp(theta_s) of the
+        result, so |residual| <= ulp(theta_s) * S, where S bounds the
         residual's slope d(net power)/d(theta_s). With a = 4 sigma theta_h^3
         scale A / R, the largest slope of a layer's grey-body drive on
         [theta_e, theta_h], a single layer has S = a_s + g_s. On a bilayer
@@ -388,7 +388,7 @@ class TestSteadyState:
         the residual minus it. Rounding in each flux is a few eps times the
         flux, below ulp(theta) times its slope, which the factor 2 covers;
         ulp(theta_h) >= ulp(theta_s) since theta_s <= theta_h. So each
-        |rate| <= (tol + 2 ulp(theta_h) S) / C.
+        |rate| <= 2 ulp(theta_h) S / C.
         """
         sil = ThermalLayer(**{**SILICONE, "emissivity": eps_s})
         lig = ThermalLayer(**{**LIG, "emissivity": eps_l})
@@ -412,10 +412,35 @@ class TestSteadyState:
             rates = (rhs_single(steady, wall, source, ENV, scale),)
             temps = (steady.silicone_temperature,)
             capacities = (CAP_SILICONE,)
-        tol = min(1e-9, 1e-7 * min(capacities))
         for rate, capacity in zip(rates, capacities):
-            assert abs(rate) <= (tol + 2.0 * math.ulp(theta_h) * slope) / capacity
+            assert abs(rate) <= 2.0 * math.ulp(theta_h) * slope / capacity
         assert all(AMBIENT_K <= t <= theta_h for t in temps)
+
+    @given(bilayer=st.booleans(), scale=st.floats(1e-12, 1e-6))
+    @settings(max_examples=60, deadline=None)
+    @example(bilayer=False, scale=2e-12)
+    @example(bilayer=True, scale=1e-9)
+    def test_small_radiative_drive_keeps_its_excess(self, bilayer, scale):
+        # a small drive lifts the wall by an excess linear in its scale:
+        # 9.3e-11 K on the single layer at 2e-12. A bisection that stopped
+        # at a residual below 1e-9 W returned ambient itself there, and at
+        # 1e-9 (4.7e-8 K). Each solve lands within an ulp or two of its root
+        silicone = ThermalLayer(**SILICONE)
+        wall = (WallAssembly.bilayer(silicone, ThermalLayer(**LIG)) if bilayer
+                else WallAssembly.single(silicone))
+        source = HeatSource.radiative(373.0, 0.9)
+        one, two = (steady_state(wall, source, ENV, s) for s in (scale, 2.0 * scale))
+        for key in ("silicone_temperature", "lig_temperature")[:1 + bilayer]:
+            excess, doubled = getattr(one, key) - AMBIENT_K, getattr(two, key) - AMBIENT_K
+            assert excess > 0.0
+            assert abs(doubled - 2.0 * excess) <= 8.0 * math.ulp(AMBIENT_K) + 1e-5 * doubled
+
+    def test_root_next_to_a_subnormal_ambient_closes_its_bracket(self):
+        # from 1e10 K down to a root near 2e-292 K the bracket halves about
+        # 1050 times before its ends are adjacent floats
+        steady = steady_state(BILAYER, HeatSource.radiative(1e10, 0.9), Environment(5e-324),
+                              5e-324)
+        assert 1e-293 < steady.lig_temperature < steady.silicone_temperature < 1e-291
 
     def test_radiative_scale_zero_is_ambient(self, bilayer_wall, environment):
         source = HeatSource.radiative(700.0, 0.85)
