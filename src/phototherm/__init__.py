@@ -59,7 +59,6 @@ from .calibrate import (
 from .fileio import (
     RunConfig,
     SweepResult,
-    SweepSpec,
     available_presets,
     illuminance_scale,
     load_config,

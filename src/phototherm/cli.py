@@ -165,6 +165,12 @@ def _cmd_metrics(args) -> int:
         if value is not None and args.convention != convention:
             print(f"error: {flag} applies only to --convention {convention}", file=sys.stderr)
             return EXIT_USAGE
+    if args.convention != "plateau" and (args.plateau_threshold is None) != (
+            args.plateau_window is None):
+        flags = ("--plateau-threshold", "--plateau-window")
+        given, missing = flags if args.plateau_window is None else flags[::-1]
+        print(f"error: {given} needs {missing}", file=sys.stderr)
+        return EXIT_USAGE
     series = fileio.read_series(args.file, column=args.channel)
     wants_plateau = args.plateau_threshold is not None and args.plateau_window is not None
     plateau = None
@@ -252,9 +258,12 @@ def _cmd_sweep(args) -> int:
     outputs = tuple(o.strip() for o in args.outputs.split(",") if o.strip())
     values = _parse_floats(args.values, "--values") if args.values else None
     distances = _parse_floats(args.distances, "--distances") if args.distances else None
-    spec = fileio.SweepSpec(param=args.param, values=values, distances=distances,
-                            d_ref=args.d_ref, exponent=args.exponent, outputs=outputs)
-    result = fileio.run_sweep(cfg, spec)
+    distance = args.param == "distance"
+    points, stray = (distances, values) if distance else (values, distances)
+    if stray is not None:
+        raise ValidationError("distance sweeps need distances, not values" if distance
+                              else f"{args.param} sweeps need values, not distances")
+    result = fileio.run_sweep(cfg, args.param, points or (), outputs, args.d_ref, args.exponent)
     csv_text = result.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

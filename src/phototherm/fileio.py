@@ -9,6 +9,7 @@ kelvin. Every emitted file is re-ingestible by the matching reader.
 
 import math
 import os
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
@@ -582,55 +583,6 @@ def _csv_body(*columns, trailing: str = "") -> bytes:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter: an explicit value list, or working distances
-    mapped to drive scales through illuminance_scale."""
-
-    param: str
-    values: tuple[float, ...] | None = None
-    distances: tuple[float, ...] | None = None
-    d_ref: float | None = None
-    exponent: float = 1.0
-    outputs: tuple[str, ...] = ("t63",)
-
-    def __post_init__(self):
-        if self.param == "distance":
-            if self.distances is None or self.values is not None:
-                raise ValidationError("distance sweeps need distances, not values")
-            if not self.distances:
-                raise ValidationError("need at least one sweep point")
-            if any(not 0.0 < d < math.inf for d in self.distances):
-                raise ValidationError("distances must be finite and strictly positive")
-            if self.d_ref is None or not 0.0 < self.d_ref < math.inf:
-                raise ValidationError("distance sweeps need a finite positive d_ref")
-            if not math.isfinite(self.exponent):
-                raise ValidationError(
-                    f"illuminance exponent must be finite, got {self.exponent!r}")
-        else:
-            if self.param not in PARAM_RANGES:
-                raise ValidationError(
-                    f"unknown sweep parameter {self.param!r}; choose from "
-                    f"{sorted(PARAM_RANGES) + ['distance']}")
-            if self.values is None or self.distances is not None:
-                raise ValidationError(f"{self.param} sweeps need values, not distances")
-            if not self.values:
-                raise ValidationError("need at least one sweep point")
-        unknown = set(self.outputs) - set(SWEEP_OUTPUTS)
-        if unknown:
-            raise ValidationError(
-                f"unknown sweep outputs {sorted(unknown)}; choose from {SWEEP_OUTPUTS}")
-        if not self.outputs:
-            raise ValidationError("need at least one requested output")
-        repeated = sorted({o for o in self.outputs if self.outputs.count(o) > 1})
-        if repeated:
-            raise ValidationError(f"repeated sweep outputs {repeated}; name each once")
-
-    @property
-    def points(self) -> tuple[float, ...]:
-        return self.distances if self.param == "distance" else self.values
-
-
-@dataclass(frozen=True)
 class SweepResult:
     columns: tuple[str, ...]
     rows: tuple[dict, ...]
@@ -651,16 +603,41 @@ class SweepResult:
         return "\n".join(out) + "\n"
 
 
-def run_sweep(config: RunConfig, sweep: SweepSpec) -> SweepResult:
-    """Evaluate the requested outputs at every sweep point.
-
-    Rows keep the input order; a point that fails validation or simulation
-    is marked failed, keeps the exception's class name as "error" and its
-    text as "message", and the sweep continues. A parameter, or a channel an
-    output reads, that the scenario lacks fails the sweep before any point.
-    """
-    if "plateau" in sweep.outputs and (config.plateau_threshold is None
-                                       or config.plateau_window is None):
+def run_sweep(config: RunConfig, param: str, points: Sequence[float],
+              outputs: Sequence[str] = ("t63",), d_ref: float | None = None,
+              exponent: float = 1.0) -> SweepResult:
+    """Evaluate the requested outputs at every point: values of a
+    PARAM_RANGES name, or distances whose scale is illuminance_scale(point,
+    d_ref, exponent). Every input, and what the scenario lacks for them, is
+    checked before the first point. Rows keep the input order; a point that
+    fails is marked failed, keeps the exception's class name as "error" and
+    its text as "message", and the sweep continues."""
+    points, outputs = tuple(points), tuple(outputs)
+    if not points:
+        raise ValidationError("need at least one sweep point")
+    if param == "distance":
+        if any(not 0.0 < d < math.inf for d in points):
+            raise ValidationError("distances must be finite and strictly positive")
+        if d_ref is None or not 0.0 < d_ref < math.inf:
+            raise ValidationError("distance sweeps need a finite positive d_ref")
+        if not math.isfinite(exponent):
+            raise ValidationError(f"illuminance exponent must be finite, got {exponent!r}")
+    elif param not in PARAM_RANGES:
+        raise ValidationError(f"unknown sweep parameter {param!r}; choose from "
+                              f"{sorted(PARAM_RANGES) + ['distance']}")
+    elif d_ref is not None or exponent != 1.0:
+        raise ValidationError("d_ref and exponent apply only to distance sweeps")
+    unknown = set(outputs) - set(SWEEP_OUTPUTS)
+    if unknown:
+        raise ValidationError(
+            f"unknown sweep outputs {sorted(unknown)}; choose from {SWEEP_OUTPUTS}")
+    if not outputs:
+        raise ValidationError("need at least one requested output")
+    repeated = sorted({o for o in outputs if outputs.count(o) > 1})
+    if repeated:
+        raise ValidationError(f"repeated sweep outputs {repeated}; name each once")
+    if "plateau" in outputs and (config.plateau_threshold is None
+                                 or config.plateau_window is None):
         raise ConfigError("plateau output needs plateau_threshold and plateau_window "
                           "in the [metrics] config section")
     # every point records the same stamps, so a window that passes the last
@@ -670,52 +647,52 @@ def run_sweep(config: RunConfig, sweep: SweepSpec) -> SweepResult:
     for output, key, window in (("t63", "[sim] metric_window", sim.metric_window),
                                 ("plateau", "[metrics] plateau_window",
                                  config.plateau_window)):
-        if output in sweep.outputs and window > last + _TIME_EPS:
+        if output in outputs and window > last + _TIME_EPS:
             raise ConfigError(f"{key} {window!r} s exceeds the last recorded "
                               f"time {last:g} s of the run")
-    if sweep.param != "distance":
-        _check_applicable(sweep.param, config.assembly, config.source)
-    needs_run = any(o in sweep.outputs for o in ("t63", "peak", "plateau"))
+    if param != "distance":
+        _check_applicable(param, config.assembly, config.source)
+    needs_run = any(o in outputs for o in ("t63", "peak", "plateau"))
     if needs_run:
         _resolve_channel(config.assembly.kind, config.channel)
 
     columns = ["index", "param", "value", "scale", "status"]
-    for output in sweep.outputs:
+    for output in outputs:
         columns.extend(_OUTPUT_COLUMNS[output])
 
     rows = []
     failures = 0
-    for index, point in enumerate(sweep.points):
-        row = {"index": index, "param": sweep.param, "value": point, "status": "ok"}
+    for index, point in enumerate(points):
+        row = {"index": index, "param": param, "value": point, "status": "ok"}
         try:
             assembly, source = config.assembly, config.source
-            if sweep.param == "distance":
-                scale = illuminance_scale(point, sweep.d_ref, sweep.exponent)
-            elif sweep.param == "scale":
+            if param == "distance":
+                scale = illuminance_scale(point, d_ref, exponent)
+            elif param == "scale":
                 scale = point
             else:
                 scale = 1.0
                 assembly, source, _ = apply_named_parameter(
-                    assembly, source, config.schedule, sweep.param, point)
+                    assembly, source, config.schedule, param, point)
             row["scale"] = scale
             schedule = config.schedule.scaled(scale)
 
             if needs_run:
                 trajectory = run(assembly, source, schedule, config.env, config.sim)
                 series = series_from_trajectory(trajectory, config.channel)
-                if "t63" in sweep.outputs:
+                if "t63" in outputs:
                     report = response_time_63(series, window=config.sim.metric_window)
                     row["t63_s"] = report.t63
-                if "peak" in sweep.outputs:
+                if "peak" in outputs:
                     peak_idx = int(np.argmax(series.values))
                     row["peak_K"] = float(series.values[peak_idx])
                     row["peak_time_s"] = float(series.times[peak_idx])
-                if "plateau" in sweep.outputs:
+                if "plateau" in outputs:
                     value, reach = plateau_value(series, config.plateau_threshold,
                                                  config.plateau_window)
                     row["plateau_K"] = value
                     row["plateau_reach_s"] = reach
-            if "steady" in sweep.outputs:
+            if "steady" in outputs:
                 # the hottest drive the run sees; a schedule never on gives ambient
                 drive = max(s for _, _, s in _segments(schedule, sim.n_steps, sim.dt))
                 state = steady_state(assembly, source, config.env, drive)
@@ -723,7 +700,7 @@ def run_sweep(config: RunConfig, sweep: SweepSpec) -> SweepResult:
                 row["steady_theta_L_K"] = state.lig_temperature
         except PhotothermError as exc:
             failures += 1
-            row = {"index": index, "param": sweep.param, "value": point,
+            row = {"index": index, "param": param, "value": point,
                    "status": "failed", "error": type(exc).__name__, "message": str(exc)}
         rows.append(row)
     return SweepResult(tuple(columns), tuple(rows), failures)

@@ -30,6 +30,9 @@ _TIME_EPS = 1e-9
 # glibc's 128 KiB mmap threshold, so a warm call faults in no fresh pages
 _ANCHOR_BLOCK = 2048
 
+_RISE_FRACTION = 0.5  # cycle_peaks' open and close levels, as fractions of the swing
+_RETURN_FRACTION = 0.1
+
 _UNITS = ("K", "C", "deg")
 
 
@@ -240,24 +243,21 @@ def cycle_degradation(peak_angles) -> list[float]:
     return [p / first for p in peaks]
 
 
-def cycle_peaks(series: MeasurementSeries, rise_fraction: float = 0.5,
-                return_fraction: float = 0.1) -> list[float]:
+def cycle_peaks(series: MeasurementSeries) -> list[float]:
     """Peak value of each actuation cycle in a multi-cycle series.
 
-    A cycle opens when the signal climbs above baseline + rise_fraction of
+    A cycle opens when the signal climbs above baseline + _RISE_FRACTION of
     the global swing and closes when it falls back below baseline +
-    return_fraction of the swing. Intended for repeated on/off records
+    _RETURN_FRACTION of the swing. Intended for repeated on/off records
     where the signal returns near its starting value between cycles.
     """
-    if not 0.0 < return_fraction < rise_fraction < 1.0:
-        raise ValidationError("need 0 < return_fraction < rise_fraction < 1")
     values = series.values.tolist()
     baseline = values[0]
     swing = max(values) - baseline
     if swing <= 0.0:
         raise ValidationError("series never rises above its first sample")
-    rise_level = baseline + rise_fraction * swing
-    return_level = baseline + return_fraction * swing
+    rise_level = baseline + _RISE_FRACTION * swing
+    return_level = baseline + _RETURN_FRACTION * swing
 
     peaks: list[float] = []
     current: float | None = None

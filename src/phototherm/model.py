@@ -348,7 +348,8 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
     a silicone drive much larger than k can put theta_L below 0 K near
     ambient, where the residual has the wrong sign. The returned state
     carries time 0. A constant-flux steady state beyond the float range is
-    a ValidationError.
+    a ValidationError, and so is a radiative one whose ambient's fourth
+    power is.
     """
     _require(scale >= 0.0 and math.isfinite(scale),
              f"scale must be finite and >= 0, got {scale!r}")
@@ -389,6 +390,11 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
         return ThermalState(0.0, theta_e, theta_e if bilayer else None)
     c = _coefficients(assembly, source)
     th4 = c.th4
+    try:  # with the source's, this bounds every fourth power in the bracket
+        theta_e ** 4
+    except OverflowError:
+        raise ValidationError(f"ambient temperature {theta_e:g} K is too high: its "
+                              "fourth power overflows a float") from None
 
     def drive(area: float, resistance: float):
         # the floats of run's radiative drive: grey-body constants taken once

@@ -44,7 +44,7 @@ from phototherm import (
     convective_conductance,
     heat_capacity,
 )
-from phototherm.fileio import RunConfig, SweepSpec
+from phototherm.fileio import RunConfig
 from phototherm.metrics import RESPONSE_FRACTION
 from linear_oracle import exact_bilayer_grid
 from reference_stepper import rhs_bilayer, rhs_single, samples
@@ -323,9 +323,8 @@ def test_criterion_9_property_suite(tmp_path, bilayer_cfg):
                     env=bilayer_cfg.env, schedule=bilayer_cfg.schedule,
                     sim=SimConfig(duration=60.0, dt=0.01, record_stride=10,
                                   metric_window=60.0))
-    spec = SweepSpec(param="scale", values=(1.0, 0.4, 0.7), outputs=("t63", "steady"))
-    first = run_sweep(cfg, spec)
-    second = run_sweep(cfg, spec)
+    first = run_sweep(cfg, "scale", (1.0, 0.4, 0.7), ("t63", "steady"))
+    second = run_sweep(cfg, "scale", (1.0, 0.4, 0.7), ("t63", "steady"))
     checks.append(("sweep determinism", first == second))
     checks.append(("sweep row order",
                    [r["value"] for r in first.rows] == [1.0, 0.4, 0.7]))

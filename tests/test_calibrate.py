@@ -471,14 +471,15 @@ def small_fit_problems(draw):
 
 class TestFitMatchesNumpyReference:
     @staticmethod
-    def assert_same_path(problem, **reference_options):
-        # every candidate either fit evaluates, in order, and the results
+    def assert_same_path(problem, score=objective, **reference_options):
+        # every candidate either fit evaluates, in order, and the results;
+        # score stands in for the objective in both fits
         def recorded(module, fitter, **options):
             calls = []
 
             def recording(problem, candidate):
                 calls.append(tuple(float(v) for v in candidate))
-                return objective(problem, candidate)
+                return score(problem, candidate)
 
             with mock.patch.object(module, "objective", recording):
                 return fitter(problem, **options), calls
@@ -497,6 +498,7 @@ class TestFitMatchesNumpyReference:
         assert repr(got.sse) == repr(want.sse)
         assert (got.iterations, got.evaluations, got.converged) \
             == (want.iterations, len(want_calls), want.converged)
+        return want
 
     @given(small_fit_problems())
     @settings(max_examples=80, deadline=None)
@@ -513,6 +515,26 @@ class TestFitMatchesNumpyReference:
         outside = []
         self.assert_same_path(problem, outside=outside)
         assert sum(all(outside_by_axis) for outside_by_axis in outside) > 10
+
+    def test_a_piecewise_flat_objective_takes_the_shrink_step(self):
+        # rings of equal score around (0.7, 20): a contraction that lands on
+        # the worst vertex's ring gains nothing, and the simplex shrinks
+        # toward its best vertex, which no smooth problem here reaches
+        def rings(problem, candidate):
+            alpha, h = (float(v) for v in candidate)
+            return float(math.floor(40.0 * math.hypot((alpha - 0.7) / 0.45,
+                                                      (h - 20.0) / 35.0)))
+
+        target = MeasurementSeries([0.0, 1.0, 2.0], [298.0, 298.5, 299.0])
+        problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                               ParamSpec("h_Le", 5.0, 40.0, 24.0),
+                               config=SimConfig(duration=3.0, dt=0.01))
+        want = self.assert_same_path(problem, score=rings)
+        # an iteration evaluates at most two points, or two plus one per
+        # free parameter when it shrinks. The reference evaluates every
+        # point, so more than the three starting vertices, two per
+        # iteration and the final call means at least one shrink
+        assert want.evaluations > 3 + 2 * want.iterations + 1
 
 
 class TestApplyNamedParameter:

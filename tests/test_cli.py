@@ -148,6 +148,15 @@ class TestSimulateAndMetrics:
         code, out, err = run_cli(capsys, "metrics", str(out_csv), *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_metrics_of_an_angle_series_has_no_temperature_keys(self, capsys, tmp_path):
+        series = tmp_path / "bending.csv"
+        series.write_text("# unit: deg\ntime_s,value\n"
+                          + "".join(f"{t},{min(t, 50) / 2}\n" for t in range(200)),
+                          encoding="utf-8")
+        assert run_cli(capsys, "metrics", str(series), "--window", "100") == (
+            0, "baseline=0.000000\nfinal=25.000000\nfinal_convention=window_final\n"
+               "t63_s=31.600000\npeak=25.000000\npeak_time_s=50.000000\n", "")
+
     def test_metrics_plateau_keys(self, capsys, tmp_path):
         out_csv = tmp_path / "run.csv"
         run_cli(capsys, "simulate", "--preset", "table1_single",
@@ -211,6 +220,19 @@ class TestSimulateAndMetrics:
         run_cli(capsys, "simulate", "--preset", "table1_single", "--duration", "400",
                 "--record-stride", "100", "--schedule", "0:inf:1", "--out", str(out_csv))
         code, out, err = run_cli(capsys, "metrics", str(out_csv), *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--window", "100", "--plateau-threshold", "0.5"),
+         "--plateau-threshold needs --plateau-window"),
+        (("--plateau-window", "20",), "--plateau-window needs --plateau-threshold"),
+        (("--convention", "supplied", "--final", "310", "--plateau-threshold", "0.5"),
+         "--plateau-threshold needs --plateau-window")],
+        ids=["threshold", "window", "supplied_threshold"])
+    def test_lone_plateau_flag_is_usage_error(self, capsys, tmp_path, flags, message):
+        # each once exited 0 and printed no plateau line; the file is not read
+        missing = tmp_path / "missing.csv"
+        code, out, err = run_cli(capsys, "metrics", str(missing), *flags)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_window_final_defaults_to_300_s(self, capsys, tmp_path):
@@ -329,14 +351,16 @@ class TestCalibrateCommand:
         assert (code, out) == (2, "")
         assert err == "error: the target starts at t=-30 s, before the run starts at t=0 s\n"
 
-    def test_bad_param_spec_is_bad_input(self, capsys, tmp_path):
+    @pytest.mark.parametrize("spec, message", [
+        ("alpha_L:0.9:0.5:0.7", "alpha_L: lower bound must be below upper bound"),
+        ("h_se:1:2", "--param must be NAME:LO:HI:INIT, got 'h_se:1:2'"),
+        ("h_se:1:two:1.5", "--param bounds must be numbers, got 'h_se:1:two:1.5'")],
+        ids=["inverted_box", "three_fields", "non_numeric"])
+    def test_bad_param_spec_is_bad_input(self, capsys, tmp_path, spec, message):
         target = tmp_path / "t.csv"
         target.write_text("time_s,value\n0,298\n1,299\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "calibrate", "--preset", "table1_bilayer",
-                               "--target", str(target),
-                               "--param", "alpha_L:0.9:0.5:0.7")
-        assert code == 2
-        assert "error" in err
+        assert run_cli(capsys, "calibrate", "--preset", "table1_bilayer", "--target",
+                       str(target), "--param", spec) == (2, "", f"error: {message}\n")
 
     def test_zero_convection_bound_is_bad_input_naming_the_parameter(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
@@ -512,6 +536,27 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert err == (f"error: {key} 1000000000.0 s exceeds the last recorded time "
                        "300 s of the run\n")
+
+    @pytest.mark.parametrize("param, points, message", [
+        ("scale", ("--values", "1,0.5", "--d-ref", "0.05", "--exponent", "7"),
+         "d_ref and exponent apply only to distance sweeps"),
+        ("h_se", ("--values", "5", "--exponent", "2"),
+         "d_ref and exponent apply only to distance sweeps"),
+        ("scale", ("--values", "1", "--distances", "0.1"),
+         "scale sweeps need values, not distances"),
+        ("distance", ("--distances", "0.1", "--values", "1", "--d-ref", "0.05"),
+         "distance sweeps need distances, not values"),
+        ("scale", ("--values", ""), "need at least one sweep point"),
+        ("scale", ("--values", " , "), "need at least one sweep point"),
+        ("distance", ("--d-ref", "0.05"), "need at least one sweep point"),
+    ], ids=["d_ref_on_scale", "exponent_on_h_se", "distances_on_scale",
+            "values_on_distance", "empty_values", "blank_values", "no_distances"])
+    def test_bad_sweep_points_are_bad_input(self, capsys, param, points, message):
+        # the first two once exited 0 with both settings dropped, and the
+        # empty value lists once read "scale sweeps need values, not distances"
+        code, out, err = run_cli(capsys, "sweep", "--preset", "table1_single",
+                                 "--param", param, *points, "--outputs", "steady")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_repeated_output_is_bad_input(self, capsys):
         # it would write its column twice
@@ -699,11 +744,42 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
-    def test_bad_config_is_bad_input(self, capsys, tmp_path):
-        bad = tmp_path / "bad.ini"
-        bad.write_text("[assembly]\nkind = pyramid\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "steady", "--config", str(bad))
-        assert code == 2
+    @pytest.mark.parametrize("schedule, message", [
+        ("0:10", "interval must be start:end:scale, got '0:10'"),
+        ("0:ten:1", "non-numeric interval '0:ten:1'")])
+    def test_malformed_schedule_is_bad_input(self, capsys, schedule, message):
+        assert run_cli(capsys, "simulate", "--preset", "table1_single", "--schedule",
+                       schedule) == (2, "", f"error: --schedule: {message}\n")
+
+    @pytest.mark.parametrize("fault", ["bad_kind", "missing_key", "directory", "latin_1"])
+    def test_bad_config_is_bad_input(self, capsys, tmp_path, fault):
+        text = preset_path("table1_bilayer").read_text(encoding="utf-8")
+        path = tmp_path / "scenario.ini"
+        if fault == "bad_kind":
+            path.write_text("[assembly]\nkind = pyramid\n", encoding="utf-8")
+            message = (f"{path}:2: [assembly] kind must be 'single_layer' or 'bilayer', "
+                       "got 'pyramid'")
+        elif fault == "missing_key":
+            path.write_text(text.replace("ambient_temperature = 298.0\n", ""),
+                            encoding="utf-8")
+            line = text.splitlines().index("[environment]") + 1
+            message = f"{path}:{line}: [environment] missing key 'ambient_temperature'"
+        elif fault == "directory":
+            path.mkdir()
+            message = f"{path}: cannot read config: "  # then the OS's own reason
+        else:
+            path.write_bytes(("# é\n" + text).encode("latin-1"))
+            message = (f"{path}: config must be UTF-8: 'utf-8' codec can't decode byte 0xe9 "
+                       "in position 2: invalid continuation byte")
+        code, out, err = run_cli(capsys, "steady", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert fault == "directory" or err == f"error: {message}\n"
+
+    def test_bilayer_without_convection_is_numerical_failure(self, capsys, tmp_path):
+        config = preset_copy(tmp_path, "conv_faces = 1", "conv_faces = 0")
+        assert run_cli(capsys, "steady", "--config", config) == (
+            3, "", "error: no loss path: steady state undefined under drive\n")
 
     def test_zero_emissivity_under_radiative_source_is_bad_input(self, capsys, tmp_path):
         preset = preset_path("table1_single").read_text(encoding="utf-8")
@@ -750,6 +826,26 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "source temperature" in err
+
+    def test_overflowing_ambient_is_bad_input(self, capsys, tmp_path):
+        # a traceback and exit 1 once, from the ambient's fourth power
+        text = (preset_path("table1_bilayer").read_text(encoding="utf-8")
+                .replace("mode = constant_flux\npower = 0.075",
+                         "mode = radiative_body\nsource_temperature = 373.0\n"
+                         "source_emissivity = 0.9")
+                .replace("ambient_temperature = 298.0", "ambient_temperature = 1e308"))
+        assert "radiative_body" in text and "1e308" in text
+        config = tmp_path / "hot_ambient.ini"
+        config.write_text(text, encoding="utf-8")
+        message = "ambient temperature 1e+308 K is too high: its fourth power overflows a float"
+        assert run_cli(capsys, "steady", "--config", str(config)) \
+            == (2, "", f"error: {message}\n")
+        assert run_cli(capsys, "sweep", "--config", str(config), "--param", "scale",
+                       "--values", "1", "--outputs", "steady") == (
+            4, "index,param,value,scale,status,steady_theta_s_K,steady_theta_L_K\n"
+               "0,scale,1,,failed,,\n",
+            f"index=0 value=1 error=ValidationError message={message}\n"
+            "1 of 1 sweep points failed\n")
 
     @pytest.mark.parametrize("source", ["options", "config"])
     def test_overflowing_step_count_is_bad_input(self, capsys, tmp_path, source):

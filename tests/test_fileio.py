@@ -18,12 +18,12 @@ from phototherm import (
     ConfigError,
     Environment,
     HeatSource,
+    KindMismatchError,
     LightSchedule,
     MeasurementSeries,
     SeriesFormatError,
     SimConfig,
     SourceMode,
-    SweepSpec,
     ThermalLayer,
     Trajectory,
     ValidationError,
@@ -41,6 +41,7 @@ from phototherm import (
     write_series,
     write_trajectory,
 )
+import phototherm.fileio as fileio_module
 from phototherm.decimals import read_decimals
 from phototherm.fileio import (RunConfig, _bulk_rows, _csv_body, _parse_rows,
                                _read_ini, _write_csv, parse_config)
@@ -1023,32 +1024,81 @@ class TestReadSeriesCases:
                 (list(times), list(values), unit))
 
 
-class TestSweepSpec:
-    def test_distance_sweep_needs_reference(self):
-        with pytest.raises(ValidationError):
-            SweepSpec(param="distance", distances=(0.05, 0.1))
+def _never_reached(*args):
+    raise AssertionError("a sweep point ran before the sweep's inputs were checked")
 
-    def test_value_sweep_rejects_distances(self):
-        with pytest.raises(ValidationError):
-            SweepSpec(param="scale", distances=(0.05, 0.1), d_ref=0.05)
 
-    def test_unknown_param_rejected(self):
-        with pytest.raises(ValidationError):
-            SweepSpec(param="voltage", values=(1.0, 2.0))
+class TestSweepChecks:
+    """run_sweep checks every input before its first point and names the
+    first fault in a fixed order: the point list; the distances, d_ref and
+    exponent of a distance sweep, or the name of any other parameter, and
+    then that it sets no d_ref or exponent; the outputs; the scenario."""
 
-    def test_unknown_output_rejected(self):
-        with pytest.raises(ValidationError):
-            SweepSpec(param="scale", values=(1.0,), outputs=("t63", "vibes"))
+    @pytest.fixture(autouse=True)
+    def no_point_runs(self, monkeypatch):
+        for name in ("run", "steady_state", "illuminance_scale", "apply_named_parameter"):
+            monkeypatch.setattr(fileio_module, name, _never_reached)
 
-    def test_repeated_output_rejected(self):
+    @pytest.mark.parametrize("param, points, options, message", [
+        ("distance", (), {"outputs": ("vibes",)}, "need at least one sweep point"),
+        ("voltage", [], {"d_ref": 0.05}, "need at least one sweep point"),
+        ("distance", (0.05, 0.0), {"outputs": ()},
+         "distances must be finite and strictly positive"),
+        ("distance", (0.05, math.inf), {"d_ref": 0.05},
+         "distances must be finite and strictly positive"),
+        ("distance", (0.05, 0.1), {"exponent": math.nan},
+         "distance sweeps need a finite positive d_ref"),
+        ("distance", (0.05,), {"d_ref": math.inf}, "distance sweeps need a finite positive d_ref"),
+        ("distance", (0.05,), {"d_ref": 0.05, "exponent": math.nan, "outputs": ("vibes",)},
+         "illuminance exponent must be finite, got nan"),
+        ("voltage", (1.0, 2.0), {"d_ref": 0.05, "outputs": ()},
+         "unknown sweep parameter 'voltage'; choose from "
+         "['Q_h', 'alpha_L', 'alpha_s', 'h_Le', 'h_se', 'scale', 'distance']"),
+        ("scale", (1.0, 0.5), {"d_ref": 0.05, "outputs": ("vibes",)},
+         "d_ref and exponent apply only to distance sweeps"),
+        ("scale", (1.0,), {"exponent": 7.0}, "d_ref and exponent apply only to distance sweeps"),
+        ("alpha_L", (0.5,), {"exponent": math.nan, "outputs": ()},
+         "d_ref and exponent apply only to distance sweeps"),
+        ("scale", (1.0,), {"outputs": ("t63", "vibes", "t63")},
+         "unknown sweep outputs ['vibes']; choose from ('t63', 'peak', 'steady', 'plateau')"),
+        ("alpha_L", (0.5,), {"outputs": ()}, "need at least one requested output"),
         # a repeated output would repeat its column in the sweep CSV
-        with pytest.raises(ValidationError,
-                           match=r"^repeated sweep outputs \['t63'\]; name each once$"):
-            SweepSpec(param="scale", values=(1.0,), outputs=("t63", "t63", "steady"))
+        ("alpha_L", (0.5,), {"outputs": ["t63", "t63", "steady"]},
+         "repeated sweep outputs ['t63']; name each once"),
+    ], ids=["empty_distances", "empty_values", "zero_distance", "inf_distance", "no_d_ref",
+            "inf_d_ref", "nan_exponent", "unknown_param", "d_ref_on_scale",
+            "exponent_on_scale", "nan_exponent_on_alpha_L", "unknown_output", "no_output",
+            "repeated_output"])
+    def test_sweep_inputs(self, param, points, options, message):
+        # alpha_L does not apply to the single-layer wall, which is checked last
+        config = load_config(preset_path("table1_single"))
+        with pytest.raises(ValidationError) as info:
+            run_sweep(config, param, points, **options)
+        assert str(info.value) == message
 
-    def test_nonpositive_distances_rejected(self):
-        with pytest.raises(ValidationError):
-            SweepSpec(param="distance", distances=(0.05, 0.0), d_ref=0.05)
+    def test_scenario_checks_keep_their_order(self):
+        # a single-layer wall read through theta_L, with a window past the
+        # run and no plateau settings: each fault is named once the earlier
+        # ones are mended
+        cfg = load_config(preset_path("table1_single"))
+        config = dataclasses.replace(cfg, channel="theta_L",
+                                     sim=dataclasses.replace(cfg.sim, metric_window=1e9))
+        faults = [
+            ({}, ConfigError, "plateau output needs plateau_threshold and plateau_window "
+                              "in the [metrics] config section"),
+            ({"plateau_threshold": 0.5, "plateau_window": 20.0}, ConfigError,
+             "[sim] metric_window 1000000000.0 s exceeds the last recorded time 300 s "
+             "of the run"),
+            ({"sim": cfg.sim}, ValidationError, "alpha_L needs a bilayer assembly"),
+        ]
+        for mend, error, message in faults:
+            config = dataclasses.replace(config, **mend)
+            with pytest.raises(error) as info:
+                run_sweep(config, "alpha_L", (0.5,), ("t63", "plateau"))
+            assert str(info.value) == message
+        with pytest.raises(KindMismatchError, match="^single-layer trajectory has no lig "
+                                                    "channel$"):
+            run_sweep(config, "alpha_s", (0.5,), ("t63", "plateau"))
 
 
 class TestRunSweep:
@@ -1064,9 +1114,8 @@ class TestRunSweep:
                          channel=cfg.channel)
 
     def test_distance_sweep_steady_strictly_decreasing(self, config):
-        spec = SweepSpec(param="distance", distances=(0.05, 0.075, 0.1),
-                         d_ref=0.05, outputs=("t63", "steady"))
-        result = run_sweep(config, spec)
+        result = run_sweep(config, "distance", (0.05, 0.075, 0.1), ("t63", "steady"),
+                           d_ref=0.05)
         assert result.failures == 0
         steadies = [row["steady_theta_s_K"] for row in result.rows]
         assert all(b < a for a, b in zip(steadies, steadies[1:]))
@@ -1097,27 +1146,23 @@ class TestRunSweep:
         config = RunConfig(assembly=cfg.assembly, source=source, env=cfg.env,
                            schedule=LightSchedule(tuple(intervals)),
                            sim=SimConfig(duration=duration, dt=0.05, record_stride=7))
-        row, = run_sweep(config, SweepSpec(param="scale", values=(value,),
-                                           outputs=("peak", "steady"))).rows
+        row, = run_sweep(config, "scale", (value,), ("peak", "steady")).rows
         assert row["status"] == "ok"
         steady = row["steady_theta_L_K" if preset == "table1_bilayer" else "steady_theta_s_K"]
         assert row["peak_K"] <= steady + 4 * math.ulp(steady)
 
     def test_steady_of_a_schedule_never_on_is_ambient(self, config):
         config = dataclasses.replace(config, schedule=LightSchedule(((500.0, 600.0, 2.0),)))
-        row, = run_sweep(config, SweepSpec(param="scale", values=(1.0,),
-                                           outputs=("steady",))).rows
+        row, = run_sweep(config, "scale", (1.0,), ("steady",)).rows
         assert (row["steady_theta_s_K"], row["steady_theta_L_K"]) == (298.0, 298.0)
 
     def test_rows_keep_input_order(self, config):
-        spec = SweepSpec(param="scale", values=(1.0, 0.25, 0.75), outputs=("steady",))
-        result = run_sweep(config, spec)
+        result = run_sweep(config, "scale", (1.0, 0.25, 0.75), ("steady",))
         assert [row["value"] for row in result.rows] == [1.0, 0.25, 0.75]
         assert [row["index"] for row in result.rows] == [0, 1, 2]
 
     def test_single_point_matches_direct_pipeline(self, config):
-        spec = SweepSpec(param="scale", values=(1.0,), outputs=("t63", "peak"))
-        row = run_sweep(config, spec).rows[0]
+        row = run_sweep(config, "scale", (1.0,), ("t63", "peak")).rows[0]
         trajectory = run(config.assembly, config.source, config.schedule,
                          config.env, config.sim)
         series = series_from_trajectory(trajectory, config.channel)
@@ -1126,15 +1171,13 @@ class TestRunSweep:
         assert row["peak_K"] == report.peak_value
 
     def test_repeated_point_gives_identical_rows(self, config):
-        spec = SweepSpec(param="scale", values=(1.0, 1.0), outputs=("t63", "steady"))
-        first, second = run_sweep(config, spec).rows
+        first, second = run_sweep(config, "scale", (1.0, 1.0), ("t63", "steady")).rows
         assert {k: v for k, v in first.items() if k != "index"} \
             == {k: v for k, v in second.items() if k != "index"}
 
     def test_failed_point_marked_and_sweep_continues(self, config):
         # absorptance 2.0 violates the layer invariant at that point only
-        spec = SweepSpec(param="alpha_L", values=(0.5, 2.0, 0.7), outputs=("steady",))
-        result = run_sweep(config, spec)
+        result = run_sweep(config, "alpha_L", (0.5, 2.0, 0.7), ("steady",))
         assert result.failures == 1
         assert [row["status"] for row in result.rows] == ["ok", "failed", "ok"]
         assert result.rows[1].get("steady_theta_s_K") is None
@@ -1144,8 +1187,7 @@ class TestRunSweep:
     def test_failed_point_keeps_the_stability_error(self, config):
         # a film convection of 1e9 W/m2K puts the lig's time constant far
         # below dt; the CSV still shows only the status
-        result = run_sweep(config, SweepSpec(param="h_Le", values=(18.0, 1e9),
-                                             outputs=("peak",)))
+        result = run_sweep(config, "h_Le", (18.0, 1e9), ("peak",))
         assert [row["status"] for row in result.rows] == ["ok", "failed"]
         assert result.rows[1]["error"] == "StabilityError"
         assert re.fullmatch(r"dt=0\.01 s exceeds the stability limit \S+ s set by the lig layer",
@@ -1153,9 +1195,8 @@ class TestRunSweep:
         assert result.to_csv().splitlines()[2] == "1,h_Le,1e+09,,failed,,"
 
     def test_plateau_output_needs_config_choices(self, config):
-        spec = SweepSpec(param="scale", values=(1.0,), outputs=("plateau",))
         with pytest.raises(ConfigError, match="plateau"):
-            run_sweep(config, spec)
+            run_sweep(config, "scale", (1.0,), ("plateau",))
 
     @pytest.mark.parametrize("duration", [120.0, 120.05])
     @pytest.mark.parametrize("outputs, key", [(("t63", "steady"), "[sim] metric_window"),
@@ -1169,9 +1210,8 @@ class TestRunSweep:
                             metric_window=window)
             cfg = dataclasses.replace(config, sim=sim, plateau_window=window,
                                       plateau_threshold=0.5)
-            spec = SweepSpec(param="scale", values=(1.0, 0.5), outputs=outputs)
             with pytest.raises(ConfigError) as info:
-                run_sweep(cfg, spec)
+                run_sweep(cfg, "scale", (1.0, 0.5), outputs)
             assert str(info.value) == (f"{key} {window!r} s exceeds the last recorded "
                                        "time 120 s of the run")
 
@@ -1180,14 +1220,12 @@ class TestRunSweep:
         sim = SimConfig(duration=duration, dt=0.01, record_stride=10, metric_window=120.0)
         cfg = dataclasses.replace(config, sim=sim, plateau_window=120.0,
                                   plateau_threshold=1e3)
-        spec = SweepSpec(param="scale", values=(1.0, 0.5), outputs=("t63", "plateau"))
-        result = run_sweep(cfg, spec)
+        result = run_sweep(cfg, "scale", (1.0, 0.5), ("t63", "plateau"))
         assert result.failures == 0
         assert all(row["plateau_reach_s"] == 0.0 for row in result.rows)
 
     def test_csv_shape(self, config):
-        spec = SweepSpec(param="scale", values=(1.0, 0.5), outputs=("steady",))
-        text = run_sweep(config, spec).to_csv()
+        text = run_sweep(config, "scale", (1.0, 0.5), ("steady",)).to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "index,param,value,scale,status,steady_theta_s_K,steady_theta_L_K"
         assert len(lines) == 3

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,18 @@ class TestPlateau:
         series = MeasurementSeries(t, tuple(2.0 * x for x in t), unit="deg")
         with pytest.raises(NoPlateauError):
             plateau_value(series, threshold=1.0, window=10.0)
+
+    @pytest.mark.parametrize("threshold, window, message", [
+        (0.0, 10.0, "threshold must be > 0, got 0.0"),
+        (-1.0, 10.0, "threshold must be > 0, got -1.0"),
+        (math.nan, 10.0, "threshold must be > 0, got nan"),
+        (1.0, 0.0, "window must be > 0, got 0.0"),
+        (1.0, -5.0, "window must be > 0, got -5.0"),
+        (1.0, math.nan, "window must be > 0, got nan")])
+    def test_non_positive_threshold_or_window_rejected(self, threshold, window, message):
+        series = first_order_series(span=20.0)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            plateau_value(series, threshold=threshold, window=window)
 
     def test_window_beyond_span_rejected(self):
         series = first_order_series(span=20.0)

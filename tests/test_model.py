@@ -272,6 +272,18 @@ class TestSteadyState:
             steady_state(request.getfixturevalue(wall), HeatSource.constant_flux(power),
                          environment, scale=scale)
 
+    @pytest.mark.parametrize("ambient", [2e77, 1e308])
+    @pytest.mark.parametrize("wall", ["single_wall", "bilayer_wall"])
+    def test_ambient_beyond_the_float_range_is_bad_input(self, request, wall, ambient):
+        # its fourth power once raised a bare OverflowError; 1e77 K still solves
+        wall = request.getfixturevalue(wall)
+        source = HeatSource.radiative(373.0, 0.9)
+        assert math.isfinite(steady_state(wall, source, Environment(1e77)).silicone_temperature)
+        message = (f"ambient temperature {ambient:g} K is too high: its fourth power "
+                   "overflows a float")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            steady_state(wall, source, Environment(ambient))
+
     @given(st.floats(0.01, 5.0), st.floats(0.01, 5.0))
     @settings(max_examples=50)
     @example(a=0.010000000000000002, b=0.01)  # scales 1 ulp apart

@@ -24,7 +24,7 @@ PUBLIC_NAMES = {
     "CalibrationProblem", "CalibrationResult", "ParamSpec", "apply_named_parameter", "fit",
     "objective",
     # fileio
-    "RunConfig", "SweepResult", "SweepSpec", "available_presets", "illuminance_scale",
+    "RunConfig", "SweepResult", "available_presets", "illuminance_scale",
     "load_config", "preset_path", "read_series", "run_sweep", "write_series",
     "write_trajectory",
 }

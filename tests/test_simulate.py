@@ -106,6 +106,12 @@ class TestSimConfig:
         with pytest.raises(ValidationError, match="duration / dt must be finite"):
             SimConfig(duration=1e300, dt=1e-10)
 
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_metric_window(self, window):
+        with pytest.raises(ValidationError,
+                           match=rf"^metric_window must be finite and > 0, got {window!r}$"):
+            SimConfig(duration=10.0, metric_window=window)
+
     @pytest.mark.parametrize("duration, dt, n_steps", [
         (300.0, 0.01, 30000), (0.3, 0.1, 3), (0.35, 0.1, 3)])
     def test_step_count(self, duration, dt, n_steps):
