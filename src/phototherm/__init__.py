@@ -19,11 +19,9 @@ from .model import (
     HeatSource,
     KELVIN_OFFSET,
     STEFAN_BOLTZMANN,
-    SourceMode,
     ThermalLayer,
     ThermalState,
     WallAssembly,
-    WallKind,
     convective_conductance,
     coupling_conductance,
     heat_capacity,

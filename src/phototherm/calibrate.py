@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .metrics import MeasurementSeries
-from .model import (Environment, HeatSource, SourceMode, WallAssembly, WallKind, _absorbed,
-                    _coefficients, _Coefficients, _convective, _warn_absorptance_sum)
+from .model import (Environment, HeatSource, WallAssembly, _absorbed, _coefficients,
+                    _Coefficients, _convective, _warn_absorptance_sum)
 from .simulate import (LightSchedule, SimConfig, _check_step, _integrate, _resolve_channel,
                        _segments, _time_constant)
 
@@ -116,7 +116,7 @@ class CalibrationProblem:
         c = _coefficients(self.assembly, self.source)
         segments = _segments(self.schedule, n_steps, dt)
         _check_box(self, c, values, segments)
-        channel = _resolve_channel(self.assembly.kind, self.channel)
+        channel = _resolve_channel(self.assembly.lig is not None, self.channel)
         object.__setattr__(self, "_evaluate", _evaluator(self, c, values, segments, channel))
 
     def __reduce__(self):
@@ -142,9 +142,9 @@ def _check_applicable(name: str, assembly: WallAssembly, source: HeatSource) -> 
     if name not in PARAM_RANGES:
         raise ValidationError(
             f"unknown parameter {name!r}; choose from {sorted(PARAM_RANGES)}")
-    if name in ("alpha_L", "h_Le") and assembly.kind is not WallKind.BILAYER:
+    if name in ("alpha_L", "h_Le") and assembly.lig is None:
         raise ValidationError(f"{name} needs a bilayer assembly")
-    if name == "Q_h" and source.mode is not SourceMode.CONSTANT_FLUX:
+    if name == "Q_h" and source.power is None:
         raise ValidationError("Q_h applies to constant-flux sources only")
 
 
@@ -167,7 +167,7 @@ def apply_named_parameter(assembly: WallAssembly, source: HeatSource,
         source = replace(source, power=value)
     elif name == "scale":
         schedule = schedule.scaled(value)
-    return WallAssembly(kind=assembly.kind, silicone=sil, lig=lig), source, schedule
+    return WallAssembly(sil, lig), source, schedule
 
 
 def _guard_at(problem: CalibrationProblem, c: _Coefficients, values: dict,
@@ -196,7 +196,7 @@ def _check_box(problem: CalibrationProblem, c: _Coefficients, values: dict,
     parameter and the largest stable upper bound for it. c, values and
     segments are the problem's wall constants, parameter values and runs.
     """
-    radiative = problem.source.mode is SourceMode.RADIATIVE_BODY
+    radiative = problem.source.power is None
     guarded = [s for s in problem.free
                if s.name in ("h_se", "h_Le") or (radiative and s.name == "scale")]
     dt, theta_e = problem.config.dt, problem.env.ambient_temperature
@@ -381,7 +381,7 @@ def _evaluator(problem: CalibrationProblem, c: _Coefficients, values: dict, segm
     faces_l, area_l = (lig.conv_faces, lig.area) if bilayer else (None, None)
     theta_e, dt = problem.env.ambient_temperature, problem.config.dt
     times, measured = problem.target.times, problem.target.values
-    radiative = problem.source.mode is SourceMode.RADIATIVE_BODY
+    radiative = problem.source.power is None
     if radiative:
         # the run need not go past the last target: it stops one step after
         # its upper bracketing step, a margin for the rounding of t / dt

@@ -8,6 +8,7 @@ failure, 4 partial sweep failure.
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 import warnings
 
@@ -171,6 +172,8 @@ def _cmd_metrics(args) -> int:
         given, missing = flags if args.plateau_window is None else flags[::-1]
         print(f"error: {given} needs {missing}", file=sys.stderr)
         return EXIT_USAGE
+    if args.ambient is not None and not math.isfinite(args.ambient):
+        raise ValidationError(f"ambient must be finite, got {args.ambient!r}")
     series = fileio.read_series(args.file, column=args.channel)
     wants_plateau = args.plateau_threshold is not None and args.plateau_window is not None
     plateau = None

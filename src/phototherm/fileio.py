@@ -31,10 +31,8 @@ from .model import (
     Environment,
     HeatSource,
     KELVIN_OFFSET,
-    SourceMode,
     ThermalLayer,
     WallAssembly,
-    WallKind,
     steady_state,
 )
 from .simulate import LightSchedule, SimConfig, Trajectory, _resolve_channel, _segments, run
@@ -230,31 +228,31 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
             key = key if key in _SECTION_KEYS[section] else None
             raise ConfigError(f"{where(section, key)}: [{section}] {exc}") from exc
 
-    def choice(enum, section: str, key: str, *values: str):
+    def choice(section: str, key: str, *values: str) -> str:
         raw = get(section, key, cast=str)
         if raw not in values:
             raise ValidationError(f"{key} must be {' or '.join(map(repr, values))}, got {raw!r}")
-        return enum(raw)
+        return raw
 
     def layer(section: str) -> ThermalLayer:
         return ThermalLayer(**{key: get(section, key) for key in _LAYER_KEYS},
                             conv_faces=get(section, "conv_faces", cast=int, default=None))
 
     def heat_source() -> HeatSource:
-        mode = choice(SourceMode, "source", "mode", "constant_flux", "radiative_body")
-        flux = mode is SourceMode.CONSTANT_FLUX
+        mode = choice("source", "mode", "constant_flux", "radiative_body")
+        flux = mode == "constant_flux"
         for key in ("source_temperature", "source_emissivity") if flux else ("power",):
             if key in sections["source"]:
-                raise ValidationError(f"{key} is not valid in {mode.value} mode")
+                raise ValidationError(f"{key} is not valid in {mode} mode")
         if flux:
             return HeatSource.constant_flux(get("source", "power"))
         return HeatSource.radiative(get("source", "source_temperature"),
                                     get("source", "source_emissivity"))
 
-    kind = build("assembly", lambda: choice(WallKind, "assembly", "kind",
-                                            "single_layer", "bilayer"))
+    bilayer = build("assembly", lambda: choice("assembly", "kind",
+                                               "single_layer", "bilayer")) == "bilayer"
     silicone = build("silicone", lambda: layer("silicone"))
-    if kind is WallKind.BILAYER:
+    if bilayer:
         lig = build("lig", lambda: layer("lig"))
         # the coupling conductance comes from the silicone layer
         assembly = build("silicone", lambda: WallAssembly.bilayer(silicone, lig))
@@ -287,7 +285,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     if channel not in ("auto", "theta_s", "theta_L"):
         raise ConfigError(f"{where('metrics', 'channel')}: [metrics] channel must be "
                           f"auto, theta_s or theta_L, got {channel!r}")
-    if channel == "theta_L" and kind is not WallKind.BILAYER:
+    if channel == "theta_L" and not bilayer:
         raise ConfigError(f"{where('metrics', 'channel')}: [metrics] channel theta_L "
                           "is not valid for a single-layer assembly")
 
@@ -654,7 +652,7 @@ def run_sweep(config: RunConfig, param: str, points: Sequence[float],
         _check_applicable(param, config.assembly, config.source)
     needs_run = any(o in outputs for o in ("t63", "peak", "plateau"))
     if needs_run:
-        _resolve_channel(config.assembly.kind, config.channel)
+        _resolve_channel(config.assembly.lig is not None, config.channel)
 
     columns = ["index", "param", "value", "scale", "status"]
     for output in outputs:

@@ -84,7 +84,7 @@ def series_from_trajectory(trajectory: Trajectory, channel: str = "auto") -> Mea
     channel "auto" picks the liquid-contact surface: the absorber film when
     present, otherwise the silicone wall itself.
     """
-    channel = _resolve_channel(trajectory.kind, channel)
+    channel = _resolve_channel(trajectory.lig is not None, channel)
     values = trajectory.lig if channel == "theta_L" else trajectory.silicone
     return MeasurementSeries(trajectory.times, values, unit="K")
 
@@ -153,8 +153,11 @@ def plateau_value(series: MeasurementSeries, threshold: float,
     of Bender & Farach-Colton, "The LCA problem revisited", LATIN 2000),
     built one level at a time over the block's anchors and its last
     window. Each block starts at or past its predecessor's first window
-    end, so a sample falls in at most two blocks. Max and min are exact,
-    so the result equals a window-by-window scan.
+    end, so a sample falls in at most two blocks. A block in which no
+    window's first and last samples differ by less than the threshold is
+    skipped without a table: the rounded range max - min is at least the
+    rounded gap between those two. Max and min are exact, so the result
+    equals a window-by-window scan.
     """
     if not threshold > 0.0:
         raise ValidationError(f"threshold must be > 0, got {threshold!r}")
@@ -174,10 +177,14 @@ def plateau_value(series: MeasurementSeries, threshold: float,
         stop = min(max(start + _ANCHOR_BLOCK, first_end), n_anchors)
         ends = np.searchsorted(times, times[start:stop] + window + _TIME_EPS, side="right")
         ends -= start
-        flat = _flat_windows(values[start:start + ends[-1]], ends, threshold)
-        if flat.any():
-            i = int(np.argmax(flat))
-            return float(values[start + i:start + ends[i]].mean()), float(times[start + i])
+        block = values[start:start + ends[-1]]
+        # a window's range is at least the gap between its end samples, so
+        # a block in which every gap reaches the threshold holds no flat window
+        if (abs(block[ends - 1] - block[:len(ends)]) < threshold).any():
+            flat = _flat_windows(block, ends, threshold)
+            if flat.any():
+                i = int(np.argmax(flat))
+                return float(block[i:ends[i]].mean()), float(times[start + i])
         start = stop
     raise NoPlateauError(f"no {window:g} s window stays within {threshold:g}")
 
@@ -217,7 +224,10 @@ def normalize_curve(series: MeasurementSeries, plateau: float) -> MeasurementSer
 
 def cooling_fit(series: MeasurementSeries, ambient: float) -> tuple[float, float]:
     """Newton-cooling fit of a decaying series: least squares on
-    log(value - ambient) against time. Returns (tau_s, r_squared)."""
+    log(value - ambient) against time. Returns (tau_s, r_squared). The
+    ambient must be finite."""
+    if not math.isfinite(ambient):
+        raise ValidationError(f"ambient must be finite, got {ambient!r}")
     times, values = series.times, series.values
     if not np.all(values > ambient):
         raise ValidationError(
@@ -233,10 +243,14 @@ def cooling_fit(series: MeasurementSeries, ambient: float) -> tuple[float, float
 
 
 def cycle_degradation(peak_angles) -> list[float]:
-    """Per-cycle peaks normalized by the first cycle's peak."""
+    """Per-cycle peaks normalized by the first cycle's peak. Every peak must
+    be finite."""
     peaks = [float(p) for p in peak_angles]
     if not peaks:
         raise ValidationError("peak list must not be empty")
+    for p in peaks:
+        if not math.isfinite(p):
+            raise ValidationError(f"peaks must be finite, got {p!r}")
     if peaks[0] <= 0.0:
         raise ValidationError(f"first peak must be > 0, got {peaks[0]!r}")
     first = peaks[0]

@@ -16,7 +16,6 @@ at I/O boundaries.
 import math
 import warnings
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import NumericalError, ValidationError
@@ -30,16 +29,6 @@ KELVIN_OFFSET = 273.15
 # (th4 must be finite) that takes under log2(1.2e77 * 2**1074) < 1331
 # steps; from a room-temperature ambient, about 300
 _STEADY_MAX_ITER = 1400
-
-
-class SourceMode(Enum):
-    RADIATIVE_BODY = "radiative_body"
-    CONSTANT_FLUX = "constant_flux"
-
-
-class WallKind(Enum):
-    SINGLE_LAYER = "single_layer"
-    BILAYER = "bilayer"
 
 
 def _require(cond: bool, message: str) -> None:
@@ -80,17 +69,17 @@ class ThermalLayer:
 class HeatSource:
     """Light source, either a radiating blackbody or a constant absorbed flux.
 
-    mode RADIATIVE_BODY uses source_temperature and source_emissivity;
-    mode CONSTANT_FLUX uses power, split between layers by absorptance.
+    A source with a power is a constant flux, split between the layers by
+    absorptance; one without is a radiating blackbody at source_temperature
+    with source_emissivity.
     """
 
-    mode: SourceMode
     source_temperature: float | None = None  # K
     source_emissivity: float | None = None  # dimensionless, in (0, 1]
     power: float | None = None  # W
 
     def __post_init__(self):
-        if self.mode is SourceMode.RADIATIVE_BODY:
+        if self.power is None:
             _require(self.source_temperature is not None
                      and math.isfinite(self.source_temperature)
                      and self.source_temperature > 0.0,
@@ -98,25 +87,19 @@ class HeatSource:
             _require(self.source_emissivity is not None
                      and 0.0 < self.source_emissivity <= 1.0,
                      "radiative source needs source_emissivity in (0, 1]")
-            _require(self.power is None,
-                     "power is a constant-flux field; not valid in radiative mode")
-        elif self.mode is SourceMode.CONSTANT_FLUX:
-            _require(self.power is not None and math.isfinite(self.power)
-                     and self.power >= 0.0,
+        else:
+            _require(math.isfinite(self.power) and self.power >= 0.0,
                      "constant-flux source needs a finite power >= 0")
             _require(self.source_temperature is None and self.source_emissivity is None,
                      "source_temperature/source_emissivity are radiative fields")
-        else:
-            raise ValidationError(f"unknown source mode {self.mode!r}")
 
     @classmethod
     def constant_flux(cls, power: float) -> "HeatSource":
-        return cls(mode=SourceMode.CONSTANT_FLUX, power=power)
+        return cls(power=power)
 
     @classmethod
     def radiative(cls, temperature: float, emissivity: float) -> "HeatSource":
-        return cls(mode=SourceMode.RADIATIVE_BODY,
-                   source_temperature=temperature, source_emissivity=emissivity)
+        return cls(source_temperature=temperature, source_emissivity=emissivity)
 
 
 @dataclass(frozen=True)
@@ -133,41 +116,35 @@ class Environment:
 
 @dataclass(frozen=True)
 class WallAssembly:
-    """Single-layer or bilayer wall configuration.
+    """Single-layer wall, or a bilayer one when it has a lig layer.
 
     conv_faces left as None on a layer is resolved here: 2 for the lone
     silicone wall (both faces exposed), 1 per layer in the bilayer (each
     layer has one exposed face). Explicit values are kept as given.
     """
 
-    kind: WallKind
     silicone: ThermalLayer
     lig: ThermalLayer | None = None
 
     def __post_init__(self):
-        if self.kind is WallKind.SINGLE_LAYER:
-            _require(self.lig is None, "single-layer assembly must not carry a lig layer")
-            if self.silicone.conv_faces is None:
-                object.__setattr__(self, "silicone", replace(self.silicone, conv_faces=2))
-        elif self.kind is WallKind.BILAYER:
-            _require(self.lig is not None, "bilayer assembly requires a lig layer")
-            if self.silicone.conv_faces is None:
-                object.__setattr__(self, "silicone", replace(self.silicone, conv_faces=1))
-            if self.lig.conv_faces is None:
-                object.__setattr__(self, "lig", replace(self.lig, conv_faces=1))
-            _require(coupling_conductance(self.silicone) > 0.0,
-                     "interlayer coupling conductance must be strictly positive")
-            _warn_absorptance_sum(self.silicone.absorptance, self.lig.absorptance)
-        else:
-            raise ValidationError(f"unknown wall kind {self.kind!r}")
+        if self.silicone.conv_faces is None:
+            faces = 2 if self.lig is None else 1
+            object.__setattr__(self, "silicone", replace(self.silicone, conv_faces=faces))
+        if self.lig is None:
+            return
+        if self.lig.conv_faces is None:
+            object.__setattr__(self, "lig", replace(self.lig, conv_faces=1))
+        _require(coupling_conductance(self.silicone) > 0.0,
+                 "interlayer coupling conductance must be strictly positive")
+        _warn_absorptance_sum(self.silicone.absorptance, self.lig.absorptance)
 
     @classmethod
     def single(cls, silicone: ThermalLayer) -> "WallAssembly":
-        return cls(kind=WallKind.SINGLE_LAYER, silicone=silicone)
+        return cls(silicone)
 
     @classmethod
     def bilayer(cls, silicone: ThermalLayer, lig: ThermalLayer) -> "WallAssembly":
-        return cls(kind=WallKind.BILAYER, silicone=silicone, lig=lig)
+        return cls(silicone, lig)
 
 
 def _warn_absorptance_sum(alpha_s: float, alpha_l: float, stacklevel: int = 3) -> None:
@@ -277,7 +254,7 @@ def _coefficients(assembly: WallAssembly, source: HeatSource) -> _Coefficients:
     cap_l = g_l = k = q_s = q_l = theta_h = th4 = a_s = r_s = a_l = r_l = None
     if lig is not None:
         cap_l, g_l, k = heat_capacity(lig), convective_conductance(lig), coupling_conductance(sil)
-    if source.mode is SourceMode.CONSTANT_FLUX:
+    if source.power is not None:
         q_s = _absorbed(sil.absorptance, source.power)
         if lig is not None:
             q_l = _absorbed(lig.absorptance, source.power)
@@ -354,9 +331,9 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
     _require(scale >= 0.0 and math.isfinite(scale),
              f"scale must be finite and >= 0, got {scale!r}")
     theta_e = env.ambient_temperature
-    bilayer = assembly.kind is WallKind.BILAYER
+    bilayer = assembly.lig is not None
 
-    if source.mode is SourceMode.CONSTANT_FLUX:
+    if source.power is not None:
         c = _coefficients(assembly, source)
         q_s = c.q_s * scale
         if not bilayer:
@@ -384,7 +361,7 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
                  "overflows a float; lower the power or the scale")
         return ThermalState(0.0, *temperatures)
 
-    # radiative mode: one bisection in theta_s on the net power into the wall
+    # radiative source: one bisection in theta_s on the net power into the wall
     theta_h = source.source_temperature
     if scale == 0.0 or theta_h == theta_e:
         return ThermalState(0.0, theta_e, theta_e if bilayer else None)

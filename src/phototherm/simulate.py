@@ -19,7 +19,6 @@ from .model import (
     HeatSource,
     ThermalState,
     WallAssembly,
-    WallKind,
     _coefficients,
     _Coefficients,
 )
@@ -142,23 +141,19 @@ class Trajectory:
             raise ValidationError("trajectory time stamps must be strictly increasing")
 
     @property
-    def kind(self) -> WallKind:
-        return WallKind.SINGLE_LAYER if self.lig is None else WallKind.BILAYER
-
-    @property
     def final(self) -> ThermalState:
         lig = None if self.lig is None else float(self.lig[-1])
         return ThermalState(float(self.times[-1]), float(self.silicone[-1]), lig)
 
 
-def _resolve_channel(kind: WallKind, channel: str) -> str:
+def _resolve_channel(bilayer: bool, channel: str) -> str:
     """Channel name as "theta_s" or "theta_L". "auto" picks the liquid-contact
     surface: the absorber film when present, otherwise the silicone wall."""
     if channel == "auto":
-        return "theta_L" if kind is WallKind.BILAYER else "theta_s"
+        return "theta_L" if bilayer else "theta_s"
     if channel not in ("theta_s", "theta_L"):
         raise KindMismatchError(f"unknown trajectory channel {channel!r}")
-    if channel == "theta_L" and kind is not WallKind.BILAYER:
+    if channel == "theta_L" and not bilayer:
         raise KindMismatchError("single-layer trajectory has no lig channel")
     return channel
 
@@ -297,7 +292,7 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     if initial is None:
         ts = tl = theta_e
     else:
-        bilayer = assembly.kind is WallKind.BILAYER
+        bilayer = assembly.lig is not None
         if bilayer and initial.lig_temperature is None:
             raise KindMismatchError("bilayer run needs an initial lig_temperature")
         ts = initial.silicone_temperature

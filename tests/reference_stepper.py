@@ -8,7 +8,7 @@ schedule in continuous time (`scale_at`), not from `run`'s grid-snapped
 segments, so the two agree wherever no interval bound falls between steps.
 """
 
-from phototherm import STEFAN_BOLTZMANN, SourceMode, ThermalState, WallKind
+from phototherm import STEFAN_BOLTZMANN, ThermalState
 
 
 def samples(trajectory):
@@ -51,7 +51,7 @@ def conduction_flow(theta_lig, theta_silicone, silicone):
 
 def source_input(source, layer, scale, layer_temperature):
     """Drive of one layer under the source, in W."""
-    if source.mode is SourceMode.CONSTANT_FLUX:
+    if source.power is not None:
         return absorbed_power(source, layer, scale)
     return scale * radiative_exchange(source.source_temperature, source.source_emissivity,
                                       layer_temperature, layer.emissivity, layer.area)
@@ -89,7 +89,7 @@ def rhs_bilayer(state, assembly, source, env, scale=1.0):
 def euler_step(state, assembly, source, env, scale, dt):
     """One forward-Euler step of length dt. The new ThermalState rejects a
     temperature that is not finite and > 0 (ValidationError)."""
-    if assembly.kind is WallKind.SINGLE_LAYER:
+    if assembly.lig is None:
         rate = rhs_single(state, assembly, source, env, scale)
         return ThermalState(state.time + dt, state.silicone_temperature + dt * rate)
     d_s, d_l = rhs_bilayer(state, assembly, source, env, scale)

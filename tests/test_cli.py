@@ -1,13 +1,15 @@
+import argparse
 import contextlib
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phototherm.cli import cli_main
+from phototherm.cli import _build_parser, cli_main
 from phototherm.fileio import preset_path
 from conftest import TAU_SINGLE_S
 
@@ -128,6 +130,28 @@ class TestSimulateAndMetrics:
         # the fit a 298 K ambient gave for every series before it defaulted
         # to the first value
         assert (report["cooling_tau_s"], report["cooling_r2"]) == ("1062.825160", "0.849313")
+
+    @pytest.mark.parametrize("ambient", ("nan", "inf", "-inf"))
+    def test_non_finite_ambient_is_bad_input(self, capsys, tmp_path, ambient):
+        # checked before the file is read: no such file is needed to fail
+        code, out, err = run_cli(capsys, "metrics", str(tmp_path / "missing.csv"),
+                                 "--window", "200", f"--ambient={ambient}")
+        assert (code, out, err) == (2, "", f"error: ambient must be finite, got {ambient}\n")
+
+    @pytest.mark.parametrize("ambient", ("298.0", "330.0", "1e300"))
+    def test_ambient_at_or_above_the_tail_drops_the_cooling_lines(self, capsys, tmp_path,
+                                                                  ambient):
+        # the single-layer run starts at 298 K, so its whole tail sits above
+        # 298 K and below 330 K
+        out_csv = tmp_path / "run.csv"
+        run_cli(capsys, "simulate", "--preset", "table1_single", "--duration", "400",
+                "--record-stride", "100", "--schedule", "0:200:1", "--out", str(out_csv))
+        code, out, err = run_cli(capsys, "metrics", str(out_csv), "--window", "200",
+                                 "--ambient", ambient)
+        assert (code, err) == (0, "")
+        report = parse_report(out)
+        assert ("cooling_tau_s" in report) == (ambient == "298.0")
+        assert ("cooling_r2" in report) == (ambient == "298.0")
 
     @pytest.mark.parametrize("flags, message", [
         (("--plateau-threshold", "1e-9", "--plateau-window", "20"),
@@ -624,7 +648,11 @@ class TestAnalyzeBending:
          "--peaks must be comma-separated numbers, got '51.7,abc'"),
         (("--plateau-threshold", "1", "--plateau-window", "20", "--peaks", "0,51.7"),
          "first peak must be > 0, got 0.0"),
-    ], ids=["plateau", "peaks_not_numbers", "first_peak_zero"])
+        (("--plateau-threshold", "1", "--plateau-window", "20", "--peaks", "1,nan,inf"),
+         "peaks must be finite, got nan"),
+        (("--plateau-threshold", "1", "--plateau-window", "20", "--peaks", "inf,1"),
+         "peaks must be finite, got inf"),
+    ], ids=["plateau", "peaks_not_numbers", "first_peak_zero", "nan_peak", "inf_first_peak"])
     def test_failing_command_writes_nothing(self, capsys, tmp_path, flags, message):
         path = self.bending_file(tmp_path)
         normalized = tmp_path / "norm.csv"
@@ -723,6 +751,94 @@ class TestHugeFiniteSchedule:
             reports.append(out)
         assert reports[0] == reports[1]
         assert float(parse_report(reports[0])["scale"]) == pytest.approx(0.8, rel=1e-3)
+
+
+class TestNonFiniteFlags:
+    """No command prints nan or inf. Given nan, every float-valued flag and
+    every number list but sweep's --values fails with one error line and
+    nothing on stdout or in an --out file; given +-inf it fails the same way
+    or prints only finite numbers. A bad sweep value fails its own row and
+    exits 4 instead."""
+
+    PRESET = ("--preset", "table1_single")
+    CASES = [
+        ("simulate", *PRESET, "--duration={x}", "--out={out}"),
+        ("simulate", *PRESET, "--dt={x}", "--out={out}"),
+        ("steady", *PRESET, "--scale={x}"),
+        ("metrics", "{run}", "--window={x}"),
+        ("metrics", "{run}", "--convention", "supplied", "--final={x}"),
+        ("metrics", "{run}", "--plateau-threshold={x}", "--plateau-window", "20"),
+        ("metrics", "{run}", "--plateau-threshold", "0.5", "--plateau-window={x}"),
+        ("metrics", "{run}", "--convention", "plateau", "--plateau-threshold={x}",
+         "--plateau-window", "20"),
+        ("metrics", "{run}", "--window", "200", "--ambient={x}"),
+        ("calibrate", *PRESET, "--target", "{target}", "--param=alpha_s:{x}:1:0.5"),
+        ("calibrate", *PRESET, "--target", "{target}", "--param=alpha_s:0.1:{x}:0.5"),
+        ("calibrate", *PRESET, "--target", "{target}", "--param=alpha_s:0.1:1:{x}"),
+        ("sweep", *PRESET, "--param", "distance", "--distances", "0.05,0.1", "--d-ref={x}",
+         "--outputs", "steady", "--out={out}"),
+        ("sweep", *PRESET, "--param", "distance", "--distances", "0.05,0.1", "--d-ref", "0.05",
+         "--exponent={x}", "--outputs", "steady", "--out={out}"),
+        ("sweep", *PRESET, "--param", "distance", "--distances=0.05,{x}", "--d-ref", "0.05",
+         "--outputs", "steady", "--out={out}"),
+        ("analyze-bending", "{bend}", "--plateau-threshold={x}", "--plateau-window", "20",
+         "--out={out}"),
+        ("analyze-bending", "{bend}", "--plateau-threshold", "0.5", "--plateau-window={x}",
+         "--out={out}"),
+        ("analyze-bending", "{bend}", "--plateau-threshold", "0.5", "--plateau-window", "20",
+         "--peaks=1,{x}", "--out={out}"),
+        ("analyze-bending", "{bend}", "--plateau-threshold", "0.5", "--plateau-window", "20",
+         "--peaks={x},1", "--out={out}"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("non_finite")
+        paths = {name: str(directory / f"{name}.csv") for name in ("run", "target", "bend")}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["simulate", *self.PRESET, "--duration", "400",
+                             "--record-stride", "100", "--schedule", "0:200:1",
+                             "--out", paths["run"]]) == 0
+            assert cli_main(["simulate", *self.PRESET, "--duration", "100",
+                             "--record-stride", "100", "--schedule", "0:inf:0.8",
+                             "--out", paths["target"]]) == 0
+        t = np.arange(0.0, 200.0)
+        bend = np.where(t < 100.0, 50.0 * (1.0 - np.exp(-t / 10.0)),
+                        50.0 * np.exp(-(t - 100.0) / 10.0))
+        with open(paths["bend"], "w", encoding="utf-8", newline="") as fh:
+            fh.write("# unit: deg\ntime_s,value\n")
+            fh.writelines(f"{ti:.6f},{vi:.6f}\n" for ti, vi in zip(t, bend))
+        return paths
+
+    def test_table_covers_every_float_flag(self):
+        subparsers = next(action for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        float_flags = {(command, action.option_strings[-1])
+                       for command, parser in subparsers.choices.items()
+                       for action in parser._actions if action.type is float}
+        covered = {(case[0], arg.partition("=")[0])
+                   for case in self.CASES for arg in case if "{x}" in arg}
+        assert float_flags <= covered
+
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: "-".join(
+        [case[0]] + [arg.partition("=")[0] for arg in case if "{x}" in arg]))
+    def test_never_prints_a_non_finite_number(self, capsys, tmp_path, inputs, case, value):
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, *(arg.format(x=value, out=out_path, **inputs)
+                                           for arg in case))
+        if value == "nan" or code != 0:
+            assert code != 0 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out_path.exists()
+            return
+        for line in out.splitlines():
+            for word in line.partition("=")[2].split(","):
+                try:
+                    number = float(word)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), line
 
 
 class TestExitCodes:

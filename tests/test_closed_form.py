@@ -23,7 +23,6 @@ from phototherm import (
     SimConfig,
     ThermalLayer,
     WallAssembly,
-    WallKind,
     apply_named_parameter,
     load_config,
     objective,
@@ -49,7 +48,7 @@ def constant_flux_at(assembly, source, schedule, env, config, times, channel):
     schedule's runs at these times."""
     c = _coefficients(assembly, source)
     _check_step(c, config.dt, env.ambient_temperature, 1.0)
-    channel = _resolve_channel(assembly.kind, channel)
+    channel = _resolve_channel(assembly.lig is not None, channel)
     segments = _segments(schedule, config.n_steps, config.dt)
     values = _constant_flux_on(segments, times, c, env.ambient_temperature, config.dt, channel)
     return values(c.g_s, c.g_l, c.q_s, c.q_l, [scale for *_, scale in segments])
@@ -115,7 +114,7 @@ def scenarios(draw):
         assembly, source, schedule = apply_named_parameter(
             assembly, source, schedule, name, draw(st.floats(0.0, 2.0)))
     channels = ["auto", "theta_s"]
-    if assembly.kind is WallKind.BILAYER:
+    if assembly.lig is not None:
         channels.append("theta_L")
     channel = draw(st.sampled_from(channels))
     fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40, unique=True))
@@ -145,7 +144,7 @@ def fit_problems(draw):
         d = config.duration
         schedule = LightSchedule(((0.1 * d, 0.4 * d, 1.0), (0.6 * d, 0.9 * d, 0.7)))
     names = ["alpha_s", "h_se", "Q_h", "scale"]
-    if assembly.kind is WallKind.BILAYER:
+    if assembly.lig is not None:
         names += ["alpha_L", "h_Le"]
     free = []
     for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)):
@@ -309,7 +308,7 @@ def flux_and_absorptance_problems(draw):
     final absorptance, whichever is applied first."""
     problem, _ = draw(fit_problems())
     names = ["alpha_s", "Q_h"]
-    if problem.assembly.kind is WallKind.BILAYER:
+    if problem.assembly.lig is not None:
         names += draw(st.sampled_from([["alpha_L"], []]))
     free = tuple(ParamSpec(name, *free_bounds(name, problem.assembly),
                            free_bounds(name, problem.assembly)[0])

@@ -298,6 +298,39 @@ class TestPlateauOracle:
             assert repr(plateau_value(series, threshold, window)) == repr(expected)
 
 
+class TestPlateauBlockSkip:
+    # a rising ramp, in steps of twice the threshold, or a zigzag of the
+    # same height, then a stretch from sample `flat` that drifts by less
+    # than the threshold. Every window before it has a range of twice the
+    # threshold, but only the ramp's windows also have end samples that far
+    # apart, so the scan skips the ramp's blocks and scans the zigzag's.
+    # Small blocks put the flat window several blocks in, or on a block's
+    # first anchor
+    @given(anchor_block=st.integers(2, 5), samples=st.integers(1, 6),
+           blocks=st.integers(0, 5), offset=st.one_of(st.just(0), st.integers(0, 7)),
+           zigzag=st.booleans(), threshold=st.sampled_from([0.25, 1.0, 3.0]),
+           drift=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+           step=st.sampled_from([1.0, 0.25]), tail=st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_first_flat_window_past_skipped_blocks(self, anchor_block, samples, blocks,
+                                                   offset, zigzag, threshold, drift, step,
+                                                   tail):
+        # a window of `samples` steps holds samples + 1 samples, so each
+        # block but the last starts max(anchor_block, samples + 1) anchors on
+        flat = blocks * max(anchor_block, samples + 1) + offset
+        rise = [2.0 * threshold * (i % 2 if zigzag else i) for i in range(flat)]
+        level, top = 1e3 * threshold, (1e3 + drift) * threshold
+        stretch = np.linspace(level, top, samples + 1).tolist()
+        values = rise + stretch + [top + 2.0 * threshold * (i + 1) for i in range(tail)]
+        series = MeasurementSeries(tuple(step * i for i in range(len(values))), values)
+        window = step * samples
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics_module, "_ANCHOR_BLOCK", anchor_block)
+            found = plateau_value(series, threshold, window)
+        assert found[1] == step * flat
+        assert repr(found) == repr(plateau_oracle(series, threshold, window))
+
+
 def test_forward_plateau_scan_stops_early_in_small_blocks():
     # the scan builds a sparse table per block of anchors and stops at the
     # first flat window, at about 170 s of the 400 s run. One table over all
@@ -381,6 +414,13 @@ class TestCoolingFit:
         with pytest.raises(MetricError):
             cooling_fit(series, ambient=298.0)
 
+    @pytest.mark.parametrize("ambient", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ambient_rejected(self, ambient):
+        # -inf once gave (nan, nan) and nan a comparison that failed quietly
+        series = MeasurementSeries((0.0, 10.0), (318.0, 308.0))
+        with pytest.raises(ValidationError, match="ambient must be finite"):
+            cooling_fit(series, ambient=ambient)
+
     @given(tau=st.floats(5.0, 500.0), amplitude=st.floats(0.5, 100.0))
     @settings(max_examples=40)
     def test_recovers_generating_tau_to_a_tenth_percent(self, tau, amplitude):
@@ -411,6 +451,13 @@ class TestCycles:
             cycle_degradation([])
         with pytest.raises(ValidationError):
             cycle_degradation([0.0, 1.0])
+
+    @pytest.mark.parametrize("peaks", [[math.inf, 1.0], [1.0, math.nan, math.inf],
+                                       [math.nan, 1.0], [2.0, -math.inf]])
+    def test_non_finite_peak_rejected(self, peaks):
+        # [inf, 1.0] once gave [nan, 0.0]
+        with pytest.raises(ValidationError, match="peaks must be finite"):
+            cycle_degradation(peaks)
 
     def test_always_starts_at_one(self):
         rng = np.random.default_rng(7)

@@ -13,12 +13,10 @@ from phototherm import (
     NumericalError,
     STEFAN_BOLTZMANN,
     SimConfig,
-    SourceMode,
     ThermalLayer,
     ThermalState,
     ValidationError,
     WallAssembly,
-    WallKind,
     convective_conductance,
     coupling_conductance,
     heat_capacity,
@@ -75,14 +73,15 @@ class TestAssembly:
         layer = ThermalLayer(**SILICONE, conv_faces=1)
         assert WallAssembly.single(layer).silicone.conv_faces == 1
 
-    def test_bilayer_requires_lig(self, silicone_layer):
-        with pytest.raises(ValidationError):
-            WallAssembly(kind=WallKind.BILAYER, silicone=silicone_layer)
-
-    def test_single_rejects_lig(self, silicone_layer, lig_layer):
-        with pytest.raises(ValidationError):
-            WallAssembly(kind=WallKind.SINGLE_LAYER, silicone=silicone_layer,
-                         lig=lig_layer)
+    def test_kind_follows_from_the_lig_layer(self, silicone_layer, lig_layer):
+        # the named constructors are the plain constructor, by whether
+        # there is a lig layer
+        single = WallAssembly(silicone_layer)
+        assert single.lig is None and single.silicone.conv_faces == 2
+        assert single == WallAssembly.single(silicone_layer)
+        bilayer = WallAssembly(silicone_layer, lig_layer)
+        assert (bilayer.silicone.conv_faces, bilayer.lig.conv_faces) == (1, 1)
+        assert bilayer == WallAssembly.bilayer(silicone_layer, lig_layer)
 
     def test_absorptance_sum_above_one_warns(self, silicone_layer):
         greedy = ThermalLayer(**dict(LIG, absorptance=0.9))
@@ -470,8 +469,21 @@ class TestSteadyState:
 
 class TestHeatSourceValidation:
     def test_radiative_requires_temperature_and_emissivity(self):
-        with pytest.raises(ValidationError):
-            HeatSource(mode=SourceMode.RADIATIVE_BODY)
+        # a source without a power is radiative
+        with pytest.raises(ValidationError, match="finite source_temperature"):
+            HeatSource()
+        with pytest.raises(ValidationError, match="source_emissivity in"):
+            HeatSource(source_temperature=373.0)
+
+    def test_flux_rejects_radiative_fields(self):
+        with pytest.raises(ValidationError, match="are radiative fields"):
+            HeatSource(power=1.0, source_temperature=373.0)
+        with pytest.raises(ValidationError, match="are radiative fields"):
+            HeatSource(power=1.0, source_emissivity=0.9)
+
+    def test_mode_follows_from_the_power(self):
+        assert HeatSource(power=2.0) == HeatSource.constant_flux(2.0)
+        assert HeatSource(373.0, 0.9) == HeatSource.radiative(373.0, 0.9)
 
     def test_flux_requires_power(self):
         with pytest.raises(ValidationError):

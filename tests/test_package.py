@@ -11,9 +11,9 @@ PUBLIC_NAMES = {
     "NumericalError", "PhotothermError", "SeriesFormatError", "StabilityError",
     "ValidationError",
     # model
-    "Environment", "HeatSource", "KELVIN_OFFSET", "STEFAN_BOLTZMANN", "SourceMode",
-    "ThermalLayer", "ThermalState", "WallAssembly", "WallKind", "convective_conductance",
-    "coupling_conductance", "heat_capacity", "steady_state",
+    "Environment", "HeatSource", "KELVIN_OFFSET", "STEFAN_BOLTZMANN", "ThermalLayer",
+    "ThermalState", "WallAssembly", "convective_conductance", "coupling_conductance",
+    "heat_capacity", "steady_state",
     # simulate
     "LightSchedule", "SimConfig", "Trajectory", "run", "stability_limit",
     # metrics

@@ -22,7 +22,6 @@ from phototherm import (
     Trajectory,
     ValidationError,
     WallAssembly,
-    WallKind,
     run,
     series_from_trajectory,
     stability_limit,
@@ -325,7 +324,7 @@ class TestRun:
         config = SimConfig(duration=21.0, dt=0.01, record_stride=record_stride)
         traj = run(wall, source, schedule, environment, config)
 
-        bilayer = wall.kind is WallKind.BILAYER
+        bilayer = wall.lig is not None
         state = ThermalState(0.0, AMBIENT_K, AMBIENT_K if bilayer else None)
         silicone = traj.silicone.tolist()
         lig = traj.lig.tolist() if bilayer else [None] * len(silicone)
@@ -550,7 +549,7 @@ def checked_euler_chain(wall, source, schedule, env, config, initial=None):
     rejects it) or whose radiative drive overflows a float."""
     dt, stride = config.dt, config.record_stride
     theta_e = env.ambient_temperature
-    bilayer = wall.kind is WallKind.BILAYER
+    bilayer = wall.lig is not None
     state = initial or ThermalState(0.0, theta_e, theta_e if bilayer else None)
     silicone, lig = [state.silicone_temperature], [state.lig_temperature]
     for i0, i1, scale in _segments(schedule, config.n_steps, dt):
@@ -720,7 +719,6 @@ class TestTrajectory:
         traj = run(single_wall, flux_source, ALWAYS_ON, environment,
                    SimConfig(duration=1.0, dt=0.1))
         assert traj.lig is None
-        assert traj.kind is WallKind.SINGLE_LAYER
         assert traj.final.lig_temperature is None
         with pytest.raises(KindMismatchError):
             series_from_trajectory(traj, "theta_L")
@@ -731,7 +729,7 @@ class TestTrajectory:
         assembly = request.getfixturevalue(wall)
         traj = run(assembly, flux_source, ALWAYS_ON, environment,
                    SimConfig(duration=1.0, dt=0.1, record_stride=3))
-        assert traj.kind is assembly.kind
+        assert (traj.lig is None) == (assembly.lig is None)
         states = samples(traj)
         assert len(states) == len(traj.times) == 4  # steps 0, 3, 6, 9
         for i, state in enumerate(states):
