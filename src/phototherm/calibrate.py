@@ -52,12 +52,14 @@ class ParamSpec:
         if self.name not in PARAM_RANGES:
             raise ValidationError(
                 f"unknown parameter {self.name!r}; choose from {sorted(PARAM_RANGES)}")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValidationError(f"{self.name}: bounds must be finite")
+        if not math.isfinite(self.initial):
+            raise ValidationError(f"{self.name}: initial guess must be finite")
         if not self.lower < self.upper:
             raise ValidationError(f"{self.name}: lower bound must be below upper bound")
         if not self.lower <= self.initial <= self.upper:
             raise ValidationError(f"{self.name}: initial guess must lie within the bounds")
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValidationError(f"{self.name}: bounds must be finite")
         lo, hi = PARAM_RANGES[self.name]
         if self.lower < lo or self.upper > hi:
             raise ValidationError(
@@ -461,7 +463,8 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
 
     Stops when the simplex objective spread falls below 1e-8 relative to the
     best value (floored at 1 for near-zero minima) or after 500 iterations;
-    hitting the cap is reported through converged=False, not an error.
+    hitting the cap is reported through converged=False, not an error. A
+    best SSE that overflows to inf is a ValidationError.
 
     The simplex starts at the initial guess plus one vertex per axis offset
     by 5% of the box width, stepping down instead of up when up would leave
@@ -557,6 +560,9 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
     best_idx = min(range(len(simplex)), key=fvals.__getitem__)
     fitted = clip(simplex[best_idx])
     sse = objective(problem, fitted)
+    if not math.isfinite(sse):
+        raise ValidationError("the squared errors of the best fit overflow a float: "
+                              "the target lies too far from every simulated temperature")
     rmse = math.sqrt(sse / len(problem.target.times))
     return CalibrationResult(
         values={spec.name: v for spec, v in zip(specs, fitted)},

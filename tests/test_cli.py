@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phototherm import fileio
 from phototherm.cli import _build_parser, cli_main
 from phototherm.fileio import preset_path
 from conftest import TAU_SINGLE_S
@@ -386,6 +387,28 @@ class TestCalibrateCommand:
         assert run_cli(capsys, "calibrate", "--preset", "table1_bilayer", "--target",
                        str(target), "--param", spec) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("field", ["lower", "upper", "initial"])
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_param_field_names_the_rule(self, capsys, tmp_path, field, x):
+        # a nan or inf bound once read "lower bound must be below upper bound"
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n0,298\n1,299\n", encoding="utf-8")
+        spec = {"lower": "0.1", "upper": "0.5", "initial": "0.2", field: x}
+        rule = "initial guess must be finite" if field == "initial" else "bounds must be finite"
+        assert run_cli(capsys, "calibrate", "--preset", "table1_single", "--target",
+                       str(target), "--param", "alpha_s:{lower}:{upper}:{initial}".format(
+                           **spec)) == (2, "", f"error: alpha_s: {rule}\n")
+
+    def test_target_out_of_reach_is_bad_input(self, capsys, tmp_path):
+        # every squared error overflows, so every candidate scored inf; the
+        # fit once ran to its iteration cap and printed sse_K2=inf with exit 0
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n0,298\n10,1e200\n20,300\n", encoding="utf-8")
+        assert run_cli(capsys, "calibrate", "--preset", "table1_single", "--target",
+                       str(target), "--param", "alpha_s:0.1:0.5:0.2") == (
+            2, "", "error: the squared errors of the best fit overflow a float: the target "
+                   "lies too far from every simulated temperature\n")
+
     def test_zero_convection_bound_is_bad_input_naming_the_parameter(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
         target.write_text("time_s,value\n0,298\n1,299\n", encoding="utf-8")
@@ -589,6 +612,26 @@ class TestSweepCommand:
                                  "--outputs", "t63,t63,steady")
         assert (code, out) == (2, "")
         assert err == "error: repeated sweep outputs ['t63']; name each once\n"
+
+    def test_warnings_come_before_the_failure_lines(self, capsys, monkeypatch):
+        # a point's model is built before any point runs, in input order, in
+        # one process or with the points run in forked workers
+        expected = "".join(
+            f"warning: layer absorptances sum to {total} > 1; more power absorbed than "
+            "supplied is unphysical\n" for total in ("1.1200", "1.1400")) + (
+            "index=2 value=2 error=ValidationError message=absorptance must lie in [0, 1], "
+            "got 2.0\n1 of 5 sweep points failed\n")
+        results = []
+        for steps in (math.inf, 0):
+            monkeypatch.setattr(fileio, "_PARALLEL_STEPS", steps, raising=False)
+            results.append(run_cli(capsys, "sweep", "--preset", "table1_bilayer",
+                                   "--param", "alpha_L", "--values", "0.5,0.95,2.0,0.97,0.7",
+                                   "--outputs", "peak,steady"))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, err) == (4, expected)
+        assert [line.split(",")[4] for line in out.splitlines()[1:]] == [
+            "ok", "ok", "failed", "ok", "ok"]
 
     def test_partial_failure_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_bilayer",

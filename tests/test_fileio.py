@@ -1,10 +1,13 @@
+import concurrent.futures
 import dataclasses
 import io
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1226,3 +1229,86 @@ class TestRunSweep:
         lines = text.strip().split("\n")
         assert lines[0] == "index,param,value,scale,status,steady_theta_s_K,steady_theta_L_K"
         assert len(lines) == 3
+
+
+class TestParallelSweep:
+    """A sweep with enough steps runs its points in forked worker processes.
+    Its result is the serial one: rows, failures and CSV."""
+
+    @pytest.fixture
+    def config(self):
+        cfg = load_config(preset_path("table1_bilayer"))
+        sim = SimConfig(duration=20.0, dt=0.01, record_stride=10, metric_window=20.0)
+        return dataclasses.replace(cfg, sim=sim)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The pools run_sweep opens, counted; every sweep is large enough."""
+        opened = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(fileio_module, "_PARALLEL_STEPS", 0)
+        return opened
+
+    @staticmethod
+    def serial(monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(fileio_module, "_PARALLEL_STEPS", math.inf)
+            return run_sweep(*args, **kwargs)
+
+    @pytest.mark.parametrize("radiative, param, points, outputs, d_ref, failed", [
+        (True, "distance", (0.05, 0.07, 0.11, 0.15), ("t63", "peak", "steady"), 0.05, []),
+        (False, "alpha_L", (0.5, 2.0, 0.7), ("t63", "steady"), None, ["ValidationError"]),
+        (False, "h_Le", (18.0, 1e9), ("peak",), None, ["StabilityError"]),
+    ], ids=["radiative_distance", "failing_alpha_L", "unstable_h_Le"])
+    def test_forked_rows_equal_the_serial_rows(self, config, pools, monkeypatch, radiative,
+                                               param, points, outputs, d_ref, failed):
+        if radiative:
+            config = dataclasses.replace(config, source=HeatSource.radiative(373.0, 0.9))
+        args = (config, param, points, outputs, d_ref)
+        forked = run_sweep(*args)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        serial = self.serial(monkeypatch, *args)
+        assert forked.columns == serial.columns
+        assert repr(forked.rows) == repr(serial.rows)
+        assert forked.failures == serial.failures == len(failed)
+        assert forked.to_csv() == serial.to_csv()
+        assert [row["error"] for row in forked.rows if row["status"] == "failed"] == failed
+
+    def test_big_sweeps_in_a_row_each_fork(self, config, pools):
+        for _ in range(2):
+            run_sweep(config, "scale", (1.0, 0.5), ("peak",))
+            assert multiprocessing.active_children() == []
+        assert len(pools) == 2
+
+    def test_one_cpu_stays_serial(self, config, pools, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        result = run_sweep(config, "scale", (1.0, 0.5), ("peak",))
+        assert (pools, result.failures) == ([], 0)
+
+    def test_a_threaded_caller_stays_serial(self, config, pools):
+        # forking a process that runs other threads can deadlock in the child
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            result = run_sweep(config, "scale", (1.0, 0.5), ("peak",))
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert (pools, result.failures) == ([], 0)
+
+    def test_small_or_runless_sweeps_stay_serial(self, config, pools, monkeypatch):
+        run_sweep(config, "scale", (1.0, 0.5), ("steady",))
+        run_sweep(config, "scale", (1.0,), ("peak",))
+        monkeypatch.setattr(fileio_module, "_PARALLEL_STEPS", 2 * config.sim.n_steps + 1)
+        run_sweep(config, "scale", (1.0, 0.5), ("peak",))
+        assert pools == []
+
