@@ -4,7 +4,6 @@ and plateau metrics, and derivative-free parameter calibration."""
 
 from .errors import (
     ConfigError,
-    KindMismatchError,
     MetricError,
     NoCrossingError,
     NoPlateauError,
@@ -20,7 +19,6 @@ from .model import (
     KELVIN_OFFSET,
     STEFAN_BOLTZMANN,
     ThermalLayer,
-    ThermalState,
     WallAssembly,
     convective_conductance,
     coupling_conductance,

@@ -93,11 +93,17 @@ class CalibrationProblem:
             raise ValidationError("free parameter names must be unique")
         if self.target.unit != "K":
             raise ValidationError("calibration target must be a temperature series in K")
+        # every model temperature is above 0 K, so a target at or below it is no data
+        times, values = self.target.times, self.target.values
+        i = int(np.argmax(values <= 0.0))
+        if values[i] <= 0.0:
+            raise ValidationError(f"the target holds {values[i]:g} K at t={times[i]:g} s; "
+                                  "a calibration target must be above 0 K")
         # a run covers [0, n_steps * dt], and n_steps * dt may fall short of
         # the duration; outside it both objective modes would read the value
         # at its nearer end
         dt, n_steps = self.config.dt, self.config.n_steps
-        first, last = self.target.times[0], self.target.times[-1]
+        first, last = self.target.times[[0, -1]].tolist()  # floats: no numpy warning
         if first / dt < -1e-9:
             raise ValidationError(
                 f"the target starts at t={first:g} s, before the run starts at t=0 s")
@@ -301,7 +307,7 @@ def _constant_flux_on(segments, times, c: _Coefficients, theta_e: float, dt: flo
 
     # run r covers steps (start, end], the last one ending at n_steps
     lengths = [i1 - i0 for i0, i1, _ in segments]
-    starts, ends, _ = np.array(segments).T
+    starts, ends, _ = np.array(segments, dtype=float).T  # ints past int64: no objects
     n_steps = segments[-1][1]
     # bracketing grid steps (lower, lower + 1) and the weight of the upper one
     t = np.asarray(times, dtype=float) / dt

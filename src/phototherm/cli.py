@@ -151,10 +151,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_steady(args) -> int:
     cfg = _load_scenario(args)
-    state = steady_state(cfg.assembly, cfg.source, cfg.env, args.scale)
-    _emit_temperature("theta_s", state.silicone_temperature)
-    if state.lig_temperature is not None:
-        _emit_temperature("theta_L", state.lig_temperature)
+    theta_s, theta_l = steady_state(cfg.assembly, cfg.source, cfg.env, args.scale)
+    _emit_temperature("theta_s", theta_s)
+    if theta_l is not None:
+        _emit_temperature("theta_L", theta_l)
     return EXIT_OK
 
 

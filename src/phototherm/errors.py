@@ -1,9 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Input-validity problems (bad values, malformed files, degenerate metric
-inputs) derive from :class:`ValidationError`, which is also a ``ValueError``
-so plain ``except ValueError`` still works. Numerical trouble during
-integration or iteration uses :class:`StabilityError` / :class:`NumericalError`.
+inputs, a channel the wall lacks) derive from :class:`ValidationError`, a
+``ValueError`` too, so plain ``except ValueError`` still works. Numerical trouble
+during integration or iteration uses :class:`StabilityError` / :class:`NumericalError`.
 """
 
 
@@ -13,10 +13,6 @@ class PhotothermError(Exception):
 
 class ValidationError(PhotothermError, ValueError):
     """A value violates a documented invariant or precondition."""
-
-
-class KindMismatchError(PhotothermError):
-    """Operation called with the wrong wall-assembly kind."""
 
 
 class StabilityError(PhotothermError):

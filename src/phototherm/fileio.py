@@ -735,9 +735,8 @@ def _sweep_point(config: RunConfig, outputs: tuple, needs_run: bool, job: tuple)
         if "steady" in outputs:
             # the hottest drive the run sees; a schedule never on gives ambient
             drive = max(s for _, _, s in _segments(schedule, sim.n_steps, sim.dt))
-            state = steady_state(assembly, source, config.env, drive)
-            row["steady_theta_s_K"] = state.silicone_temperature
-            row["steady_theta_L_K"] = state.lig_temperature
+            row["steady_theta_s_K"], row["steady_theta_L_K"] = steady_state(
+                assembly, source, config.env, drive)
     except PhotothermError as exc:
         return _failed_row(row, exc)
     return row

@@ -98,7 +98,8 @@ def response_time_63(series: MeasurementSeries, window: float | None = None,
     itself: a known asymptote, or a plateau found with plateau_value. The
     crossing time is linearly interpolated between the bracketing samples,
     and falling series are handled symmetrically (crossing downward toward
-    a lower final).
+    a lower final). A swing, level or crossing time beyond the float range
+    is a ValidationError.
     """
     if (window is None) == (final is None):
         raise ValidationError("pass exactly one of window and final")
@@ -117,7 +118,11 @@ def response_time_63(series: MeasurementSeries, window: float | None = None,
 
     if final == baseline:
         raise NoCrossingError("final equals baseline: no response to time")
-    level = baseline + RESPONSE_FRACTION * (final - baseline)
+    swing = final - baseline
+    level = baseline + RESPONSE_FRACTION * swing
+    if not (math.isfinite(swing) and math.isfinite(level)):
+        raise ValidationError(f"the swing from the baseline {baseline:g} to the final "
+                              f"{final:g} overflows a float")
     rising = final > baseline
 
     crossed = values[1:] >= level if rising else values[1:] <= level
@@ -129,6 +134,9 @@ def response_time_63(series: MeasurementSeries, window: float | None = None,
     v0, v1 = values[i - 1:i + 1].tolist()
     t0, t1 = times[i - 1:i + 1].tolist()
     t63 = t0 + (level - v0) * (t1 - t0) / (v1 - v0)
+    if not math.isfinite(t63):
+        raise ValidationError(f"the {RESPONSE_FRACTION:.1%} crossing between {v0:g} at "
+                              f"t={t0:g} s and {v1:g} at t={t1:g} s overflows a float")
 
     peak_idx = int(np.argmax(values))
     return ResponseReport(baseline=baseline, final=final, t63=t63,
@@ -136,6 +144,8 @@ def response_time_63(series: MeasurementSeries, window: float | None = None,
                           peak_time=float(times[peak_idx]))
 
 
+# a range that overflows to inf is not under any threshold, as it should not be
+@np.errstate(over="ignore")
 def plateau_value(series: MeasurementSeries, threshold: float,
                   window: float) -> tuple[float, float]:
     """Earliest window of the given length whose value range stays under
@@ -157,7 +167,8 @@ def plateau_value(series: MeasurementSeries, threshold: float,
     window's first and last samples differ by less than the threshold is
     skipped without a table: the rounded range max - min is at least the
     rounded gap between those two. Max and min are exact, so the result
-    equals a window-by-window scan.
+    equals a window-by-window scan. A flat window whose mean overflows a
+    float is a ValidationError.
     """
     if not threshold > 0.0:
         raise ValidationError(f"threshold must be > 0, got {threshold!r}")
@@ -184,7 +195,11 @@ def plateau_value(series: MeasurementSeries, threshold: float,
             flat = _flat_windows(block, ends, threshold)
             if flat.any():
                 i = int(np.argmax(flat))
-                return float(block[i:ends[i]].mean()), float(times[start + i])
+                mean = float(block[i:ends[i]].mean())
+                if not math.isfinite(mean):
+                    raise ValidationError(f"the mean of the flat window at "
+                                          f"t={times[start + i]:g} s overflows a float")
+                return mean, float(times[start + i])
         start = stop
     raise NoPlateauError(f"no {window:g} s window stays within {threshold:g}")
 
@@ -213,26 +228,40 @@ def _flat_windows(values: np.ndarray, ends: np.ndarray, threshold: float) -> np.
 
 
 def normalize_curve(series: MeasurementSeries, plateau: float) -> MeasurementSeries:
-    """Affine rescale sending the first sample to 0 and the plateau to 1."""
+    """Affine rescale sending the first sample to 0 and the plateau to 1. A
+    rescaled value beyond the float range is a ValidationError."""
     start = float(series.values[0])
     swing = plateau - start
     if swing == 0.0:
         raise ValidationError("plateau equals the initial value: normalization degenerate")
-    values = (series.values - start) / swing
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (series.values - start) / swing
+    if not (math.isfinite(swing) and np.isfinite(values).all()):
+        raise ValidationError(f"rescaling by the swing from {start:g} to the plateau "
+                              f"{plateau:g} overflows a float")
     return MeasurementSeries(series.times, values, unit=series.unit)
 
 
 def cooling_fit(series: MeasurementSeries, ambient: float) -> tuple[float, float]:
     """Newton-cooling fit of a decaying series: least squares on
     log(value - ambient) against time. Returns (tau_s, r_squared). The
-    ambient must be finite."""
+    ambient must be finite, and so must each value - ambient and the sum of
+    the squared times, which the least-squares solve scales by."""
     if not math.isfinite(ambient):
         raise ValidationError(f"ambient must be finite, got {ambient!r}")
     times, values = series.times, series.values
     if not np.all(values > ambient):
         raise ValidationError(
             "all values must sit strictly above ambient for a log-domain fit")
-    logs = np.log(values - ambient)
+    with np.errstate(over="ignore"):
+        excess = values - ambient
+        squares = (times * times).sum()
+    if not np.isfinite(excess).all():
+        raise ValidationError(
+            f"a value minus the ambient {ambient:g} overflows a float")
+    if not math.isfinite(squares):
+        raise ValidationError("the squared series times overflow a float")
+    logs = np.log(excess)
     slope, intercept = np.polyfit(times, logs, 1)
     if slope >= 0.0:
         raise MetricError("series is not decaying toward ambient")
@@ -244,7 +273,7 @@ def cooling_fit(series: MeasurementSeries, ambient: float) -> tuple[float, float
 
 def cycle_degradation(peak_angles) -> list[float]:
     """Per-cycle peaks normalized by the first cycle's peak. Every peak must
-    be finite."""
+    be finite, and so must every ratio."""
     peaks = [float(p) for p in peak_angles]
     if not peaks:
         raise ValidationError("peak list must not be empty")
@@ -254,7 +283,10 @@ def cycle_degradation(peak_angles) -> list[float]:
     if peaks[0] <= 0.0:
         raise ValidationError(f"first peak must be > 0, got {peaks[0]!r}")
     first = peaks[0]
-    return [p / first for p in peaks]
+    ratios = [p / first for p in peaks]
+    if not all(map(math.isfinite, ratios)):
+        raise ValidationError(f"a peak over the first peak {first:g} overflows a float")
+    return ratios
 
 
 def cycle_peaks(series: MeasurementSeries) -> list[float]:

@@ -63,6 +63,9 @@ class ThermalLayer:
         if self.conv_faces is not None:
             _require(self.conv_faces in (0, 1, 2),
                      f"conv_faces must be 0, 1 or 2, got {self.conv_faces!r}")
+        # each rate divides by it
+        _require(heat_capacity(self) > 0.0, "heat capacity specific_heat * density * area "
+                 "* thickness underflows to 0 J/K")
 
 
 @dataclass(frozen=True)
@@ -157,24 +160,6 @@ def _warn_absorptance_sum(alpha_s: float, alpha_l: float, stacklevel: int = 3) -
             f"layer absorptances sum to {alpha_sum:.4f} > 1; "
             "more power absorbed than supplied is unphysical",
             UserWarning, stacklevel=stacklevel)
-
-
-@dataclass(frozen=True)
-class ThermalState:
-    """Temperatures of the wall at one instant."""
-
-    time: float  # s
-    silicone_temperature: float  # K
-    lig_temperature: float | None = None  # K, bilayer only
-
-    def __post_init__(self):
-        _require(math.isfinite(self.time), "time must be finite")
-        _require(math.isfinite(self.silicone_temperature)
-                 and self.silicone_temperature > 0.0,
-                 "silicone_temperature must be strictly positive")
-        if self.lig_temperature is not None:
-            _require(math.isfinite(self.lig_temperature) and self.lig_temperature > 0.0,
-                     "lig_temperature must be strictly positive")
 
 
 def heat_capacity(layer: ThermalLayer) -> float:
@@ -301,8 +286,9 @@ def _bisect(residual, lo: float, hi: float) -> float:
 
 
 def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
-                 scale: float = 1.0) -> ThermalState:
-    """Temperatures at which all rates vanish.
+                 scale: float = 1.0) -> tuple[float, float | None]:
+    """Silicone and lig temperatures (theta_s, theta_L), in K, at which all
+    rates vanish; theta_L is None on a single layer.
 
     Constant-flux sources solve in closed form (the balances are linear).
 
@@ -323,10 +309,9 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
     the root is unique. The clip is inactive at the root, since where it
     binds p and the lig's net gain have the same nonzero sign; without it
     a silicone drive much larger than k can put theta_L below 0 K near
-    ambient, where the residual has the wrong sign. The returned state
-    carries time 0. A constant-flux steady state beyond the float range is
-    a ValidationError, and so is a radiative one whose ambient's fourth
-    power is.
+    ambient, where the residual has the wrong sign. A constant-flux steady
+    state beyond the float range is a ValidationError, and so is a
+    radiative one whose ambient's fourth power is.
     """
     _require(scale >= 0.0 and math.isfinite(scale),
              f"scale must be finite and >= 0, got {scale!r}")
@@ -338,14 +323,14 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
         q_s = c.q_s * scale
         if not bilayer:
             if q_s == 0.0:
-                return ThermalState(0.0, theta_e)
+                return theta_e, None
             if c.g_s <= 0.0:
                 raise NumericalError("no loss path: steady state undefined under drive")
-            temperatures = (theta_e + q_s / c.g_s,)
+            theta_s, theta_l = theta_e + q_s / c.g_s, None
         else:
             g_s, g_l, k, q_l = c.g_s, c.g_l, c.k, c.q_l * scale
             if q_s == 0.0 and q_l == 0.0:
-                return ThermalState(0.0, theta_e, theta_e)
+                return theta_e, theta_e
             # zeroed balances in excess temperatures (v, u) = (Ts - Te, Tl - Te):
             #   (g_s + k) v - k u = q_s
             #   -k v + (g_l + k) u = q_l
@@ -354,17 +339,17 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
                 raise NumericalError("no loss path: steady state undefined under drive")
             v = (q_s * (g_l + k) + k * q_l) / det
             u = ((g_s + k) * q_l + k * q_s) / det
-            temperatures = (theta_e + v, theta_e + u)
+            theta_s, theta_l = theta_e + v, theta_e + u
         # the drive is >= 0, so only an overflow leaves the float range
-        _require(all(map(math.isfinite, temperatures)),
+        _require(math.isfinite(theta_s) and (theta_l is None or math.isfinite(theta_l)),
                  f"the steady state under a {source.power:g} W flux at scale {scale:g} "
                  "overflows a float; lower the power or the scale")
-        return ThermalState(0.0, *temperatures)
+        return theta_s, theta_l
 
     # radiative source: one bisection in theta_s on the net power into the wall
     theta_h = source.source_temperature
     if scale == 0.0 or theta_h == theta_e:
-        return ThermalState(0.0, theta_e, theta_e if bilayer else None)
+        return theta_e, theta_e if bilayer else None
     c = _coefficients(assembly, source)
     th4 = c.th4
     try:  # with the source's, this bounds every fourth power in the bracket
@@ -394,4 +379,4 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
         return p + q_l(theta_l) - g_l * (theta_l - theta_e), theta_l
 
     theta_s = _bisect(lambda theta: balance(theta)[0], lo, hi)
-    return ThermalState(0.0, theta_s, balance(theta_s)[1])
+    return theta_s, balance(theta_s)[1]

@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatchError, NumericalError, StabilityError, ValidationError
+from .errors import NumericalError, StabilityError, ValidationError
 from .model import (
     STEFAN_BOLTZMANN,
     Environment,
     HeatSource,
-    ThermalState,
     WallAssembly,
     _coefficients,
     _Coefficients,
+    _require,
 )
 
 # run holds 8 B per recorded sample and column, plus at most 2 * _BLOCK
@@ -140,11 +140,6 @@ class Trajectory:
         if not (times[1:] > times[:-1]).all():
             raise ValidationError("trajectory time stamps must be strictly increasing")
 
-    @property
-    def final(self) -> ThermalState:
-        lig = None if self.lig is None else float(self.lig[-1])
-        return ThermalState(float(self.times[-1]), float(self.silicone[-1]), lig)
-
 
 def _resolve_channel(bilayer: bool, channel: str) -> str:
     """Channel name as "theta_s" or "theta_L". "auto" picks the liquid-contact
@@ -152,9 +147,9 @@ def _resolve_channel(bilayer: bool, channel: str) -> str:
     if channel == "auto":
         return "theta_L" if bilayer else "theta_s"
     if channel not in ("theta_s", "theta_L"):
-        raise KindMismatchError(f"unknown trajectory channel {channel!r}")
+        raise ValidationError(f"unknown trajectory channel {channel!r}")
     if channel == "theta_L" and not bilayer:
-        raise KindMismatchError("single-layer trajectory has no lig channel")
+        raise ValidationError("single-layer trajectory has no lig channel")
     return channel
 
 
@@ -272,12 +267,12 @@ def _diverged(step: int, dt: float) -> NumericalError:
 
 def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
         env: Environment, config: SimConfig,
-        initial: ThermalState | None = None) -> Trajectory:
+        start: tuple[float, float | None] | None = None) -> Trajectory:
     """Integrate the wall temperatures over the config's n_steps whole
     steps of dt, so up to t = n_steps * dt, which may fall short of duration.
 
-    Starts from ambient temperature unless an explicit initial state is
-    given (its time stamp is ignored; integration always starts at t = 0).
+    Starts at t = 0 from ambient temperature, or from start = (ts, tl) in K:
+    each finite and > 0, tl None on a single layer and given on a bilayer.
     Recording keeps every record_stride-th step, first sample at t = 0.
     Before it steps or records, it rejects a run that would record more
     than _MAX_SAMPLES samples (a 1 GiB budget) or take more than _MAX_STEPS
@@ -289,14 +284,17 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     floats one forward-Euler step at a time.
     """
     theta_e = env.ambient_temperature
-    if initial is None:
-        ts = tl = theta_e
-    else:
-        bilayer = assembly.lig is not None
-        if bilayer and initial.lig_temperature is None:
-            raise KindMismatchError("bilayer run needs an initial lig_temperature")
-        ts = initial.silicone_temperature
-        tl = initial.lig_temperature if bilayer else theta_e
+    ts = tl = theta_e
+    if start is not None:
+        ts, lig_start = start
+        _require(math.isfinite(ts) and ts > 0.0, "silicone_temperature must be strictly positive")
+        _require(lig_start is None or math.isfinite(lig_start) and lig_start > 0.0,
+                 "lig_temperature must be strictly positive")
+        if assembly.lig is None:
+            _require(lig_start is None, "single-layer run takes no initial lig_temperature")
+        else:
+            _require(lig_start is not None, "bilayer run needs an initial lig_temperature")
+            tl = lig_start
     dt, n_steps = config.dt, config.n_steps
     return _integrate(_coefficients(assembly, source), _segments(schedule, n_steps, dt),
                       theta_e, ts, tl, dt, n_steps, config.record_stride)

@@ -8,16 +8,40 @@ schedule in continuous time (`scale_at`), not from `run`'s grid-snapped
 segments, so the two agree wherever no interval bound falls between steps.
 """
 
-from phototherm import STEFAN_BOLTZMANN, ThermalState
+import math
+from typing import NamedTuple
+
+from phototherm import STEFAN_BOLTZMANN, ValidationError
+
+
+class State(NamedTuple):
+    """Temperatures of the wall at one instant."""
+
+    time: float  # s
+    silicone_temperature: float  # K
+    lig_temperature: float | None = None  # K, bilayer only
+
+
+def checked(state):
+    """state, once its time is finite and each of its temperatures finite
+    and > 0; ValidationError otherwise."""
+    if not math.isfinite(state.time):
+        raise ValidationError("time must be finite")
+    ts, tl = state.silicone_temperature, state.lig_temperature
+    if not (math.isfinite(ts) and ts > 0.0):
+        raise ValidationError("silicone_temperature must be strictly positive")
+    if tl is not None and not (math.isfinite(tl) and tl > 0.0):
+        raise ValidationError("lig_temperature must be strictly positive")
+    return state
 
 
 def samples(trajectory):
-    """The trajectory's recorded samples as ThermalStates of Python floats,
-    built from its columns."""
+    """The trajectory's recorded samples as checked States of Python
+    floats, built from its columns."""
     lig = trajectory.lig
     lig = (None,) * len(trajectory.times) if lig is None else lig.tolist()
-    return tuple(map(ThermalState, trajectory.times.tolist(), trajectory.silicone.tolist(),
-                     lig))
+    return tuple(checked(State(*sample)) for sample in zip(
+        trajectory.times.tolist(), trajectory.silicone.tolist(), lig))
 
 
 def scale_at(schedule, t):
@@ -87,11 +111,11 @@ def rhs_bilayer(state, assembly, source, env, scale=1.0):
 
 
 def euler_step(state, assembly, source, env, scale, dt):
-    """One forward-Euler step of length dt. The new ThermalState rejects a
-    temperature that is not finite and > 0 (ValidationError)."""
+    """One forward-Euler step of length dt. The new State is checked: a
+    temperature that is not finite and > 0 raises ValidationError."""
     if assembly.lig is None:
         rate = rhs_single(state, assembly, source, env, scale)
-        return ThermalState(state.time + dt, state.silicone_temperature + dt * rate)
+        return checked(State(state.time + dt, state.silicone_temperature + dt * rate))
     d_s, d_l = rhs_bilayer(state, assembly, source, env, scale)
-    return ThermalState(state.time + dt, state.silicone_temperature + dt * d_s,
-                        state.lig_temperature + dt * d_l)
+    return checked(State(state.time + dt, state.silicone_temperature + dt * d_s,
+                         state.lig_temperature + dt * d_l))

@@ -47,7 +47,7 @@ from phototherm import (
 from phototherm.fileio import RunConfig
 from phototherm.metrics import RESPONSE_FRACTION
 from linear_oracle import exact_bilayer_grid
-from reference_stepper import rhs_bilayer, rhs_single, samples
+from reference_stepper import State, rhs_bilayer, rhs_single, samples
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -90,25 +90,25 @@ def test_criterion_2_bilayer_response_time(bilayer_cfg):
 
 
 def test_criterion_3_steady_temperatures(single_cfg, bilayer_cfg):
-    lone = steady_state(single_cfg.assembly, single_cfg.source, single_cfg.env)
-    both = steady_state(bilayer_cfg.assembly, bilayer_cfg.source, bilayer_cfg.env)
-    single_c = lone.silicone_temperature - 273.15
-    sil_c = both.silicone_temperature - 273.15
-    lig_c = both.lig_temperature - 273.15
+    lone, _ = steady_state(single_cfg.assembly, single_cfg.source, single_cfg.env)
+    sil, lig = steady_state(bilayer_cfg.assembly, bilayer_cfg.source, bilayer_cfg.env)
+    single_c = lone - 273.15
+    sil_c = sil - 273.15
+    lig_c = lig - 273.15
 
     def distance_to(value, lo, hi):
         return 0.0 if lo <= value <= hi else min(abs(value - lo), abs(value - hi))
 
-    ok = (abs(lone.silicone_temperature - 308.63) <= 0.01
-          and abs(both.silicone_temperature - 329.03) <= 0.01
-          and abs(both.lig_temperature - 329.32) <= 0.01
+    ok = (abs(lone - 308.63) <= 0.01
+          and abs(sil - 329.03) <= 0.01
+          and abs(lig - 329.32) <= 0.01
           and distance_to(sil_c, 56.4, 56.5) <= 1.0
           and distance_to(lig_c, 56.4, 56.5) <= 1.0
           and distance_to(single_c, 36.7, 36.8) <= 1.5)
     report("criterion 3 (steady 308.63 K single, 329.03/329.32 K bilayer, "
            "near reported peaks)", ok,
-           f"single {lone.silicone_temperature:.2f} K ({single_c:.2f} C), "
-           f"bilayer ({both.silicone_temperature:.2f}, {both.lig_temperature:.2f}) K "
+           f"single {lone:.2f} K ({single_c:.2f} C), "
+           f"bilayer ({sil:.2f}, {lig:.2f}) K "
            f"({sil_c:.2f}, {lig_c:.2f} C)")
 
 
@@ -280,13 +280,13 @@ def test_criterion_9_property_suite(tmp_path, bilayer_cfg):
         wall = WallAssembly.bilayer(sil, lig)
         env = Environment(rng.uniform(270.0, 310.0))
         flux = HeatSource.constant_flux(rng.uniform(0.01, 0.5))
-        state = steady_state(wall, flux, env)
+        state = State(0.0, *steady_state(wall, flux, env))
         d_s, d_l = rhs_bilayer(state, wall, flux, env)
         checks.append(("flux steady/rhs consistency",
                        abs(d_s) < 1e-9 and abs(d_l) < 1e-9))
         radiative = HeatSource.radiative(rng.uniform(350.0, 900.0),
                                          rng.uniform(0.3, 1.0))
-        state = steady_state(wall, radiative, env)
+        state = State(0.0, *steady_state(wall, radiative, env))
         d_s, d_l = rhs_bilayer(state, wall, radiative, env)
         checks.append(("radiative steady/rhs consistency",
                        abs(d_s) < 1e-6 and abs(d_l) < 1e-6))
@@ -296,7 +296,7 @@ def test_criterion_9_property_suite(tmp_path, bilayer_cfg):
             thickness=sil.thickness, area=sil.area, emissivity=sil.emissivity,
             absorptance=sil.absorptance, conductivity=sil.conductivity,
             conv_coeff=sil.conv_coeff))
-        state = steady_state(lone, flux, env)
+        state = State(0.0, *steady_state(lone, flux, env))
         checks.append(("single-layer steady/rhs consistency",
                        abs(rhs_single(state, lone, flux, env)) < 1e-9))
 
@@ -304,7 +304,7 @@ def test_criterion_9_property_suite(tmp_path, bilayer_cfg):
     for _ in range(10):
         scales = np.sort(rng.uniform(0.05, 4.0, size=4))
         temps = [steady_state(bilayer_cfg.assembly, bilayer_cfg.source,
-                              bilayer_cfg.env, s).silicone_temperature
+                              bilayer_cfg.env, s)[0]
                  for s in scales]
         checks.append(("steady monotone in scale",
                        all(b > a for a, b in zip(temps, temps[1:]))))

@@ -18,7 +18,6 @@ from phototherm import (
     CalibrationProblem,
     Environment,
     HeatSource,
-    KindMismatchError,
     LightSchedule,
     MeasurementSeries,
     NumericalError,
@@ -142,6 +141,27 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.7), config=short)
 
+    @pytest.mark.parametrize("value, named", [(0.0, "0"), (-5.0, "-5"), (-1e308, "-1e+308")])
+    def test_target_at_or_below_zero_kelvin_rejected(self, value, named):
+        # every model temperature is above 0 K; -5 K once fitted to sse 92129 K^2
+        target = MeasurementSeries((0.0, 10.0, 20.0, 30.0), (298.0, value, 300.0, value))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"the target holds {named} K at t=10 s; a calibration target must be "
+                "above 0 K")):
+            make_problem(target, ParamSpec("alpha_s", 0.1, 0.5, 0.2))
+        # the smallest positive temperature is a target like any other
+        make_problem(MeasurementSeries((0.0, 10.0), (298.0, 5e-324)),
+                     ParamSpec("alpha_s", 0.1, 0.5, 0.2))
+
+    def test_step_count_past_int64_is_evaluated_in_floats(self):
+        # 2e19 steps of 1e-18 s: the closed form's run bounds, held as numpy
+        # objects, once raised a TypeError
+        target = MeasurementSeries((0.0, 10.0, 20.0), (298.0, 305.0, 310.0))
+        spec = ParamSpec("h_se", 2.0, 12.0, 6.0)
+        fine = make_problem(target, spec, config=SimConfig(duration=20.0, dt=1e-18))
+        coarse = make_problem(target, spec, config=SimConfig(duration=20.0, dt=1e-4))
+        assert objective(fine, [8.0]) == pytest.approx(objective(coarse, [8.0]), rel=1e-4)
+
     @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
     def test_target_before_the_run_start_rejected(self, radiative):
         # before t = 0 both objective modes would read the value at t = 0
@@ -261,7 +281,7 @@ class TestObjective:
         target = synthetic_target(single)
         for channel, message in (("theta_L", "single-layer trajectory has no lig channel"),
                                  ("bogus", "unknown trajectory channel 'bogus'")):
-            with pytest.raises(KindMismatchError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 CalibrationProblem(
                     target=target, free=(ParamSpec("h_se", 2.0, 12.0, 6.0),),
                     assembly=single, source=HeatSource.constant_flux(POWER_W),

@@ -884,6 +884,54 @@ class TestNonFiniteFlags:
                 assert math.isfinite(number), line
 
 
+class TestOverflowingCells:
+    """Finite series cells whose swing or excess overflows a float: the
+    command fails with one error line, or leaves out the figure they spoil,
+    but prints no nan, inf or numpy warning."""
+
+    B = "time_s,value\n0,-1e308\n10,325\n20,327\n30,327.5\n40,327.8\n50,327.9\n60,298\n"
+    CROSSING = ("error: the 63.2% crossing between -1e+308 at t=0 s and 325 at t=10 s "
+                "overflows a float\n")
+
+    def test_metrics_t63_that_overflows_exits_2(self, capsys, tmp_path):
+        # it printed t63_s=inf and exited 0
+        path = tmp_path / "b.csv"
+        path.write_text(self.B, encoding="utf-8")
+        assert run_cli(capsys, "metrics", str(path), "--window", "50") == (
+            2, "", self.CROSSING)
+
+    def test_analyze_bending_t63_that_overflows_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("# unit: deg\n" + self.B, encoding="utf-8")
+        assert run_cli(capsys, "analyze-bending", str(path), "--plateau-threshold", "1",
+                       "--plateau-window", "20") == (2, "", self.CROSSING)
+
+    def test_metrics_leaves_out_a_cooling_fit_that_overflows(self, capsys, tmp_path):
+        # it printed two numpy warnings, cooling_tau_s=nan and cooling_r2=nan
+        path = tmp_path / "e.csv"
+        path.write_text("time_s,value\n0,298\n10,1e308\n20,400\n30,350\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "metrics", str(path), "--window", "20",
+                                 "--ambient=-1e308")
+        assert (code, err) == (0, "")
+        report = parse_report(out)
+        assert "t63_s" in report and not [key for key in report if key.startswith("cooling_")]
+        del report["final_convention"]
+        assert all(math.isfinite(float(value)) for value in report.values())
+
+    @pytest.mark.parametrize("unit, cell, kelvin", [("K", "-5", "-5"), ("C", "-300", "-26.85"),
+                                                    ("C", "-273.15", "0")])
+    def test_calibration_target_at_or_below_zero_kelvin_exits_2(self, capsys, tmp_path,
+                                                                 unit, cell, kelvin):
+        # -5 K fitted to sse_K2=92129.025390 and exited 0
+        path = tmp_path / "k.csv"
+        path.write_text(f"# unit: {unit}\ntime_s,value\n0,25\n10,{cell}\n20,27\n",
+                        encoding="utf-8")
+        assert run_cli(capsys, "calibrate", "--preset", "table1_single", "--target", str(path),
+                       "--param", "alpha_s:0.1:0.5:0.2") == (
+            2, "", f"error: the target holds {kelvin} K at t=10 s; a calibration target "
+                   "must be above 0 K\n")
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "explode")

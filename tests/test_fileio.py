@@ -21,7 +21,6 @@ from phototherm import (
     ConfigError,
     Environment,
     HeatSource,
-    KindMismatchError,
     LightSchedule,
     MeasurementSeries,
     SeriesFormatError,
@@ -1096,8 +1095,8 @@ class TestSweepChecks:
             with pytest.raises(error) as info:
                 run_sweep(config, "alpha_L", (0.5,), ("t63", "plateau"))
             assert str(info.value) == message
-        with pytest.raises(KindMismatchError, match="^single-layer trajectory has no lig "
-                                                    "channel$"):
+        with pytest.raises(ValidationError, match="^single-layer trajectory has no lig "
+                                                   "channel$"):
             run_sweep(config, "alpha_s", (0.5,), ("t63", "plateau"))
 
 

@@ -164,6 +164,24 @@ class TestResponseTime:
         t_mapped = response_time_63(mapped, window=60.0 - 0.5).t63
         assert t_mapped == pytest.approx(t_plain, abs=1e-6)
 
+    def test_overflowing_crossing_is_bad_input(self):
+        # (level - v0) * (t1 - t0) overflows between the first two samples:
+        # t63 was inf
+        series = MeasurementSeries((0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0),
+                                   (-1e308, 325.0, 327.0, 327.5, 327.8, 327.9, 298.0))
+        with pytest.raises(ValidationError, match=re.escape(
+                "the 63.2% crossing between -1e+308 at t=0 s and 325 at t=10 s "
+                "overflows a float")):
+            response_time_63(series, window=50.0)
+
+    @pytest.mark.parametrize("kwargs", [{"final": 1e308}, {"window": 10.0}])
+    def test_overflowing_swing_is_bad_input(self, kwargs):
+        # the level was inf, and the error read "never reaches the 63.2% level inf"
+        series = MeasurementSeries((0.0, 10.0, 20.0), (-1e308, 1e308, 1e308), unit="deg")
+        with pytest.raises(ValidationError, match=re.escape(
+                "the swing from the baseline -1e+308 to the final 1e+308 overflows a float")):
+            response_time_63(series, **kwargs)
+
     def test_shorter_window_never_lengthens_t63(self):
         series = first_order_series()
         windows = [300.0, 250.0, 200.0, 150.0, 100.0]
@@ -253,6 +271,20 @@ def uneven_series(draw):
     values = draw(st.lists(st.integers(-20, 20), min_size=len(times),
                            max_size=len(times)))
     return MeasurementSeries(tuple(times), tuple(grain * v for v in values))
+
+
+class TestPlateauOverflow:
+    def test_gaps_that_overflow_are_not_flat(self):
+        # a range beyond the float range is above any threshold, without a warning
+        series = MeasurementSeries(tuple(range(7)),
+                                   (-1e308, 1e308, -1e308, 1e308, 5.0, 5.0, 5.0), unit="deg")
+        assert plateau_value(series, threshold=1.0, window=2.0) == (5.0, 4.0)
+
+    def test_flat_window_whose_mean_overflows_is_bad_input(self):
+        series = MeasurementSeries((0.0, 1.0, 2.0), (1e308, 1e308, 1e308), unit="deg")
+        with pytest.raises(ValidationError, match=re.escape(
+                "the mean of the flat window at t=0 s overflows a float")):
+            plateau_value(series, threshold=1.0, window=2.0)
 
 
 class TestPlateauOracle:
@@ -389,6 +421,18 @@ class TestNormalize:
         with pytest.raises(ValidationError):
             normalize_curve(series, plateau=5.0)
 
+    @pytest.mark.parametrize("values, plateau, start", [
+        ((-1e308, 1.5e308, 7e307), 7e307, "-1e+308"),  # a value less the start overflows
+        ((-1e308, 1e308), 1e308, "-1e+308"),  # the swing itself overflows
+        ((5e-324, 1e308), 0.0, "4.94066e-324"),  # dividing by a subnormal swing overflows
+    ])
+    def test_rescale_beyond_the_float_range_is_bad_input(self, values, plateau, start):
+        series = MeasurementSeries(tuple(range(len(values))), values, unit="deg")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"rescaling by the swing from {start} to the plateau {plateau:g} "
+                "overflows a float")):
+            normalize_curve(series, plateau)
+
 
 class TestCoolingFit:
     def test_recovers_synthetic_tau(self):
@@ -420,6 +464,20 @@ class TestCoolingFit:
         series = MeasurementSeries((0.0, 10.0), (318.0, 308.0))
         with pytest.raises(ValidationError, match="ambient must be finite"):
             cooling_fit(series, ambient=ambient)
+
+    def test_excess_beyond_the_float_range_is_bad_input(self):
+        # 1e308 less -1e308 overflowed, numpy warned, and the fit was (nan, nan)
+        series = MeasurementSeries((10.0, 20.0, 30.0), (1e308, 400.0, 350.0))
+        with pytest.raises(ValidationError, match=re.escape(
+                "a value minus the ambient -1e+308 overflows a float")):
+            cooling_fit(series, ambient=-1e308)
+
+    def test_squared_times_beyond_the_float_range_are_bad_input(self):
+        # the least-squares solve scales the time column by its norm
+        series = MeasurementSeries((0.0, 1e200), (318.0, 308.0))
+        with pytest.raises(ValidationError,
+                           match="^the squared series times overflow a float$"):
+            cooling_fit(series, ambient=298.0)
 
     @given(tau=st.floats(5.0, 500.0), amplitude=st.floats(0.5, 100.0))
     @settings(max_examples=40)
@@ -458,6 +516,12 @@ class TestCycles:
         # [inf, 1.0] once gave [nan, 0.0]
         with pytest.raises(ValidationError, match="peaks must be finite"):
             cycle_degradation(peaks)
+
+    def test_ratio_beyond_the_float_range_rejected(self):
+        # 1e308 / 5e-324 was inf
+        with pytest.raises(ValidationError, match=re.escape(
+                "a peak over the first peak 4.94066e-324 overflows a float")):
+            cycle_degradation([5e-324, 1.0, 1e308])
 
     def test_always_starts_at_one(self):
         rng = np.random.default_rng(7)

@@ -14,7 +14,6 @@ from phototherm import (
     STEFAN_BOLTZMANN,
     SimConfig,
     ThermalLayer,
-    ThermalState,
     ValidationError,
     WallAssembly,
     convective_conductance,
@@ -25,7 +24,9 @@ from phototherm import (
 )
 from conftest import AMBIENT_K, CAP_LIG, CAP_SILICONE, LIG, POWER_W, SILICONE
 from reference_stepper import (
+    State,
     absorbed_power,
+    checked,
     conduction_flow,
     radiative_exchange,
     rhs_bilayer,
@@ -52,6 +53,16 @@ class TestThermalLayer:
     def test_unit_interval_fields_enforced(self, field, value):
         with pytest.raises(ValidationError, match=field):
             ThermalLayer(**dict(SILICONE, **{field: value}))
+
+    @pytest.mark.parametrize("fields", [{"specific_heat": 5e-324}, {"density": 5e-324},
+                                        {"area": 1e-200, "thickness": 1e-200}])
+    def test_heat_capacity_that_underflows_rejected(self, fields):
+        # each positive, but their product rounds to 0 J/K, and the rates
+        # divided by it (a ZeroDivisionError from run)
+        with pytest.raises(ValidationError, match=re.escape(
+                "heat capacity specific_heat * density * area * thickness underflows "
+                "to 0 J/K")):
+            ThermalLayer(**dict(SILICONE, **fields))
 
     def test_conv_faces_range(self):
         with pytest.raises(ValidationError, match="conv_faces"):
@@ -93,16 +104,26 @@ class TestAssembly:
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
-class TestThermalState:
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValidationError):
-            ThermalState(0.0, -1.0)
-        with pytest.raises(ValidationError):
-            ThermalState(0.0, 300.0, 0.0)
+class TestReferenceState:
+    # the reference stepper's state check, on which its divergence test rests
+    @pytest.mark.parametrize("state, message", [
+        (State(math.nan, 300.0), "time must be finite"),
+        (State(math.inf, 300.0), "time must be finite"),
+        (State(0.0, -1.0), "silicone_temperature must be strictly positive"),
+        (State(0.0, 0.0), "silicone_temperature must be strictly positive"),
+        (State(0.0, math.nan), "silicone_temperature must be strictly positive"),
+        (State(0.0, math.inf), "silicone_temperature must be strictly positive"),
+        (State(0.0, 300.0, 0.0), "lig_temperature must be strictly positive"),
+        (State(0.0, 300.0, math.nan), "lig_temperature must be strictly positive"),
+        (State(0.0, 300.0, -math.inf), "lig_temperature must be strictly positive"),
+    ])
+    def test_rejects_non_finite_or_non_positive(self, state, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            checked(state)
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            ThermalState(0.0, float("nan"))
+    def test_passes_a_valid_state_through(self):
+        for state in (State(-1.0, 5e-324), State(1.0, 300.0, 1e308)):
+            assert checked(state) is state
 
 
 class TestHeatCapacity:
@@ -171,16 +192,16 @@ class TestConduction:
 class TestRhsSingle:
     # the reference stepper's single-layer rate
     def test_initial_rate(self, single_wall, flux_source, environment):
-        state = ThermalState(0.0, AMBIENT_K)
+        state = State(0.0, AMBIENT_K)
         rate = rhs_single(state, single_wall, flux_source, environment)
         assert rate == pytest.approx(0.01275 / 0.13650, rel=1e-12)
 
     def test_no_drive_at_ambient_is_zero(self, single_wall, flux_source, environment):
-        state = ThermalState(0.0, AMBIENT_K)
+        state = State(0.0, AMBIENT_K)
         assert rhs_single(state, single_wall, flux_source, environment, scale=0.0) == 0.0
 
     def test_zero_at_steady_state(self, single_wall, flux_source, environment):
-        steady = steady_state(single_wall, flux_source, environment)
+        steady = State(0.0, *steady_state(single_wall, flux_source, environment))
         rate = rhs_single(steady, single_wall, flux_source, environment)
         assert abs(rate) < 1e-9
 
@@ -188,13 +209,13 @@ class TestRhsSingle:
 class TestRhsBilayer:
     # the reference stepper's bilayer rates
     def test_initial_rates(self, bilayer_wall, flux_source, environment):
-        state = ThermalState(0.0, AMBIENT_K, AMBIENT_K)
+        state = State(0.0, AMBIENT_K, AMBIENT_K)
         d_s, d_l = rhs_bilayer(state, bilayer_wall, flux_source, environment)
         assert d_l == pytest.approx(0.06225 / 2.80e-3, rel=1e-12)
         assert d_s == pytest.approx(0.01275 / 0.13650, rel=1e-12)
 
     def test_equilibrium_without_drive(self, bilayer_wall, flux_source, environment):
-        state = ThermalState(0.0, AMBIENT_K, AMBIENT_K)
+        state = State(0.0, AMBIENT_K, AMBIENT_K)
         assert rhs_bilayer(state, bilayer_wall, flux_source, environment, scale=0.0) == (0.0, 0.0)
 
 
@@ -210,7 +231,7 @@ class TestOneStepEnergy:
         # rounds each C T / dt, so both belong in the reference magnitude
         dt = 0.1
         traj = run(BILAYER, FLUX, LightSchedule.always_on(scale), ENV,
-                   SimConfig(duration=dt, dt=dt), initial=ThermalState(0.0, ts, tl))
+                   SimConfig(duration=dt, dt=dt), start=(ts, tl))
         stored = (CAP_SILICONE * (traj.silicone[1] - ts) + CAP_LIG * (traj.lig[1] - tl)) / dt
         conv = (convective_conductance(BILAYER.silicone) * (ts - AMBIENT_K)
                 + convective_conductance(BILAYER.lig) * (tl - AMBIENT_K))
@@ -225,9 +246,9 @@ class TestOneStepEnergy:
 
 class TestSteadyState:
     def test_single_closed_form(self, single_wall, flux_source, environment):
-        steady = steady_state(single_wall, flux_source, environment)
-        assert steady.silicone_temperature == pytest.approx(308.625, abs=1e-9)
-        assert steady.lig_temperature is None
+        theta_s, theta_l = steady_state(single_wall, flux_source, environment)
+        assert theta_s == pytest.approx(308.625, abs=1e-9)
+        assert theta_l is None
 
     def test_bilayer_matches_dense_solve(self, bilayer_wall, flux_source, environment):
         # independent oracle: numpy linear solve of the zeroed balances
@@ -237,20 +258,31 @@ class TestSteadyState:
         matrix = np.array([[g_s + k, -k], [-k, g_l + k]])
         rhs = np.array([0.17 * POWER_W, 0.83 * POWER_W])
         v, u = np.linalg.solve(matrix, rhs)
-        steady = steady_state(bilayer_wall, flux_source, environment)
-        assert steady.silicone_temperature == pytest.approx(AMBIENT_K + v, rel=1e-12)
-        assert steady.lig_temperature == pytest.approx(AMBIENT_K + u, rel=1e-12)
+        theta_s, theta_l = steady_state(bilayer_wall, flux_source, environment)
+        assert theta_s == pytest.approx(AMBIENT_K + v, rel=1e-12)
+        assert theta_l == pytest.approx(AMBIENT_K + u, rel=1e-12)
         # frozen values from the same solve
-        assert steady.silicone_temperature == pytest.approx(329.030, abs=5e-3)
-        assert steady.lig_temperature == pytest.approx(329.323, abs=5e-3)
+        assert theta_s == pytest.approx(329.030, abs=5e-3)
+        assert theta_l == pytest.approx(329.323, abs=5e-3)
 
     def test_scale_zero_is_ambient_exactly(self, bilayer_wall, single_wall,
                                            flux_source, environment):
         both = steady_state(bilayer_wall, flux_source, environment, scale=0.0)
-        assert both.silicone_temperature == AMBIENT_K
-        assert both.lig_temperature == AMBIENT_K
+        assert both == (AMBIENT_K, AMBIENT_K)
         lone = steady_state(single_wall, flux_source, environment, scale=0.0)
-        assert lone.silicone_temperature == AMBIENT_K
+        assert lone == (AMBIENT_K, None)
+
+    @pytest.mark.parametrize("source", [FLUX, HeatSource.radiative(373.0, 0.9)],
+                             ids=["flux", "radiative"])
+    @pytest.mark.parametrize("wall", ["single_wall", "bilayer_wall"])
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    def test_returns_python_floats(self, request, environment, wall, source, scale):
+        # the CLI formats them and a sweep's worker processes pickle them
+        bilayer = wall == "bilayer_wall"
+        theta_s, theta_l = steady_state(request.getfixturevalue(wall), source,
+                                        environment, scale)
+        assert type(theta_s) is float
+        assert type(theta_l) is float if bilayer else theta_l is None
 
     @pytest.mark.parametrize("scale", [math.inf, math.nan, -1.0])
     @pytest.mark.parametrize("source", [FLUX, HeatSource.radiative(373.0, 0.9)],
@@ -277,7 +309,7 @@ class TestSteadyState:
         # its fourth power once raised a bare OverflowError; 1e77 K still solves
         wall = request.getfixturevalue(wall)
         source = HeatSource.radiative(373.0, 0.9)
-        assert math.isfinite(steady_state(wall, source, Environment(1e77)).silicone_temperature)
+        assert math.isfinite(steady_state(wall, source, Environment(1e77))[0])
         message = (f"ambient temperature {ambient:g} K is too high: its fourth power "
                    "overflows a float")
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -292,17 +324,17 @@ class TestSteadyState:
             hi = lo * (1 + 1e-9)
         cold = steady_state(BILAYER, FLUX, ENV, scale=lo)
         hot = steady_state(BILAYER, FLUX, ENV, scale=hi)
-        assert hot.silicone_temperature > cold.silicone_temperature
-        assert hot.lig_temperature > cold.lig_temperature
+        assert hot[0] > cold[0]
+        assert hot[1] > cold[1]
 
     def test_monotone_in_power(self, bilayer_wall, environment):
         temps = [steady_state(bilayer_wall, HeatSource.constant_flux(p),
-                              environment).silicone_temperature
+                              environment)[0]
                  for p in (0.01, 0.075, 0.2, 1.0)]
         assert all(b > a for a, b in zip(temps, temps[1:]))
 
     def test_rhs_vanishes_at_steady(self, bilayer_wall, flux_source, environment):
-        steady = steady_state(bilayer_wall, flux_source, environment)
+        steady = State(0.0, *steady_state(bilayer_wall, flux_source, environment))
         d_s, d_l = rhs_bilayer(steady, bilayer_wall, flux_source, environment)
         assert abs(d_s) < 1e-9
         assert abs(d_l) < 1e-9
@@ -313,7 +345,7 @@ class TestSteadyState:
         layer = ThermalLayer(**SILICONE)
         wall = WallAssembly.single(layer)
         source = HeatSource.radiative(500.0, 0.9)
-        steady = steady_state(wall, source, environment)
+        theta_s, _ = steady_state(wall, source, environment)
 
         g = convective_conductance(wall.silicone)
 
@@ -322,7 +354,7 @@ class TestSteadyState:
                                       layer.area) - g * (theta - AMBIENT_K)
 
         oracle = brentq(residual, AMBIENT_K, 500.0, xtol=1e-10)
-        assert steady.silicone_temperature == pytest.approx(oracle, abs=1e-6)
+        assert theta_s == pytest.approx(oracle, abs=1e-6)
 
     @given(bilayer=st.booleans(),
            theta_h=st.floats(150.0, 1500.0),
@@ -343,7 +375,7 @@ class TestSteadyState:
         lig = ThermalLayer(**{**LIG, "emissivity": eps_l})
         wall = WallAssembly.bilayer(sil, lig) if bilayer else WallAssembly.single(sil)
         source = HeatSource.radiative(theta_h, eps_h)
-        steady = steady_state(wall, source, ENV, scale)
+        steady = State(0.0, *steady_state(wall, source, ENV, scale))
         if bilayer:
             rates = rhs_bilayer(steady, wall, source, ENV, scale)
             temps = (steady.silicone_temperature, steady.lig_temperature)
@@ -405,7 +437,7 @@ class TestSteadyState:
         lig = ThermalLayer(**{**LIG, "emissivity": eps_l})
         wall = WallAssembly.bilayer(sil, lig) if bilayer else WallAssembly.single(sil)
         source = HeatSource.radiative(theta_h, eps_h)
-        steady = steady_state(wall, source, ENV, scale)
+        steady = State(0.0, *steady_state(wall, source, ENV, scale))
 
         def drive_slope(layer):
             resistance = 1.0 / eps_h + 1.0 / layer.emissivity - 1.0
@@ -441,23 +473,22 @@ class TestSteadyState:
                 else WallAssembly.single(silicone))
         source = HeatSource.radiative(373.0, 0.9)
         one, two = (steady_state(wall, source, ENV, s) for s in (scale, 2.0 * scale))
-        for key in ("silicone_temperature", "lig_temperature")[:1 + bilayer]:
-            excess, doubled = getattr(one, key) - AMBIENT_K, getattr(two, key) - AMBIENT_K
+        for node in range(1 + bilayer):
+            excess, doubled = one[node] - AMBIENT_K, two[node] - AMBIENT_K
             assert excess > 0.0
             assert abs(doubled - 2.0 * excess) <= 8.0 * math.ulp(AMBIENT_K) + 1e-5 * doubled
 
     def test_root_next_to_a_subnormal_ambient_closes_its_bracket(self):
         # from 1e10 K down to a root near 2e-292 K the bracket halves about
         # 1050 times before its ends are adjacent floats
-        steady = steady_state(BILAYER, HeatSource.radiative(1e10, 0.9), Environment(5e-324),
-                              5e-324)
-        assert 1e-293 < steady.lig_temperature < steady.silicone_temperature < 1e-291
+        theta_s, theta_l = steady_state(BILAYER, HeatSource.radiative(1e10, 0.9),
+                                        Environment(5e-324), 5e-324)
+        assert 1e-293 < theta_l < theta_s < 1e-291
 
     def test_radiative_scale_zero_is_ambient(self, bilayer_wall, environment):
         source = HeatSource.radiative(700.0, 0.85)
         steady = steady_state(bilayer_wall, source, environment, scale=0.0)
-        assert steady.silicone_temperature == AMBIENT_K
-        assert steady.lig_temperature == AMBIENT_K
+        assert steady == (AMBIENT_K, AMBIENT_K)
 
     def test_driven_wall_without_losses_has_no_steady_state(self, flux_source,
                                                             environment):

@@ -7,12 +7,12 @@ import phototherm
 # every public name the package exports; adding or removing one is an API change
 PUBLIC_NAMES = {
     # errors
-    "ConfigError", "KindMismatchError", "MetricError", "NoCrossingError", "NoPlateauError",
+    "ConfigError", "MetricError", "NoCrossingError", "NoPlateauError",
     "NumericalError", "PhotothermError", "SeriesFormatError", "StabilityError",
     "ValidationError",
     # model
     "Environment", "HeatSource", "KELVIN_OFFSET", "STEFAN_BOLTZMANN", "ThermalLayer",
-    "ThermalState", "WallAssembly", "convective_conductance", "coupling_conductance",
+    "WallAssembly", "convective_conductance", "coupling_conductance",
     "heat_capacity", "steady_state",
     # simulate
     "LightSchedule", "SimConfig", "Trajectory", "run", "stability_limit",

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import tracemalloc
@@ -11,14 +12,12 @@ from hypothesis import strategies as st
 from phototherm import (
     Environment,
     HeatSource,
-    KindMismatchError,
     LightSchedule,
     NumericalError,
     STEFAN_BOLTZMANN,
     SimConfig,
     StabilityError,
     ThermalLayer,
-    ThermalState,
     Trajectory,
     ValidationError,
     WallAssembly,
@@ -33,7 +32,7 @@ from phototherm.simulate import _segments, _time_constant
 from conftest import (AMBIENT_K, LIG, POWER_W, SILICONE, TAU_SINGLE_S, forward_trajectory,
                       traced_peak)
 from linear_oracle import exact_bilayer_grid
-from reference_stepper import euler_step, samples, scale_at
+from reference_stepper import State, euler_step, samples, scale_at
 
 ALWAYS_ON = LightSchedule.always_on()
 
@@ -165,7 +164,7 @@ class TestStabilityLimit:
             run(single_wall, source, LightSchedule.always_on(1.5), environment, config)
         with pytest.raises(StabilityError):
             run(single_wall, source, ALWAYS_ON, environment, config,
-                initial=ThermalState(0.0, 400.0))
+                start=(400.0, None))
 
 
 @st.composite
@@ -208,7 +207,7 @@ class TestRadiativeGuard:
 class TestEulerStep:
     # the reference stepper's single step
     def test_single_step_from_ambient(self, single_wall, flux_source, environment):
-        state = ThermalState(0.0, 298.0)
+        state = State(0.0, 298.0)
         after = euler_step(state, single_wall, flux_source, environment,
                            scale=1.0, dt=1.0)
         assert after.time == 1.0
@@ -217,14 +216,14 @@ class TestEulerStep:
         assert after.silicone_temperature == pytest.approx(298.0934, abs=1e-4)
 
     def test_equilibrium_is_fixed_point(self, single_wall, flux_source, environment):
-        state = ThermalState(0.0, AMBIENT_K)
+        state = State(0.0, AMBIENT_K)
         after = euler_step(state, single_wall, flux_source, environment,
                            scale=0.0, dt=5.0)
         assert after.silicone_temperature == AMBIENT_K
         assert after.time == 5.0
 
     def test_local_error_is_second_order(self, single_wall, flux_source, environment):
-        state = ThermalState(0.0, 298.0)
+        state = State(0.0, 298.0)
         dt = 0.01
         one = euler_step(state, single_wall, flux_source, environment, 1.0, dt)
         half = euler_step(state, single_wall, flux_source, environment, 1.0, dt / 2)
@@ -283,7 +282,7 @@ class TestRun:
         temps = np.array(traj.silicone)
         exact = AMBIENT_K + 10.625 * (1.0 - np.exp(-times / TAU_SINGLE_S))
         assert np.abs(temps - exact).max() < 5e-4
-        assert traj.final.silicone_temperature == pytest.approx(307.86, abs=0.05)
+        assert traj.silicone[-1] == pytest.approx(307.86, abs=0.05)
 
     def test_single_layer_window_final_response_time(self, single_wall, flux_source,
                                                      environment):
@@ -325,7 +324,7 @@ class TestRun:
         traj = run(wall, source, schedule, environment, config)
 
         bilayer = wall.lig is not None
-        state = ThermalState(0.0, AMBIENT_K, AMBIENT_K if bilayer else None)
+        state = State(0.0, AMBIENT_K, AMBIENT_K if bilayer else None)
         silicone = traj.silicone.tolist()
         lig = traj.lig.tolist() if bilayer else [None] * len(silicone)
         assert len(silicone) == 2100 // record_stride + 1
@@ -335,7 +334,7 @@ class TestRun:
             if step % record_stride == 0:
                 assert silicone[step // record_stride] == state.silicone_temperature
                 assert lig[step // record_stride] == state.lig_temperature
-        assert traj.final.silicone_temperature > AMBIENT_K  # the drive acted
+        assert traj.silicone[-1] > AMBIENT_K  # the drive acted
 
     def test_deterministic_bit_identical(self, bilayer_wall, flux_source, environment):
         config = SimConfig(duration=30.0, dt=0.01, record_stride=10)
@@ -376,18 +375,17 @@ class TestRun:
         assert np.all(temps >= AMBIENT_K)
 
     def test_initial_state_override(self, single_wall, flux_source, environment):
-        start = ThermalState(0.0, 308.625)
         traj = run(single_wall, flux_source, LightSchedule.off(), environment,
-                   SimConfig(duration=10.0, dt=0.01), initial=start)
+                   SimConfig(duration=10.0, dt=0.01), start=(308.625, None))
         assert traj.silicone[0] == 308.625
-        assert traj.final.silicone_temperature < 308.625
+        assert traj.silicone[-1] < 308.625
 
     def test_bilayer_start_needs_a_lig_temperature(self, bilayer_wall, flux_source,
                                                    environment):
-        with pytest.raises(KindMismatchError,
+        with pytest.raises(ValidationError,
                            match="^bilayer run needs an initial lig_temperature$"):
             run(bilayer_wall, flux_source, ALWAYS_ON, environment,
-                SimConfig(duration=1.0, dt=0.1), initial=ThermalState(0.0, 300.0))
+                SimConfig(duration=1.0, dt=0.1), start=(300.0, None))
 
     def test_schedule_boundary_snapped_to_step(self, single_wall, flux_source,
                                                environment):
@@ -395,11 +393,11 @@ class TestRun:
         schedule = LightSchedule(((0.0, 0.999, 1.0),))
         config = SimConfig(duration=2.0, dt=0.5)
         traj = run(single_wall, flux_source, schedule, environment, config)
-        manual = ThermalState(0.0, AMBIENT_K)
+        manual = State(0.0, AMBIENT_K)
         for scale in (1.0, 1.0, 0.0, 0.0):  # 0.999 snaps to step 2 (t=1.0)
             manual = euler_step(manual, single_wall, flux_source, environment,
                                 scale, 0.5)
-        assert traj.final.silicone_temperature == manual.silicone_temperature
+        assert traj.silicone[-1] == manual.silicone_temperature
 
     @pytest.mark.parametrize("kind, record_stride", [
         pytest.param(kind, stride, id=("" if kind == "single" else f"{kind}-") + str(stride))
@@ -424,7 +422,7 @@ class TestRun:
                      (WallAssembly.bilayer(silicone, ThermalLayer(**LIG)), 1e120))
         with pytest.raises(NumericalError, match="t=0.01 s"):
             run(wall, HeatSource.radiative(373.0, 0.9), LightSchedule.off(), environment,
-                SimConfig(duration=1.0, dt=0.01), initial=ThermalState(0.0, 1e120, lig))
+                SimConfig(duration=1.0, dt=0.01), start=(1e120, lig))
 
     def test_radiative_overflow_in_the_guard_raises_stability_error(self, single_wall,
                                                                     environment):
@@ -433,7 +431,7 @@ class TestRun:
         source = HeatSource.radiative(373.0, 0.9)
         with pytest.raises(StabilityError, match="silicone") as info:
             run(single_wall, source, ALWAYS_ON, environment,
-                SimConfig(duration=1.0, dt=0.01), initial=ThermalState(0.0, 1e120))
+                SimConfig(duration=1.0, dt=0.01), start=(1e120, None))
         assert info.value.limit == 0.0
         # with no drive the radiative term drops out, not as 0 * inf = nan
         assert _time_constant(_coefficients(single_wall, source), 1e120, 0.0) == (
@@ -488,10 +486,40 @@ class TestRun:
 
     def test_radiative_run_approaches_its_steady_state(self, single_wall, environment):
         source = HeatSource.radiative(500.0, 0.9)
-        target = steady_state(single_wall, source, environment).silicone_temperature
+        target, _ = steady_state(single_wall, source, environment)
         traj = run(single_wall, source, ALWAYS_ON, environment,
                    SimConfig(duration=600.0, dt=0.05, record_stride=200))
-        assert traj.final.silicone_temperature == pytest.approx(target, abs=0.05)
+        assert traj.silicone[-1] == pytest.approx(target, abs=0.05)
+
+
+class TestRunStart:
+    """run's checks of a start pair (ts, tl), made before it steps."""
+
+    CONFIG = SimConfig(duration=1.0, dt=0.1)
+
+    @pytest.mark.parametrize("ts", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("wall", ["single_wall", "bilayer_wall"])
+    def test_rejects_a_silicone_start_not_finite_and_positive(self, request, flux_source,
+                                                               environment, wall, ts):
+        with pytest.raises(ValidationError,
+                           match="^silicone_temperature must be strictly positive$"):
+            run(request.getfixturevalue(wall), flux_source, ALWAYS_ON, environment,
+                self.CONFIG, start=(ts, 300.0 if wall == "bilayer_wall" else None))
+
+    @pytest.mark.parametrize("tl", [-1.0, 0.0, math.nan, -math.inf])
+    def test_rejects_a_lig_start_not_finite_and_positive(self, bilayer_wall, flux_source,
+                                                         environment, tl):
+        with pytest.raises(ValidationError,
+                           match="^lig_temperature must be strictly positive$"):
+            run(bilayer_wall, flux_source, ALWAYS_ON, environment, self.CONFIG,
+                start=(300.0, tl))
+
+    def test_single_layer_takes_no_lig_start(self, single_wall, flux_source, environment):
+        # a lig start on a single layer is an error, not a value to drop
+        with pytest.raises(ValidationError,
+                           match="^single-layer run takes no initial lig_temperature$"):
+            run(single_wall, flux_source, ALWAYS_ON, environment, self.CONFIG,
+                start=(300.0, 310.0))
 
 
 class TestRecordingBudget:
@@ -541,16 +569,16 @@ class TestStepCap:
                 SimConfig(duration=1.01, dt=0.01, record_stride=1000))
 
 
-def checked_euler_chain(wall, source, schedule, env, config, initial=None):
+def checked_euler_chain(wall, source, schedule, env, config, start=None):
     """The silicone and lig columns run should record, from a chain of
     reference euler_step calls checked at every step, under run's
     grid-snapped schedule. Raises the NumericalError run should raise,
-    naming the first step whose state is not finite and > 0 (ThermalState
-    rejects it) or whose radiative drive overflows a float."""
+    naming the first step whose state is not finite and > 0 (the reference
+    check rejects it) or whose radiative drive overflows a float."""
     dt, stride = config.dt, config.record_stride
     theta_e = env.ambient_temperature
     bilayer = wall.lig is not None
-    state = initial or ThermalState(0.0, theta_e, theta_e if bilayer else None)
+    state = State(0.0, *(start or (theta_e, theta_e if bilayer else None)))
     silicone, lig = [state.silicone_temperature], [state.lig_temperature]
     for i0, i1, scale in _segments(schedule, config.n_steps, dt):
         for step in range(i0 + 1, i1 + 1):
@@ -565,14 +593,14 @@ def checked_euler_chain(wall, source, schedule, env, config, initial=None):
     return silicone, lig if bilayer else None
 
 
-def assert_run_matches_checked_chain(wall, source, schedule, env, config, initial=None):
+def assert_run_matches_checked_chain(wall, source, schedule, env, config, start=None):
     try:
-        silicone, lig = checked_euler_chain(wall, source, schedule, env, config, initial)
+        silicone, lig = checked_euler_chain(wall, source, schedule, env, config, start)
     except NumericalError as error:
         with pytest.raises(NumericalError, match=f"^{re.escape(str(error))}$"):
-            run(wall, source, schedule, env, config, initial)
+            run(wall, source, schedule, env, config, start)
         return str(error)
-    traj = run(wall, source, schedule, env, config, initial)
+    traj = run(wall, source, schedule, env, config, start)
     assert traj.silicone.tolist() == silicone
     assert (traj.lig is None if lig is None else traj.lig.tolist() == lig)
     return None
@@ -626,11 +654,11 @@ class TestBlockCheck:
         monkeypatch.setattr(simulate_module, "_check_step", lambda *args: None)
         wall, source, dt = self.wall("bilayer"), HeatSource.radiative(1500.0, 0.9), 5.0
         schedule = LightSchedule(((1499 * dt, 1500 * dt, 1e97),))
-        reached = run(wall, source, schedule, environment,
-                      SimConfig(duration=1500 * dt, dt=dt, record_stride=3)).final
-        assert 0.0 < reached.silicone_temperature < math.inf
+        reached = float(run(wall, source, schedule, environment,
+                            SimConfig(duration=1500 * dt, dt=dt, record_stride=3)).silicone[-1])
+        assert 0.0 < reached < math.inf
         with pytest.raises(OverflowError):
-            reached.silicone_temperature ** 4
+            reached ** 4
         config = SimConfig(duration=self.N_STEPS * dt, dt=dt, record_stride=3)
         assert assert_run_matches_checked_chain(wall, source, schedule, environment,
                                                 config).endswith("at t=7505 s")
@@ -646,20 +674,20 @@ class TestBlockCheck:
         # <= 0 K and recover before the block ends, where a block-end test
         # misses it: run must test every step of such a run
         silicone, lig = ThermalLayer(**SILICONE), ThermalLayer(**LIG)
-        source, initial = HeatSource.constant_flux(1e300), None
+        source, start = HeatSource.constant_flux(1e300), None
         if case == "bilayer-pulse":  # the lig film alone takes a 1-step pulse at step 1
             wall, on, n_steps = WallAssembly.bilayer(replace(silicone, absorptance=0.0), lig), 0, 8
         elif case == "single-pulse":  # a 1-step pulse; the block starts and ends at 298 K
             wall, on, n_steps = WallAssembly.single(silicone), 500, 1024
         else:  # an example test_matches_checked_chain found: no drive, a 1e70 K lig start
             wall, on, n_steps = WallAssembly.bilayer(silicone, lig), None, 5
-            source, initial = HeatSource.constant_flux(0.0), ThermalState(0.0, 250.0, 1e70)
+            source, start = HeatSource.constant_flux(0.0), (250.0, 1e70)
         dt = stability_limit(wall, source, environment)
         schedule = (LightSchedule.off() if on is None
                     else LightSchedule(((on * dt, (on + 1) * dt, 1.0),)))
         config = SimConfig(duration=n_steps * dt, dt=dt, record_stride=stride)
         error = assert_run_matches_checked_chain(wall, source, schedule, environment,
-                                                 config, initial)
+                                                 config, start)
         assert error is not None and error.endswith(f"at t={failing * dt:g} s")
 
     @given(data=st.data(), bilayer=st.booleans(), radiative=st.booleans(),
@@ -685,15 +713,14 @@ class TestBlockCheck:
         else:
             source = HeatSource.constant_flux(
                 data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(1e300, 1e308))))
-        initial = ThermalState(0.0, data.draw(temperature),
-                               data.draw(temperature) if bilayer else None)
-        start_max = max(AMBIENT_K, initial.silicone_temperature, initial.lig_temperature or 0.0)
+        start = (data.draw(temperature), data.draw(temperature) if bilayer else None)
+        start_max = max(AMBIENT_K, start[0], start[1] or 0.0)
         limit = _time_constant(_coefficients(wall, source), start_max, scale)[0]
         assume(limit > 0.0)
         dt = fraction * min(limit, 10.0)
         schedule = LightSchedule(((on * dt, (on + length) * dt, scale),))
         config = SimConfig(duration=n_steps * dt, dt=dt, record_stride=stride)
-        assert_run_matches_checked_chain(wall, source, schedule, env, config, initial)
+        assert_run_matches_checked_chain(wall, source, schedule, env, config, start)
 
 
 class TestTrajectory:
@@ -719,13 +746,19 @@ class TestTrajectory:
         traj = run(single_wall, flux_source, ALWAYS_ON, environment,
                    SimConfig(duration=1.0, dt=0.1))
         assert traj.lig is None
-        assert traj.final.lig_temperature is None
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(ValidationError, match="^single-layer trajectory has no lig "
+                                                  "channel$"):
             series_from_trajectory(traj, "theta_L")
 
+    def test_has_no_final_state(self):
+        # a run's end is its columns' last values; its start is run's start pair
+        assert not hasattr(Trajectory, "final")
+        assert list(inspect.signature(run).parameters) == [
+            "assembly", "source", "schedule", "env", "config", "start"]
+
     @pytest.mark.parametrize("wall", ("single_wall", "bilayer_wall"))
-    def test_samples_and_final_rebuild_states_from_columns(self, wall, flux_source,
-                                                           environment, request):
+    def test_samples_rebuild_states_from_columns(self, wall, flux_source, environment,
+                                                 request):
         assembly = request.getfixturevalue(wall)
         traj = run(assembly, flux_source, ALWAYS_ON, environment,
                    SimConfig(duration=1.0, dt=0.1, record_stride=3))
@@ -734,8 +767,8 @@ class TestTrajectory:
         assert len(states) == len(traj.times) == 4  # steps 0, 3, 6, 9
         for i, state in enumerate(states):
             lig = None if traj.lig is None else traj.lig[i]
-            assert state == ThermalState(traj.times[i], traj.silicone[i], lig)
-        assert traj.final == states[-1]
+            assert state == State(traj.times[i], traj.silicone[i], lig)
+            assert all(type(value) is float for value in state if value is not None)
 
 
 class TestAccuracy:
