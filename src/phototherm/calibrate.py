@@ -18,8 +18,8 @@ from .errors import NumericalError, ValidationError
 from .metrics import MeasurementSeries
 from .model import (Environment, HeatSource, WallAssembly, _absorbed, _coefficients,
                     _Coefficients, _convective, _warn_absorptance_sum)
-from .simulate import (LightSchedule, SimConfig, _check_step, _integrate, _resolve_channel,
-                       _segments, _time_constant)
+from .simulate import (LightSchedule, SimConfig, _check_step, _check_step_count,
+                       _integrate, _resolve_channel, _segments, _time_constant)
 
 #: tunable parameter names and the hard physical range each must stay inside
 PARAM_RANGES = {
@@ -103,6 +103,7 @@ class CalibrationProblem:
         # the duration; outside it both objective modes would read the value
         # at its nearer end
         dt, n_steps = self.config.dt, self.config.n_steps
+        _check_step_count(dt, n_steps)  # the closed form would never meet run's cap
         first, last = self.target.times[[0, -1]].tolist()  # floats: no numpy warning
         if first / dt < -1e-9:
             raise ValidationError(

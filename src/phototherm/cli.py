@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import re
 import sys
 import warnings
 
@@ -65,9 +66,19 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--config", help="path to a scenario config file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a flag's value that starts with a minus
+    and a digit, a point or inf/nan, such as -1e308, -1,0 or -inf, as a
+    value, as argparse itself reads -5, rather than as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+
 @functools.cache  # one parser per process: each build leaves reference cycles
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phototherm",
         description="Lumped photothermal heating simulator for soft-actuator walls")
     sub = parser.add_subparsers(dest="command", required=True)

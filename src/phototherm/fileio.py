@@ -10,6 +10,7 @@ kelvin. Every emitted file is re-ingestible by the matching reader.
 import functools
 import math
 import os
+import pickle
 import threading
 from collections.abc import Sequence
 from contextlib import nullcontext
@@ -62,13 +63,13 @@ _OUTPUT_COLUMNS = {
     "steady": ("steady_theta_s_K", "steady_theta_L_K"),
     "plateau": ("plateau_K", "plateau_reach_s"),
 }
-# The fewest Euler steps, summed over a sweep's points, that run_sweep hands
-# to forked worker processes. Measured on a 2-vCPU VM (Python 3.11), serial
-# against forked, bilayer wall at stride 10: the pool breaks even at about
-# 60 000 radiative or 140 000 constant-flux steps once its modules are
-# imported, and at about 150 000 and 300 000 in a fresh interpreter, which
-# pays about 20 ms to import them. The largest keeps every sweep as fast.
-_PARALLEL_STEPS = 300_000
+# The fewest Euler steps, summed over a sweep's points, that run_sweep
+# splits across forked processes. Measured on a 2-vCPU VM (Python 3.11),
+# serial against forked, bilayer wall at stride 10, warm and in a fresh
+# interpreter: a fork breaks even at 20 000 to 40 000 radiative steps and
+# at 60 000 to 80 000 constant-flux steps. The largest keeps every sweep
+# as fast.
+_PARALLEL_STEPS = 80_000
 
 
 def illuminance_scale(d: float, d_ref: float, p: float = 1.0) -> float:
@@ -621,9 +622,10 @@ def run_sweep(config: RunConfig, param: str, points: Sequence[float],
     its text as "message", and the sweep continues.
 
     When the points' runs add up to _PARALLEL_STEPS Euler steps or more,
-    they run in forked worker processes, one per usable CPU, if there are
-    two or more, the platform can fork and the caller runs no other thread.
-    The rows are the same either way."""
+    the calling process runs its share of the points and one forked child
+    per other usable CPU runs each other share, if there are two or more
+    CPUs, the platform can fork and the caller runs no other thread. The
+    rows are the same either way."""
     points, outputs = tuple(points), tuple(outputs)
     if not points:
         raise ValidationError("need at least one sweep point")
@@ -698,10 +700,7 @@ def run_sweep(config: RunConfig, param: str, points: Sequence[float],
     # a fork of a process that runs other threads can deadlock in the child
     if (needs_run and workers > 1 and len(jobs) * sim.n_steps >= _PARALLEL_STEPS
             and hasattr(os, "fork") and threading.active_count() == 1):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            done = list(pool.map(task, jobs))
+        done = _forked_map(task, jobs, workers)
     else:
         done = [task(job) for job in jobs]
     for (row, *_), result in zip(jobs, done):
@@ -740,6 +739,63 @@ def _sweep_point(config: RunConfig, outputs: tuple, needs_run: bool, job: tuple)
     except PhotothermError as exc:
         return _failed_row(row, exc)
     return row
+
+
+def _forked_map(task, jobs: list, workers: int) -> list:
+    """[task(job) for job in jobs]: the calling process computes
+    jobs[0::workers], and a forked child computes each other share and
+    sends it back as one pickle over a pipe. An exception in a child's
+    share is raised here, as one in the caller's own would be; every child
+    is reaped before this returns or raises, and killed first when it
+    raises."""
+    pids, pipes = [], []
+    try:
+        for share in range(1, workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write_end)
+                raise
+            if pid == 0:  # the child never returns into the caller's code
+                code = 1
+                try:
+                    pipes[-1].close()  # so a write to a dead caller fails
+                    try:
+                        payload = [task(job) for job in jobs[share::workers]]
+                    except BaseException as exc:
+                        payload = exc
+                    data = pickle.dumps(payload)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            pids.append(pid)
+        done = [None] * len(jobs)
+        done[0::workers] = [task(job) for job in jobs[0::workers]]
+        for share, (pid, pipe) in enumerate(zip(pids, pipes), start=1):
+            try:
+                payload = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # nothing, or cut short
+                raise RuntimeError(
+                    f"sweep worker process {pid} ended without sending its rows") from None
+            if isinstance(payload, BaseException):
+                raise payload
+            done[share::workers] = payload
+        return done
+    except BaseException:
+        import signal  # here, not at start-up, which it would slow by about 1 ms
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _failed_row(row: dict, exc: PhotothermError) -> dict:

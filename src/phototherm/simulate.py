@@ -300,6 +300,13 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
                       theta_e, ts, tl, dt, n_steps, config.record_stride)
 
 
+def _check_step_count(dt: float, n_steps: int) -> None:
+    if n_steps > _MAX_STEPS:
+        raise ValidationError(
+            f"dt={dt:g} s would take {n_steps:.4g} steps, more than the {_MAX_STEPS:.0e} "
+            "a run may take; raise dt")
+
+
 def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
                dt: float, n_steps: int, stride: int) -> Trajectory:
     """`run` for a wall with the constants c, from silicone and lig start
@@ -314,10 +321,7 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
             f"dt={dt:g} s and record_stride={stride} would record {samples:.4g} samples, "
             f"more than the {_MAX_SAMPLES} that fit the {_RECORD_BUDGET_BYTES // 2 ** 20} MiB "
             "recording budget; raise dt or record_stride")
-    if n_steps > _MAX_STEPS:
-        raise ValidationError(
-            f"dt={dt:g} s would take {n_steps:.4g} steps, more than the {_MAX_STEPS:.0e} "
-            "a run may take; raise dt")
+    _check_step_count(dt, n_steps)
     max_scale = max(scale for _, _, scale in segments)
     _check_step(c, dt, max(theta_e, ts, tl), max_scale)
     first_block = _block_size(c, theta_e, ts, tl, max_scale, n_steps * dt)

@@ -153,14 +153,35 @@ class TestProblemValidation:
         make_problem(MeasurementSeries((0.0, 10.0), (298.0, 5e-324)),
                      ParamSpec("alpha_s", 0.1, 0.5, 0.2))
 
-    def test_step_count_past_int64_is_evaluated_in_floats(self):
+    def test_step_count_past_int64_is_evaluated_in_floats(self, monkeypatch):
         # 2e19 steps of 1e-18 s: the closed form's run bounds, held as numpy
-        # objects, once raised a TypeError
+        # objects, once raised a TypeError. Such a problem is over run's
+        # step cap, which is lifted here so that the closed form sees it
+        monkeypatch.setattr(simulate_module, "_MAX_STEPS", 10 ** 20)
         target = MeasurementSeries((0.0, 10.0, 20.0), (298.0, 305.0, 310.0))
         spec = ParamSpec("h_se", 2.0, 12.0, 6.0)
         fine = make_problem(target, spec, config=SimConfig(duration=20.0, dt=1e-18))
         coarse = make_problem(target, spec, config=SimConfig(duration=20.0, dt=1e-4))
         assert objective(fine, [8.0]) == pytest.approx(objective(coarse, [8.0]), rel=1e-4)
+
+    @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
+    def test_run_over_the_step_cap_rejected_with_runs_message(self, radiative):
+        # the closed form reads only the steps around each target, so a
+        # constant-flux problem once fitted a run that simulate refuses; a
+        # stride this long keeps run from the recording budget's message
+        config = SimConfig(duration=20.0, dt=1e-300, record_stride=10 ** 302)
+        wall = WallAssembly.single(ThermalLayer(**SILICONE))
+        source = HeatSource.radiative(373.0, 0.9) if radiative else HeatSource.constant_flux(
+            POWER_W)
+        with pytest.raises(ValidationError) as expected:
+            run(wall, source, SCHEDULE, Environment(AMBIENT_K), config)
+        with pytest.raises(ValidationError) as raised:
+            CalibrationProblem(
+                target=MeasurementSeries((0.0, 10.0, 20.0), (AMBIENT_K, 300.0, 301.0)),
+                free=(ParamSpec("alpha_s", 0.1, 0.5, 0.2),), assembly=wall, source=source,
+                env=Environment(AMBIENT_K), schedule=SCHEDULE, config=config)
+        assert str(raised.value) == str(expected.value) == (
+            "dt=1e-300 s would take 2e+301 steps, more than the 1e+09 a run may take; raise dt")
 
     @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
     def test_target_before_the_run_start_rejected(self, radiative):
@@ -791,9 +812,11 @@ class TestRadiativeObjective:
 
     @pytest.mark.parametrize("limit", ["_MAX_SAMPLES", "_MAX_STEPS"])
     def test_run_over_its_limits_raises_runs_error(self, monkeypatch, limit):
-        # the run, shortened to 2302 steps, is over either limit at 2000
-        monkeypatch.setattr(simulate_module, limit, 2000)
+        # the run, shortened to 2302 steps, is over either limit at 2000.
+        # The problem checks its full 6000 steps against the step cap, so
+        # the limits are lowered once it exists
         problem = radiative_problem(last=23.0)
+        monkeypatch.setattr(simulate_module, limit, 2000)
         steps = integrated_steps(monkeypatch)
         short = SimConfig(duration=23.02, dt=0.01)
         with pytest.raises(ValidationError) as expected:

@@ -366,6 +366,28 @@ class TestCalibrateCommand:
         assert err == ("warning: layer absorptances sum to 1.1200 > 1; "
                        "more power absorbed than supplied is unphysical\n")
 
+    @pytest.mark.parametrize("source", [
+        "mode = constant_flux\npower = 0.075",
+        "mode = radiative_body\nsource_temperature = 373.0\nsource_emissivity = 0.9",
+    ], ids=["constant_flux", "radiative"])
+    def test_run_over_the_step_cap_is_bad_input(self, capsys, tmp_path, source):
+        # 2e301 steps: simulate refuses the run, and calibrate once fitted
+        # it under a constant-flux source
+        config = tmp_path / "fine.ini"
+        config.write_text(
+            preset_path("table1_single").read_text(encoding="utf-8")
+            .replace("mode = constant_flux\npower = 0.075", source)
+            .replace("dt = 0.01", "dt = 1e-300").replace("duration = 300.0", "duration = 20"),
+            encoding="utf-8")
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n0,298\n10,300\n20,301\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--config", str(config),
+                                 "--target", str(target), "--param", "alpha_s:0.1:0.5:0.2")
+        assert (code, out) == (2, "")
+        assert err == ("error: dt=1e-300 s would take 2e+301 steps, more than the 1e+09 "
+                       "a run may take; raise dt\n")
+        assert run_cli(capsys, "simulate", "--config", str(config))[0] == 2
+
     def test_target_before_the_run_start_is_bad_input(self, capsys, tmp_path):
         # its rows before t = 0 would be compared with the value at t = 0
         target = tmp_path / "t.csv"
@@ -796,6 +818,28 @@ class TestHugeFiniteSchedule:
         assert float(parse_report(reports[0])["scale"]) == pytest.approx(0.8, rel=1e-3)
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A heating-and-cooling run, a calibration target and a bending series
+    for the flag tables, by name."""
+    directory = tmp_path_factory.mktemp("flag_inputs")
+    paths = {name: str(directory / f"{name}.csv") for name in ("run", "target", "bend")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["simulate", "--preset", "table1_single", "--duration", "400",
+                         "--record-stride", "100", "--schedule", "0:200:1",
+                         "--out", paths["run"]]) == 0
+        assert cli_main(["simulate", "--preset", "table1_single", "--duration", "100",
+                         "--record-stride", "100", "--schedule", "0:inf:0.8",
+                         "--out", paths["target"]]) == 0
+    t = np.arange(0.0, 200.0)
+    bend = np.where(t < 100.0, 50.0 * (1.0 - np.exp(-t / 10.0)),
+                    50.0 * np.exp(-(t - 100.0) / 10.0))
+    with open(paths["bend"], "w", encoding="utf-8", newline="") as fh:
+        fh.write("# unit: deg\ntime_s,value\n")
+        fh.writelines(f"{ti:.6f},{vi:.6f}\n" for ti, vi in zip(t, bend))
+    return paths
+
+
 class TestNonFiniteFlags:
     """No command prints nan or inf. Given nan, every float-valued flag and
     every number list but sweep's --values fails with one error line and
@@ -834,25 +878,6 @@ class TestNonFiniteFlags:
          "--peaks={x},1", "--out={out}"),
     ]
 
-    @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("non_finite")
-        paths = {name: str(directory / f"{name}.csv") for name in ("run", "target", "bend")}
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli_main(["simulate", *self.PRESET, "--duration", "400",
-                             "--record-stride", "100", "--schedule", "0:200:1",
-                             "--out", paths["run"]]) == 0
-            assert cli_main(["simulate", *self.PRESET, "--duration", "100",
-                             "--record-stride", "100", "--schedule", "0:inf:0.8",
-                             "--out", paths["target"]]) == 0
-        t = np.arange(0.0, 200.0)
-        bend = np.where(t < 100.0, 50.0 * (1.0 - np.exp(-t / 10.0)),
-                        50.0 * np.exp(-(t - 100.0) / 10.0))
-        with open(paths["bend"], "w", encoding="utf-8", newline="") as fh:
-            fh.write("# unit: deg\ntime_s,value\n")
-            fh.writelines(f"{ti:.6f},{vi:.6f}\n" for ti, vi in zip(t, bend))
-        return paths
-
     def test_table_covers_every_float_flag(self):
         subparsers = next(action for action in _build_parser()._actions
                           if isinstance(action, argparse._SubParsersAction))
@@ -882,6 +907,70 @@ class TestNonFiniteFlags:
                 except ValueError:
                     continue
                 assert math.isfinite(number), line
+
+
+class TestNegativeFlagValues:
+    """A negative value reads the same after a space as after "=": -1e308,
+    -1,0 and -inf were once taken for unknown options (exit 1, "expected
+    one argument"), while argparse read -2 as a number. Each case is a
+    command, the flag given the value, and the other arguments it needs."""
+
+    SCENARIO = ("--preset", "table1_single")
+    CALIBRATE = ("--target", "{target}", "--param", "alpha_s:0.1:0.5:0.2")
+    SWEEP = ("--param", "scale", "--values", "0.5,1", "--outputs", "steady")
+    DISTANCE = ("--param", "distance", "--outputs", "steady")
+    BEND = ("{bend}", "--plateau-threshold", "0.5", "--plateau-window", "20")
+    CASES = [
+        ("simulate", "--preset"), ("simulate", "--config"),
+        ("simulate", "--dt", *SCENARIO, "--duration", "20"),
+        ("simulate", "--record-stride", *SCENARIO, "--duration", "20"),
+        ("simulate", "--schedule", *SCENARIO, "--duration", "20"),
+        ("simulate", "--out", *SCENARIO, "--duration", "20"),
+        ("simulate", "--duration", *SCENARIO),
+        ("steady", "--preset"), ("steady", "--config"), ("steady", "--scale", *SCENARIO),
+        ("metrics", "--channel", "{run}"), ("metrics", "--convention", "{run}"),
+        ("metrics", "--window", "{run}"),
+        ("metrics", "--final", "{run}", "--convention", "supplied"),
+        ("metrics", "--plateau-threshold", "{run}", "--plateau-window", "20"),
+        ("metrics", "--plateau-window", "{run}", "--plateau-threshold", "0.5"),
+        ("metrics", "--ambient", "{run}", "--window", "200"),
+        ("calibrate", "--preset", *CALIBRATE), ("calibrate", "--config", *CALIBRATE),
+        ("calibrate", "--target", *SCENARIO, "--param", "alpha_s:0.1:0.5:0.2"),
+        ("calibrate", "--param", *SCENARIO, "--target", "{target}"),
+        ("calibrate", "--channel", *SCENARIO, *CALIBRATE),
+        ("sweep", "--preset", *SWEEP), ("sweep", "--config", *SWEEP),
+        ("sweep", "--param", *SCENARIO, "--values", "0.5,1", "--outputs", "steady"),
+        ("sweep", "--values", *SCENARIO, "--param", "scale", "--outputs", "steady"),
+        ("sweep", "--outputs", *SCENARIO, "--param", "scale", "--values", "0.5,1"),
+        ("sweep", "--out", *SCENARIO, *SWEEP),
+        ("sweep", "--distances", *SCENARIO, *DISTANCE, "--d-ref", "0.05"),
+        ("sweep", "--d-ref", *SCENARIO, *DISTANCE, "--distances", "0.05,0.1"),
+        ("sweep", "--exponent", *SCENARIO, *DISTANCE, "--distances", "0.05,0.1",
+         "--d-ref", "0.05"),
+        ("analyze-bending", "--plateau-threshold", "{bend}", "--plateau-window", "20"),
+        ("analyze-bending", "--plateau-window", "{bend}", "--plateau-threshold", "0.5"),
+        ("analyze-bending", "--out", *BEND), ("analyze-bending", "--peaks", *BEND),
+    ]
+
+    def test_table_covers_every_value_taking_flag(self):
+        subparsers = next(action for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        flags = {(command, action.option_strings[-1])
+                 for command, parser in subparsers.choices.items()
+                 for action in parser._actions
+                 if action.option_strings and action.nargs is None}
+        assert flags == {case[:2] for case in self.CASES}
+
+    @pytest.mark.parametrize("value", ["-2", "-0.5", "-1e308", "-1,0", "-inf", "-nan"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: "".join(case[:2]))
+    def test_both_spellings_agree(self, capsys, monkeypatch, tmp_path, inputs, case, value):
+        monkeypatch.chdir(tmp_path)  # an --out value names a file here
+        command, flag, *rest = case
+        rest = [arg.format(**inputs) for arg in rest]
+        spaced = run_cli(capsys, command, *rest, flag, value)
+        joined = run_cli(capsys, command, *rest, f"{flag}={value}")
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
 
 
 class TestOverflowingCells:

@@ -1,14 +1,15 @@
-import concurrent.futures
 import dataclasses
 import io
 import math
-import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -1231,8 +1232,9 @@ class TestRunSweep:
 
 
 class TestParallelSweep:
-    """A sweep with enough steps runs its points in forked worker processes.
-    Its result is the serial one: rows, failures and CSV."""
+    """A sweep with enough steps runs one share of its points in the
+    calling process and each other share in a forked child. Its result is
+    the serial one: rows, failures and CSV. No child or pipe outlives it."""
 
     @pytest.fixture
     def config(self):
@@ -1241,18 +1243,20 @@ class TestParallelSweep:
         return dataclasses.replace(cfg, sim=sim)
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """The pools run_sweep opens, counted; every sweep is large enough."""
-        opened = []
+    def forks(self, monkeypatch):
+        """The os.fork calls run_sweep makes, counted; every sweep is large
+        enough, and two CPUs are usable whatever the host has."""
+        made = []
+        real_fork = os.fork
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(args)
-                super().__init__(*args, **kwargs)
+        def counting_fork():
+            made.append(os.getpid())
+            return real_fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(fileio_module, "_PARALLEL_STEPS", 0)
-        return opened
+        return made
 
     @staticmethod
     def serial(monkeypatch, *args, **kwargs):
@@ -1260,19 +1264,29 @@ class TestParallelSweep:
             patch.setattr(fileio_module, "_PARALLEL_STEPS", math.inf)
             return run_sweep(*args, **kwargs)
 
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("radiative, param, points, outputs, d_ref, failed", [
         (True, "distance", (0.05, 0.07, 0.11, 0.15), ("t63", "peak", "steady"), 0.05, []),
         (False, "alpha_L", (0.5, 2.0, 0.7), ("t63", "steady"), None, ["ValidationError"]),
         (False, "h_Le", (18.0, 1e9), ("peak",), None, ["StabilityError"]),
     ], ids=["radiative_distance", "failing_alpha_L", "unstable_h_Le"])
-    def test_forked_rows_equal_the_serial_rows(self, config, pools, monkeypatch, radiative,
-                                               param, points, outputs, d_ref, failed):
+    def test_forked_rows_equal_the_serial_rows(self, config, forks, monkeypatch, cpus,
+                                               radiative, param, points, outputs, d_ref,
+                                               failed):
         if radiative:
             config = dataclasses.replace(config, source=HeatSource.radiative(373.0, 0.9))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         args = (config, param, points, outputs, d_ref)
         forked = run_sweep(*args)
-        assert len(pools) == 1
-        assert multiprocessing.active_children() == []
+        # a point that fails before its run takes no share
+        ran = len(points) - (param == "alpha_L")
+        assert len(forks) == min(cpus, ran) - 1
+        self.assert_no_child()
         serial = self.serial(monkeypatch, *args)
         assert forked.columns == serial.columns
         assert repr(forked.rows) == repr(serial.rows)
@@ -1280,18 +1294,18 @@ class TestParallelSweep:
         assert forked.to_csv() == serial.to_csv()
         assert [row["error"] for row in forked.rows if row["status"] == "failed"] == failed
 
-    def test_big_sweeps_in_a_row_each_fork(self, config, pools):
+    def test_big_sweeps_in_a_row_each_fork(self, config, forks):
         for _ in range(2):
             run_sweep(config, "scale", (1.0, 0.5), ("peak",))
-            assert multiprocessing.active_children() == []
-        assert len(pools) == 2
+            self.assert_no_child()
+        assert len(forks) == 2
 
-    def test_one_cpu_stays_serial(self, config, pools, monkeypatch):
+    def test_one_cpu_stays_serial(self, config, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         result = run_sweep(config, "scale", (1.0, 0.5), ("peak",))
-        assert (pools, result.failures) == ([], 0)
+        assert (forks, result.failures) == ([], 0)
 
-    def test_a_threaded_caller_stays_serial(self, config, pools):
+    def test_a_threaded_caller_stays_serial(self, config, forks):
         # forking a process that runs other threads can deadlock in the child
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
@@ -1302,12 +1316,78 @@ class TestParallelSweep:
             release.set()
             waiter.join(timeout=10)
         assert not waiter.is_alive()
-        assert (pools, result.failures) == ([], 0)
+        assert (forks, result.failures) == ([], 0)
 
-    def test_small_or_runless_sweeps_stay_serial(self, config, pools, monkeypatch):
+    def test_small_or_runless_sweeps_stay_serial(self, config, forks, monkeypatch):
         run_sweep(config, "scale", (1.0, 0.5), ("steady",))
         run_sweep(config, "scale", (1.0,), ("peak",))
         monkeypatch.setattr(fileio_module, "_PARALLEL_STEPS", 2 * config.sim.n_steps + 1)
         run_sweep(config, "scale", (1.0, 0.5), ("peak",))
-        assert pools == []
+        assert forks == []
+
+    @staticmethod
+    def run_in_child(monkeypatch, effect):
+        """fileio.run, with effect() called first in a forked child."""
+        caller = os.getpid()
+
+        def patched(*args, **kwargs):
+            if os.getpid() != caller:
+                effect()
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(fileio_module, "run", patched)
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, KeyError, MemoryError])
+    def test_an_error_in_a_child_is_raised_in_the_caller(self, config, forks, monkeypatch,
+                                                         error):
+        def fail():
+            raise error("raised in the child")
+
+        self.run_in_child(monkeypatch, fail)
+        with pytest.raises(error, match="raised in the child"):
+            run_sweep(config, "scale", (1.0, 0.5, 0.25), ("peak",))
+        assert len(forks) == 1
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["silent", "cut_short"])
+    def test_a_child_that_sends_no_whole_rows_is_an_error(self, config, forks, monkeypatch,
+                                                          cut):
+        if cut:  # the child's pickle loses its last bytes
+            monkeypatch.setattr(fileio_module, "pickle", types.SimpleNamespace(
+                dumps=lambda payload: pickle.dumps(payload)[:-3], load=pickle.load,
+                UnpicklingError=pickle.UnpicklingError))
+        else:
+            self.run_in_child(monkeypatch, lambda: os._exit(0))
+        with pytest.raises(RuntimeError, match="ended without sending its rows"):
+            run_sweep(config, "scale", (1.0, 0.5), ("peak",))
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ZeroDivisionError])
+    def test_an_error_in_the_callers_share_kills_the_children(self, config, forks,
+                                                              monkeypatch, error):
+        # the child would sleep for a minute: the caller kills it rather
+        # than waiting for its share
+        def fail_or_sleep(*args, **kwargs):
+            if os.getpid() == caller:
+                raise error()
+            time.sleep(60)
+
+        caller = os.getpid()
+        monkeypatch.setattr(fileio_module, "run", fail_or_sleep)
+        started = time.monotonic()
+        with pytest.raises(error):
+            run_sweep(config, "scale", (1.0, 0.5), ("peak",))
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        self.assert_no_child()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_pipe_outlives_a_sweep(self, config, forks, monkeypatch):
+        before = len(os.listdir("/proc/self/fd"))
+        run_sweep(config, "alpha_L", (0.5, 2.0, 0.7, 0.6), ("peak",))
+        self.run_in_child(monkeypatch, lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_sweep(config, "scale", (1.0, 0.5), ("peak",))
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert len(forks) == 2
 
