@@ -1,10 +1,9 @@
 """Least-squares calibration of model parameters against a measured series.
 
-The forward model is cheap and the drive is piecewise constant, so the
-minimizer is a derivative-free Nelder-Mead simplex with box bounds enforced
-by clamping plus a quadratic penalty. The initial simplex is built
-deterministically from the initial guess, so identical problems always
-yield identical results.
+The minimizer is a bounded Levenberg-Marquardt fit on the residuals at the
+target stamps, with forward-difference Jacobians and an active set for the
+box bounds. Its arithmetic takes the same float operations on every machine,
+so identical problems always yield identical results.
 """
 
 import math
@@ -35,8 +34,15 @@ PARAM_RANGES = {
 _SLOTS = ("h_se", "h_Le", "alpha_s", "alpha_L", "Q_h", "scale")
 
 _MAX_ITERATIONS = 500
-_REL_SPREAD_TOL = 1e-8
-_PENALTY_WEIGHT = 1e6
+# an accepted step that lowers the SSE by at most this, relative to the SSE
+# floored at 1, ends the fit
+_REL_DECREASE_TOL = 1e-8
+# the forward-difference step, relative to the box width
+_DIFF_STEP = 1e-6
+# the damping starts at _DAMPING, falls tenfold after an accepted step, to no
+# less than _MIN_DAMPING, and rises tenfold after a rejected one; past
+# _MAX_DAMPING no step lowers the SSE
+_DAMPING, _MIN_DAMPING, _MAX_DAMPING = 1e-3, 1e-12, 1e16
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,10 @@ class ParamSpec:
             raise ValidationError(f"{self.name}: bounds must be finite")
         if not math.isfinite(self.initial):
             raise ValidationError(f"{self.name}: initial guess must be finite")
+        # Python floats: the fit hands them to the evaluator unconverted, and
+        # a numpy scalar there would slow every radiative step (_integrate)
+        for bound in ("lower", "upper", "initial"):
+            object.__setattr__(self, bound, float(getattr(self, bound)))
         if not self.lower < self.upper:
             raise ValidationError(f"{self.name}: lower bound must be below upper bound")
         if not self.lower <= self.initial <= self.upper:
@@ -81,8 +91,9 @@ class CalibrationProblem:
     schedule: LightSchedule
     config: SimConfig
     channel: str = "auto"
-    # the function objective calls, built once per problem (see _evaluator)
-    _evaluate: Callable[[list], float] = field(init=False, repr=False, compare=False)
+    # the function objective and fit call, built once per problem (see _evaluator)
+    _evaluate: Callable[[list], tuple[float, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "free", tuple(self.free))
@@ -137,12 +148,15 @@ class CalibrationProblem:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """What fit found: the values at the lowest SSE it reached, and how it
+    got there (see fit for the stop rule and the counts)."""
+
     values: dict  # fitted value per parameter name
     sse: float  # K^2
     rmse: float  # K
-    iterations: int
-    converged: bool
-    evaluations: int  # objective calls, the final unpenalized one included
+    iterations: int  # Levenberg-Marquardt iterations, one Jacobian each
+    converged: bool  # False only when the fit stopped at _MAX_ITERATIONS
+    evaluations: int  # residual evaluations, the final objective call included
 
 
 def _check_applicable(name: str, assembly: WallAssembly, source: HeatSource) -> None:
@@ -363,10 +377,18 @@ def _constant_flux_on(segments, times, c: _Coefficients, theta_e: float, dt: flo
     return values
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # numpy's pairwise sum takes the same additions on every machine, where
+    # a BLAS dot may fuse its multiply-adds on one and not another
+    return float(np.add.reduce(a * b))
+
+
 def _evaluator(problem: CalibrationProblem, c: _Coefficients, values: dict, segments,
-               channel: str) -> Callable[[list], float]:
-    """The SSE at a candidate, a list of Python floats in the order of
-    problem.free that lies inside the box: objective's work after its checks.
+               channel: str) -> Callable[[list], tuple[float, np.ndarray]]:
+    """The SSE and the residuals, simulated minus measured at the target
+    stamps, at a candidate, a list of Python floats in the order of
+    problem.free that lies inside the box: objective's and fit's work after
+    objective's checks.
 
     Built once per problem from its wall constants c, parameter values,
     runs and resolved channel, it is specialised on source mode, wall kind
@@ -379,7 +401,7 @@ def _evaluator(problem: CalibrationProblem, c: _Coefficients, values: dict, segm
     LightSchedule.scaled: a parameter at its problem value gives back the
     problem's float, and the order in which parameters are set does not
     matter. A bilayer candidate first has its absorptance sum checked; the
-    warning points at objective's caller.
+    warning points at objective's caller, and fit suppresses it.
     """
     sil, lig = problem.assembly.silicone, problem.assembly.lig
     slots = [_SLOTS.index(spec.name) for spec in problem.free]
@@ -404,7 +426,7 @@ def _evaluator(problem: CalibrationProblem, c: _Coefficients, values: dict, segm
         flux = _constant_flux_on(segments, times, c, theta_e, dt, channel)
     inf = math.inf
 
-    def evaluate(candidate: list) -> float:
+    def evaluate(candidate: list) -> tuple[float, np.ndarray]:
         point = base.copy()
         for slot, value in zip(slots, candidate):
             point[slot] = value
@@ -420,14 +442,12 @@ def _evaluator(problem: CalibrationProblem, c: _Coefficients, values: dict, segm
             trajectory = _integrate(at, runs, theta_e, theta_e, theta_e, dt, steps, 1)
             column = trajectory.lig if lig_channel else trajectory.silicone
             diff = np.interp(times, trajectory.times, column) - measured
-            return float(np.add.reduce(diff * diff))
+            return _dot(diff, diff), diff
         simulated = flux(g_s, g_l, _absorbed(alpha_s, q_h),
                          _absorbed(alpha_l, q_h) if bilayer else None,
                          [s * scale for s in base_scales])
         diff = simulated - measured
-        # numpy's pairwise sum takes the same additions on every machine,
-        # where a BLAS dot may fuse its multiply-adds on one and not another
-        sse = float(np.add.reduce(diff * diff))
+        sse = _dot(diff, diff)
         # a NaN or infinite temperature makes the SSE NaN or inf, so a finite
         # SSE leaves only the sign to test. Finite temperatures whose squared
         # errors overflow make it inf too: the full test tells them apart,
@@ -435,7 +455,7 @@ def _evaluator(problem: CalibrationProblem, c: _Coefficients, values: dict, segm
         if not (sse < inf and simulated.min() > 0.0):
             if not (simulated.min() > 0.0 and simulated.max() < inf):
                 raise NumericalError("temperature became non-finite or non-positive")
-        return sse
+        return sse, diff
 
     return evaluate
 
@@ -445,10 +465,12 @@ def objective(problem: CalibrationProblem, candidate) -> float:
 
     The trajectory is sampled at the target time stamps by linear
     interpolation. After checking the candidate's length and bounds, it
-    calls the problem's evaluator (see _evaluator). Constant-flux problems
-    evaluate the Euler iterates in closed form at those stamps only.
-    Radiative ones step the wall's constants at the candidate up to the
-    last target.
+    calls the problem's evaluator (see _evaluator) and returns its SSE.
+    Constant-flux problems evaluate the Euler iterates in closed form at
+    those stamps only. Radiative ones step the wall's constants at the
+    candidate up to the last target. fit's search calls the evaluator
+    directly, for the residuals too, and calls objective once, at the
+    fitted point.
     """
     candidate = [float(v) for v in candidate]
     if len(candidate) != len(problem.free):
@@ -459,119 +481,118 @@ def objective(problem: CalibrationProblem, candidate) -> float:
     # the box's bounds already hold every check the model's constructors
     # would make at the candidate, but the absorptance sum's warning, which
     # the evaluator gives
-    return problem._evaluate(candidate)
+    return problem._evaluate(candidate)[0]
+
+
+def _solve(normal: list, rhs: list, damping: float) -> list:
+    """d with (N + damping diag(N)) d = rhs for a symmetric positive
+    semi-definite N with a positive diagonal, in Python floats. It solves
+    the system scaled to a unit diagonal, whose other entries are at most 1
+    in size, by Gaussian elimination: there damping > 0 keeps every pivot
+    positive, also where N is singular but for rounding or its entries are
+    subnormal."""
+    n = len(rhs)
+    scale = [math.sqrt(row[i]) for i, row in enumerate(normal)]
+    a = [[1.0 + damping if i == j else v / scale[i] / scale[j] for j, v in enumerate(row)]
+         for i, row in enumerate(normal)]
+    b = [v / s for v, s in zip(rhs, scale)]
+    for k in range(n):
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+            b[i] -= f * b[k]
+    d = [0.0] * n
+    for i in reversed(range(n)):
+        v = b[i]
+        for j in range(i + 1, n):
+            v -= a[i][j] * d[j]
+        d[i] = v / a[i][i]
+    return [v / s for v, s in zip(d, scale)]
 
 
 # a candidate's temperatures that leave the float range raise NumericalError
 # in the evaluator: numpy's warnings on the way would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def fit(problem: CalibrationProblem) -> CalibrationResult:
-    """Minimize the objective by Nelder-Mead within the declared bounds.
+    """Minimize the objective by bounded Levenberg-Marquardt on the residuals.
 
-    Stops when the simplex objective spread falls below 1e-8 relative to the
-    best value (floored at 1 for near-zero minima) or after 500 iterations;
-    hitting the cap is reported through converged=False, not an error. A
-    best SSE that overflows to inf is a ValidationError.
+    Each iteration takes a forward-difference Jacobian at the current point,
+    one residual evaluation per parameter, stepping by _DIFF_STEP times the
+    box width: up, or down from near the upper bound. A parameter sits out
+    of the iteration when its column is zero or when it is at a bound and
+    the gradient of the SSE points out of the box. The others take the
+    damped Gauss-Newton step (J^T J + damping diag(J^T J)) d = -J^T r,
+    clipped into the box. A step that does not lower the SSE is retried
+    with ten times the damping; one that does is accepted. Sums are numpy's
+    pairwise np.add.reduce and the solve is in Python floats, so every
+    machine takes the same path.
 
-    The simplex starts at the initial guess plus one vertex per axis offset
-    by 5% of the box width, stepping down instead of up when up would leave
-    the box. Vertices are lists of Python floats: each coordinate takes the
-    same float operations, in the same order, as numpy vectors would, and
-    the fit matches the numpy version in tests/reference_fit.py bit for bit.
-    A clamped candidate the fit has evaluated before reuses its SSE, so
-    evaluations counts the distinct ones, plus the final call.
+    The fit is converged when an accepted step lowers the SSE by at most
+    _REL_DECREASE_TOL relative to the new SSE floored at 1, when no
+    parameter is left free, or when no damping up to _MAX_DAMPING lowers
+    the SSE. It stops unconverged only after _MAX_ITERATIONS iterations;
+    that is reported through converged=False, not an error. evaluations
+    counts the residual evaluations and the final objective call at the
+    fitted point, the one call whose absorptance-sum warning is not
+    suppressed. A best SSE that overflows to inf is a ValidationError.
     """
     specs = problem.free
     lower = [s.lower for s in specs]
     upper = [s.upper for s in specs]
-    width = [hi - lo for lo, hi in zip(lower, upper)]
+    evaluations = 0
 
-    def clip(x: list) -> list:
-        # np.clip's choices for numbers: the bound unless x lies strictly
-        # inside it, so that 0.0 clamps -0.0
-        return [min(hi, max(lo, v)) for v, lo, hi in zip(x, lower, upper)]
+    def residuals(x: list) -> tuple[float, np.ndarray]:
+        nonlocal evaluations
+        evaluations += 1
+        return problem._evaluate(x)
 
-    sse_at: dict = {}  # the objective at each clamped candidate evaluated
-
-    def penalized(x: list) -> float:
-        clamped = clip(x)
-        key = tuple(clamped)
-        sse = sse_at.get(key)
-        if sse is None:
-            sse = sse_at[key] = objective(problem, clamped)
-        if clamped == x:  # inside the box, the penalty is 0
-            return sse
-        # the squared excess summed in Python floats, axis by axis: a BLAS
-        # dot may fuse its multiply-adds on one machine and not on another
-        penalty = 0.0
-        for v, c, w in zip(x, clamped, width):
-            excess = (v - c) / w
-            penalty += excess * excess
-        return sse + _PENALTY_WEIGHT * penalty
-
-    # transient simplex candidates may be unphysical on purpose; only the
-    # final fitted point (evaluated below, unsuppressed) should warn
+    # the absorptance-sum warning is given once, at the fitted point below
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        x0 = [s.initial for s in specs]
-        simplex = [x0]
-        for i, spec in enumerate(specs):
-            step = 0.05 * width[i]
-            vertex = list(x0)
-            vertex[i] = x0[i] + step if x0[i] + step <= spec.upper else x0[i] - step
-            simplex.append(vertex)
-        fvals = [penalized(v) for v in simplex]
-
+        x = [s.initial for s in specs]
+        sse, r = residuals(x)
+        damping = _DAMPING
         iterations = 0
         converged = False
-        while iterations < _MAX_ITERATIONS:
+        while not converged and iterations < _MAX_ITERATIONS:
             iterations += 1
-            order = sorted(range(len(simplex)), key=fvals.__getitem__)
-            simplex = [simplex[i] for i in order]
-            fvals = [fvals[i] for i in order]
-            if fvals[-1] - fvals[0] <= _REL_SPREAD_TOL * max(1.0, abs(fvals[0])):
-                converged = True
-                break
+            columns = []
+            for i, (v, lo, hi) in enumerate(zip(x, lower, upper)):
+                h = _DIFF_STEP * (hi - lo)
+                moved = x.copy()
+                moved[i] = v + h if v + h <= hi else v - h
+                # a step below the rounding of v measures no effect
+                columns.append((residuals(moved)[1] - r) / (moved[i] - v)
+                               if moved[i] != v else np.zeros_like(r))
+            gradient = [_dot(column, r) for column in columns]
+            free = [i for i, (g, v) in enumerate(zip(gradient, x))
+                    if _dot(columns[i], columns[i]) > 0.0
+                    and not (v == lower[i] and g > 0.0 or v == upper[i] and g < 0.0)]
+            normal = [[_dot(columns[i], columns[j]) for j in free] for i in free]
+            converged = True  # unless an accepted step lowers the SSE by more
+            while free and damping <= _MAX_DAMPING:
+                step = _solve(normal, [-gradient[i] for i in free], damping)
+                trial = x.copy()
+                for i, d in zip(free, step):
+                    trial[i] = min(upper[i], max(lower[i], x[i] + d))
+                if trial != x:
+                    trial_sse, trial_r = residuals(trial)
+                    if trial_sse < sse:
+                        converged = sse - trial_sse <= _REL_DECREASE_TOL * max(1.0, trial_sse)
+                        x, sse, r = trial, trial_sse, trial_r
+                        damping = max(_MIN_DAMPING, 0.1 * damping)
+                        break
+                elif all(x[i] + d == x[i] for i, d in zip(free, step)):
+                    break  # below the rounding of x, as is every more damped step
+                damping *= 10.0
 
-            # np.mean over the vertices: a running sum, then one division
-            centroid = list(simplex[0])
-            for vertex in simplex[1:-1]:
-                centroid = [c + v for c, v in zip(centroid, vertex)]
-            centroid = [c / (len(simplex) - 1) for c in centroid]
-            worst = simplex[-1]
-            reflected = [c + (c - v) for c, v in zip(centroid, worst)]
-            f_reflected = penalized(reflected)
-            if f_reflected < fvals[0]:
-                expanded = [c + 2.0 * (c - v) for c, v in zip(centroid, worst)]
-                f_expanded = penalized(expanded)
-                if f_expanded < f_reflected:
-                    simplex[-1], fvals[-1] = expanded, f_expanded
-                else:
-                    simplex[-1], fvals[-1] = reflected, f_reflected
-            elif f_reflected < fvals[-2]:
-                simplex[-1], fvals[-1] = reflected, f_reflected
-            else:
-                if f_reflected < fvals[-1]:
-                    contracted = [c + 0.5 * (r - c) for c, r in zip(centroid, reflected)]
-                else:
-                    contracted = [c - 0.5 * (c - v) for c, v in zip(centroid, worst)]
-                f_contracted = penalized(contracted)
-                if f_contracted < min(f_reflected, fvals[-1]):
-                    simplex[-1], fvals[-1] = contracted, f_contracted
-                else:
-                    best = simplex[0]
-                    simplex = [best] + [[b + 0.5 * (v - b) for b, v in zip(best, vertex)]
-                                        for vertex in simplex[1:]]
-                    fvals = [fvals[0]] + [penalized(v) for v in simplex[1:]]
-
-    best_idx = min(range(len(simplex)), key=fvals.__getitem__)
-    fitted = clip(simplex[best_idx])
-    sse = objective(problem, fitted)
+    sse = objective(problem, x)
     if not math.isfinite(sse):
         raise ValidationError("the squared errors of the best fit overflow a float: "
                               "the target lies too far from every simulated temperature")
     rmse = math.sqrt(sse / len(problem.target.times))
     return CalibrationResult(
-        values={spec.name: v for spec, v in zip(specs, fitted)},
+        values={spec.name: v for spec, v in zip(specs, x)},
         sse=sse, rmse=rmse, iterations=iterations, converged=converged,
-        evaluations=len(sse_at) + 1)
+        evaluations=evaluations + 1)

@@ -1,14 +1,12 @@
-"""Reference Nelder-Mead on numpy arrays: the oracle `phototherm.fit` must
-match bit for bit.
+"""Reference Nelder-Mead on numpy arrays: a quality oracle for
+`phototherm.fit`, whose SSE must not exceed this fit's.
 
-It is the fit as it was written on numpy vectors: np.clip for the box,
-np.mean for the centroid and vector arithmetic for every move. Only the
-penalty's sum of squares is Python floats, summed axis by axis, as `fit`
-sums it: a BLAS dot may fuse it on one machine and not on another. `fit` keeps its vertices in lists of Python
-floats; each coordinate must take the same floats in the same order, so
-both return the same values, SSE and iteration count. This fit evaluates
-every candidate it meets, also one it met before; `fit` reuses the SSE of
-a repeat, so its evaluations are this fit's distinct calls.
+It is the derivative-free fit the package used before its Levenberg-Marquardt
+search: a simplex on numpy vectors, with np.clip for the box, a quadratic
+penalty outside it and np.mean for the centroid. The penalty's sum of squares
+is Python floats, summed axis by axis: a BLAS dot may fuse it on one machine
+and not on another. Its constants are its own, with the values the package's
+fit used.
 """
 
 import math
@@ -17,7 +15,10 @@ import warnings
 import numpy as np
 
 from phototherm import CalibrationResult, objective
-from phototherm.calibrate import _MAX_ITERATIONS, _PENALTY_WEIGHT, _REL_SPREAD_TOL
+
+_MAX_ITERATIONS = 500
+_REL_SPREAD_TOL = 1e-8
+_PENALTY_WEIGHT = 1e6
 
 
 def initial_simplex(specs, x0):
@@ -32,9 +33,8 @@ def initial_simplex(specs, x0):
     return simplex
 
 
-def reference_fit(problem, outside=None):
-    """The numpy fit. outside, when given, collects each evaluated point that
-    lies outside the box, as one flag per axis: is it outside on that one."""
+def reference_fit(problem):
+    """The numpy fit; evaluations counts every objective call."""
     specs = problem.free
     lower = np.array([s.lower for s in specs])
     upper = np.array([s.upper for s in specs])
@@ -47,8 +47,6 @@ def reference_fit(problem, outside=None):
         nonlocal evaluations
         evaluations += 1
         clamped = np.clip(x, lower, upper)
-        if outside is not None and (x != clamped).any():
-            outside.append((x != clamped).tolist())
         penalty = 0.0
         for excess in ((x - clamped) / width).tolist():
             penalty += excess * excess

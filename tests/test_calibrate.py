@@ -5,7 +5,6 @@ import pickle
 import re
 import warnings
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +35,6 @@ from phototherm import (
 from phototherm.model import _coefficients
 from phototherm.simulate import _check_step, _segments
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE
-import reference_fit as reference_fit_module
 from reference_fit import reference_fit
 
 SCHEDULE = LightSchedule.always_on()
@@ -114,6 +112,19 @@ class TestParamSpec:
             with pytest.raises(ValidationError, match=f"^{name}: lower bound must be > 0"):
                 ParamSpec(name, 0.0, 12.0, initial)
         assert ParamSpec(name, 1e-3, 12.0, 6.0).lower == 1e-3
+
+    @pytest.mark.parametrize("number", [int, np.float64, np.float32, np.int64],
+                             ids=["int", "float64", "float32", "int64"])
+    def test_numbers_are_stored_as_python_floats(self, number):
+        # fit hands the fields to the evaluator as they are, and a numpy
+        # scalar there would slow every radiative step
+        spec = ParamSpec("h_se", number(2), number(12), number(6))
+        assert [type(v) for v in (spec.lower, spec.upper, spec.initial)] == [float] * 3
+        assert (spec.lower, spec.upper, spec.initial) == (2.0, 12.0, 6.0)
+        wall = WallAssembly.single(ThermalLayer(**SILICONE))
+        target = synthetic_target(wall)
+        assert fit(make_problem(target, spec, assembly=wall)) == fit(
+            make_problem(target, ParamSpec("h_se", 2.0, 12.0, 6.0), assembly=wall))
 
 
 class TestProblemValidation:
@@ -400,7 +411,7 @@ class TestFit:
         problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83))
         result = fit(problem)
         assert result.converged
-        assert result.iterations <= 50
+        assert result.iterations == 1
         assert result.values["alpha_L"] == pytest.approx(0.83, abs=1e-4)
 
     def test_fitted_values_respect_bounds(self):
@@ -425,30 +436,41 @@ class TestFit:
                             ParamSpec("h_Le", 5.0, 40.0, 24.0), config=config)
 
     def test_evaluations_count_every_objective_call(self, monkeypatch):
-        calls = []
+        # every residual evaluation of the search and the final objective
+        # call, which is at the fitted point, go through the evaluator
+        problem = self.joint_problem()
+        evaluated, evaluate = [], problem._evaluate
+        objective_calls = []
 
-        def counting(problem, candidate):
-            calls.append(candidate)
+        def counting(candidate):
+            evaluated.append(list(candidate))
+            return evaluate(candidate)
+
+        def recording(problem, candidate):
+            objective_calls.append(list(candidate))
             return objective(problem, candidate)
 
-        monkeypatch.setattr(calibrate_module, "objective", counting)
-        result = fit(self.joint_problem())
-        assert result.evaluations == len(calls)
-        assert np.array_equal(calls[-1], list(result.values.values()))
+        object.__setattr__(problem, "_evaluate", counting)
+        monkeypatch.setattr(calibrate_module, "objective", recording)
+        result = fit(problem)
+        assert result.evaluations == len(evaluated)
+        assert objective_calls == evaluated[-1:] == [list(result.values.values())]
 
     def test_fit_path_is_pinned(self):
-        # recorded before the objective reused one target grid per problem:
-        # every simplex move must stay bit-identical. At dt = 0.03 s the
-        # whole-second targets fall between grid steps, so the interpolation
-        # weights count too. The SSE was re-recorded when the closed form
-        # moved to expm1(m log1p(dt lam)); it was 1.284167543086048e-06. It
-        # was re-recorded again when the squared errors came to be summed by
-        # np.add.reduce instead of a BLAS dot; it was 1.2841675428867521e-06.
+        # every step must stay bit-identical. At dt = 0.03 s the whole-second
+        # targets fall between grid steps, so the interpolation weights count
+        # too. Re-recorded when the Nelder-Mead search gave way to
+        # Levenberg-Marquardt on the residuals: the simplex ended at
+        # {'alpha_L': 0.6998785388084754, 'h_Le': 17.996957615523865} with
+        # an SSE of 1.2841675428867526e-06 after 45 iterations and 87
+        # evaluations. Its SSE had been re-recorded twice before: when the
+        # closed form moved to expm1(m log1p(dt lam)), and when the squared
+        # errors came to be summed by np.add.reduce instead of a BLAS dot.
         result = fit(self.joint_problem(SimConfig(duration=150.0, dt=0.03)))
-        assert repr(result.values) == "{'alpha_L': 0.6998785388084754, 'h_Le': 17.996957615523865}"
-        assert repr(result.sse) == "1.2841675428867526e-06"
-        assert result.iterations == 45
-        assert result.evaluations == 87
+        assert repr(result.values) == "{'alpha_L': 0.6998770999300368, 'h_Le': 17.996902529325403}"
+        assert repr(result.sse) == "1.276052632846408e-06"
+        assert result.iterations == 4
+        assert result.evaluations == 14
 
     def test_deterministic_bit_for_bit(self):
         target = synthetic_target(make_bilayer(absorptance=0.75))
@@ -477,13 +499,36 @@ class TestFit:
         problem_c = make_problem(squeezed, ParamSpec("scale", 0.05, 2.0, 1.0))
         assert fit(problem_c).values["scale"] == pytest.approx(c * 0.8, rel=1e-3)
 
+    @pytest.mark.parametrize("size", [1.0, 1e-320], ids=["normal", "subnormal"])
+    def test_damped_solve_of_a_singular_system(self, size):
+        # two parameters with one effect: J^T J is singular, and may be
+        # subnormal. At the smallest damping the fit uses, every pivot
+        # stays positive, and the step solves the damped system to the
+        # rounding its pivot of about 2 damping allows
+        damping = calibrate_module._MIN_DAMPING
+        normal = [[size, size], [size, size]]
+        step = calibrate_module._solve(normal, [1e-300, 1e-300], damping)
+        assert step == pytest.approx([1e-300 / (size * (2.0 + damping))] * 2, rel=1e-3)
+
+    def test_a_parameter_with_no_effect_stays_at_its_initial_guess(self):
+        # a radiative source reads no absorptance: the Jacobian column of
+        # alpha_s is zero, and the fit must neither divide by it nor move it
+        free = (ParamSpec("alpha_s", 0.0, 0.15, 0.1), ParamSpec("h_se", 2.0, 12.0, 6.0))
+        alone = fit(radiative_problem(free=free[:1]))
+        assert alone.values == {"alpha_s": 0.1}
+        assert (alone.converged, alone.iterations, alone.evaluations) == (True, 1, 3)
+        problem = radiative_problem(free=free)
+        both = fit(problem)
+        assert both.converged and both.values["alpha_s"] == 0.1
+        assert both.sse < objective(problem, [0.1, 6.0])
+
 
 @st.composite
 def small_fit_problems(draw):
     """A 1- or 2-parameter problem on either wall under either source, with
     a synthetic heating curve as target: a few hundred steps, so that a
     radiative fit stays cheap. The curve's amplitude is drawn freely, so
-    many fits end on a bound, through the clamp and the penalty."""
+    many fits end on a bound."""
     bilayer = draw(st.booleans())
     wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
     radiative = draw(st.booleans())
@@ -510,72 +555,43 @@ def small_fit_problems(draw):
         config=SimConfig(duration=duration, dt=dt))
 
 
-class TestFitMatchesNumpyReference:
+class TestFitAgainstNumpyReference:
+    """reference_fit is the Nelder-Mead fit the package used before: fit
+    must converge to an SSE no larger than the reference's, but for the
+    rounding of the last steps."""
+
     @staticmethod
-    def assert_same_path(problem, score=objective, **reference_options):
-        # every candidate either fit evaluates, in order, and the results;
-        # score stands in for the objective in both fits
-        def recorded(module, fitter, **options):
-            calls = []
-
-            def recording(problem, candidate):
-                calls.append(tuple(float(v) for v in candidate))
-                return score(problem, candidate)
-
-            with mock.patch.object(module, "objective", recording):
-                return fitter(problem, **options), calls
-
+    def assert_meets_reference(problem):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            (got, got_calls), (want, want_calls) = (
-                recorded(calibrate_module, fit),
-                recorded(reference_fit_module, reference_fit, **reference_options))
-        # fit evaluates a clamped candidate once: the reference's repeats of
-        # one are dropped, but for the final call, which is always made
-        *searched, final = want_calls
-        want_calls = [*dict.fromkeys(searched), final]
-        assert list(map(repr, got_calls)) == list(map(repr, want_calls))
-        assert repr(got.values) == repr(want.values)
-        assert repr(got.sse) == repr(want.sse)
-        assert (got.iterations, got.evaluations, got.converged) \
-            == (want.iterations, len(want_calls), want.converged)
-        return want
+            got, want = fit(problem), reference_fit(problem)
+        assert got.converged
+        assert got.sse <= want.sse * (1.0 + 1e-9) + 1e-12
+        return got
 
     @given(small_fit_problems())
-    @settings(max_examples=80, deadline=None)
-    def test_float_lists_take_the_numpy_path_bit_for_bit(self, problem):
-        self.assert_same_path(problem)
+    @settings(max_examples=100, deadline=None)
+    def test_sse_is_at_most_the_references(self, problem):
+        self.assert_meets_reference(problem)
 
-    def test_a_fit_that_leaves_the_box_on_two_axes_takes_the_same_path(self):
+    def test_a_non_identifiable_pair_meets_the_reference(self):
+        # on a single layer under a constant flux only alpha_s * Q_h enters
+        # the model: the normal equations are singular but for rounding
+        wall = WallAssembly.single(ThermalLayer(**SILICONE))
+        problem = make_problem(synthetic_target(wall), ParamSpec("alpha_s", 0.05, 0.5, 0.4),
+                               ParamSpec("Q_h", 0.01, 0.2, 0.05), assembly=wall)
+        got = self.assert_meets_reference(problem)
+        product = got.values["alpha_s"] * got.values["Q_h"]
+        assert product == pytest.approx(SILICONE["absorptance"] * POWER_W, rel=1e-6)
+
+    def test_a_fit_whose_optimum_lies_past_the_box_corner_ends_on_both_bounds(self):
         # the preset's alpha_L = 0.83 and h_Le = 18 lie beyond the box's
-        # corner (0.8, 20): the simplex steps past both bounds at once, so
-        # the penalty sums two nonzero squares
+        # corner (0.8, 20): both parameters end on a bound, and sit out of
+        # the steps once there
         problem = make_problem(synthetic_target(make_bilayer()),
                                ParamSpec("alpha_L", 0.5, 0.8, 0.7),
                                ParamSpec("h_Le", 20.0, 40.0, 30.0))
-        outside = []
-        self.assert_same_path(problem, outside=outside)
-        assert sum(all(outside_by_axis) for outside_by_axis in outside) > 10
-
-    def test_a_piecewise_flat_objective_takes_the_shrink_step(self):
-        # rings of equal score around (0.7, 20): a contraction that lands on
-        # the worst vertex's ring gains nothing, and the simplex shrinks
-        # toward its best vertex, which no smooth problem here reaches
-        def rings(problem, candidate):
-            alpha, h = (float(v) for v in candidate)
-            return float(math.floor(40.0 * math.hypot((alpha - 0.7) / 0.45,
-                                                      (h - 20.0) / 35.0)))
-
-        target = MeasurementSeries([0.0, 1.0, 2.0], [298.0, 298.5, 299.0])
-        problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
-                               ParamSpec("h_Le", 5.0, 40.0, 24.0),
-                               config=SimConfig(duration=3.0, dt=0.01))
-        want = self.assert_same_path(problem, score=rings)
-        # an iteration evaluates at most two points, or two plus one per
-        # free parameter when it shrinks. The reference evaluates every
-        # point, so more than the three starting vertices, two per
-        # iteration and the final call means at least one shrink
-        assert want.evaluations > 3 + 2 * want.iterations + 1
+        assert self.assert_meets_reference(problem).values == {"alpha_L": 0.8, "h_Le": 20.0}
 
 
 class TestApplyNamedParameter:
@@ -733,9 +749,11 @@ class TestCandidateChecks:
     @pytest.mark.filterwarnings("ignore:layer absorptances sum:UserWarning")
     def test_fit_warns_at_the_fitted_point_only(self):
         # every point of this box sums to more than 1; only the final,
-        # unsuppressed objective call may warn
+        # unsuppressed objective call may warn. The start, a corner away
+        # from the optimum, takes more than 10 evaluations
         target = synthetic_target(make_bilayer(absorptance=0.90))
-        problem = make_problem(target, ParamSpec("alpha_L", 0.86, 0.95, 0.93))
+        problem = make_problem(target, ParamSpec("alpha_L", 0.86, 0.95, 0.95),
+                               ParamSpec("h_Le", 5.0, 40.0, 5.0))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = fit(problem)
