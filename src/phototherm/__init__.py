@@ -1,6 +1,7 @@
 """Lumped-parameter photothermal heating toolkit for light-driven
 soft-actuator walls: flux laws, explicit time integration, response-time
-and plateau metrics, and derivative-free parameter calibration."""
+and plateau metrics, and bounded Levenberg-Marquardt least-squares
+parameter calibration."""
 
 from .errors import (
     ConfigError,

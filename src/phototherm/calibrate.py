@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .metrics import MeasurementSeries
-from .model import (Environment, HeatSource, WallAssembly, _absorbed, _coefficients,
-                    _Coefficients, _convective, _warn_absorptance_sum)
+from .model import (Environment, HeatSource, WallAssembly, _coefficients, _Coefficients,
+                    _convective, _warn_absorptance_sum)
 from .simulate import (LightSchedule, SimConfig, _check_step, _check_step_count,
                        _integrate, _resolve_channel, _segments, _time_constant)
 
@@ -397,11 +397,12 @@ def _evaluator(problem: CalibrationProblem, c: _Coefficients, values: dict, segm
     the closed form's constants (see _constant_flux_on) or, under a
     radiative source, the runs cut after the last target. Per candidate it
     computes g_s, g_l, q_s, q_l and the run scales from the final parameter
-    values, with model._convective, model._absorbed and the expression of
-    LightSchedule.scaled: a parameter at its problem value gives back the
-    problem's float, and the order in which parameters are set does not
-    matter. A bilayer candidate first has its absorptance sum checked; the
-    warning points at objective's caller, and fit suppresses it.
+    values, with model._convective and the expressions of _coefficients'
+    absorbed powers and of LightSchedule.scaled: a parameter at its problem
+    value gives back the problem's float, and the order in which parameters
+    are set does not matter. A bilayer candidate first has its absorptance
+    sum checked; the warning points at objective's caller, and fit
+    suppresses it.
     """
     sil, lig = problem.assembly.silicone, problem.assembly.lig
     slots = [_SLOTS.index(spec.name) for spec in problem.free]
@@ -443,8 +444,7 @@ def _evaluator(problem: CalibrationProblem, c: _Coefficients, values: dict, segm
             column = trajectory.lig if lig_channel else trajectory.silicone
             diff = np.interp(times, trajectory.times, column) - measured
             return _dot(diff, diff), diff
-        simulated = flux(g_s, g_l, _absorbed(alpha_s, q_h),
-                         _absorbed(alpha_l, q_h) if bilayer else None,
+        simulated = flux(g_s, g_l, alpha_s * q_h, alpha_l * q_h if bilayer else None,
                          [s * scale for s in base_scales])
         diff = simulated - measured
         sse = _dot(diff, diff)

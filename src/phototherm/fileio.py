@@ -255,9 +255,9 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
             if key in sections["source"]:
                 raise ValidationError(f"{key} is not valid in {mode} mode")
         if flux:
-            return HeatSource.constant_flux(get("source", "power"))
-        return HeatSource.radiative(get("source", "source_temperature"),
-                                    get("source", "source_emissivity"))
+            return HeatSource(power=get("source", "power"))
+        return HeatSource(source_temperature=get("source", "source_temperature"),
+                          source_emissivity=get("source", "source_emissivity"))
 
     bilayer = build("assembly", lambda: choice("assembly", "kind",
                                                "single_layer", "bilayer")) == "bilayer"
@@ -265,12 +265,12 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     if bilayer:
         lig = build("lig", lambda: layer("lig"))
         # the coupling conductance comes from the silicone layer
-        assembly = build("silicone", lambda: WallAssembly.bilayer(silicone, lig))
+        assembly = build("silicone", lambda: WallAssembly(silicone, lig))
     else:
         if "lig" in sections:
             raise ConfigError(
                 f"{where('lig')}: [lig] section is not valid for a single-layer assembly")
-        assembly = WallAssembly.single(silicone)
+        assembly = WallAssembly(silicone)
     source = build("source", heat_source)
     env = build("environment",
                 lambda: Environment(get("environment", "ambient_temperature")))
@@ -309,7 +309,7 @@ def parse_intervals(text: str, where: str = "<schedule>") -> LightSchedule:
     and an empty string means the light stays off."""
     text = text.strip()
     if not text:
-        return LightSchedule.off()
+        return LightSchedule()
     triples = []
     for part in text.split(","):
         bits = [b.strip() for b in part.strip().split(":")]
@@ -698,11 +698,10 @@ def run_sweep(config: RunConfig, param: str, points: Sequence[float],
     task = functools.partial(_sweep_point, config, outputs, needs_run)
     workers = min(_usable_cpus(), len(jobs))
     # a fork of a process that runs other threads can deadlock in the child
-    if (needs_run and workers > 1 and len(jobs) * sim.n_steps >= _PARALLEL_STEPS
+    if not (needs_run and workers > 1 and len(jobs) * sim.n_steps >= _PARALLEL_STEPS
             and hasattr(os, "fork") and threading.active_count() == 1):
-        done = _forked_map(task, jobs, workers)
-    else:
-        done = [task(job) for job in jobs]
+        workers = 1  # forks nothing; also where no point has a job and min() gave 0
+    done = _forked_map(task, jobs, workers)
     for (row, *_), result in zip(jobs, done):
         rows[row["index"]] = result
     failures = sum(row["status"] == "failed" for row in rows)
@@ -744,10 +743,11 @@ def _sweep_point(config: RunConfig, outputs: tuple, needs_run: bool, job: tuple)
 def _forked_map(task, jobs: list, workers: int) -> list:
     """[task(job) for job in jobs]: the calling process computes
     jobs[0::workers], and a forked child computes each other share and
-    sends it back as one pickle over a pipe. An exception in a child's
-    share is raised here, as one in the caller's own would be; every child
-    is reaped before this returns or raises, and killed first when it
-    raises."""
+    sends it back as one pickle over a pipe, so with workers 1 it forks
+    nothing and runs every job here. workers must be at least 1. An
+    exception in a child's share is raised here, as one in the caller's
+    own would be; every child is reaped before this returns or raises, and
+    killed first when it raises."""
     pids, pipes = [], []
     try:
         for share in range(1, workers):

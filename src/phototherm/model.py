@@ -96,14 +96,6 @@ class HeatSource:
             _require(self.source_temperature is None and self.source_emissivity is None,
                      "source_temperature/source_emissivity are radiative fields")
 
-    @classmethod
-    def constant_flux(cls, power: float) -> "HeatSource":
-        return cls(power=power)
-
-    @classmethod
-    def radiative(cls, temperature: float, emissivity: float) -> "HeatSource":
-        return cls(source_temperature=temperature, source_emissivity=emissivity)
-
 
 @dataclass(frozen=True)
 class Environment:
@@ -141,14 +133,6 @@ class WallAssembly:
                  "interlayer coupling conductance must be strictly positive")
         _warn_absorptance_sum(self.silicone.absorptance, self.lig.absorptance)
 
-    @classmethod
-    def single(cls, silicone: ThermalLayer) -> "WallAssembly":
-        return cls(silicone)
-
-    @classmethod
-    def bilayer(cls, silicone: ThermalLayer, lig: ThermalLayer) -> "WallAssembly":
-        return cls(silicone, lig)
-
 
 def _warn_absorptance_sum(alpha_s: float, alpha_l: float, stacklevel: int = 3) -> None:
     """Warn when a bilayer's layer absorptances sum to more than 1. stacklevel
@@ -181,12 +165,6 @@ def _convective(faces: int | None, conv_coeff: float, area: float) -> float:
     """convective_conductance from the layer's face count (None reads as 2),
     convection coefficient and area."""
     return (2 if faces is None else faces) * conv_coeff * area
-
-
-def _absorbed(absorptance: float, power: float) -> float:
-    """Power in W a layer of this absorptance takes from a constant flux of
-    this power at drive scale 1; a drive scale multiplies it."""
-    return absorptance * power
 
 
 def _grey_body(theta_hot: float, eps_hot: float, eps_cold: float,
@@ -230,8 +208,9 @@ class _Coefficients(NamedTuple):
 
 def _coefficients(assembly: WallAssembly, source: HeatSource) -> _Coefficients:
     """The wall's constants under this source, each with the expression of
-    heat_capacity, convective_conductance, coupling_conductance, _absorbed
-    and _grey_body, so the floats are the same wherever they are read.
+    heat_capacity, convective_conductance, coupling_conductance and
+    _grey_body, and absorptance * power for an absorbed flux, so the floats
+    are the same wherever they are read.
     `run`, its stability guard, the closed-form calibration and
     `steady_state` all read them from here. A radiative source has its
     emissivities and its fourth power checked here."""
@@ -240,9 +219,9 @@ def _coefficients(assembly: WallAssembly, source: HeatSource) -> _Coefficients:
     if lig is not None:
         cap_l, g_l, k = heat_capacity(lig), convective_conductance(lig), coupling_conductance(sil)
     if source.power is not None:
-        q_s = _absorbed(sil.absorptance, source.power)
+        q_s = sil.absorptance * source.power
         if lig is not None:
-            q_l = _absorbed(lig.absorptance, source.power)
+            q_l = lig.absorptance * source.power
     else:
         theta_h = source.source_temperature
         th4, a_s, r_s = _grey_body(theta_h, source.source_emissivity, sil.emissivity, sil.area)

@@ -63,14 +63,6 @@ class LightSchedule:
                 raise ValidationError(f"interval scale must be finite and >= 0, got {scale!r}")
             prev_end = end
 
-    @classmethod
-    def always_on(cls, scale: float = 1.0) -> "LightSchedule":
-        return cls(intervals=((0.0, math.inf, scale),))
-
-    @classmethod
-    def off(cls) -> "LightSchedule":
-        return cls(intervals=())
-
     def scaled(self, factor: float) -> "LightSchedule":
         """New schedule with every interval scale multiplied by factor."""
         if not (factor >= 0.0 and math.isfinite(factor)):

@@ -42,17 +42,17 @@ def lig_layer():
 
 @pytest.fixture
 def single_wall(silicone_layer):
-    return WallAssembly.single(silicone_layer)
+    return WallAssembly(silicone_layer)
 
 
 @pytest.fixture
 def bilayer_wall(silicone_layer, lig_layer):
-    return WallAssembly.bilayer(silicone_layer, lig_layer)
+    return WallAssembly(silicone_layer, lig_layer)
 
 
 @pytest.fixture
 def flux_source():
-    return HeatSource.constant_flux(POWER_W)
+    return HeatSource(power=POWER_W)
 
 
 @pytest.fixture

@@ -173,9 +173,9 @@ def test_criterion_7_calibration_recovery(bilayer_cfg):
     lig_true = ThermalLayer(specific_heat=700.0, density=400.0, thickness=1e-4,
                             area=1e-4, emissivity=0.95, absorptance=0.70,
                             conductivity=1.0, conv_coeff=18.0, conv_faces=1)
-    truth = WallAssembly.bilayer(sil, lig_true)
+    truth = WallAssembly(sil, lig_true)
     source, env = bilayer_cfg.source, bilayer_cfg.env
-    schedule = LightSchedule.always_on()
+    schedule = LightSchedule(((0.0, math.inf, 1.0),))
     config = SimConfig(duration=150.0, dt=0.01)
 
     traj = run(truth, source, schedule, env, config)
@@ -277,21 +277,21 @@ def test_criterion_9_property_suite(tmp_path, bilayer_cfg):
                            absorptance=rng.uniform(0.3, 0.5),
                            conductivity=1.0,
                            conv_coeff=rng.uniform(2.0, 40.0))
-        wall = WallAssembly.bilayer(sil, lig)
+        wall = WallAssembly(sil, lig)
         env = Environment(rng.uniform(270.0, 310.0))
-        flux = HeatSource.constant_flux(rng.uniform(0.01, 0.5))
+        flux = HeatSource(power=rng.uniform(0.01, 0.5))
         state = State(0.0, *steady_state(wall, flux, env))
         d_s, d_l = rhs_bilayer(state, wall, flux, env)
         checks.append(("flux steady/rhs consistency",
                        abs(d_s) < 1e-9 and abs(d_l) < 1e-9))
-        radiative = HeatSource.radiative(rng.uniform(350.0, 900.0),
-                                         rng.uniform(0.3, 1.0))
+        radiative = HeatSource(source_temperature=rng.uniform(350.0, 900.0),
+                                         source_emissivity=rng.uniform(0.3, 1.0))
         state = State(0.0, *steady_state(wall, radiative, env))
         d_s, d_l = rhs_bilayer(state, wall, radiative, env)
         checks.append(("radiative steady/rhs consistency",
                        abs(d_s) < 1e-6 and abs(d_l) < 1e-6))
 
-        lone = WallAssembly.single(ThermalLayer(
+        lone = WallAssembly(ThermalLayer(
             specific_heat=sil.specific_heat, density=sil.density,
             thickness=sil.thickness, area=sil.area, emissivity=sil.emissivity,
             absorptance=sil.absorptance, conductivity=sil.conductivity,

@@ -37,18 +37,18 @@ from phototherm.simulate import _check_step, _segments
 from conftest import AMBIENT_K, LIG, POWER_W, SILICONE
 from reference_fit import reference_fit
 
-SCHEDULE = LightSchedule.always_on()
+SCHEDULE = LightSchedule(((0.0, math.inf, 1.0),))
 CONFIG = SimConfig(duration=150.0, dt=0.01)
 
 
 def make_bilayer(**lig_overrides):
-    return WallAssembly.bilayer(ThermalLayer(**SILICONE),
+    return WallAssembly(ThermalLayer(**SILICONE),
                                 ThermalLayer(**dict(LIG, **lig_overrides)))
 
 
 def synthetic_target(assembly, sample_every=100, config=CONFIG):
     """Simulate the given wall and sample its liquid-contact channel."""
-    source = HeatSource.constant_flux(POWER_W)
+    source = HeatSource(power=POWER_W)
     env = Environment(AMBIENT_K)
     traj = run(assembly, source, SCHEDULE, env, config)
     series = series_from_trajectory(traj)
@@ -60,7 +60,7 @@ def make_problem(target, *specs, assembly=None, config=CONFIG):
     return CalibrationProblem(
         target=target, free=tuple(specs),
         assembly=assembly if assembly is not None else make_bilayer(),
-        source=HeatSource.constant_flux(POWER_W), env=Environment(AMBIENT_K),
+        source=HeatSource(power=POWER_W), env=Environment(AMBIENT_K),
         schedule=SCHEDULE, config=config)
 
 
@@ -121,7 +121,7 @@ class TestParamSpec:
         spec = ParamSpec("h_se", number(2), number(12), number(6))
         assert [type(v) for v in (spec.lower, spec.upper, spec.initial)] == [float] * 3
         assert (spec.lower, spec.upper, spec.initial) == (2.0, 12.0, 6.0)
-        wall = WallAssembly.single(ThermalLayer(**SILICONE))
+        wall = WallAssembly(ThermalLayer(**SILICONE))
         target = synthetic_target(wall)
         assert fit(make_problem(target, spec, assembly=wall)) == fit(
             make_problem(target, ParamSpec("h_se", 2.0, 12.0, 6.0), assembly=wall))
@@ -141,7 +141,7 @@ class TestProblemValidation:
 
     def test_bilayer_parameters_need_bilayer(self):
         target = synthetic_target(make_bilayer())
-        single = WallAssembly.single(ThermalLayer(**SILICONE))
+        single = WallAssembly(ThermalLayer(**SILICONE))
         with pytest.raises(ValidationError):
             make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.7),
                          assembly=single)
@@ -181,9 +181,9 @@ class TestProblemValidation:
         # constant-flux problem once fitted a run that simulate refuses; a
         # stride this long keeps run from the recording budget's message
         config = SimConfig(duration=20.0, dt=1e-300, record_stride=10 ** 302)
-        wall = WallAssembly.single(ThermalLayer(**SILICONE))
-        source = HeatSource.radiative(373.0, 0.9) if radiative else HeatSource.constant_flux(
-            POWER_W)
+        wall = WallAssembly(ThermalLayer(**SILICONE))
+        source = (HeatSource(source_temperature=373.0, source_emissivity=0.9) if radiative
+                  else HeatSource(power=POWER_W))
         with pytest.raises(ValidationError) as expected:
             run(wall, source, SCHEDULE, Environment(AMBIENT_K), config)
         with pytest.raises(ValidationError) as raised:
@@ -197,14 +197,14 @@ class TestProblemValidation:
     @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
     def test_target_before_the_run_start_rejected(self, radiative):
         # before t = 0 both objective modes would read the value at t = 0
-        source = HeatSource.radiative(373.0, 0.9) if radiative else HeatSource.constant_flux(
-            POWER_W)
+        source = (HeatSource(source_temperature=373.0, source_emissivity=0.9) if radiative
+                  else HeatSource(power=POWER_W))
 
         def build(first):
             target = MeasurementSeries((first, 5.0, 10.0), (AMBIENT_K,) * 3)
             return CalibrationProblem(
                 target=target, free=(ParamSpec("h_se", 2.0, 12.0, 6.0),),
-                assembly=WallAssembly.single(ThermalLayer(**SILICONE)), source=source,
+                assembly=WallAssembly(ThermalLayer(**SILICONE)), source=source,
                 env=Environment(AMBIENT_K), schedule=SCHEDULE, config=CONFIG)
 
         with pytest.raises(ValidationError, match=re.escape(
@@ -217,14 +217,14 @@ class TestProblemValidation:
     def test_target_past_the_last_step_rejected(self, monkeypatch, radiative):
         # 10 s is not a whole number of 0.3 s steps: the run ends at 9.9 s
         config = SimConfig(duration=10.0, dt=0.3)
-        source = HeatSource.radiative(373.0, 0.9) if radiative else HeatSource.constant_flux(
-            POWER_W)
+        source = (HeatSource(source_temperature=373.0, source_emissivity=0.9) if radiative
+                  else HeatSource(power=POWER_W))
 
         def build(last):
             target = MeasurementSeries((0.0, 5.0, last), (AMBIENT_K,) * 3)
             return CalibrationProblem(
                 target=target, free=(ParamSpec("h_se", 2.0, 12.0, 6.0),),
-                assembly=WallAssembly.single(ThermalLayer(**SILICONE)), source=source,
+                assembly=WallAssembly(ThermalLayer(**SILICONE)), source=source,
                 env=Environment(AMBIENT_K), schedule=SCHEDULE, config=config)
 
         with pytest.raises(ValidationError, match=re.escape(
@@ -260,7 +260,8 @@ class TestProblemValidation:
                                ParamSpec("alpha_L", 0.5, 0.95, 0.83),
                                ParamSpec("h_Le", 5.0, 40.0, 18.0))
         if radiative:
-            problem = replace(problem, source=HeatSource.radiative(373.0, 0.9))
+            problem = replace(
+                problem, source=HeatSource(source_temperature=373.0, source_emissivity=0.9))
         for copied in (pickle.loads(pickle.dumps(problem)), copy.deepcopy(problem)):
             assert copied._evaluate is not problem._evaluate
             assert objective(copied, [0.7, 20.0]) == objective(problem, [0.7, 20.0])
@@ -281,8 +282,8 @@ class TestObjective:
         assert sse == pytest.approx(len(target.times), abs=1e-9)
 
     def test_wrong_model_is_strictly_positive(self):
-        single = WallAssembly.single(ThermalLayer(**SILICONE))
-        source = HeatSource.constant_flux(POWER_W)
+        single = WallAssembly(ThermalLayer(**SILICONE))
+        source = HeatSource(power=POWER_W)
         env = Environment(AMBIENT_K)
         traj = run(single, source, SCHEDULE, env, CONFIG)
         series = series_from_trajectory(traj)
@@ -309,14 +310,14 @@ class TestObjective:
 
     def test_lig_channel_on_single_layer_raises(self):
         # the channel is resolved when the problem is built
-        single = WallAssembly.single(ThermalLayer(**SILICONE))
+        single = WallAssembly(ThermalLayer(**SILICONE))
         target = synthetic_target(single)
         for channel, message in (("theta_L", "single-layer trajectory has no lig channel"),
                                  ("bogus", "unknown trajectory channel 'bogus'")):
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 CalibrationProblem(
                     target=target, free=(ParamSpec("h_se", 2.0, 12.0, 6.0),),
-                    assembly=single, source=HeatSource.constant_flux(POWER_W),
+                    assembly=single, source=HeatSource(power=POWER_W),
                     env=Environment(AMBIENT_K), schedule=SCHEDULE, config=CONFIG,
                     channel=channel)
 
@@ -341,7 +342,7 @@ class TestObjective:
         # radiative drive is nonlinear, so the objective must fall back to
         # stepping; computed here the same way, the value is bit-identical
         wall, env = make_bilayer(), Environment(AMBIENT_K)
-        source = HeatSource.radiative(373.0, 0.9)
+        source = HeatSource(source_temperature=373.0, source_emissivity=0.9)
         config = SimConfig(duration=20.0, dt=0.01)
         times = tuple(float(t) for t in range(21))
         target = MeasurementSeries(times, tuple(AMBIENT_K + 0.5 * t for t in times))
@@ -484,9 +485,9 @@ class TestFit:
         # for the linear constant-flux model, shrinking the target deviations
         # by c moves the optimal drive scale to c times the generating one
         base = make_bilayer()
-        source = HeatSource.constant_flux(POWER_W)
+        source = HeatSource(power=POWER_W)
         env = Environment(AMBIENT_K)
-        traj = run(base, source, LightSchedule.always_on(0.8), env, CONFIG)
+        traj = run(base, source, LightSchedule(((0.0, math.inf, 0.8),)), env, CONFIG)
         series = series_from_trajectory(traj)
         keep = slice(0, len(series.times), 100)
         target = MeasurementSeries(series.times[keep], series.values[keep])
@@ -530,10 +531,11 @@ def small_fit_problems(draw):
     radiative fit stays cheap. The curve's amplitude is drawn freely, so
     many fits end on a bound."""
     bilayer = draw(st.booleans())
-    wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
+    wall = make_bilayer() if bilayer else WallAssembly(ThermalLayer(**SILICONE))
     radiative = draw(st.booleans())
-    source = (HeatSource.radiative(draw(st.floats(320.0, 600.0)), 0.9) if radiative
-              else HeatSource.constant_flux(POWER_W))
+    source = (HeatSource(source_temperature=draw(st.floats(320.0, 600.0)),
+                         source_emissivity=0.9) if radiative
+              else HeatSource(power=POWER_W))
     names = ["alpha_s", "h_se", "scale"] + ["alpha_L", "h_Le"] * bilayer \
         + ["Q_h"] * (not radiative)
     boxes = {"alpha_s": (0.0, 0.5), "alpha_L": (0.3, 1.0), "h_se": (1.0, 30.0),
@@ -577,12 +579,22 @@ class TestFitAgainstNumpyReference:
     def test_a_non_identifiable_pair_meets_the_reference(self):
         # on a single layer under a constant flux only alpha_s * Q_h enters
         # the model: the normal equations are singular but for rounding
-        wall = WallAssembly.single(ThermalLayer(**SILICONE))
+        wall = WallAssembly(ThermalLayer(**SILICONE))
         problem = make_problem(synthetic_target(wall), ParamSpec("alpha_s", 0.05, 0.5, 0.4),
                                ParamSpec("Q_h", 0.01, 0.2, 0.05), assembly=wall)
         got = self.assert_meets_reference(problem)
         product = got.values["alpha_s"] * got.values["Q_h"]
         assert product == pytest.approx(SILICONE["absorptance"] * POWER_W, rel=1e-6)
+
+    def test_the_damping_floor_keeps_a_singular_fit_solvable(self, monkeypatch):
+        # started at 1e-14, accepted steps on this singular pair would take
+        # the damping below 1.1e-16, where 1 + damping rounds to 1 and the
+        # scaled solve meets a zero pivot; _MIN_DAMPING holds it at 1e-12
+        monkeypatch.setattr(calibrate_module, "_DAMPING", 1e-14)
+        wall = WallAssembly(ThermalLayer(**SILICONE))
+        problem = make_problem(synthetic_target(wall), ParamSpec("alpha_s", 0.05, 0.5, 0.4),
+                               ParamSpec("Q_h", 0.01, 0.2, 0.05), assembly=wall)
+        self.assert_meets_reference(problem)
 
     def test_a_fit_whose_optimum_lies_past_the_box_corner_ends_on_both_bounds(self):
         # the preset's alpha_L = 0.83 and h_Le = 18 lie beyond the box's
@@ -597,8 +609,8 @@ class TestFitAgainstNumpyReference:
 class TestApplyNamedParameter:
     def test_each_parameter_lands_on_its_field(self):
         wall = make_bilayer()
-        source = HeatSource.constant_flux(POWER_W)
-        sched = LightSchedule.always_on()
+        source = HeatSource(power=POWER_W)
+        sched = LightSchedule(((0.0, math.inf, 1.0),))
         with pytest.warns(UserWarning, match="absorptances"):
             wall2, _, _ = apply_named_parameter(wall, source, sched, "alpha_s", 0.3)
         assert wall2.silicone.absorptance == 0.3
@@ -614,7 +626,7 @@ class TestApplyNamedParameter:
     def test_unknown_name_rejected(self):
         wall = make_bilayer()
         with pytest.raises(ValidationError):
-            apply_named_parameter(wall, HeatSource.constant_flux(POWER_W),
+            apply_named_parameter(wall, HeatSource(power=POWER_W),
                                   SCHEDULE, "tau", 1.0)
 
 
@@ -639,7 +651,7 @@ class TestStableBox:
         with pytest.raises(ValidationError, match="interval scale must be finite"):
             CalibrationProblem(
                 target=target, free=(ParamSpec("scale", 0.5, 1e10, 1.0),),
-                assembly=make_bilayer(), source=HeatSource.constant_flux(POWER_W),
+                assembly=make_bilayer(), source=HeatSource(power=POWER_W),
                 env=Environment(AMBIENT_K), schedule=huge, config=CONFIG)
 
     @pytest.mark.filterwarnings("ignore:layer absorptances sum:UserWarning")
@@ -652,9 +664,10 @@ class TestStableBox:
         # error at the initial point when it is built
         draw = data.draw
         radiative, bilayer = draw(st.booleans()), draw(st.booleans())
-        wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
-        source = (HeatSource.radiative(draw(st.floats(300.0, 1500.0)), 0.9) if radiative
-                  else HeatSource.constant_flux(POWER_W))
+        wall = make_bilayer() if bilayer else WallAssembly(ThermalLayer(**SILICONE))
+        source = (HeatSource(source_temperature=draw(st.floats(300.0, 1500.0)),
+                             source_emissivity=0.9) if radiative
+                  else HeatSource(power=POWER_W))
         guarded = ["h_se"] + ["h_Le"] * bilayer + ["scale"] * radiative
         names = draw(st.lists(st.sampled_from(guarded), min_size=1, unique=True))
         specs = [ParamSpec("alpha_s", 0.0, 0.3, 0.1)] * draw(st.booleans())
@@ -734,7 +747,8 @@ class TestCandidateChecks:
         target = synthetic_target(make_bilayer())
         flux = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
                             ParamSpec("alpha_s", 0.0, 0.5, 0.17))
-        for problem in (flux, replace(flux, source=HeatSource.radiative(373.0, 0.9))):
+        for problem in (flux, replace(flux, source=HeatSource(source_temperature=373.0,
+                                                              source_emissivity=0.9))):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 objective(problem, [0.9, 0.3])
@@ -769,7 +783,7 @@ class TestOverflow:
     @pytest.mark.parametrize("bilayer", [False, True], ids=["single", "bilayer"])
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_temperature_raises(self, bilayer):
-        wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
+        wall = make_bilayer() if bilayer else WallAssembly(ThermalLayer(**SILICONE))
         problem = make_problem(synthetic_target(wall), ParamSpec("Q_h", 1.0, 1e308, 1e308),
                                assembly=wall)
         message = "^temperature became non-finite or non-positive$"
@@ -783,7 +797,7 @@ class TestOverflow:
     def test_finite_temperatures_whose_sse_overflows_give_inf(self, bilayer):
         # every temperature is finite and positive, about 1e162 K, but their
         # squared errors are not: the objective is inf, not an error
-        wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
+        wall = make_bilayer() if bilayer else WallAssembly(ThermalLayer(**SILICONE))
         problem = make_problem(synthetic_target(wall), ParamSpec("Q_h", 1.0, 1e308, 1.0),
                                assembly=wall)
         assert objective(problem, [1e160]) == math.inf
@@ -794,11 +808,12 @@ def radiative_problem(bilayer=True, last=60.0, free=(ParamSpec("scale", 0.1, 2.0
                       channel="auto", config=SimConfig(duration=60.0, dt=0.01)):
     """A radiative problem with 40 targets up to last, on a schedule whose
     second interval is on until the end."""
-    wall = make_bilayer() if bilayer else WallAssembly.single(ThermalLayer(**SILICONE))
+    wall = make_bilayer() if bilayer else WallAssembly(ThermalLayer(**SILICONE))
     times = np.linspace(0.0, last, 40)
     return CalibrationProblem(
         target=MeasurementSeries(times, AMBIENT_K + 0.3 * times), free=free, assembly=wall,
-        source=HeatSource.radiative(373.0, 0.9), env=Environment(AMBIENT_K),
+        source=HeatSource(source_temperature=373.0, source_emissivity=0.9),
+        env=Environment(AMBIENT_K),
         schedule=LightSchedule(((0.0, 15.0, 1.0), (20.0, math.inf, 0.5))), config=config,
         channel=channel)
 

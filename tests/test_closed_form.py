@@ -72,14 +72,14 @@ def walls(draw):
         absorptance=draw(st.floats(0.0, 0.5)),
         conv_faces=draw(faces)))
     if draw(st.booleans()):
-        return WallAssembly.single(silicone)
+        return WallAssembly(silicone)
     lig = ThermalLayer(**dict(
         LIG,
         conv_coeff=draw(st.floats(0.5, 40.0)),
         thickness=draw(st.floats(0.3e-4, 3e-4)),
         absorptance=draw(st.floats(0.0, 1.0 - silicone.absorptance)),
         conv_faces=draw(faces)))
-    return WallAssembly.bilayer(silicone, lig)
+    return WallAssembly(silicone, lig)
 
 
 @st.composite
@@ -99,7 +99,7 @@ def schedules(draw, duration):
 @st.composite
 def scenarios(draw):
     assembly = draw(walls())
-    source = HeatSource.constant_flux(draw(st.floats(0.0, 0.2)))
+    source = HeatSource(power=draw(st.floats(0.0, 0.2)))
     limit = stability_limit(assembly, source, Environment(AMBIENT_K))
     if math.isinf(limit):  # a single layer with no loss path
         limit = 100.0
@@ -205,10 +205,10 @@ def no_loss_path_scenario():
     strongest flux and drive scale and most steps: 1 500 steps of 100 s
     up to 7.3e5 K. `run`'s own rounding of its 1 500 additions there is
     8.0e-9 K."""
-    wall = WallAssembly.single(ThermalLayer(**dict(
+    wall = WallAssembly(ThermalLayer(**dict(
         SILICONE, conv_faces=0, absorptance=0.5, thickness=0.3e-3)))
     config = SimConfig(duration=150000.0, dt=100.0)
-    return (wall, HeatSource.constant_flux(0.2), LightSchedule(((0.0, math.inf, 2.0),)),
+    return (wall, HeatSource(power=0.2), LightSchedule(((0.0, math.inf, 2.0),)),
             config, np.linspace(0.0, config.duration, 40), "auto")
 
 
@@ -243,11 +243,11 @@ class TestAgainstStepping:
         # that mode must grow by the drive every step instead of reading 0/0
         sil = ThermalLayer(**dict(SILICONE, conv_faces=0))
         lig = ThermalLayer(**dict(LIG, conv_faces=0))
-        env, source = Environment(AMBIENT_K), HeatSource.constant_flux(POWER_W)
+        env, source = Environment(AMBIENT_K), HeatSource(power=POWER_W)
         schedule = LightSchedule(((0.0, 2.0, 1.0),))
         config = SimConfig(duration=5.0, dt=0.01)
         times = np.linspace(0.0, 5.0, 51)
-        for assembly in (WallAssembly.single(sil), WallAssembly.bilayer(sil, lig)):
+        for assembly in (WallAssembly(sil), WallAssembly(sil, lig)):
             closed = constant_flux_at(assembly, source, schedule, env, config,
                                       tuple(times), "auto")
             stepped = stepped_at(assembly, source, schedule, env, config, times, "auto")
@@ -260,11 +260,11 @@ class TestAgainstStepping:
         # overflows: such a mode must ramp as if it had no loss path
         sil = ThermalLayer(**dict(SILICONE, conv_coeff=h))
         lig = ThermalLayer(**dict(LIG, conv_coeff=h))
-        env, source = Environment(AMBIENT_K), HeatSource.constant_flux(POWER_W)
+        env, source = Environment(AMBIENT_K), HeatSource(power=POWER_W)
         schedule = LightSchedule(((0.0, 10.0, 1.0),))
         config = SimConfig(duration=20.0, dt=0.01)
         times = np.linspace(0.0, 20.0, 21)
-        for assembly in (WallAssembly.single(sil), WallAssembly.bilayer(sil, lig)):
+        for assembly in (WallAssembly(sil), WallAssembly(sil, lig)):
             closed = constant_flux_at(assembly, source, schedule, env, config,
                                       tuple(times), "auto")
             stepped = stepped_at(assembly, source, schedule, env, config, times, "auto")
@@ -280,7 +280,7 @@ class TestWeakLoss:
     def test_matches_an_extended_precision_euler_run(self, h):
         cfg = load_config(preset_path("table1_bilayer"))
         sil, lig = cfg.assembly.silicone, cfg.assembly.lig
-        assembly = WallAssembly.bilayer(replace(sil, conv_coeff=h), replace(lig, conv_coeff=h))
+        assembly = WallAssembly(replace(sil, conv_coeff=h), replace(lig, conv_coeff=h))
         schedule = LightSchedule(((0.0, 150.0, 1.0),))
         config = SimConfig(duration=300.0, dt=0.01)
         times = np.linspace(0.0, 300.0, 301)

@@ -499,12 +499,12 @@ class TestSeriesIO:
 class TestTrajectoryIO:
     @pytest.fixture
     def bilayer_run(self, bilayer_wall, flux_source, environment):
-        return run(bilayer_wall, flux_source, LightSchedule.always_on(),
+        return run(bilayer_wall, flux_source, LightSchedule(((0.0, math.inf, 1.0),)),
                    environment, SimConfig(duration=2.0, dt=0.01, record_stride=10))
 
     @pytest.fixture
     def single_run(self, single_wall, flux_source, environment):
-        return run(single_wall, flux_source, LightSchedule.always_on(),
+        return run(single_wall, flux_source, LightSchedule(((0.0, math.inf, 1.0),)),
                    environment, SimConfig(duration=2.0, dt=0.01, record_stride=10))
 
     def test_header_and_row_count(self, tmp_path, single_run):
@@ -735,7 +735,7 @@ class TestBulkRows:
     def test_writer_output_takes_fast_path(self, kind, single_wall, bilayer_wall,
                                            flux_source, environment):
         wall = single_wall if kind == "single" else bilayer_wall
-        trajectory = run(wall, flux_source, LightSchedule.always_on(), environment,
+        trajectory = run(wall, flux_source, LightSchedule(((0.0, math.inf, 1.0),)), environment,
                          SimConfig(duration=2.0, dt=0.01, record_stride=10))
         stream = io.StringIO()
         write_trajectory(trajectory, stream)
@@ -1142,7 +1142,8 @@ class TestRunSweep:
         intervals = [(start, end, data.draw(st.floats(0.0, 3.0)))
                      for start, end in zip(bounds[::2], bounds[1::2])]
         cfg = load_config(preset_path(preset))
-        source = HeatSource.radiative(373.0, 0.9) if radiative else cfg.source
+        source = (HeatSource(source_temperature=373.0, source_emissivity=0.9) if radiative
+                  else cfg.source)
         config = RunConfig(assembly=cfg.assembly, source=source, env=cfg.env,
                            schedule=LightSchedule(tuple(intervals)),
                            sim=SimConfig(duration=duration, dt=0.05, record_stride=7))
@@ -1183,6 +1184,12 @@ class TestRunSweep:
         assert result.rows[1].get("steady_theta_s_K") is None
         assert (result.rows[1]["error"], result.rows[1]["message"]) == (
             "ValidationError", "absorptance must lie in [0, 1], got 2.0")
+
+    def test_a_sweep_whose_every_point_fails_before_its_run(self, config):
+        # both absorptances fail as the point's wall is built: no point has a run
+        result = run_sweep(config, "alpha_L", (2.0, -1.0), ("steady",))
+        assert [row["status"] for row in result.rows] == ["failed", "failed"]
+        assert result.failures == 2
 
     def test_failed_point_keeps_the_stability_error(self, config):
         # a film convection of 1e9 W/m2K puts the lig's time constant far
@@ -1279,7 +1286,8 @@ class TestParallelSweep:
                                                radiative, param, points, outputs, d_ref,
                                                failed):
         if radiative:
-            config = dataclasses.replace(config, source=HeatSource.radiative(373.0, 0.9))
+            config = dataclasses.replace(
+                config, source=HeatSource(source_temperature=373.0, source_emissivity=0.9))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         args = (config, param, points, outputs, d_ref)
         forked = run_sweep(*args)

@@ -35,8 +35,8 @@ from reference_stepper import (
 
 # immutable shared instances for hypothesis-driven tests (fixtures are
 # function-scoped, which hypothesis rejects inside @given)
-BILAYER = WallAssembly.bilayer(ThermalLayer(**SILICONE), ThermalLayer(**LIG))
-FLUX = HeatSource.constant_flux(POWER_W)
+BILAYER = WallAssembly(ThermalLayer(**SILICONE), ThermalLayer(**LIG))
+FLUX = HeatSource(power=POWER_W)
 ENV = Environment(AMBIENT_K)
 
 
@@ -73,34 +73,34 @@ class TestThermalLayer:
 
 class TestAssembly:
     def test_single_defaults_two_faces(self, silicone_layer):
-        assert WallAssembly.single(silicone_layer).silicone.conv_faces == 2
+        assert WallAssembly(silicone_layer).silicone.conv_faces == 2
 
     def test_bilayer_defaults_one_face_each(self, silicone_layer, lig_layer):
-        wall = WallAssembly.bilayer(silicone_layer, lig_layer)
+        wall = WallAssembly(silicone_layer, lig_layer)
         assert wall.silicone.conv_faces == 1
         assert wall.lig.conv_faces == 1
 
     def test_explicit_faces_kept(self):
         layer = ThermalLayer(**SILICONE, conv_faces=1)
-        assert WallAssembly.single(layer).silicone.conv_faces == 1
+        assert WallAssembly(layer).silicone.conv_faces == 1
 
     def test_kind_follows_from_the_lig_layer(self, silicone_layer, lig_layer):
         # the named constructors are the plain constructor, by whether
         # there is a lig layer
         single = WallAssembly(silicone_layer)
         assert single.lig is None and single.silicone.conv_faces == 2
-        assert single == WallAssembly.single(silicone_layer)
+        assert single == WallAssembly(silicone_layer)
         bilayer = WallAssembly(silicone_layer, lig_layer)
         assert (bilayer.silicone.conv_faces, bilayer.lig.conv_faces) == (1, 1)
-        assert bilayer == WallAssembly.bilayer(silicone_layer, lig_layer)
+        assert bilayer == WallAssembly(silicone_layer, lig_layer)
 
     def test_absorptance_sum_above_one_warns(self, silicone_layer):
         greedy = ThermalLayer(**dict(LIG, absorptance=0.9))
         with pytest.warns(UserWarning, match="absorptances"):
-            WallAssembly.bilayer(silicone_layer, greedy)
+            WallAssembly(silicone_layer, greedy)
 
     def test_table_values_do_not_warn(self, recwarn, silicone_layer, lig_layer):
-        WallAssembly.bilayer(silicone_layer, lig_layer)  # 0.17 + 0.83 == 1.0
+        WallAssembly(silicone_layer, lig_layer)  # 0.17 + 0.83 == 1.0
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
@@ -230,7 +230,7 @@ class TestOneStepEnergy:
         # between the two balances, but each balance rounds it, and the step
         # rounds each C T / dt, so both belong in the reference magnitude
         dt = 0.1
-        traj = run(BILAYER, FLUX, LightSchedule.always_on(scale), ENV,
+        traj = run(BILAYER, FLUX, LightSchedule(((0.0, math.inf, scale),)), ENV,
                    SimConfig(duration=dt, dt=dt), start=(ts, tl))
         stored = (CAP_SILICONE * (traj.silicone[1] - ts) + CAP_LIG * (traj.lig[1] - tl)) / dt
         conv = (convective_conductance(BILAYER.silicone) * (ts - AMBIENT_K)
@@ -272,7 +272,8 @@ class TestSteadyState:
         lone = steady_state(single_wall, flux_source, environment, scale=0.0)
         assert lone == (AMBIENT_K, None)
 
-    @pytest.mark.parametrize("source", [FLUX, HeatSource.radiative(373.0, 0.9)],
+    @pytest.mark.parametrize("source",
+                             [FLUX, HeatSource(source_temperature=373.0, source_emissivity=0.9)],
                              ids=["flux", "radiative"])
     @pytest.mark.parametrize("wall", ["single_wall", "bilayer_wall"])
     @pytest.mark.parametrize("scale", [0.0, 1.0])
@@ -285,7 +286,8 @@ class TestSteadyState:
         assert type(theta_l) is float if bilayer else theta_l is None
 
     @pytest.mark.parametrize("scale", [math.inf, math.nan, -1.0])
-    @pytest.mark.parametrize("source", [FLUX, HeatSource.radiative(373.0, 0.9)],
+    @pytest.mark.parametrize("source",
+                             [FLUX, HeatSource(source_temperature=373.0, source_emissivity=0.9)],
                              ids=["flux", "radiative"])
     def test_rejects_scale_not_finite_and_non_negative(self, bilayer_wall, environment,
                                                        source, scale):
@@ -300,7 +302,7 @@ class TestSteadyState:
         message = (f"the steady state under a {power:g} W flux at scale {scale:g} "
                    "overflows a float; lower the power or the scale")
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            steady_state(request.getfixturevalue(wall), HeatSource.constant_flux(power),
+            steady_state(request.getfixturevalue(wall), HeatSource(power=power),
                          environment, scale=scale)
 
     @pytest.mark.parametrize("ambient", [2e77, 1e308])
@@ -308,7 +310,7 @@ class TestSteadyState:
     def test_ambient_beyond_the_float_range_is_bad_input(self, request, wall, ambient):
         # its fourth power once raised a bare OverflowError; 1e77 K still solves
         wall = request.getfixturevalue(wall)
-        source = HeatSource.radiative(373.0, 0.9)
+        source = HeatSource(source_temperature=373.0, source_emissivity=0.9)
         assert math.isfinite(steady_state(wall, source, Environment(1e77))[0])
         message = (f"ambient temperature {ambient:g} K is too high: its fourth power "
                    "overflows a float")
@@ -328,7 +330,7 @@ class TestSteadyState:
         assert hot[1] > cold[1]
 
     def test_monotone_in_power(self, bilayer_wall, environment):
-        temps = [steady_state(bilayer_wall, HeatSource.constant_flux(p),
+        temps = [steady_state(bilayer_wall, HeatSource(power=p),
                               environment)[0]
                  for p in (0.01, 0.075, 0.2, 1.0)]
         assert all(b > a for a, b in zip(temps, temps[1:]))
@@ -343,8 +345,8 @@ class TestSteadyState:
         from scipy.optimize import brentq
 
         layer = ThermalLayer(**SILICONE)
-        wall = WallAssembly.single(layer)
-        source = HeatSource.radiative(500.0, 0.9)
+        wall = WallAssembly(layer)
+        source = HeatSource(source_temperature=500.0, source_emissivity=0.9)
         theta_s, _ = steady_state(wall, source, environment)
 
         g = convective_conductance(wall.silicone)
@@ -373,8 +375,8 @@ class TestSteadyState:
 
         sil = ThermalLayer(**{**SILICONE, "emissivity": eps_s})
         lig = ThermalLayer(**{**LIG, "emissivity": eps_l})
-        wall = WallAssembly.bilayer(sil, lig) if bilayer else WallAssembly.single(sil)
-        source = HeatSource.radiative(theta_h, eps_h)
+        wall = WallAssembly(sil, lig) if bilayer else WallAssembly(sil)
+        source = HeatSource(source_temperature=theta_h, source_emissivity=eps_h)
         steady = State(0.0, *steady_state(wall, source, ENV, scale))
         if bilayer:
             rates = rhs_bilayer(steady, wall, source, ENV, scale)
@@ -435,8 +437,8 @@ class TestSteadyState:
         """
         sil = ThermalLayer(**{**SILICONE, "emissivity": eps_s})
         lig = ThermalLayer(**{**LIG, "emissivity": eps_l})
-        wall = WallAssembly.bilayer(sil, lig) if bilayer else WallAssembly.single(sil)
-        source = HeatSource.radiative(theta_h, eps_h)
+        wall = WallAssembly(sil, lig) if bilayer else WallAssembly(sil)
+        source = HeatSource(source_temperature=theta_h, source_emissivity=eps_h)
         steady = State(0.0, *steady_state(wall, source, ENV, scale))
 
         def drive_slope(layer):
@@ -469,9 +471,9 @@ class TestSteadyState:
         # at a residual below 1e-9 W returned ambient itself there, and at
         # 1e-9 (4.7e-8 K). Each solve lands within an ulp or two of its root
         silicone = ThermalLayer(**SILICONE)
-        wall = (WallAssembly.bilayer(silicone, ThermalLayer(**LIG)) if bilayer
-                else WallAssembly.single(silicone))
-        source = HeatSource.radiative(373.0, 0.9)
+        wall = (WallAssembly(silicone, ThermalLayer(**LIG)) if bilayer
+                else WallAssembly(silicone))
+        source = HeatSource(source_temperature=373.0, source_emissivity=0.9)
         one, two = (steady_state(wall, source, ENV, s) for s in (scale, 2.0 * scale))
         for node in range(1 + bilayer):
             excess, doubled = one[node] - AMBIENT_K, two[node] - AMBIENT_K
@@ -481,19 +483,20 @@ class TestSteadyState:
     def test_root_next_to_a_subnormal_ambient_closes_its_bracket(self):
         # from 1e10 K down to a root near 2e-292 K the bracket halves about
         # 1050 times before its ends are adjacent floats
-        theta_s, theta_l = steady_state(BILAYER, HeatSource.radiative(1e10, 0.9),
-                                        Environment(5e-324), 5e-324)
+        theta_s, theta_l = steady_state(
+            BILAYER, HeatSource(source_temperature=1e10, source_emissivity=0.9),
+            Environment(5e-324), 5e-324)
         assert 1e-293 < theta_l < theta_s < 1e-291
 
     def test_radiative_scale_zero_is_ambient(self, bilayer_wall, environment):
-        source = HeatSource.radiative(700.0, 0.85)
+        source = HeatSource(source_temperature=700.0, source_emissivity=0.85)
         steady = steady_state(bilayer_wall, source, environment, scale=0.0)
         assert steady == (AMBIENT_K, AMBIENT_K)
 
     def test_driven_wall_without_losses_has_no_steady_state(self, flux_source,
                                                             environment):
         sealed = ThermalLayer(**SILICONE, conv_faces=0)
-        wall = WallAssembly.single(sealed)
+        wall = WallAssembly(sealed)
         with pytest.raises(NumericalError):
             steady_state(wall, flux_source, environment)
 
@@ -513,33 +516,34 @@ class TestHeatSourceValidation:
             HeatSource(power=1.0, source_emissivity=0.9)
 
     def test_mode_follows_from_the_power(self):
-        assert HeatSource(power=2.0) == HeatSource.constant_flux(2.0)
-        assert HeatSource(373.0, 0.9) == HeatSource.radiative(373.0, 0.9)
+        assert HeatSource(power=2.0) == HeatSource(None, None, 2.0)
+        assert HeatSource(373.0, 0.9) == HeatSource(source_temperature=373.0,
+                                                    source_emissivity=0.9)
 
     def test_flux_requires_power(self):
         with pytest.raises(ValidationError):
-            HeatSource.constant_flux(-1.0)
+            HeatSource(power=-1.0)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_flux_rejects_non_finite_power(self, value):
         with pytest.raises(ValidationError, match="finite power"):
-            HeatSource.constant_flux(value)
+            HeatSource(power=value)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_radiative_rejects_non_finite_temperature(self, value):
         with pytest.raises(ValidationError, match="finite source_temperature"):
-            HeatSource.radiative(value, 0.9)
+            HeatSource(source_temperature=value, source_emissivity=0.9)
 
     @pytest.mark.parametrize("value", [0.0, -300.0])
     def test_radiative_rejects_nonpositive_temperature(self, value):
         with pytest.raises(ValidationError, match="source_temperature > 0"):
-            HeatSource.radiative(value, 0.9)
+            HeatSource(source_temperature=value, source_emissivity=0.9)
 
     @pytest.mark.parametrize("value", [0.0, -0.2, 1.5, math.nan])
     def test_radiative_rejects_emissivity_outside_unit_interval(self, value):
         # the grey-body resistance divides by the source emissivity too
         with pytest.raises(ValidationError, match=r"source_emissivity in \(0, 1\]"):
-            HeatSource.radiative(400.0, value)
+            HeatSource(source_temperature=400.0, source_emissivity=value)
 
     def test_environment_positive(self):
         with pytest.raises(ValidationError):

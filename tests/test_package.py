@@ -29,12 +29,26 @@ PUBLIC_NAMES = {
     "write_trajectory",
 }
 
+# a model type has one constructor, its own; none of these alias
+# classmethods may come back
+REMOVED_ALIASES = {
+    "WallAssembly": ("single", "bilayer"),
+    "HeatSource": ("constant_flux", "radiative"),
+    "LightSchedule": ("always_on", "off"),
+}
+
 
 def test_exports_exactly_the_public_names():
     # submodules become attributes once imported, so they are left out
     exported = {name for name, value in vars(phototherm).items()
                 if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def test_model_types_have_no_alias_constructors():
+    present = [f"{cls}.{name}" for cls, names in REMOVED_ALIASES.items() for name in names
+               if hasattr(getattr(phototherm, cls), name)]
+    assert present == []
 
 
 def test_every_private_function_and_class_is_used_in_the_package():

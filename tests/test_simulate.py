@@ -34,7 +34,7 @@ from conftest import (AMBIENT_K, LIG, POWER_W, SILICONE, TAU_SINGLE_S, forward_t
 from linear_oracle import exact_bilayer_grid
 from reference_stepper import State, euler_step, samples, scale_at
 
-ALWAYS_ON = LightSchedule.always_on()
+ALWAYS_ON = LightSchedule(((0.0, math.inf, 1.0),))
 
 
 class TestLightSchedule:
@@ -72,7 +72,7 @@ class TestLightSchedule:
         assert scale_at(sched, 31.0) == 0.0
 
     def test_infinite_tail_allowed(self):
-        sched = LightSchedule.always_on(0.7)
+        sched = LightSchedule(((0.0, math.inf, 0.7),))
         assert sched.intervals == ((0.0, math.inf, 0.7),)
         assert scale_at(sched, 1e12) == 0.7
 
@@ -83,8 +83,8 @@ class TestLightSchedule:
             sched.scaled(-1.0)
 
     def test_empty_schedule_is_off(self):
-        assert LightSchedule.off().intervals == ()
-        assert scale_at(LightSchedule.off(), 3.0) == 0.0
+        assert LightSchedule().intervals == ()
+        assert scale_at(LightSchedule(), 3.0) == 0.0
 
 
 class TestSimConfig:
@@ -127,8 +127,8 @@ class TestStabilityLimit:
             113.75, rel=1e-12)
 
     def test_doubling_conductances_halves_limit_exactly(self, flux_source, environment):
-        base = WallAssembly.bilayer(ThermalLayer(**SILICONE), ThermalLayer(**LIG))
-        doubled = WallAssembly.bilayer(
+        base = WallAssembly(ThermalLayer(**SILICONE), ThermalLayer(**LIG))
+        doubled = WallAssembly(
             ThermalLayer(**dict(SILICONE, conv_coeff=2 * SILICONE["conv_coeff"],
                                 conductivity=2 * SILICONE["conductivity"])),
             ThermalLayer(**dict(LIG, conv_coeff=2 * LIG["conv_coeff"])))
@@ -146,7 +146,7 @@ class TestStabilityLimit:
     def test_hot_radiative_source_limited_by_lig(self, bilayer_wall, environment):
         # the linear limit of 0.128 s would let dt = 0.1 s settle into a
         # 68 K / 1889 K period-2 cycle
-        source = HeatSource.radiative(1500.0, 0.9)
+        source = HeatSource(source_temperature=1500.0, source_emissivity=0.9)
         assert stability_limit(bilayer_wall, source, environment) == pytest.approx(
             0.03197, abs=1e-5)
         with pytest.raises(StabilityError, match="lig") as excinfo:
@@ -156,12 +156,12 @@ class TestStabilityLimit:
 
     def test_light_scale_and_initial_state_tighten_radiative_limit(self, single_wall,
                                                                    environment):
-        source = HeatSource.radiative(373.0, 0.9)
+        source = HeatSource(source_temperature=373.0, source_emissivity=0.9)
         limit = stability_limit(single_wall, source, environment)
         config = SimConfig(duration=10 * limit, dt=limit)
         run(single_wall, source, ALWAYS_ON, environment, config)
         with pytest.raises(StabilityError):
-            run(single_wall, source, LightSchedule.always_on(1.5), environment, config)
+            run(single_wall, source, LightSchedule(((0.0, math.inf, 1.5),)), environment, config)
         with pytest.raises(StabilityError):
             run(single_wall, source, ALWAYS_ON, environment, config,
                 start=(400.0, None))
@@ -175,11 +175,12 @@ def radiative_scenarios(draw):
     silicone = ThermalLayer(**dict(SILICONE, emissivity=draw(emissivity),
                                    conv_coeff=draw(st.floats(0.5, 40.0))))
     if draw(st.booleans()):
-        wall = WallAssembly.single(silicone)
+        wall = WallAssembly(silicone)
     else:
-        wall = WallAssembly.bilayer(silicone, ThermalLayer(**dict(
+        wall = WallAssembly(silicone, ThermalLayer(**dict(
             LIG, emissivity=draw(emissivity), conv_coeff=draw(st.floats(0.5, 40.0)))))
-    source = HeatSource.radiative(draw(st.floats(150.0, 3000.0)), draw(emissivity))
+    source = HeatSource(source_temperature=draw(st.floats(150.0, 3000.0)),
+                        source_emissivity=draw(emissivity))
     env = Environment(draw(st.floats(250.0, 350.0)))
     scale = draw(st.floats(0.0, 3.0))
     limit = _time_constant(_coefficients(wall, source), env.ambient_temperature, scale)[0]
@@ -295,7 +296,7 @@ class TestRun:
 
     def test_empty_schedule_stays_at_ambient(self, bilayer_wall, flux_source,
                                              environment):
-        traj = run(bilayer_wall, flux_source, LightSchedule.off(), environment,
+        traj = run(bilayer_wall, flux_source, LightSchedule(), environment,
                    SimConfig(duration=5.0, dt=0.05))
         assert all(s.silicone_temperature == AMBIENT_K for s in samples(traj))
         assert all(s.lig_temperature == AMBIENT_K for s in samples(traj))
@@ -304,8 +305,9 @@ class TestRun:
         pytest.param(f"{kind}_wall", source, stride,
                      id=f"{kind}-{mode}" + ("" if stride == 1 else f"-stride{stride}"))
         for kind in ("single", "bilayer")
-        for mode, source in (("flux", HeatSource.constant_flux(30.0)),
-                             ("radiative", HeatSource.radiative(1500.0, 0.9)))
+        for mode, source in (("flux", HeatSource(power=30.0)),
+                             ("radiative", HeatSource(source_temperature=1500.0,
+                                                      source_emissivity=0.9)))
         for stride in (1, 3)])
     def test_matches_manual_euler_stepping_bitwise(self, request, wall, source,
                                                    environment, record_stride):
@@ -375,7 +377,7 @@ class TestRun:
         assert np.all(temps >= AMBIENT_K)
 
     def test_initial_state_override(self, single_wall, flux_source, environment):
-        traj = run(single_wall, flux_source, LightSchedule.off(), environment,
+        traj = run(single_wall, flux_source, LightSchedule(), environment,
                    SimConfig(duration=10.0, dt=0.01), start=(308.625, None))
         assert traj.silicone[0] == 308.625
         assert traj.silicone[-1] < 308.625
@@ -407,10 +409,10 @@ class TestRun:
         # either loop body, also when that step is not recorded. The thick
         # film keeps dt = 1 s inside the bilayer's stability limit
         silicone = ThermalLayer(**SILICONE)
-        wall = (WallAssembly.single(silicone) if kind == "single" else
-                WallAssembly.bilayer(silicone, ThermalLayer(**{**LIG, "thickness": 2e-2})))
+        wall = (WallAssembly(silicone) if kind == "single" else
+                WallAssembly(silicone, ThermalLayer(**{**LIG, "thickness": 2e-2})))
         with pytest.raises(NumericalError, match="t=2 s"):
-            run(wall, HeatSource.constant_flux(1e308), ALWAYS_ON, environment,
+            run(wall, HeatSource(power=1e308), ALWAYS_ON, environment,
                 SimConfig(duration=10.0, dt=1.0, record_stride=record_stride))
 
     @pytest.mark.parametrize("kind", ("single", "bilayer"))
@@ -418,17 +420,17 @@ class TestRun:
         # with the light off the guard counts no radiative conductance, but
         # the loop still evaluates T ** 4, which overflows a float at 1e120 K
         silicone = ThermalLayer(**SILICONE)
-        wall, lig = ((WallAssembly.single(silicone), None) if kind == "single" else
-                     (WallAssembly.bilayer(silicone, ThermalLayer(**LIG)), 1e120))
+        wall, lig = ((WallAssembly(silicone), None) if kind == "single" else
+                     (WallAssembly(silicone, ThermalLayer(**LIG)), 1e120))
         with pytest.raises(NumericalError, match="t=0.01 s"):
-            run(wall, HeatSource.radiative(373.0, 0.9), LightSchedule.off(), environment,
-                SimConfig(duration=1.0, dt=0.01), start=(1e120, lig))
+            run(wall, HeatSource(source_temperature=373.0, source_emissivity=0.9), LightSchedule(),
+                environment, SimConfig(duration=1.0, dt=0.01), start=(1e120, lig))
 
     def test_radiative_overflow_in_the_guard_raises_stability_error(self, single_wall,
                                                                     environment):
         # the linearised radiative conductance at 1e120 K is beyond any
         # float, so no positive step is stable
-        source = HeatSource.radiative(373.0, 0.9)
+        source = HeatSource(source_temperature=373.0, source_emissivity=0.9)
         with pytest.raises(StabilityError, match="silicone") as info:
             run(single_wall, source, ALWAYS_ON, environment,
                 SimConfig(duration=1.0, dt=0.01), start=(1e120, None))
@@ -443,7 +445,7 @@ class TestRun:
         # 1e80 K is a finite, valid source temperature, but sigma T^4 is not
         # a float: each entry point that takes the grey-body constants
         # reports a bad input, not an OverflowError
-        source = HeatSource.radiative(1e80, 0.9)
+        source = HeatSource(source_temperature=1e80, source_emissivity=0.9)
         calls = {
             "run": lambda: run(single_wall, source, ALWAYS_ON, environment,
                                SimConfig(duration=1.0, dt=0.01)),
@@ -460,16 +462,16 @@ class TestRun:
         layer = ThermalLayer(specific_heat=700.0, density=400.0, thickness=1e-4,
                              area=1e-4, emissivity=1.0, absorptance=0.5,
                              conductivity=1.0, conv_coeff=0.5)
-        wall = WallAssembly.single(layer)
-        source = HeatSource.radiative(3000.0, 1.0)
-        assert stability_limit(wall, HeatSource.constant_flux(1.0), environment) > 1.0
+        wall = WallAssembly(layer)
+        source = HeatSource(source_temperature=3000.0, source_emissivity=1.0)
+        assert stability_limit(wall, HeatSource(power=1.0), environment) > 1.0
         limit = stability_limit(wall, source, environment)
         assert limit == pytest.approx(2.8e-3 / (1e-4 + 4 * STEFAN_BOLTZMANN * 3000.0 ** 3
                                                 * 1e-4), rel=1e-12)
         with pytest.raises(StabilityError, match="silicone"):
             run(wall, source, ALWAYS_ON, environment, SimConfig(duration=10.0, dt=1.0))
 
-    @pytest.mark.parametrize("schedule", (ALWAYS_ON, LightSchedule.off()), ids=("on", "off"))
+    @pytest.mark.parametrize("schedule", (ALWAYS_ON, LightSchedule()), ids=("on", "off"))
     @pytest.mark.parametrize("kind, dark", (("single", "silicone"), ("bilayer", "silicone"),
                                             ("bilayer", "lig")))
     def test_radiative_run_rejects_zero_emissivity(self, environment, kind, dark, schedule):
@@ -478,14 +480,14 @@ class TestRun:
         # ZeroDivisionError, also when the light is never on
         layers = {"silicone": ThermalLayer(**SILICONE), "lig": ThermalLayer(**LIG)}
         layers[dark] = replace(layers[dark], emissivity=0.0)
-        wall = (WallAssembly.single(layers["silicone"]) if kind == "single"
-                else WallAssembly.bilayer(layers["silicone"], layers["lig"]))
+        wall = (WallAssembly(layers["silicone"]) if kind == "single"
+                else WallAssembly(layers["silicone"], layers["lig"]))
         with pytest.raises(ValidationError, match="emissivity"):
-            run(wall, HeatSource.radiative(373.0, 0.9), schedule, environment,
-                SimConfig(duration=1.0, dt=0.01))
+            run(wall, HeatSource(source_temperature=373.0, source_emissivity=0.9), schedule,
+                environment, SimConfig(duration=1.0, dt=0.01))
 
     def test_radiative_run_approaches_its_steady_state(self, single_wall, environment):
-        source = HeatSource.radiative(500.0, 0.9)
+        source = HeatSource(source_temperature=500.0, source_emissivity=0.9)
         target, _ = steady_state(single_wall, source, environment)
         traj = run(single_wall, source, ALWAYS_ON, environment,
                    SimConfig(duration=600.0, dt=0.05, record_stride=200))
@@ -617,8 +619,8 @@ class TestBlockCheck:
     def wall(kind):
         # the thick film keeps dt = 5 s inside the bilayer's linear limit
         silicone = ThermalLayer(**SILICONE)
-        return (WallAssembly.single(silicone) if kind == "single" else
-                WallAssembly.bilayer(silicone, ThermalLayer(**{**LIG, "thickness": 2e-2})))
+        return (WallAssembly(silicone) if kind == "single" else
+                WallAssembly(silicone, ThermalLayer(**{**LIG, "thickness": 2e-2})))
 
     @pytest.mark.parametrize("failing", (1, 1023, 1024, 1025, 2048, 2300))
     @pytest.mark.parametrize("stride", (1, 3, 10, 1023, 1024, 1025, N_STEPS))
@@ -637,10 +639,10 @@ class TestBlockCheck:
         if mode == "flux":
             monkeypatch.setattr(simulate_module, "_block_size",
                                 lambda *args: simulate_module._BLOCK)
-            source, scale = HeatSource.constant_flux(1e308), 1.0
+            source, scale = HeatSource(power=1e308), 1.0
         else:
             monkeypatch.setattr(simulate_module, "_check_step", lambda *args: None)
-            source, scale = HeatSource.radiative(1500.0, 0.9), 1e308
+            source, scale = HeatSource(source_temperature=1500.0, source_emissivity=0.9), 1e308
         schedule = LightSchedule((((failing - 1) * dt, math.inf, scale),))
         config = SimConfig(duration=self.N_STEPS * dt, dt=dt, record_stride=stride)
         error = assert_run_matches_checked_chain(self.wall(kind), source, schedule,
@@ -652,7 +654,8 @@ class TestBlockCheck:
         # step 1501, neither recorded at stride 3 nor at a block edge,
         # overflows in ts ** 4 (guard switched off, as above)
         monkeypatch.setattr(simulate_module, "_check_step", lambda *args: None)
-        wall, source, dt = self.wall("bilayer"), HeatSource.radiative(1500.0, 0.9), 5.0
+        wall, dt = self.wall("bilayer"), 5.0
+        source = HeatSource(source_temperature=1500.0, source_emissivity=0.9)
         schedule = LightSchedule(((1499 * dt, 1500 * dt, 1e97),))
         reached = float(run(wall, source, schedule, environment,
                             SimConfig(duration=1500 * dt, dt=dt, record_stride=3)).silicone[-1])
@@ -674,16 +677,16 @@ class TestBlockCheck:
         # <= 0 K and recover before the block ends, where a block-end test
         # misses it: run must test every step of such a run
         silicone, lig = ThermalLayer(**SILICONE), ThermalLayer(**LIG)
-        source, start = HeatSource.constant_flux(1e300), None
+        source, start = HeatSource(power=1e300), None
         if case == "bilayer-pulse":  # the lig film alone takes a 1-step pulse at step 1
-            wall, on, n_steps = WallAssembly.bilayer(replace(silicone, absorptance=0.0), lig), 0, 8
+            wall, on, n_steps = WallAssembly(replace(silicone, absorptance=0.0), lig), 0, 8
         elif case == "single-pulse":  # a 1-step pulse; the block starts and ends at 298 K
-            wall, on, n_steps = WallAssembly.single(silicone), 500, 1024
+            wall, on, n_steps = WallAssembly(silicone), 500, 1024
         else:  # an example test_matches_checked_chain found: no drive, a 1e70 K lig start
-            wall, on, n_steps = WallAssembly.bilayer(silicone, lig), None, 5
-            source, start = HeatSource.constant_flux(0.0), (250.0, 1e70)
+            wall, on, n_steps = WallAssembly(silicone, lig), None, 5
+            source, start = HeatSource(power=0.0), (250.0, 1e70)
         dt = stability_limit(wall, source, environment)
-        schedule = (LightSchedule.off() if on is None
+        schedule = (LightSchedule() if on is None
                     else LightSchedule(((on * dt, (on + 1) * dt, 1.0),)))
         config = SimConfig(duration=n_steps * dt, dt=dt, record_stride=stride)
         error = assert_run_matches_checked_chain(wall, source, schedule, environment,
@@ -706,13 +709,14 @@ class TestBlockCheck:
         temperature = st.one_of(st.floats(250.0, 600.0), st.floats(1e70, 1e100))
         env = Environment(AMBIENT_K)
         silicone = ThermalLayer(**SILICONE)
-        wall = (WallAssembly.bilayer(silicone, ThermalLayer(**LIG)) if bilayer
-                else WallAssembly.single(silicone))
+        wall = (WallAssembly(silicone, ThermalLayer(**LIG)) if bilayer
+                else WallAssembly(silicone))
         if radiative:
-            source = HeatSource.radiative(data.draw(st.floats(250.0, 2000.0)), 0.9)
+            source = HeatSource(source_temperature=data.draw(st.floats(250.0, 2000.0)),
+                                source_emissivity=0.9)
         else:
-            source = HeatSource.constant_flux(
-                data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(1e300, 1e308))))
+            source = HeatSource(
+                power=data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(1e300, 1e308))))
         start = (data.draw(temperature), data.draw(temperature) if bilayer else None)
         start_max = max(AMBIENT_K, start[0], start[1] or 0.0)
         limit = _time_constant(_coefficients(wall, source), start_max, scale)[0]
@@ -797,11 +801,11 @@ class TestAccuracy:
     @given(scale=st.floats(0.1, 2.0))
     @settings(max_examples=10, deadline=None)
     def test_tracks_oracle_at_any_scale(self, scale):
-        wall = WallAssembly.bilayer(ThermalLayer(**SILICONE), ThermalLayer(**LIG))
-        source = HeatSource.constant_flux(POWER_W)
+        wall = WallAssembly(ThermalLayer(**SILICONE), ThermalLayer(**LIG))
+        source = HeatSource(power=POWER_W)
         env = Environment(AMBIENT_K)
         dt, n = 0.01, 1500
-        traj = run(wall, source, LightSchedule.always_on(scale), env,
+        traj = run(wall, source, LightSchedule(((0.0, math.inf, scale),)), env,
                    SimConfig(duration=n * dt, dt=dt, record_stride=50))
         exact = exact_bilayer_grid(wall, source, env, scale, dt * 50, n // 50)
         euler = np.column_stack([traj.silicone, traj.lig])
