@@ -3,17 +3,7 @@ soft-actuator walls: flux laws, explicit time integration, response-time
 and plateau metrics, and bounded Levenberg-Marquardt least-squares
 parameter calibration."""
 
-from .errors import (
-    ConfigError,
-    MetricError,
-    NoCrossingError,
-    NoPlateauError,
-    NumericalError,
-    PhotothermError,
-    SeriesFormatError,
-    StabilityError,
-    ValidationError,
-)
+from .errors import NumericalError, PhotothermError, StabilityError, ValidationError
 from .model import (
     Environment,
     HeatSource,

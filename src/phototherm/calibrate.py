@@ -160,15 +160,16 @@ class CalibrationResult:
 
 
 def _check_applicable(name: str, assembly: WallAssembly, source: HeatSource) -> None:
-    """Reject unknown names, alpha_L/h_Le without a bilayer and Q_h without
-    a constant-flux source."""
+    """Reject unknown names, alpha_L/h_Le without a bilayer, and Q_h and the
+    absorptances without a constant-flux source: a radiative source heats
+    the wall by the emissivities and reads no absorptance."""
     if name not in PARAM_RANGES:
         raise ValidationError(
             f"unknown parameter {name!r}; choose from {sorted(PARAM_RANGES)}")
     if name in ("alpha_L", "h_Le") and assembly.lig is None:
         raise ValidationError(f"{name} needs a bilayer assembly")
-    if name == "Q_h" and source.power is None:
-        raise ValidationError("Q_h applies to constant-flux sources only")
+    if name in ("alpha_s", "alpha_L", "Q_h") and source.power is None:
+        raise ValidationError(f"{name} applies to constant-flux sources only")
 
 
 def apply_named_parameter(assembly: WallAssembly, source: HeatSource,

@@ -17,13 +17,7 @@ import numpy as np
 
 from . import calibrate as _calibrate
 from . import fileio
-from .errors import (
-    MetricError,
-    NumericalError,
-    PhotothermError,
-    StabilityError,
-    ValidationError,
-)
+from .errors import NumericalError, PhotothermError, StabilityError, ValidationError
 from .metrics import (
     MeasurementSeries,
     cooling_fit,
@@ -213,7 +207,7 @@ def _cmd_metrics(args) -> int:
             ambient = report.baseline if args.ambient is None else args.ambient
             try:
                 cooling = cooling_fit(MeasurementSeries(tail_t, tail_v, unit="K"), ambient)
-            except (ValidationError, MetricError):
+            except ValidationError:
                 pass
 
     def emit_value(key, value):

@@ -1,9 +1,11 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: four classes.
 
-Input-validity problems (bad values, malformed files, degenerate metric
-inputs, a channel the wall lacks) derive from :class:`ValidationError`, a
-``ValueError`` too, so plain ``except ValueError`` still works. Numerical trouble
-during integration or iteration uses :class:`StabilityError` / :class:`NumericalError`.
+Bad input of any kind (a bad value, a malformed config or CSV file, a
+metric that the series cannot give, a channel the wall lacks) is a
+:class:`ValidationError`, a ``ValueError`` too, so plain ``except ValueError``
+catches it; the CLI exits 2 on it. Numerical trouble during integration or
+iteration is a :class:`StabilityError` or a :class:`NumericalError`, and
+the CLI exits 3 on it.
 """
 
 
@@ -26,23 +28,3 @@ class StabilityError(PhotothermError):
 
 class NumericalError(PhotothermError):
     """Integration or root finding produced non-finite values or failed to converge."""
-
-
-class MetricError(PhotothermError):
-    """A metric could not be computed from the given series."""
-
-
-class NoCrossingError(MetricError):
-    """The series never reaches the requested response level."""
-
-
-class NoPlateauError(MetricError):
-    """No window of the requested length stays within the threshold."""
-
-
-class ConfigError(ValidationError):
-    """Configuration file is malformed or violates an invariant."""
-
-
-class SeriesFormatError(ValidationError):
-    """Measurement CSV file is malformed."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calibrate import PARAM_RANGES, _check_applicable, apply_named_parameter
 from .decimals import read_decimals
-from .errors import ConfigError, PhotothermError, SeriesFormatError, ValidationError
+from .errors import PhotothermError, ValidationError
 from .metrics import (
     MeasurementSeries,
     _TIME_EPS,
@@ -122,7 +122,7 @@ def available_presets() -> list[str]:
 def preset_path(name: str) -> Path:
     path = preset_directory() / f"{name}.ini"
     if not path.is_file():
-        raise ConfigError(
+        raise ValidationError(
             f"unknown preset {name!r}; available: {', '.join(available_presets()) or 'none'}")
     return path
 
@@ -133,9 +133,9 @@ def load_config(path) -> RunConfig:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+        raise ValidationError(f"{path}: cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: config must be UTF-8: {exc}") from exc
+        raise ValidationError(f"{path}: config must be UTF-8: {exc}") from exc
     return parse_config(text, origin=str(path))
 
 
@@ -170,24 +170,24 @@ def _read_ini(text: str, origin: str) -> tuple[dict, dict]:
         if stripped[0] == "[" and end > 1:
             name, key = stripped[1:end], None
             if name in sections:
-                raise ConfigError(f"{origin}:{lineno}: section {name!r} already exists")
+                raise ValidationError(f"{origin}:{lineno}: section {name!r} already exists")
             section = sections[name] = {}
             lines[name, None] = lineno
         elif section is None:
-            raise ConfigError(
+            raise ValidationError(
                 f"{origin}:{lineno}: line before the first [section] header: {stripped!r}")
         elif "=" in stripped:
             raw, _, value = stripped.partition("=")
             key = raw.rstrip().lower()
             if key in section:
-                raise ConfigError(f"{origin}:{lineno}: [{name}] option {key!r} already exists")
+                raise ValidationError(f"{origin}:{lineno}: [{name}] option {key!r} already exists")
             section[key], lines[name, key] = value.strip(), lineno
             if not key:  # malformed, but held like any other key
                 malformed = malformed or lineno
         else:
             malformed = malformed or lineno
     if malformed:
-        raise ConfigError(
+        raise ValidationError(
             f"{origin}:{malformed}: expected a [section] header or a key = value line")
     return sections, lines
 
@@ -201,42 +201,41 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
 
     for section, keys in sections.items():
         if section not in _SECTION_KEYS:
-            raise ConfigError(f"{where(section)}: unknown section [{section}]")
+            raise ValidationError(f"{where(section)}: unknown section [{section}]")
         extra = keys.keys() - _SECTION_KEYS[section]
         if extra:
             key = sorted(extra)[0]
-            raise ConfigError(f"{where(section, key)}: unknown key {key!r} in [{section}]")
+            raise ValidationError(f"{where(section, key)}: unknown key {key!r} in [{section}]")
 
     _REQUIRED = object()
 
     def get(section: str, key: str, cast=float, default=_REQUIRED):
+        """The key's value as cast. An error names the key but not its
+        line: build() adds that."""
         raw = sections.get(section, {}).get(key)
         if raw is None:
             if default is _REQUIRED:
-                raise ConfigError(f"{where(section)}: [{section}] missing key {key!r}")
+                raise ValidationError(f"missing key {key!r}")
             return default
         raw = raw.strip()
         try:
             return cast(raw)
         except ValueError:
             what = "a number" if cast is float else "an integer"
-            raise ConfigError(
-                f"{where(section, key)}: [{section}] {key}: not {what}: {raw!r}") from None
+            raise ValidationError(f"{key}: not {what}: {raw!r}") from None
 
-    def build(section: str, make):
-        """make() for a present section. A ValidationError that is not yet a
-        ConfigError is located at the key its message starts with, or else
-        at the section."""
-        if section not in sections:
-            raise ConfigError(f"{origin}: missing section [{section}]")
+    def build(section: str, make, required: bool = True):
+        """make() for a section, which must be present if required. Its
+        ValidationError is located at the key the message starts with, or
+        else at the section."""
+        if required and section not in sections:
+            raise ValidationError(f"{origin}: missing section [{section}]")
         try:
             return make()
-        except ConfigError:
-            raise
         except ValidationError as exc:
-            key = str(exc).partition(" ")[0]
+            key = str(exc).partition(" ")[0].rstrip(":")
             key = key if key in _SECTION_KEYS[section] else None
-            raise ConfigError(f"{where(section, key)}: [{section}] {exc}") from exc
+            raise ValidationError(f"{where(section, key)}: [{section}] {exc}") from exc
 
     def choice(section: str, key: str, *values: str) -> str:
         raw = get(section, key, cast=str)
@@ -259,6 +258,21 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         return HeatSource(source_temperature=get("source", "source_temperature"),
                           source_emissivity=get("source", "source_emissivity"))
 
+    def metric_choices() -> tuple:
+        window = get("metrics", "plateau_window", default=None)
+        threshold = get("metrics", "plateau_threshold", default=None)
+        # plateau_value's own rules, so that a bad value fails here at its line
+        if window is not None and not 0.0 < window < math.inf:
+            raise ValidationError(f"plateau_window must be finite and > 0, got {window!r}")
+        if threshold is not None and not threshold > 0.0:
+            raise ValidationError(f"plateau_threshold must be > 0, got {threshold!r}")
+        channel = get("metrics", "channel", cast=str, default="auto")
+        if channel not in ("auto", "theta_s", "theta_L"):
+            raise ValidationError(f"channel must be auto, theta_s or theta_L, got {channel!r}")
+        if channel == "theta_L" and not bilayer:
+            raise ValidationError("channel theta_L is not valid for a single-layer assembly")
+        return window, threshold, channel
+
     bilayer = build("assembly", lambda: choice("assembly", "kind",
                                                "single_layer", "bilayer")) == "bilayer"
     silicone = build("silicone", lambda: layer("silicone"))
@@ -268,7 +282,7 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         assembly = build("silicone", lambda: WallAssembly(silicone, lig))
     else:
         if "lig" in sections:
-            raise ConfigError(
+            raise ValidationError(
                 f"{where('lig')}: [lig] section is not valid for a single-layer assembly")
         assembly = WallAssembly(silicone)
     source = build("source", heat_source)
@@ -281,23 +295,8 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
         dt=get("sim", "dt", default=0.01),
         record_stride=get("sim", "record_stride", cast=int, default=1),
         metric_window=get("sim", "metric_window", default=300.0)))
-
-    plateau_window = get("metrics", "plateau_window", default=None)
-    plateau_threshold = get("metrics", "plateau_threshold", default=None)
-    # plateau_value's own rules, so that a bad value fails here at its line
-    if plateau_window is not None and not 0.0 < plateau_window < math.inf:
-        raise ConfigError(f"{where('metrics', 'plateau_window')}: [metrics] plateau_window "
-                          f"must be finite and > 0, got {plateau_window!r}")
-    if plateau_threshold is not None and not plateau_threshold > 0.0:
-        raise ConfigError(f"{where('metrics', 'plateau_threshold')}: [metrics] "
-                          f"plateau_threshold must be > 0, got {plateau_threshold!r}")
-    channel = get("metrics", "channel", cast=str, default="auto")
-    if channel not in ("auto", "theta_s", "theta_L"):
-        raise ConfigError(f"{where('metrics', 'channel')}: [metrics] channel must be "
-                          f"auto, theta_s or theta_L, got {channel!r}")
-    if channel == "theta_L" and not bilayer:
-        raise ConfigError(f"{where('metrics', 'channel')}: [metrics] channel theta_L "
-                          "is not valid for a single-layer assembly")
+    plateau_window, plateau_threshold, channel = build("metrics", metric_choices,
+                                                       required=False)
 
     return RunConfig(assembly=assembly, source=source, env=env, schedule=schedule,
                      sim=sim, plateau_window=plateau_window,
@@ -314,15 +313,16 @@ def parse_intervals(text: str, where: str = "<schedule>") -> LightSchedule:
     for part in text.split(","):
         bits = [b.strip() for b in part.strip().split(":")]
         if len(bits) != 3:
-            raise ConfigError(f"{where}: interval must be start:end:scale, got {part.strip()!r}")
+            raise ValidationError(
+                f"{where}: interval must be start:end:scale, got {part.strip()!r}")
         try:
             triples.append(tuple(float(b) for b in bits))
         except ValueError:
-            raise ConfigError(f"{where}: non-numeric interval {part.strip()!r}") from None
+            raise ValidationError(f"{where}: non-numeric interval {part.strip()!r}") from None
     try:
         return LightSchedule(tuple(triples))
     except ValidationError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def read_series(path, column: str = "auto") -> MeasurementSeries:
@@ -338,27 +338,27 @@ def read_series(path, column: str = "auto") -> MeasurementSeries:
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise SeriesFormatError(f"{path}: cannot read series: {exc}") from exc
+        raise ValidationError(f"{path}: cannot read series: {exc}") from exc
     rows = _bulk_rows(data, column)
     if rows is None:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise SeriesFormatError(f"{path}: series must be UTF-8: {exc}") from exc
+            raise ValidationError(f"{path}: series must be UTF-8: {exc}") from exc
         if "\r" in text:  # as a text-mode read translates line ends
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         rows = _parse_rows(path, text, column)
     times, values, unit = rows
 
     if len(times) < 2:
-        raise SeriesFormatError(f"{path}: need at least 2 data rows, got {len(times)}")
+        raise ValidationError(f"{path}: need at least 2 data rows, got {len(times)}")
     if unit == "C":
         values = np.add(values, KELVIN_OFFSET)
         unit = "K"
     try:
         return MeasurementSeries(times, values, unit=unit)
     except ValidationError as exc:
-        raise SeriesFormatError(f"{path}: {exc}") from exc
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 _UNITS = {b"K": "K", b"C": "C", b"deg": "deg"}
@@ -425,7 +425,7 @@ def _bulk_rows(data: bytes, column: str):
 
 def _parse_rows(path: Path, text: str, column: str):
     """(times, values, unit) from a row-by-row parse that checks each line
-    and raises SeriesFormatError with its line number."""
+    and raises ValidationError with its line number."""
     unit = "K"
     header = None
     rows: list[tuple[int, list[str]]] = []
@@ -444,11 +444,11 @@ def _parse_rows(path: Path, text: str, column: str):
         rows.append((lineno, [c.strip() for c in line.split(",")]))
 
     if header is None:
-        raise SeriesFormatError(f"{path}: empty file, expected a header row")
+        raise ValidationError(f"{path}: empty file, expected a header row")
 
     if header == SERIES_HEADER:
         if column not in ("auto", "value"):
-            raise SeriesFormatError(
+            raise ValidationError(
                 f"{path}: plain series files have no {column!r} column")
         value_idx, n_cols = 1, 2
     elif header == TRAJECTORY_HEADER:
@@ -457,34 +457,34 @@ def _parse_rows(path: Path, text: str, column: str):
         if column in ("auto", "theta_L"):
             has_lig = any(len(cells) > 2 and cells[2] for _, cells in rows)
             if column == "theta_L" and not has_lig:
-                raise SeriesFormatError(f"{path}: trajectory has no theta_L data")
+                raise ValidationError(f"{path}: trajectory has no theta_L data")
             value_idx = 2 if has_lig else 1
         elif column in ("value", "theta_s"):
             value_idx = 1
         else:
-            raise SeriesFormatError(f"{path}: unknown column {column!r}")
+            raise ValidationError(f"{path}: unknown column {column!r}")
     else:
-        raise SeriesFormatError(
+        raise ValidationError(
             f"{path}:1: unrecognized header {header!r}; expected "
             f"{SERIES_HEADER!r} or {TRAJECTORY_HEADER!r}")
 
     if unit not in ("K", "C", "deg"):
-        raise SeriesFormatError(f"{path}: unit must be K, C or deg, got {unit!r}")
+        raise ValidationError(f"{path}: unit must be K, C or deg, got {unit!r}")
 
     times: list[float] = []
     values: list[float] = []
     for lineno, cells in rows:
         if len(cells) != n_cols:
-            raise SeriesFormatError(f"{path}:{lineno}: expected {n_cols} columns, got {len(cells)}")
+            raise ValidationError(f"{path}:{lineno}: expected {n_cols} columns, got {len(cells)}")
         try:
             t = float(cells[0])
             v = float(cells[value_idx])
         except ValueError:
-            raise SeriesFormatError(f"{path}:{lineno}: non-numeric row") from None
+            raise ValidationError(f"{path}:{lineno}: non-numeric row") from None
         if math.isnan(t) or math.isnan(v):
-            raise SeriesFormatError(f"{path}:{lineno}: NaN is not allowed")
+            raise ValidationError(f"{path}:{lineno}: NaN is not allowed")
         if times and t <= times[-1]:
-            raise SeriesFormatError(
+            raise ValidationError(
                 f"{path}:{lineno}: time stamps must be strictly increasing")
         times.append(t)
         values.append(v)
@@ -652,8 +652,8 @@ def run_sweep(config: RunConfig, param: str, points: Sequence[float],
         raise ValidationError(f"repeated sweep outputs {repeated}; name each once")
     if "plateau" in outputs and (config.plateau_threshold is None
                                  or config.plateau_window is None):
-        raise ConfigError("plateau output needs plateau_threshold and plateau_window "
-                          "in the [metrics] config section")
+        raise ValidationError("plateau output needs plateau_threshold and plateau_window "
+                              "in the [metrics] config section")
     # every point records the same stamps, so a window that passes the last
     # one would fail each point
     sim = config.sim
@@ -662,8 +662,8 @@ def run_sweep(config: RunConfig, param: str, points: Sequence[float],
                                 ("plateau", "[metrics] plateau_window",
                                  config.plateau_window)):
         if output in outputs and window > last + _TIME_EPS:
-            raise ConfigError(f"{key} {window!r} s exceeds the last recorded "
-                              f"time {last:g} s of the run")
+            raise ValidationError(f"{key} {window!r} s exceeds the last recorded "
+                                  f"time {last:g} s of the run")
     if param != "distance":
         _check_applicable(param, config.assembly, config.source)
     needs_run = any(o in outputs for o in ("t63", "peak", "plateau"))

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MetricError,
-    NoCrossingError,
-    NoPlateauError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .simulate import Trajectory, _column, _resolve_channel
 
 #: level fraction defining the response time: baseline + 0.632 * (final - baseline)
@@ -117,7 +112,7 @@ def response_time_63(series: MeasurementSeries, window: float | None = None,
     final, baseline = float(final), float(values[0])
 
     if final == baseline:
-        raise NoCrossingError("final equals baseline: no response to time")
+        raise ValidationError("final equals baseline: no response to time")
     swing = final - baseline
     level = baseline + RESPONSE_FRACTION * swing
     if not (math.isfinite(swing) and math.isfinite(level)):
@@ -128,8 +123,7 @@ def response_time_63(series: MeasurementSeries, window: float | None = None,
     crossed = values[1:] >= level if rising else values[1:] <= level
     i = int(np.argmax(crossed)) + 1
     if not crossed[i - 1]:
-        raise NoCrossingError(
-            f"series never reaches the {RESPONSE_FRACTION:.1%} level {level:g}")
+        raise ValidationError(f"series never reaches the {RESPONSE_FRACTION:.1%} level {level:g}")
     # interpolate between the bracketing samples in Python floats
     v0, v1 = values[i - 1:i + 1].tolist()
     t0, t1 = times[i - 1:i + 1].tolist()
@@ -201,7 +195,7 @@ def plateau_value(series: MeasurementSeries, threshold: float,
                                           f"t={times[start + i]:g} s overflows a float")
                 return mean, float(times[start + i])
         start = stop
-    raise NoPlateauError(f"no {window:g} s window stays within {threshold:g}")
+    raise ValidationError(f"no {window:g} s window stays within {threshold:g}")
 
 
 def _flat_windows(values: np.ndarray, ends: np.ndarray, threshold: float) -> np.ndarray:
@@ -264,7 +258,7 @@ def cooling_fit(series: MeasurementSeries, ambient: float) -> tuple[float, float
     logs = np.log(excess)
     slope, intercept = np.polyfit(times, logs, 1)
     if slope >= 0.0:
-        raise MetricError("series is not decaying toward ambient")
+        raise ValidationError("series is not decaying toward ambient")
     residuals = logs - (slope * times + intercept)
     ss_tot = float(((logs - logs.mean()) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float((residuals ** 2).sum()) / ss_tot

@@ -2,7 +2,7 @@
 match.
 
 The text goes through configparser.ConfigParser(interpolation=None,
-delimiters=("=",)), and a parse error becomes a ConfigError built from the
+delimiters=("=",)), and a parse error becomes a ValidationError built from the
 exception's attributes, `origin:line: message`. `_read_ini` must accept
 the same texts, give the same sections and values, and raise the same
 message at the same line. [DEFAULT] is the one exception: configparser
@@ -11,10 +11,10 @@ holds it as defaults for every section, `_read_ini` as a plain section.
 
 import configparser
 
-from phototherm import ConfigError
+from phototherm import ValidationError
 
 
-def parse_error(exc: configparser.Error, origin: str) -> ConfigError:
+def parse_error(exc: configparser.Error, origin: str) -> ValidationError:
     """configparser's error as `origin:line: message`."""
     lineno = getattr(exc, "lineno", None)
     if isinstance(exc, configparser.DuplicateOptionError):
@@ -28,7 +28,7 @@ def parse_error(exc: configparser.Error, origin: str) -> ConfigError:
         message = "expected a [section] header or a key = value line"
     else:
         message = exc.message
-    return ConfigError(f"{origin}:{lineno}: {message}" if lineno else f"{origin}: {message}")
+    return ValidationError(f"{origin}:{lineno}: {message}" if lineno else f"{origin}: {message}")
 
 
 def reference_read_ini(text: str, origin: str = "<config>") -> dict:

@@ -255,9 +255,10 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("radiative", [False, True], ids=["flux", "radiative"])
     def test_problem_pickles_and_copies(self, radiative):
-        # a copy builds its own evaluator and gives the same values
+        # a copy builds its own evaluator and gives the same values; a
+        # radiative source reads no absorptance, so it frees the scale
         problem = make_problem(synthetic_target(make_bilayer()),
-                               ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                               ParamSpec("scale" if radiative else "alpha_L", 0.5, 0.95, 0.83),
                                ParamSpec("h_Le", 5.0, 40.0, 18.0))
         if radiative:
             problem = replace(
@@ -512,16 +513,27 @@ class TestFit:
         assert step == pytest.approx([1e-300 / (size * (2.0 + damping))] * 2, rel=1e-3)
 
     def test_a_parameter_with_no_effect_stays_at_its_initial_guess(self):
-        # a radiative source reads no absorptance: the Jacobian column of
-        # alpha_s is zero, and the fit must neither divide by it nor move it
-        free = (ParamSpec("alpha_s", 0.0, 0.15, 0.1), ParamSpec("h_se", 2.0, 12.0, 6.0))
-        alone = fit(radiative_problem(free=free[:1]))
+        # a source of zero power heats with no absorptance: the Jacobian
+        # column of alpha_s is zero, and the fit must neither divide by it
+        # nor move it
+        config = SimConfig(duration=60.0, dt=0.01)
+        times = np.linspace(0.0, 60.0, 40)
+        target = MeasurementSeries(times, AMBIENT_K + 0.3 * times)
+        dark = CalibrationProblem(
+            target=target, free=(ParamSpec("alpha_s", 0.0, 0.15, 0.1),),
+            assembly=make_bilayer(), source=HeatSource(power=0.0),
+            env=Environment(AMBIENT_K), schedule=SCHEDULE, config=config)
+        alone = fit(dark)
         assert alone.values == {"alpha_s": 0.1}
         assert (alone.converged, alone.iterations, alone.evaluations) == (True, 1, 3)
-        problem = radiative_problem(free=free)
+        # a liquid layer with no convecting face reads no h_Le: its column is
+        # zero next to the nonzero one of h_se
+        problem = make_problem(target, ParamSpec("h_Le", 2.0, 12.0, 6.0),
+                               ParamSpec("h_se", 2.0, 12.0, 6.0),
+                               assembly=make_bilayer(conv_faces=0), config=config)
         both = fit(problem)
-        assert both.converged and both.values["alpha_s"] == 0.1
-        assert both.sse < objective(problem, [0.1, 6.0])
+        assert both.converged and both.values["h_Le"] == 6.0
+        assert both.sse < objective(problem, [6.0, 6.0])
 
 
 @st.composite
@@ -536,8 +548,9 @@ def small_fit_problems(draw):
     source = (HeatSource(source_temperature=draw(st.floats(320.0, 600.0)),
                          source_emissivity=0.9) if radiative
               else HeatSource(power=POWER_W))
-    names = ["alpha_s", "h_se", "scale"] + ["alpha_L", "h_Le"] * bilayer \
-        + ["Q_h"] * (not radiative)
+    names = ["alpha_s", "h_se", "scale"] + ["alpha_L", "h_Le"] * bilayer + ["Q_h"]
+    if radiative:  # a radiative source reads neither absorptance nor power
+        names = [name for name in names if name not in ("alpha_s", "alpha_L", "Q_h")]
     boxes = {"alpha_s": (0.0, 0.5), "alpha_L": (0.3, 1.0), "h_se": (1.0, 30.0),
              "h_Le": (1.0, 30.0), "scale": (0.1, 2.0), "Q_h": (0.01, 0.2)}
     free = []
@@ -670,7 +683,8 @@ class TestStableBox:
                   else HeatSource(power=POWER_W))
         guarded = ["h_se"] + ["h_Le"] * bilayer + ["scale"] * radiative
         names = draw(st.lists(st.sampled_from(guarded), min_size=1, unique=True))
-        specs = [ParamSpec("alpha_s", 0.0, 0.3, 0.1)] * draw(st.booleans())
+        # alpha_s is not guarded; a radiative source does not read it
+        specs = [ParamSpec("alpha_s", 0.0, 0.3, 0.1)] * (draw(st.booleans()) and not radiative)
         for name in names:
             lower = draw(st.floats(0.1, 50.0))
             upper = lower * draw(st.floats(1.01, 1e4))
@@ -743,22 +757,24 @@ class TestCandidateChecks:
 
     def test_absorptance_sum_above_one_warns_once_per_call(self):
         # both absorptances free: the warning looks at their final values,
-        # once, whatever the order they are applied in, under either source
+        # once, whatever the order they are applied in. A radiative source
+        # reads no absorptance, so it frees neither
         target = synthetic_target(make_bilayer())
-        flux = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
-                            ParamSpec("alpha_s", 0.0, 0.5, 0.17))
-        for problem in (flux, replace(flux, source=HeatSource(source_temperature=373.0,
-                                                              source_emissivity=0.9))):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                objective(problem, [0.9, 0.3])
-            assert [str(w.message) for w in caught] == [
-                "layer absorptances sum to 1.2000 > 1; "
-                "more power absorbed than supplied is unphysical"]
-            assert caught[0].filename == __file__  # the caller's, not the package's
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                objective(problem, [0.8, 0.1])  # sums to 0.9
+        problem = make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.83),
+                               ParamSpec("alpha_s", 0.0, 0.5, 0.17))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            objective(problem, [0.9, 0.3])
+        assert [str(w.message) for w in caught] == [
+            "layer absorptances sum to 1.2000 > 1; "
+            "more power absorbed than supplied is unphysical"]
+        assert caught[0].filename == __file__  # the caller's, not the package's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            objective(problem, [0.8, 0.1])  # sums to 0.9
+        with pytest.raises(ValidationError,
+                           match="^alpha_L applies to constant-flux sources only$"):
+            replace(problem, source=HeatSource(source_temperature=373.0, source_emissivity=0.9))
 
     @pytest.mark.filterwarnings("ignore:layer absorptances sum:UserWarning")
     def test_fit_warns_at_the_fitted_point_only(self):

@@ -452,14 +452,15 @@ class TestCalibrateCommand:
         assert err.startswith("error: h_Le: dt=0.01 s exceeds the stability limit")
         assert err.rstrip().endswith("the largest stable upper bound is 2599.9999999999995")
 
-    @pytest.mark.parametrize("source, limit", [
-        ("mode = constant_flux\npower = 0.075", "0.12844"),
+    @pytest.mark.parametrize("source, free, limit", [
+        ("mode = constant_flux\npower = 0.075", ("--param", "alpha_L:0.5:0.95:0.7"), "0.12844"),
         ("mode = radiative_body\nsource_temperature = 373.0\nsource_emissivity = 0.9",
-         "0.122745"),
+         (), "0.122745"),
     ], ids=["constant_flux", "radiative"])
     def test_box_with_no_stable_point_is_a_numerical_failure(self, capsys, tmp_path, source,
-                                                             limit):
-        # at dt = 0.2 s even the box's lower corner breaks the guard
+                                                             free, limit):
+        # at dt = 0.2 s even the box's lower corner breaks the guard; a
+        # radiative source reads no absorptance, so it frees h_Le alone
         preset = preset_path("table1_bilayer").read_text(encoding="utf-8")
         text = (preset.replace("dt = 0.01", "dt = 0.2")
                 .replace("mode = constant_flux\npower = 0.075", source))
@@ -470,7 +471,7 @@ class TestCalibrateCommand:
         target.write_text("time_s,value\n0,298\n1,299\n2,300\n3,300.5\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "calibrate", "--config", str(config),
                                  "--target", str(target), "--param", "h_Le:5:40:18",
-                                 "--param", "alpha_L:0.5:0.95:0.7")
+                                 *free)
         assert code == 3
         assert out == ""
         assert err == (f"error: dt=0.2 s exceeds the stability limit {limit} s "
@@ -490,6 +491,24 @@ class TestCalibrateCommand:
         assert code == 3
         assert out == ""
         assert err == "error: temperature became non-finite or non-positive\n"
+
+    def test_absorptance_under_a_radiative_source_is_bad_input(self, capsys, tmp_path):
+        # a radiative source reads no absorptance: the fit would print its
+        # initial guess as converged
+        preset = preset_path("table1_single").read_text(encoding="utf-8")
+        text = preset.replace("mode = constant_flux\npower = 0.075",
+                              "mode = radiative_body\nsource_temperature = 373.0\n"
+                              "source_emissivity = 0.9")
+        assert "radiative_body" in text
+        config = tmp_path / "radiative.ini"
+        config.write_text(text, encoding="utf-8")
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n0,298\n10,299\n20,300\n30,300.5\n",
+                          encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--config", str(config),
+                                 "--target", str(target), "--param", "alpha_s:0.05:0.5:0.4")
+        assert (code, out, err) == (2, "", "error: alpha_s applies to constant-flux "
+                                           "sources only\n")
 
     def test_zero_convection_sweep_point_still_fails_its_row(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_single",
@@ -553,10 +572,27 @@ class TestSweepCommand:
         for scenario, param, message in (
                 (("--preset", "table1_single"), "alpha_L", "alpha_L needs a bilayer assembly"),
                 (("--config", str(radiative)), "Q_h",
-                 "Q_h applies to constant-flux sources only")):
+                 "Q_h applies to constant-flux sources only"),
+                # a radiative source reads no absorptance: every row would match
+                (("--config", str(radiative)), "alpha_s",
+                 "alpha_s applies to constant-flux sources only")):
             code, out, err = run_cli(capsys, "sweep", *scenario, "--param", param,
                                      "--values", "0.5,0.6")
             assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(radiative), "--param",
+                                 "alpha_s", "--values", "0.1,0.5", "--outputs", "steady")
+        assert (code, out, err) == (2, "", "error: alpha_s applies to constant-flux "
+                                           "sources only\n")
+
+    def test_point_failing_its_metrics_names_the_error_class(self, capsys):
+        # at scale 0 the wall never leaves ambient, so t63 has nothing to time
+        code, out, err = run_cli(capsys, "sweep", "--preset", "table1_bilayer",
+                                 "--param", "scale", "--values", "0,1", "--outputs", "t63")
+        assert code == 4
+        assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["failed", "ok"]
+        assert err == ("index=0 value=0 error=ValidationError "
+                       "message=final equals baseline: no response to time\n"
+                       "1 of 2 sweep points failed\n")
 
     @pytest.mark.parametrize("outputs", ["t63", "peak", "plateau", "steady,peak", "steady"])
     def test_channel_the_wall_lacks_is_bad_input(self, capsys, tmp_path, outputs):

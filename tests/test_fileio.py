@@ -19,12 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phototherm import (
-    ConfigError,
     Environment,
     HeatSource,
     LightSchedule,
     MeasurementSeries,
-    SeriesFormatError,
     SimConfig,
     ThermalLayer,
     Trajectory,
@@ -107,13 +105,14 @@ class TestPresets:
         assert cfg.assembly.lig is None
 
     def test_unknown_preset_reports_choices(self):
-        with pytest.raises(ConfigError, match="table1_bilayer"):
+        with pytest.raises(ValidationError, match="table1_bilayer"):
             preset_path("missing_preset")
 
     def test_env_var_overrides_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PHOTOTHERM_PRESETS", str(tmp_path))
         assert available_presets() == []
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError,
+                           match="^unknown preset 'table1_single'; available: none$"):
             preset_path("table1_single")
 
 
@@ -162,26 +161,26 @@ class TestConfigParsing:
         assert cfg.plateau_window is None
 
     def test_empty_file_is_a_parse_error(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match=r"^<config>: missing section \[assembly\]$"):
             parse_config("")
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match=r"unknown section \[extras\]"):
+        with pytest.raises(ValidationError, match=r"unknown section \[extras\]"):
             parse_config(minimal_single_config() + "\n[extras]\nfoo = 1\n")
 
     def test_unknown_key_rejected_with_line(self):
         text = minimal_single_config("conv_coeff = 6.0", "conv_coeff = 6.0\nwobble = 3")
-        with pytest.raises(ConfigError, match=r":\d+: unknown key 'wobble'"):
+        with pytest.raises(ValidationError, match=r":\d+: unknown key 'wobble'"):
             parse_config(text)
 
     def test_invalid_emissivity_names_key_and_line(self):
         text = minimal_single_config("emissivity = 0.95", "emissivity = 1.3")
-        with pytest.raises(ConfigError, match=r":\d+: \[silicone\] emissivity"):
+        with pytest.raises(ValidationError, match=r":\d+: \[silicone\] emissivity"):
             parse_config(text)
 
     def test_non_numeric_value_reports_key(self):
         text = minimal_single_config("power = 0.075", "power = lots")
-        with pytest.raises(ConfigError, match="power"):
+        with pytest.raises(ValidationError, match="power"):
             parse_config(text)
 
     @pytest.mark.parametrize("old, new, message", [
@@ -192,7 +191,7 @@ class TestConfigParsing:
          "record_stride: not an integer: 'two'"),
     ])
     def test_bad_number_names_expected_type(self, old, new, message):
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
             parse_config(minimal_single_config(old, new))
 
     @pytest.mark.parametrize("old, new, message", [
@@ -218,7 +217,7 @@ class TestConfigParsing:
          "<config>:10: [silicone] emissivity must lie in [0, 1], got 1.3"),
     ])
     def test_error_names_location_once(self, old, new, message):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValidationError) as info:
             parse_config(minimal_single_config(old, new))
         assert str(info.value) == message
 
@@ -233,14 +232,14 @@ class TestConfigParsing:
          "<config>:27: expected a [section] header or a key = value line"),
     ])
     def test_parse_error_names_location_once(self, text, message):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValidationError) as info:
             parse_config(text)
         assert str(info.value) == message
 
     def test_parse_error_names_the_file_once(self, tmp_path):
         path = tmp_path / "f.ini"
         path.write_text(minimal_single_config("power = 0.075", "power = 0.075\npower = 0.1"))
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValidationError) as info:
             load_config(path)
         assert str(info.value) == f"{path}:18: [source] option 'power' already exists"
 
@@ -252,14 +251,14 @@ class TestConfigParsing:
                          ("area = 1.0e-4", "area = 1e-300")):
             assert old in text
             text = text.replace(old, new)
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValidationError) as info:
             parse_config(text)
         assert str(info.value) == (
             "<config>:14: [silicone] interlayer coupling conductance must be strictly positive")
 
     def test_missing_section_reported(self):
         text = minimal_single_config().replace("[environment]\nambient_temperature = 298.0", "")
-        with pytest.raises(ConfigError, match=r"missing section \[environment\]"):
+        with pytest.raises(ValidationError, match=r"missing section \[environment\]"):
             parse_config(text)
 
     def test_radiative_source_keys(self):
@@ -273,19 +272,19 @@ class TestConfigParsing:
     def test_flux_mode_rejects_radiative_keys(self):
         text = minimal_single_config("power = 0.075",
                                      "power = 0.075\nsource_temperature = 600.0")
-        with pytest.raises(ConfigError, match="source_temperature"):
+        with pytest.raises(ValidationError, match="source_temperature"):
             parse_config(text)
 
     def test_single_layer_rejects_lig_section(self):
         text = minimal_single_config() + "\n[lig]\n" + "\n".join(
             f"{k} = {v}" for k, v in LIG.items())
-        with pytest.raises(ConfigError, match=r"\[lig\]"):
+        with pytest.raises(ValidationError, match=r"\[lig\]"):
             parse_config(text)
 
     def test_overlapping_intervals_rejected(self):
         text = minimal_single_config("intervals = 0:inf:1",
                                      "intervals = 0:10:1, 5:20:0.5")
-        with pytest.raises(ConfigError, match="overlap"):
+        with pytest.raises(ValidationError, match="overlap"):
             parse_config(text)
 
     def test_missing_schedule_means_light_off(self):
@@ -315,26 +314,26 @@ class TestConfigParsing:
         # plateau_value would reject it at every sweep point
         text = minimal_single_config() + f"\n[metrics]\n{key} = {raw}\n"
         line = text.splitlines().index(f"{key} = {raw}") + 1
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValidationError) as info:
             parse_config(text)
         assert str(info.value) == f"<config>:{line}: [metrics] {key} {rule}"
 
     def test_lig_channel_on_a_single_layer_rejected_with_its_line(self):
         text = minimal_single_config() + "\n[metrics]\nchannel = theta_L\n"
         line = text.splitlines().index("channel = theta_L") + 1
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValidationError) as info:
             parse_config(text)
         assert str(info.value) == (f"<config>:{line}: [metrics] channel theta_L is not "
                                    "valid for a single-layer assembly")
 
     def test_a_key_is_located_at_its_own_line_whatever_its_case(self):
         text = minimal_single_config("power = 0.075", "Power = lots")
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValidationError) as info:
             parse_config(text)
         assert str(info.value) == "<config>:17: [source] power: not a number: 'lots'"
 
     def test_default_section_is_an_unknown_section(self):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValidationError) as info:
             parse_config("[DEFAULT]\nkind = bilayer\n" + minimal_single_config())
         assert str(info.value) == "<config>:1: unknown section [DEFAULT]"
 
@@ -399,7 +398,7 @@ class TestIniReaderMatchesConfigparser:
     def outcome(read, text):
         try:
             return read(text, "<t>")
-        except ConfigError as exc:
+        except ValidationError as exc:
             return str(exc)
 
     @given(st.lists(st.one_of(_INI_LINES, _INI_VALUES), max_size=12),
@@ -449,41 +448,41 @@ class TestSeriesIO:
     def test_duplicate_time_rejected_with_row(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("time_s,value\n0,1\n1,2\n1,3\n", encoding="utf-8")
-        with pytest.raises(SeriesFormatError, match=":4:"):
+        with pytest.raises(ValidationError, match=":4:"):
             read_series(path)
 
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("time_s,value\n0,1\n1,nan\n", encoding="utf-8")
-        with pytest.raises(SeriesFormatError, match="NaN"):
+        with pytest.raises(ValidationError, match="NaN"):
             read_series(path)
 
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("time_s,value\n0,1\n", encoding="utf-8")
-        with pytest.raises(SeriesFormatError, match="at least 2"):
+        with pytest.raises(ValidationError, match="at least 2"):
             read_series(path)
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(SeriesFormatError):
+        with pytest.raises(ValidationError, match="nope.csv: cannot read series: "):
             read_series(tmp_path / "nope.csv")
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(SeriesFormatError, match="empty"):
+        with pytest.raises(ValidationError, match="empty"):
             read_series(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "head.csv"
         path.write_text("t,v\n0,1\n1,2\n", encoding="utf-8")
-        with pytest.raises(SeriesFormatError, match="header"):
+        with pytest.raises(ValidationError, match="header"):
             read_series(path)
 
     def test_trajectory_column_on_plain_series_rejected(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("time_s,value\n0,1\n1,2\n", encoding="utf-8")
-        with pytest.raises(SeriesFormatError, match="theta_L"):
+        with pytest.raises(ValidationError, match="theta_L"):
             read_series(path, column="theta_L")
 
     def test_series_round_trip(self, tmp_path):
@@ -547,7 +546,7 @@ class TestTrajectoryIO:
     def test_theta_l_of_single_layer_rejected(self, tmp_path, single_run):
         path = tmp_path / "single.csv"
         write_trajectory(single_run, path)
-        with pytest.raises(SeriesFormatError, match="theta_L"):
+        with pytest.raises(ValidationError, match="theta_L"):
             read_series(path, column="theta_L")
 
 
@@ -754,7 +753,7 @@ class TestBulkRows:
         path.write_text(text, encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SeriesFormatError, match="got 0"):
+            with pytest.raises(ValidationError, match="got 0"):
                 read_series(path)
 
 
@@ -917,7 +916,7 @@ class TestNonUtf8Series:
         path = tmp_path / "series.csv"
         path.write_bytes(data)
         message = f"{path}: series must be UTF-8: 'utf-8' codec can't decode {position}"
-        with pytest.raises(SeriesFormatError) as info:
+        with pytest.raises(ValidationError) as info:
             read_series(path)
         assert str(info.value) == message
         assert cli_main(["metrics", str(path)]) == 2
@@ -925,7 +924,7 @@ class TestNonUtf8Series:
 
 
 # (id, file text, column, expected): a (times, values, unit) triple, or the
-# SeriesFormatError message with {path} for the file path. The expectations
+# ValidationError message with {path} for the file path. The expectations
 # were recorded from the row-by-row parser alone, before the bulk path.
 READ_CASES = [
     ('underscore', 'time_s,value\n0,1_0\n1,2\n', 'auto',
@@ -1014,7 +1013,7 @@ class TestReadSeriesCases:
         path = tmp_path / "case.csv"
         path.write_bytes(text.encode("utf-8"))
         if isinstance(expected, str):
-            with pytest.raises(SeriesFormatError) as info:
+            with pytest.raises(ValidationError) as info:
                 read_series(path, column=column)
             assert str(info.value) == expected.format(path=path)
         else:
@@ -1084,16 +1083,16 @@ class TestSweepChecks:
         config = dataclasses.replace(cfg, channel="theta_L",
                                      sim=dataclasses.replace(cfg.sim, metric_window=1e9))
         faults = [
-            ({}, ConfigError, "plateau output needs plateau_threshold and plateau_window "
-                              "in the [metrics] config section"),
-            ({"plateau_threshold": 0.5, "plateau_window": 20.0}, ConfigError,
+            ({}, "plateau output needs plateau_threshold and plateau_window "
+                 "in the [metrics] config section"),
+            ({"plateau_threshold": 0.5, "plateau_window": 20.0},
              "[sim] metric_window 1000000000.0 s exceeds the last recorded time 300 s "
              "of the run"),
-            ({"sim": cfg.sim}, ValidationError, "alpha_L needs a bilayer assembly"),
+            ({"sim": cfg.sim}, "alpha_L needs a bilayer assembly"),
         ]
-        for mend, error, message in faults:
+        for mend, message in faults:
             config = dataclasses.replace(config, **mend)
-            with pytest.raises(error) as info:
+            with pytest.raises(ValidationError) as info:
                 run_sweep(config, "alpha_L", (0.5,), ("t63", "plateau"))
             assert str(info.value) == message
         with pytest.raises(ValidationError, match="^single-layer trajectory has no lig "
@@ -1202,7 +1201,7 @@ class TestRunSweep:
         assert result.to_csv().splitlines()[2] == "1,h_Le,1e+09,,failed,,"
 
     def test_plateau_output_needs_config_choices(self, config):
-        with pytest.raises(ConfigError, match="plateau"):
+        with pytest.raises(ValidationError, match="plateau"):
             run_sweep(config, "scale", (1.0,), ("plateau",))
 
     @pytest.mark.parametrize("duration", [120.0, 120.05])
@@ -1217,7 +1216,7 @@ class TestRunSweep:
                             metric_window=window)
             cfg = dataclasses.replace(config, sim=sim, plateau_window=window,
                                       plateau_threshold=0.5)
-            with pytest.raises(ConfigError) as info:
+            with pytest.raises(ValidationError) as info:
                 run_sweep(cfg, "scale", (1.0, 0.5), outputs)
             assert str(info.value) == (f"{key} {window!r} s exceeds the last recorded "
                                        "time 120 s of the run")

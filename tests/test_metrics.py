@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 
 from phototherm import (
     MeasurementSeries,
-    MetricError,
-    NoCrossingError,
-    NoPlateauError,
     RESPONSE_FRACTION,
     Trajectory,
     ValidationError,
@@ -104,7 +101,7 @@ class TestResponseTime:
 
     def test_constant_series_has_no_crossing(self):
         series = MeasurementSeries((0.0, 1.0, 2.0), (5.0, 5.0, 5.0), unit="deg")
-        with pytest.raises(NoCrossingError):
+        with pytest.raises(ValidationError, match="final equals baseline: no response to time"):
             response_time_63(series, window=2.0)
 
     def test_window_longer_than_span_rejected(self):
@@ -221,7 +218,7 @@ class TestPlateau:
     def test_no_plateau_on_steep_ramp(self):
         t = tuple(np.arange(0.0, 100.0, 1.0))
         series = MeasurementSeries(t, tuple(2.0 * x for x in t), unit="deg")
-        with pytest.raises(NoPlateauError):
+        with pytest.raises(ValidationError, match="no 10 s window stays within 1$"):
             plateau_value(series, threshold=1.0, window=10.0)
 
     @pytest.mark.parametrize("threshold, window, message", [
@@ -254,8 +251,7 @@ def plateau_oracle(series, threshold, window):
         chunk = values[i:j]
         if float(chunk.max()) - float(chunk.min()) < threshold:
             return float(chunk.mean()), t0
-    raise NoPlateauError(
-        f"no {window:g} s window stays within {threshold:g}")
+    raise ValidationError(f"no {window:g} s window stays within {threshold:g}")
 
 
 @st.composite
@@ -323,8 +319,8 @@ class TestPlateauOracle:
             patch.setattr(metrics_module, "_ANCHOR_BLOCK", anchor_block)
             try:
                 expected = plateau_oracle(series, threshold, window)
-            except NoPlateauError:
-                with pytest.raises(NoPlateauError):
+            except ValidationError as exc:
+                with pytest.raises(ValidationError, match=re.escape(str(exc))):
                     plateau_value(series, threshold, window)
                 return
             assert repr(plateau_value(series, threshold, window)) == repr(expected)
@@ -392,7 +388,7 @@ class TestResponseTimeOracle:
         level = baseline + RESPONSE_FRACTION * (final - baseline)
         expected = crossing_oracle(series, level, final > baseline)
         if expected is None:
-            with pytest.raises(NoCrossingError):
+            with pytest.raises(ValidationError, match=r"series never reaches the 63\.2% level"):
                 response_time_63(series, final=final)
             return
         report = response_time_63(series, final=final)
@@ -455,7 +451,7 @@ class TestCoolingFit:
 
     def test_rising_series_rejected(self):
         series = MeasurementSeries((0.0, 1.0, 2.0), (300.0, 305.0, 310.0))
-        with pytest.raises(MetricError):
+        with pytest.raises(ValidationError, match="series is not decaying toward ambient"):
             cooling_fit(series, ambient=298.0)
 
     @pytest.mark.parametrize("ambient", [math.nan, math.inf, -math.inf])

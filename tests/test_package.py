@@ -1,15 +1,24 @@
 import ast
+import re
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import phototherm
+from phototherm import (
+    MeasurementSeries,
+    cooling_fit,
+    load_config,
+    plateau_value,
+    read_series,
+    response_time_63,
+)
 
 # every public name the package exports; adding or removing one is an API change
 PUBLIC_NAMES = {
     # errors
-    "ConfigError", "MetricError", "NoCrossingError", "NoPlateauError",
-    "NumericalError", "PhotothermError", "SeriesFormatError", "StabilityError",
-    "ValidationError",
+    "NumericalError", "PhotothermError", "StabilityError", "ValidationError",
     # model
     "Environment", "HeatSource", "KELVIN_OFFSET", "STEFAN_BOLTZMANN", "ThermalLayer",
     "WallAssembly", "convective_conductance", "coupling_conductance",
@@ -37,6 +46,14 @@ REMOVED_ALIASES = {
     "LightSchedule": ("always_on", "off"),
 }
 
+# every exit-2 error is a ValidationError; none of these leaf classes may
+# come back
+REMOVED_NAMES = ("ConfigError", "SeriesFormatError", "MetricError", "NoCrossingError",
+                 "NoPlateauError")
+
+# the package's exception classes, all that errors.py defines
+ERROR_CLASSES = {"PhotothermError", "ValidationError", "StabilityError", "NumericalError"}
+
 
 def test_exports_exactly_the_public_names():
     # submodules become attributes once imported, so they are left out
@@ -49,6 +66,57 @@ def test_model_types_have_no_alias_constructors():
     present = [f"{cls}.{name}" for cls, names in REMOVED_ALIASES.items() for name in names
                if hasattr(getattr(phototherm, cls), name)]
     assert present == []
+
+
+def test_removed_error_classes_stay_removed():
+    present = [f"{module.__name__}.{name}" for module in (phototherm, phototherm.errors)
+               for name in REMOVED_NAMES if hasattr(module, name)]
+    assert present == []
+    assert {name for name, value in vars(phototherm.errors).items()
+            if isinstance(value, type)} == ERROR_CLASSES
+
+
+def test_raises_only_the_four_error_classes():
+    # a class raised by name, `raise X(...)` or `raise X`, or an error built
+    # by name for a later raise, as `return X(...)` in a helper; _forked_map
+    # raises RuntimeError for a child that died
+    raised = set()
+    for path in sorted(Path(phototherm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name)
+                    and node.exc.id[0].isupper()):  # not `raise exc` of a caught one
+                raised.add((path.name, node.exc.id))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id.endswith(("Error", "Exception"))):
+                raised.add((path.name, node.func.id))
+    assert {name for _, name in raised} >= {"ValidationError", "NumericalError"}
+    assert sorted(r for r in raised if r[1] not in ERROR_CLASSES | {"RuntimeError"}) == []
+
+
+def written(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+RISING = MeasurementSeries((0.0, 1.0, 2.0), (300.0, 305.0, 310.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: response_time_63(RISING, final=330.0),
+     "series never reaches the 63.2% level 318.96"),
+    (lambda tmp: plateau_value(RISING, threshold=1.0, window=1.0),
+     "no 1 s window stays within 1"),
+    (lambda tmp: cooling_fit(RISING, ambient=298.0), "series is not decaying toward ambient"),
+    (lambda tmp: read_series(written(tmp / "s.csv", "time_s,value\n0,1\nx,2\n")),
+     "s.csv:3: non-numeric row"),
+    (lambda tmp: load_config(written(tmp / "c.ini", "[assembly]\nkind = triangle\n")),
+     "c.ini:2: [assembly] kind must be 'single_layer' or 'bilayer', got 'triangle'"),
+], ids=["no-crossing", "no-plateau", "not-decaying", "malformed-series", "malformed-config"])
+def test_every_bad_input_is_a_value_error(tmp_path, call, message):
+    # a metric the series cannot give is bad input like a malformed file:
+    # plain `except ValueError` catches each, with its message
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        call(tmp_path)
 
 
 def test_every_private_function_and_class_is_used_in_the_package():
