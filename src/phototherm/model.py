@@ -338,8 +338,10 @@ def steady_state(assembly: WallAssembly, source: HeatSource, env: Environment,
                               "fourth power overflows a float") from None
 
     def drive(area: float, resistance: float):
-        # the floats of run's radiative drive: grey-body constants taken once
-        return lambda theta: scale * (STEFAN_BOLTZMANN * (th4 - theta ** 4)
+        # scale last: run's (scale sigma A / R) (th4 - T^4) puts a tiny scale
+        # into a subnormal or zero constant, where this order keeps the drive.
+        # ** 4.0 is the float ** 4 gives, without the int conversion
+        return lambda theta: scale * (STEFAN_BOLTZMANN * (th4 - theta ** 4.0)
                                       * area / resistance)
 
     q_s, g_s = drive(c.a_s, c.r_s), c.g_s

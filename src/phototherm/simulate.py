@@ -8,6 +8,7 @@ step; within a step the drive scale is the value at the step start.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,6 +253,26 @@ def _block_size(c: _Coefficients, theta_e: float, ts: float, tl: float, scale: f
     return _BLOCK if hottest < _BOUND_RATIO * coldest else 1
 
 
+def _grey_body_unit(layer: str, area: float, resistance: float, lowest: float) -> float:
+    """The layer's grey-body constant sigma * area / resistance, in W/K^4.
+    A radiative run takes scale * unit once per segment, which below the
+    smallest normal float loses digits or is 0: a unit, or its product
+    with lowest, the smallest positive scale, below it is a ValidationError.
+    """
+    unit = STEFAN_BOLTZMANN * area / resistance
+    if unit < sys.float_info.min:
+        raise ValidationError(
+            f"the {layer} layer's grey-body constant sigma * area / resistance = "
+            f"{unit:g} W/K^4 is below the smallest normal float; raise its area or "
+            "the emissivities")
+    if lowest * unit < sys.float_info.min:
+        raise ValidationError(
+            f"drive scale {lowest:g} times the {layer} layer's grey-body constant "
+            f"{unit:g} W/K^4 is below the smallest normal float; raise the scale "
+            "or set it to 0")
+    return unit
+
+
 def _diverged(step: int, dt: float) -> NumericalError:
     return NumericalError(
         f"temperature became non-finite or non-positive at t={step * dt:g} s")
@@ -269,8 +290,9 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     Before it steps or records, it rejects a run that would record more
     than _MAX_SAMPLES samples (a 1 GiB budget) or take more than _MAX_STEPS
     steps. It rejects dt above the stability limit of this start and
-    schedule, naming the limiting layer, and raises NumericalError at the
-    first step whose temperatures are not finite and positive or whose
+    schedule, naming the limiting layer, and a radiative run whose drive
+    coefficient underflows (_grey_body_unit). It raises NumericalError at
+    the first step whose temperatures are not finite and positive or whose
     radiative drive overflows a float. Identical inputs produce
     bit-identical trajectories; tests/reference_stepper.py steps the same
     floats one forward-Euler step at a time.
@@ -317,27 +339,38 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
     max_scale = max(scale for _, _, scale in segments)
     _check_step(c, dt, max(theta_e, ts, tl), max_scale)
     first_block = _block_size(c, theta_e, ts, tl, max_scale, n_steps * dt)
-    cap_s, cap_l, g_s, g_l, k = c.cap_s, c.cap_l, c.g_s, c.g_l, c.k
-    th4, a_s, r_s, a_l, r_l = c.th4, c.a_s, c.r_s, c.a_l, c.r_l
+    cap_s, cap_l, g_s, g_l, k, th4 = c.cap_s, c.cap_l, c.g_s, c.g_l, c.k, c.th4
     bilayer, radiative = k is not None, th4 is not None
+    if radiative:
+        lowest = min((scale for _, _, scale in segments if scale), default=1.0)
+        unit_s = _grey_body_unit("silicone", c.a_s, c.r_s, lowest)
+        if bilayer:
+            unit_l = _grey_body_unit("lig", c.a_l, c.r_l, lowest)
 
     # one straight-line loop body per wall kind and source mode. Each node
     # gains dt * (drive - g (T - theta_e) +- k (T_lig - T_sil)) / C, with the
-    # radiative drive scale * sigma (theta_src^4 - T^4) A / R. A body steps a
+    # radiative drive (scale sigma A / R) (theta_src^4 - T^4), its first
+    # factor taken once per segment. T ** 4.0 is the float T ** 4 would
+    # give (an int exponent becomes 4.0 for the same libm pow, with the
+    # same OverflowError), minus the conversion on every step. A body steps a
     # block of up to _BLOCK steps and appends the steps its flags mark, the
     # multiples of stride, to the kept lists. Once a block passes its
     # divergence test and the lists hold _BLOCK samples, or the run is done,
     # they are copied into the columns at `recorded` and emptied. A copy
     # after every block would double the cost of a step where _block_size
     # gives 1
-    sigma, inf = STEFAN_BOLTZMANN, math.inf
+    inf = math.inf
     sil = np.empty(samples)
     lig = np.empty(samples) if bilayer else None
     kept_s, kept_l = [ts], [tl]
     keep_s, keep_l = kept_s.append, kept_l.append
     recorded = 0
     for i0, i1, scale in segments:
-        if not radiative:
+        if radiative:
+            rad_s = scale * unit_s
+            if bilayer:
+                rad_l = scale * unit_l
+        else:
             q_s = c.q_s * scale
             if bilayer:
                 q_l = c.q_l * scale
@@ -353,17 +386,17 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
                 if not bilayer:
                     for keep in flags:
                         if radiative:
-                            q_s = scale * (sigma * (th4 - ts ** 4) * a_s / r_s)
+                            q_s = rad_s * (th4 - ts ** 4.0)
                         ts = ts + dt * ((q_s - g_s * (ts - theta_e)) / cap_s)
                         if keep:
                             keep_s(ts)
                 elif radiative:
                     for keep in flags:
                         q_ls = k * (tl - ts)
-                        ts = ts + dt * ((scale * (sigma * (th4 - ts ** 4) * a_s / r_s)
-                                         - g_s * (ts - theta_e) + q_ls) / cap_s)
-                        tl = tl + dt * ((scale * (sigma * (th4 - tl ** 4) * a_l / r_l)
-                                         - g_l * (tl - theta_e) - q_ls) / cap_l)
+                        ts = ts + dt * ((rad_s * (th4 - ts ** 4.0) - g_s * (ts - theta_e)
+                                         + q_ls) / cap_s)
+                        tl = tl + dt * ((rad_l * (th4 - tl ** 4.0) - g_l * (tl - theta_e)
+                                         - q_ls) / cap_l)
                         if keep:
                             keep_s(ts)
                             keep_l(tl)

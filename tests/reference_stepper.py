@@ -53,12 +53,17 @@ def scale_at(schedule, t):
     return 0.0
 
 
+def grey_body_resistance(eps_hot, eps_cold):
+    """The dimensionless grey-body resistance 1/eps_h + 1/eps_c - 1."""
+    return 1.0 / eps_hot + 1.0 / eps_cold - 1.0
+
+
 def radiative_exchange(theta_hot, eps_hot, theta_cold, eps_cold, area):
     """Net grey-body power from the hot surface to the cold one, in W:
     sigma (Th^4 - Tc^4) A / (1/eps_h + 1/eps_c - 1). A temperature whose
     fourth power is beyond the float range raises OverflowError."""
     th4 = theta_hot ** 4
-    resistance = 1.0 / eps_hot + 1.0 / eps_cold - 1.0
+    resistance = grey_body_resistance(eps_hot, eps_cold)
     return STEFAN_BOLTZMANN * (th4 - theta_cold ** 4) * area / resistance
 
 
@@ -74,11 +79,15 @@ def conduction_flow(theta_lig, theta_silicone, silicone):
 
 
 def source_input(source, layer, scale, layer_temperature):
-    """Drive of one layer under the source, in W."""
+    """Drive of one layer under the source, in W. A radiative drive is
+    scale times the radiative_exchange to the layer, in run's float order
+    (scale sigma A / R) (Th^4 - T^4); a fourth power beyond the float range
+    raises OverflowError."""
     if source.power is not None:
         return absorbed_power(source, layer, scale)
-    return scale * radiative_exchange(source.source_temperature, source.source_emissivity,
-                                      layer_temperature, layer.emissivity, layer.area)
+    resistance = grey_body_resistance(source.source_emissivity, layer.emissivity)
+    return ((scale * (STEFAN_BOLTZMANN * layer.area / resistance))
+            * (source.source_temperature ** 4 - layer_temperature ** 4))
 
 
 def _capacity(layer):

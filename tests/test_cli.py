@@ -594,6 +594,25 @@ class TestSweepCommand:
                        "message=final equals baseline: no response to time\n"
                        "1 of 2 sweep points failed\n")
 
+    def test_scale_whose_radiative_drive_underflows(self, capsys, tmp_path):
+        # run takes scale sigma A / R once per segment: at 1e-300 that float
+        # is subnormal, so the point fails and simulate exits 2
+        config = preset_copy(tmp_path, "mode = constant_flux\npower = 0.075",
+                             "mode = radiative_body\nsource_temperature = 373.0\n"
+                             "source_emissivity = 0.9")
+        message = ("drive scale 1e-300 times the silicone layer's grey-body constant "
+                   "4.87253e-12 W/K^4 is below the smallest normal float; raise the scale "
+                   "or set it to 0")
+        code, out, err = run_cli(capsys, "sweep", "--config", config, "--param", "scale",
+                                 "--values", "1e-300,1")
+        assert code == 4
+        assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["failed", "ok"]
+        assert err == (f"index=0 value=1e-300 error=ValidationError message={message}\n"
+                       "1 of 2 sweep points failed\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", config,
+                                 "--schedule", "0:inf:1e-300")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("outputs", ["t63", "peak", "plateau", "steady,peak", "steady"])
     def test_channel_the_wall_lacks_is_bad_input(self, capsys, tmp_path, outputs):
         preset = preset_path("table1_single").read_text(encoding="utf-8")

@@ -1134,7 +1134,9 @@ class TestRunSweep:
         # sees, which a run from ambient never passes; it once ignored the
         # schedule's own interval scales. A radiative steady state is a
         # bisection to adjacent floats, whose end with the smaller residual
-        # lies within one ulp of the root.
+        # lies within one ulp of the root. A radiative point whose positive
+        # drive scale times sigma A / R (4.9e-12 W/K^4 on each layer here)
+        # is below the smallest normal float fails its run.
         bounds = sorted(set(data.draw(st.lists(st.floats(0.0, 800.0), max_size=6))))
         if data.draw(st.booleans()):
             bounds.append(math.inf)
@@ -1147,6 +1149,11 @@ class TestRunSweep:
                            schedule=LightSchedule(tuple(intervals)),
                            sim=SimConfig(duration=duration, dt=0.05, record_stride=7))
         row, = run_sweep(config, "scale", (value,), ("peak", "steady")).rows
+        if radiative and row["status"] == "failed":
+            assert (row["error"], row["message"].split()[:2]) == (
+                "ValidationError", ["drive", "scale"])
+            assert 0.0 < float(row["message"].split()[2]) < sys.float_info.min / 1e-12
+            return
         assert row["status"] == "ok"
         steady = row["steady_theta_L_K" if preset == "table1_bilayer" else "steady_theta_s_K"]
         assert row["peak_K"] <= steady + 4 * math.ulp(steady)

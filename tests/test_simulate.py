@@ -1,8 +1,10 @@
 import inspect
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from phototherm import (
     Trajectory,
     ValidationError,
     WallAssembly,
+    load_config,
+    preset_path,
     run,
     series_from_trajectory,
     stability_limit,
@@ -195,9 +199,17 @@ class TestRadiativeGuard:
     @settings(max_examples=150, deadline=None)
     def test_accepted_runs_stay_between_ambient_and_source(self, scenario):
         # under the guard each step is a monotone map: no overshoot, no
-        # period-2 cycle, whatever the source and the scale
+        # period-2 cycle, whatever the source and the scale. A positive
+        # scale whose product with a layer's sigma A / R (at least 1e-13
+        # W/K^4 here) is below the smallest normal float is rejected
         wall, source, schedule, env, config = scenario
-        trajectory = run(wall, source, schedule, env, config)
+        scale = schedule.intervals[0][2]
+        try:
+            trajectory = run(wall, source, schedule, env, config)
+        except ValidationError as exc:
+            assert 0.0 < scale < sys.float_info.min / 1e-13
+            assert str(exc).startswith(f"drive scale {scale:g} times the ")
+            return
         lo = min(env.ambient_temperature, source.source_temperature)
         hi = max(env.ambient_temperature, source.source_temperature)
         for column in (trajectory.silicone, trajectory.lig):
@@ -312,9 +324,9 @@ class TestRun:
     def test_matches_manual_euler_stepping_bitwise(self, request, wall, source,
                                                    environment, record_stride):
         # each (wall kind, source mode) loop body of run must agree exactly
-        # with the reference stepper; a radiative run takes its grey-body
-        # constants once per run, while the stepper evaluates the whole
-        # radiative exchange on every step. The hot source, the 30 W flux
+        # with the reference stepper; a radiative run takes scale sigma A / R
+        # once per segment, while the stepper builds it from the raw fields
+        # on every step. The hot source, the 30 W flux
         # (about the power the 1500 K source delivers) and the 20 s of drive
         # make a rounding change in an inlined rate (such as T*T*T*T for T**4)
         # reach the recorded temperatures. The schedule switches at steps
@@ -492,6 +504,48 @@ class TestRun:
         traj = run(single_wall, source, ALWAYS_ON, environment,
                    SimConfig(duration=600.0, dt=0.05, record_stride=200))
         assert traj.silicone[-1] == pytest.approx(target, abs=0.05)
+
+
+class TestDriveUnderflow:
+    """A radiative run takes scale sigma A / R once per segment. A positive
+    scale, or a layer, whose constant underflows that float is rejected
+    before the first step; a scale of 0 keeps the light off."""
+
+    SOURCE = HeatSource(source_temperature=373.0, source_emissivity=0.9)
+    CONFIG = SimConfig(duration=3.0, dt=0.01)
+
+    def test_tiny_segment_scale_is_rejected(self, bilayer_wall, environment):
+        schedule = LightSchedule(((0.0, 1.0, 1.0), (2.0, 3.0, 1e-300)))
+        with pytest.raises(ValidationError) as info:
+            run(bilayer_wall, self.SOURCE, schedule, environment, self.CONFIG)
+        assert str(info.value) == (
+            "drive scale 1e-300 times the silicone layer's grey-body constant 4.87253e-12 "
+            "W/K^4 is below the smallest normal float; raise the scale or set it to 0")
+
+    def test_underflowing_grey_body_constant_is_rejected(self, environment):
+        # the resistance 1/eps_src + 1/eps - 1 of a 1e-300 emissivity is 1e300
+        wall = WallAssembly(ThermalLayer(**dict(SILICONE, emissivity=1e-300)),
+                            ThermalLayer(**LIG))
+        with pytest.raises(ValidationError) as info:
+            run(wall, self.SOURCE, LightSchedule(), environment, self.CONFIG)
+        assert str(info.value) == (
+            "the silicone layer's grey-body constant sigma * area / resistance = "
+            "5.67037e-312 W/K^4 is below the smallest normal float; raise its area or "
+            "the emissivities")
+
+    @pytest.mark.parametrize("wall", ["single_wall", "bilayer_wall"])
+    def test_light_off_segments_still_run(self, request, wall, environment):
+        # an explicit scale of 0, then a gap, between lit segments
+        wall = request.getfixturevalue(wall)
+        schedule = LightSchedule(((0.0, 1.0, 0.0), (1.0, 2.0, 1.0), (2.5, 3.0, 0.5)))
+        traj = run(wall, self.SOURCE, schedule, environment, self.CONFIG)
+        bilayer = wall.lig is not None
+        state = State(0.0, AMBIENT_K, AMBIENT_K if bilayer else None)
+        for step, got in enumerate(samples(traj)[1:], 1):
+            scale = scale_at(schedule, (step - 1) * self.CONFIG.dt)
+            state = euler_step(state, wall, self.SOURCE, environment, scale, self.CONFIG.dt)
+            assert got[1:] == state[1:]
+        assert traj.silicone[100] == AMBIENT_K < traj.silicone[-1]
 
 
 class TestRunStart:
@@ -704,7 +758,9 @@ class TestBlockCheck:
         # drives and starts include divergent ones: a flux that overflows,
         # and a radiative start whose fourth power overflows. Strides next
         # to the block length and the whole run (None) move where each
-        # block's kept samples land in the columns
+        # block's kept samples land in the columns. A positive radiative
+        # scale whose product with sigma A / R (4.9e-12 W/K^4 on each layer
+        # here) is below the smallest normal float is rejected
         stride = stride or n_steps
         temperature = st.one_of(st.floats(250.0, 600.0), st.floats(1e70, 1e100))
         env = Environment(AMBIENT_K)
@@ -724,7 +780,11 @@ class TestBlockCheck:
         dt = fraction * min(limit, 10.0)
         schedule = LightSchedule(((on * dt, (on + length) * dt, scale),))
         config = SimConfig(duration=n_steps * dt, dt=dt, record_stride=stride)
-        assert_run_matches_checked_chain(wall, source, schedule, env, config, start)
+        try:
+            assert_run_matches_checked_chain(wall, source, schedule, env, config, start)
+        except ValidationError as exc:
+            assert radiative and 0.0 < scale < sys.float_info.min / 1e-12
+            assert str(exc).startswith(f"drive scale {scale:g} times the ")
 
 
 class TestTrajectory:
@@ -775,6 +835,49 @@ class TestTrajectory:
             assert all(type(value) is float for value in state if value is not None)
 
 
+def exact_euler(wall, source, env, schedule, config):
+    """run's forward-Euler recurrence for a radiative source, stepped in
+    40-digit decimal arithmetic from the raw layer and source fields: the
+    recorded (silicone, lig) Decimal columns, lig None on a single layer.
+    The drive scale of a step is the schedule's at the step start."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        dt, theta_e = Decimal(config.dt), Decimal(env.ambient_temperature)
+        th4 = Decimal(source.source_temperature) ** 4
+        eps_src = Decimal(source.source_emissivity)
+
+        def constants(layer):  # heat capacity, convective conductance, sigma A / R
+            area = Decimal(layer.area)
+            return (Decimal(layer.specific_heat) * Decimal(layer.density) * area
+                    * Decimal(layer.thickness),
+                    layer.conv_faces * Decimal(layer.conv_coeff) * area,
+                    Decimal(STEFAN_BOLTZMANN) * area
+                    / (1 / eps_src + 1 / Decimal(layer.emissivity) - 1))
+
+        sil = wall.silicone
+        cap_s, g_s, unit_s = constants(sil)
+        bilayer = wall.lig is not None
+        if bilayer:
+            cap_l, g_l, unit_l = constants(wall.lig)
+            k = Decimal(sil.conductivity) * Decimal(sil.area) / Decimal(sil.thickness)
+        ts = tl = theta_e
+        silicone, lig = [ts], [tl]
+        for step in range(1, config.n_steps + 1):
+            scale = Decimal(scale_at(schedule, (step - 1) * config.dt))
+            if bilayer:
+                q_ls = k * (tl - ts)
+                ts, tl = (ts + dt * (scale * unit_s * (th4 - ts ** 4) - g_s * (ts - theta_e)
+                                     + q_ls) / cap_s,
+                          tl + dt * (scale * unit_l * (th4 - tl ** 4) - g_l * (tl - theta_e)
+                                     - q_ls) / cap_l)
+            else:
+                ts += dt * (scale * unit_s * (th4 - ts ** 4) - g_s * (ts - theta_e)) / cap_s
+            if step % config.record_stride == 0:
+                silicone.append(ts)
+                lig.append(tl)
+    return silicone, lig if bilayer else None
+
+
 class TestAccuracy:
     def test_against_matrix_exponential_oracle(self, bilayer_wall, flux_source,
                                                environment):
@@ -797,6 +900,34 @@ class TestAccuracy:
         coarse = np.abs(results[0.02] - results[0.04]).max()
         fine = np.abs(results[0.01] - results[0.02]).max()
         assert fine < coarse
+
+    @pytest.mark.parametrize("case", ["single-1500K", "bilayer-1500K", "bench-sweep"])
+    def test_radiative_run_tracks_exact_euler(self, case):
+        # the float kernel against the same recurrence without rounding, so
+        # its float order is held to an accuracy and not to an oracle that
+        # copies it: the bitwise test's hot source and schedule, and the
+        # bench sweep's 373 K source on the bilayer preset at distance 0.1 m
+        if case == "bench-sweep":
+            cfg = load_config(preset_path("table1_bilayer"))
+            wall, env = cfg.assembly, cfg.env
+            source = HeatSource(source_temperature=373.0, source_emissivity=0.9)
+            schedule = cfg.schedule.scaled(0.5)
+            config = SimConfig(duration=300.0, dt=0.01, record_stride=10)
+        else:
+            wall = WallAssembly(*[ThermalLayer(**layer) for layer in (
+                (SILICONE,) if case.startswith("single") else (SILICONE, LIG))])
+            env = Environment(AMBIENT_K)
+            source = HeatSource(source_temperature=1500.0, source_emissivity=0.9)
+            schedule = LightSchedule(((0.0, 10.0, 1.0), (12.0, 20.0, 0.37)))
+            config = SimConfig(duration=21.0, dt=0.01)
+        traj = run(wall, source, schedule, env, config)
+        silicone, lig = exact_euler(wall, source, env, schedule, config)
+        columns = [(traj.silicone, silicone)]
+        if lig is not None:
+            columns.append((traj.lig, lig))
+        error = max(abs(Decimal(got) - want) for column, exact in columns
+                    for got, want in zip(column.tolist(), exact, strict=True))
+        assert error < Decimal("1e-11")
 
     @given(scale=st.floats(0.1, 2.0))
     @settings(max_examples=10, deadline=None)
