@@ -18,7 +18,7 @@ from .metrics import MeasurementSeries
 from .model import (Environment, HeatSource, WallAssembly, _coefficients, _Coefficients,
                     _convective, _warn_absorptance_sum)
 from .simulate import (LightSchedule, SimConfig, _check_step, _check_step_count,
-                       _integrate, _resolve_channel, _segments, _time_constant)
+                       _integrate, _per_step, _resolve_channel, _segments, _time_constant)
 
 #: tunable parameter names and the hard physical range each must stay inside
 PARAM_RANGES = {
@@ -125,6 +125,7 @@ class CalibrationProblem:
                 f"t={n_steps * dt:g} s ({n_steps} steps of dt={dt:g} s)")
         for name in names:
             _check_applicable(name, self.assembly, self.source)
+        _check_products(names, self.assembly.lig is not None)
         for spec in self.free:  # a rescaled interval must stay finite
             if spec.name == "scale":
                 self.schedule.scaled(spec.upper)
@@ -172,6 +173,30 @@ def _check_applicable(name: str, assembly: WallAssembly, source: HeatSource) -> 
         raise ValidationError(f"{name} applies to constant-flux sources only")
 
 
+def _check_products(names: list, bilayer: bool) -> None:
+    """Reject a free set of which the model reads only products. A
+    constant flux heats each layer by alpha Q_h scale (see _evaluator), so
+    on a single layer any two of alpha_s, Q_h and scale, and on a bilayer
+    Q_h with scale, or both absorptances with either of them, leave a
+    direction along which no temperature changes, whatever the target."""
+    free = set(names)
+    if not bilayer:
+        tied = [name for name in ("alpha_s", "Q_h", "scale") if name in free]
+        products, most = "the product alpha_s * Q_h * scale", "one"
+        if len(tied) < 2:
+            return
+    elif {"Q_h", "scale"} <= free:
+        tied, products, most = ["Q_h", "scale"], "the product Q_h * scale", "one"
+    elif {"alpha_s", "alpha_L"} <= free and free & {"Q_h", "scale"}:
+        tied = ["alpha_s", "alpha_L", *(free & {"Q_h", "scale"})]
+        products, most = "the products alpha_s * Q_h * scale and alpha_L * Q_h * scale", "two"
+    else:
+        return
+    raise ValidationError(f"{', '.join(tied[:-1])} and {tied[-1]} enter the model only as "
+                          f"{products}, so no target can tell them apart; free at most "
+                          f"{most} of them")
+
+
 def apply_named_parameter(assembly: WallAssembly, source: HeatSource,
                           schedule: LightSchedule, name: str, value: float
                           ) -> tuple[WallAssembly, HeatSource, LightSchedule]:
@@ -206,9 +231,24 @@ def _guard_at(problem: CalibrationProblem, c: _Coefficients, values: dict,
     return c, max(s * values["scale"] for *_, s in segments)
 
 
+def _radiative_steps(problem: CalibrationProblem) -> int:
+    """The steps a radiative evaluation takes. It need not go past the last
+    target: it stops one step after that target's upper bracketing step, a
+    margin for the rounding of t / dt against the recorded stamps step * dt."""
+    dt = problem.config.dt
+    return min(math.floor(problem.target.times[-1] / dt) + 2, problem.config.n_steps)
+
+
 def _check_box(problem: CalibrationProblem, c: _Coefficients, values: dict,
                segments) -> None:
-    """Reject a box in which some candidate breaks the stability guard.
+    """Reject a box in which some candidate breaks the stability guard or,
+    under a radiative source, run's rule on the per-step coefficients.
+
+    Those coefficients (_per_step) grow with h_se and h_Le, and the drive
+    times the smallest positive run scale with the scale, so the rule holds
+    for every candidate when it holds at the box's lower corner, over the
+    runs an evaluation steps. A scale box whose lower bound is 0 is checked
+    as run checks a schedule that is never on.
 
     The guard's loss conductances grow with h_se and h_Le and, under a
     radiative source, with the drive scale; the absorptances and Q_h do not
@@ -224,6 +264,11 @@ def _check_box(problem: CalibrationProblem, c: _Coefficients, values: dict,
     guarded = [s for s in problem.free
                if s.name in ("h_se", "h_Le") or (radiative and s.name == "scale")]
     dt, theta_e = problem.config.dt, problem.env.ambient_temperature
+    if radiative:
+        low = {**values, **{s.name: s.lower for s in problem.free}}
+        steps, scale = _radiative_steps(problem), low["scale"]
+        lowest = min((s * scale for i0, _, s in segments if i0 < steps and s), default=1.0)
+        _per_step(_guard_at(problem, c, low, segments)[0], dt, lowest if scale else 1.0)
 
     def limit(**at) -> tuple[float, str]:
         wall, scale = _guard_at(problem, c, {**values, **at}, segments)
@@ -416,12 +461,9 @@ def _evaluator(problem: CalibrationProblem, c: _Coefficients, values: dict, segm
     times, measured = problem.target.times, problem.target.values
     radiative = problem.source.power is None
     if radiative:
-        # the run need not go past the last target: it stops one step after
-        # its upper bracketing step, a margin for the rounding of t / dt
-        # against the recorded stamps step * dt. The runs of that shorter
-        # grid are the first runs of the full one, the last one cut; the
-        # guard is _integrate's
-        steps = min(math.floor(times[-1] / dt) + 2, problem.config.n_steps)
+        # the runs of the grid cut after the last target are the first runs
+        # of the full one, the last one cut; the guard is _integrate's
+        steps = _radiative_steps(problem)
         bounds = [(i0, i1) for i0, i1, _ in _segments(problem.schedule, steps, dt)]
         lig_channel = channel == "theta_L"
     else:

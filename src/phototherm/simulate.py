@@ -29,7 +29,8 @@ from .model import (
 # sample of a 1 GiB budget: which runs it rejects is part of run's contract
 _RECORD_BUDGET_BYTES = 2 ** 30
 _MAX_SAMPLES = _RECORD_BUDGET_BYTES // 100
-# at the measured 500-900 ns per step, about 10-15 minutes of stepping
+# at the 80-430 ns per step measured on a 2-vCPU VM (the radiative bilayer
+# body is the slowest), about 1.5-7 minutes of stepping
 _MAX_STEPS = 10 ** 9
 # run tests for divergence once per block of this many steps, while its
 # a-priori temperature bounds lie less than this factor apart (_block_size)
@@ -253,24 +254,58 @@ def _block_size(c: _Coefficients, theta_e: float, ts: float, tl: float, scale: f
     return _BLOCK if hottest < _BOUND_RATIO * coldest else 1
 
 
-def _grey_body_unit(layer: str, area: float, resistance: float, lowest: float) -> float:
-    """The layer's grey-body constant sigma * area / resistance, in W/K^4.
-    A radiative run takes scale * unit once per segment, which below the
-    smallest normal float loses digits or is 0: a unit, or its product
-    with lowest, the smallest positive scale, below it is a ValidationError.
+def _normal(value: float, what: str, advice: str) -> float:
+    """value, once it is a normal float; otherwise a ValidationError naming
+    what it is."""
+    if not sys.float_info.min <= value < math.inf:
+        raise ValidationError(f"{what} = {value:g} is not a normal float; {advice}")
+    return value
+
+
+def _per_step(c: _Coefficients, dt: float, lowest: float) -> list[tuple[float, float, float]]:
+    """Per layer, silicone first, the per-step coefficients (drive, loss,
+    coupling) of a radiative run with the constants c and the step dt: the
+    layer's grey-body constant sigma A / R, its convective conductance g
+    and the coupling k (0 on a single layer), each times the layer's step
+    factor dt / C. A step adds rad (th4 - T^4) - loss (T - theta_e) +-
+    coupling (T_lig - T_sil) to a node, with rad = scale * drive taken once
+    per segment.
+
+    A product of normal floats is rounded once, and is exact to half an
+    ulp, only while it is a normal float too: below the smallest one it
+    loses digits or is 0. So sigma A / R, dt / C or a drive that is not a
+    normal float, a positive g or k whose coefficient is not, and a drive
+    whose product with lowest, the smallest positive scale, is below the
+    smallest normal float, are each a ValidationError. A g of 0 (no
+    convecting face) gives a loss of exactly 0.
     """
-    unit = STEFAN_BOLTZMANN * area / resistance
-    if unit < sys.float_info.min:
-        raise ValidationError(
-            f"the {layer} layer's grey-body constant sigma * area / resistance = "
-            f"{unit:g} W/K^4 is below the smallest normal float; raise its area or "
-            "the emissivities")
-    if lowest * unit < sys.float_info.min:
-        raise ValidationError(
-            f"drive scale {lowest:g} times the {layer} layer's grey-body constant "
-            f"{unit:g} W/K^4 is below the smallest normal float; raise the scale "
-            "or set it to 0")
-    return unit
+    layers = [("silicone", c.a_s, c.r_s, c.cap_s, c.g_s)]
+    if c.k is not None:
+        layers.append(("lig", c.a_l, c.r_l, c.cap_l, c.g_l))
+    folded = []
+    for layer, area, resistance, cap, g in layers:
+        the = f"the {layer} layer's"
+        unit = _normal(STEFAN_BOLTZMANN * area / resistance,
+                       f"{the} grey-body constant sigma * area / resistance (W/K^4)",
+                       "raise its area or the emissivities")
+        step = _normal(dt / cap, f"{the} step factor dt / C (s K/J)",
+                       "change dt or its heat capacity")
+        drive = _normal(unit * step, f"{the} per-step drive coefficient dt sigma A / (R C) "
+                        "(1/K^3)", "raise dt, its area or the emissivities")
+        if lowest * drive < sys.float_info.min:
+            raise ValidationError(
+                f"drive scale {lowest:g} times {the} per-step drive coefficient "
+                f"{drive:g} 1/K^3 is below the smallest normal float; raise the scale "
+                "or set it to 0")
+        loss, coupling = g * step, (c.k or 0.0) * step
+        if g:
+            _normal(loss, f"{the} per-step loss coefficient dt g / C",
+                    "raise dt or its convection coefficient, or set its conv_faces to 0")
+        if c.k:
+            _normal(coupling, f"{the} per-step coupling coefficient dt k / C",
+                    "raise dt or the silicone conductivity")
+        folded.append((drive, loss, coupling))
+    return folded
 
 
 def _diverged(step: int, dt: float) -> NumericalError:
@@ -290,12 +325,12 @@ def run(assembly: WallAssembly, source: HeatSource, schedule: LightSchedule,
     Before it steps or records, it rejects a run that would record more
     than _MAX_SAMPLES samples (a 1 GiB budget) or take more than _MAX_STEPS
     steps. It rejects dt above the stability limit of this start and
-    schedule, naming the limiting layer, and a radiative run whose drive
-    coefficient underflows (_grey_body_unit). It raises NumericalError at
-    the first step whose temperatures are not finite and positive or whose
-    radiative drive overflows a float. Identical inputs produce
-    bit-identical trajectories; tests/reference_stepper.py steps the same
-    floats one forward-Euler step at a time.
+    schedule, naming the limiting layer, and a radiative run whose per-step
+    coefficients are not normal floats (_per_step). It raises
+    NumericalError at the first step whose temperatures are not finite and
+    positive or whose radiative drive overflows a float. Identical inputs
+    produce bit-identical trajectories; tests/reference_stepper.py steps
+    the same floats one forward-Euler step at a time.
     """
     theta_e = env.ambient_temperature
     ts = tl = theta_e
@@ -343,22 +378,27 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
     bilayer, radiative = k is not None, th4 is not None
     if radiative:
         lowest = min((scale for _, _, scale in segments if scale), default=1.0)
-        unit_s = _grey_body_unit("silicone", c.a_s, c.r_s, lowest)
+        folded = _per_step(c, dt, lowest)
+        drive_s, loss_s, cpl_s = folded[0]
         if bilayer:
-            unit_l = _grey_body_unit("lig", c.a_l, c.r_l, lowest)
+            drive_l, loss_l, cpl_l = folded[1]
 
-    # one straight-line loop body per wall kind and source mode. Each node
-    # gains dt * (drive - g (T - theta_e) +- k (T_lig - T_sil)) / C, with the
-    # radiative drive (scale sigma A / R) (theta_src^4 - T^4), its first
-    # factor taken once per segment. T ** 4.0 is the float T ** 4 would
-    # give (an int exponent becomes 4.0 for the same libm pow, with the
-    # same OverflowError), minus the conversion on every step. A body steps a
-    # block of up to _BLOCK steps and appends the steps its flags mark, the
-    # multiples of stride, to the kept lists. Once a block passes its
-    # divergence test and the lists hold _BLOCK samples, or the run is done,
-    # they are copied into the columns at `recorded` and emptied. A copy
-    # after every block would double the cost of a step where _block_size
-    # gives 1
+    # one straight-line loop body per wall kind and source mode. Under a
+    # constant flux each node gains dt * (q - g (T - theta_e) +- k (T_lig -
+    # T_sil)) / C. Under a radiative source the step factor dt / C is folded
+    # into per-run coefficients (_per_step), and a node gains rad (th4 -
+    # T^4) - loss (T - theta_e) +- coupling d, with d = T_lig - T_sil taken
+    # once per step and rad = scale * drive once per segment: no division
+    # in the step. The three differences stay, so a wall at ambient with
+    # the light off gains exactly 0, whatever the ambient.
+    # T ** 4.0 is the float T ** 4 would give (an int exponent becomes 4.0
+    # for the same libm pow, with the same OverflowError), minus the
+    # conversion on every step. A body steps a block of up to _BLOCK steps
+    # and appends the steps its flags mark, the multiples of stride, to the
+    # kept lists. Once a block passes its divergence test and the lists
+    # hold _BLOCK samples, or the run is done, they are copied into the
+    # columns at `recorded` and emptied. A copy after every block would
+    # double the cost of a step where _block_size gives 1
     inf = math.inf
     sil = np.empty(samples)
     lig = np.empty(samples) if bilayer else None
@@ -367,9 +407,9 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
     recorded = 0
     for i0, i1, scale in segments:
         if radiative:
-            rad_s = scale * unit_s
+            rad_s = scale * drive_s
             if bilayer:
-                rad_l = scale * unit_l
+                rad_l = scale * drive_l
         else:
             q_s = c.q_s * scale
             if bilayer:
@@ -386,17 +426,18 @@ def _integrate(c: _Coefficients, segments, theta_e: float, ts: float, tl: float,
                 if not bilayer:
                     for keep in flags:
                         if radiative:
-                            q_s = rad_s * (th4 - ts ** 4.0)
-                        ts = ts + dt * ((q_s - g_s * (ts - theta_e)) / cap_s)
+                            ts = ts + (rad_s * (th4 - ts ** 4.0) - loss_s * (ts - theta_e))
+                        else:
+                            ts = ts + dt * ((q_s - g_s * (ts - theta_e)) / cap_s)
                         if keep:
                             keep_s(ts)
                 elif radiative:
                     for keep in flags:
-                        q_ls = k * (tl - ts)
-                        ts = ts + dt * ((rad_s * (th4 - ts ** 4.0) - g_s * (ts - theta_e)
-                                         + q_ls) / cap_s)
-                        tl = tl + dt * ((rad_l * (th4 - tl ** 4.0) - g_l * (tl - theta_e)
-                                         - q_ls) / cap_l)
+                        d = tl - ts
+                        ts = ts + (rad_s * (th4 - ts ** 4.0) - loss_s * (ts - theta_e)
+                                   + cpl_s * d)
+                        tl = tl + (rad_l * (th4 - tl ** 4.0) - loss_l * (tl - theta_e)
+                                   - cpl_l * d)
                         if keep:
                             keep_s(ts)
                             keep_l(tl)

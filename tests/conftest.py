@@ -30,6 +30,18 @@ COUPLING_W_PER_K = 0.2 * 1.0e-4 / 1.0e-3  # 0.02 W/K
 TAU_SINGLE_S = CAP_SILICONE / (2 * 6.0 * 1.0e-4)  # 113.75 s
 
 
+def read_as_products(names, bilayer):
+    """Whether a constant-flux model reads these free parameters only as
+    products, alpha Q_h scale per layer, so that CalibrationProblem rejects
+    them: on a single layer two or more of alpha_s, Q_h and scale; on a
+    bilayer Q_h with scale, or both absorptances with either of them."""
+    free = set(names)
+    if not bilayer:
+        return len(free & {"alpha_s", "Q_h", "scale"}) >= 2
+    return {"Q_h", "scale"} <= free or (
+        {"alpha_s", "alpha_L"} <= free and bool(free & {"Q_h", "scale"}))
+
+
 @pytest.fixture
 def silicone_layer():
     return ThermalLayer(**SILICONE)

@@ -72,17 +72,19 @@ def absorbed_power(source, layer, scale=1.0):
     return layer.absorptance * source.power * scale
 
 
+def _coupling(silicone):
+    return silicone.conductivity * silicone.area / silicone.thickness
+
+
 def conduction_flow(theta_lig, theta_silicone, silicone):
     """Conductive power from the LIG film into the silicone, in W."""
-    return silicone.conductivity * silicone.area / silicone.thickness * (
-        theta_lig - theta_silicone)
+    return _coupling(silicone) * (theta_lig - theta_silicone)
 
 
 def source_input(source, layer, scale, layer_temperature):
-    """Drive of one layer under the source, in W. A radiative drive is
-    scale times the radiative_exchange to the layer, in run's float order
-    (scale sigma A / R) (Th^4 - T^4); a fourth power beyond the float range
-    raises OverflowError."""
+    """Drive of one layer under the source, in W: absorbed_power, or scale
+    times the radiative_exchange to the layer. A fourth power beyond the
+    float range raises OverflowError."""
     if source.power is not None:
         return absorbed_power(source, layer, scale)
     resistance = grey_body_resistance(source.source_emissivity, layer.emissivity)
@@ -96,6 +98,22 @@ def _capacity(layer):
 
 def _convective(layer):
     return layer.conv_faces * layer.conv_coeff * layer.area
+
+
+def drive_coefficient(source, layer, dt):
+    """A layer's per-step drive coefficient under a radiative source, in
+    1/K^3: its grey-body constant sigma A / (1/eps_src + 1/eps - 1) times
+    its step factor dt / C."""
+    resistance = grey_body_resistance(source.source_emissivity, layer.emissivity)
+    return STEFAN_BOLTZMANN * layer.area / resistance * (dt / _capacity(layer))
+
+
+def radiative_gain(source, layer, scale, dt, layer_temperature):
+    """What a radiative source adds to a layer's temperature over a step dt,
+    in K, in run's float order (scale drive_coefficient) (Th^4 - T^4). A
+    fourth power beyond the float range raises OverflowError."""
+    return ((scale * drive_coefficient(source, layer, dt))
+            * (source.source_temperature ** 4 - layer_temperature ** 4))
 
 
 def rhs_single(state, assembly, source, env, scale=1.0):
@@ -119,12 +137,38 @@ def rhs_bilayer(state, assembly, source, env, scale=1.0):
     return d_s, d_l
 
 
+def radiative_increments(state, assembly, source, env, scale, dt):
+    """The temperature changes (silicone, lig) of one forward-Euler step of
+    length dt under a radiative source, lig None on a single layer, in
+    run's float order: each layer's step factor dt / C times its
+    convective and coupling conductances, then a layer gains
+    radiative_gain - loss (T - theta_e) +- coupling (T_lig - T_sil)."""
+    sil, lig = assembly.silicone, assembly.lig
+    theta_s, theta_e = state.silicone_temperature, env.ambient_temperature
+    step_s = dt / _capacity(sil)
+    gain_s = (radiative_gain(source, sil, scale, dt, theta_s)
+              - _convective(sil) * step_s * (theta_s - theta_e))
+    if lig is None:
+        return gain_s, None
+    theta_l = state.lig_temperature
+    step_l = dt / _capacity(lig)
+    d = theta_l - theta_s
+    return (gain_s + _coupling(sil) * step_s * d,
+            radiative_gain(source, lig, scale, dt, theta_l)
+            - _convective(lig) * step_l * (theta_l - theta_e) - _coupling(sil) * step_l * d)
+
+
 def euler_step(state, assembly, source, env, scale, dt):
-    """One forward-Euler step of length dt. The new State is checked: a
-    temperature that is not finite and > 0 raises ValidationError."""
+    """One forward-Euler step of length dt: T + dt * rate of rhs_single or
+    rhs_bilayer under a constant flux, T + radiative_increments under a
+    radiative source. The new State is checked: a temperature that is not
+    finite and > 0 raises ValidationError."""
+    ts, tl = state.silicone_temperature, state.lig_temperature
+    if source.power is None:
+        d_s, d_l = radiative_increments(state, assembly, source, env, scale, dt)
+        return checked(State(state.time + dt, ts + d_s, None if tl is None else tl + d_l))
     if assembly.lig is None:
         rate = rhs_single(state, assembly, source, env, scale)
-        return checked(State(state.time + dt, state.silicone_temperature + dt * rate))
+        return checked(State(state.time + dt, ts + dt * rate))
     d_s, d_l = rhs_bilayer(state, assembly, source, env, scale)
-    return checked(State(state.time + dt, state.silicone_temperature + dt * d_s,
-                         state.lig_temperature + dt * d_l))
+    return checked(State(state.time + dt, ts + dt * d_s, tl + dt * d_l))

@@ -34,7 +34,7 @@ from phototherm import (
 )
 from phototherm.model import _coefficients
 from phototherm.simulate import _check_step, _segments
-from conftest import AMBIENT_K, LIG, POWER_W, SILICONE
+from conftest import AMBIENT_K, LIG, POWER_W, SILICONE, read_as_products
 from reference_fit import reference_fit
 
 SCHEDULE = LightSchedule(((0.0, math.inf, 1.0),))
@@ -145,6 +145,51 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             make_problem(target, ParamSpec("alpha_L", 0.5, 0.95, 0.7),
                          assembly=single)
+
+    BOXES = {"alpha_s": (0.05, 0.5, 0.2), "alpha_L": (0.5, 0.95, 0.83),
+             "Q_h": (0.01, 0.2, 0.075), "scale": (0.1, 2.0, 1.0), "h_se": (2.0, 12.0, 6.0),
+             "h_Le": (5.0, 40.0, 18.0)}
+
+    @pytest.mark.parametrize("bilayer, names, message", [
+        (False, ("alpha_s", "Q_h"), "alpha_s and Q_h enter the model only as the product "
+                                    "alpha_s * Q_h * scale"),
+        (False, ("scale", "h_se", "alpha_s"), "alpha_s and scale enter the model only as the "
+                                              "product alpha_s * Q_h * scale"),
+        (False, ("Q_h", "scale", "alpha_s"), "alpha_s, Q_h and scale enter the model only "
+                                             "as the product alpha_s * Q_h * scale"),
+        (True, ("scale", "Q_h"), "Q_h and scale enter the model only as the product "
+                                 "Q_h * scale"),
+        (True, ("Q_h", "alpha_L", "alpha_s"), "alpha_s, alpha_L and Q_h enter the model only "
+                                              "as the products alpha_s * Q_h * scale and "
+                                              "alpha_L * Q_h * scale"),
+        (True, ("alpha_s", "h_Le", "alpha_L", "scale"),
+         "alpha_s, alpha_L and scale enter the model only as the products "
+         "alpha_s * Q_h * scale and alpha_L * Q_h * scale"),
+    ])
+    def test_free_set_read_only_as_products_is_rejected(self, bilayer, names, message):
+        # a constant flux heats each layer by alpha Q_h scale: along the
+        # product's level set no temperature moves, and a fit would print
+        # any point of it as converged
+        wall = make_bilayer() if bilayer else WallAssembly(ThermalLayer(**SILICONE))
+        most = "two" if "products" in message else "one"
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{message}, so no target can tell them apart; free at most {most} of them")):
+            make_problem(synthetic_target(wall),
+                         *(ParamSpec(name, *self.BOXES[name]) for name in names), assembly=wall)
+
+    @pytest.mark.parametrize("bilayer", [False, True], ids=["single", "bilayer"])
+    def test_product_rule_rejects_exactly_the_sets_read_as_products(self, bilayer):
+        wall = make_bilayer() if bilayer else WallAssembly(ThermalLayer(**SILICONE))
+        target = synthetic_target(wall)
+        names = ["alpha_s", "Q_h", "scale", "h_se"] + ["alpha_L", "h_Le"] * bilayer
+        for size in range(1, len(names) + 1):
+            for free in itertools.combinations(names, size):
+                specs = [ParamSpec(name, *self.BOXES[name]) for name in free]
+                if read_as_products(free, bilayer):
+                    with pytest.raises(ValidationError, match="enter the model only as"):
+                        make_problem(target, *specs, assembly=wall)
+                else:
+                    make_problem(target, *specs, assembly=wall)
 
     def test_target_longer_than_duration_rejected(self):
         target = synthetic_target(make_bilayer())
@@ -554,7 +599,8 @@ def small_fit_problems(draw):
     boxes = {"alpha_s": (0.0, 0.5), "alpha_L": (0.3, 1.0), "h_se": (1.0, 30.0),
              "h_Le": (1.0, 30.0), "scale": (0.1, 2.0), "Q_h": (0.01, 0.2)}
     free = []
-    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)):
+    chosen = st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)
+    for name in draw(chosen.filter(lambda c: not read_as_products(c, bilayer))):
         lo, hi = boxes[name]
         lower = draw(st.floats(lo, lo + 0.4 * (hi - lo)))
         upper = draw(st.floats(lower + 0.1 * (hi - lo), hi))
@@ -589,10 +635,11 @@ class TestFitAgainstNumpyReference:
     def test_sse_is_at_most_the_references(self, problem):
         self.assert_meets_reference(problem)
 
-    def test_a_non_identifiable_pair_meets_the_reference(self):
-        # on a single layer under a constant flux only alpha_s * Q_h enters
-        # the model: the normal equations are singular but for rounding
-        wall = WallAssembly(ThermalLayer(**SILICONE))
+    def test_a_pair_the_wall_reads_as_one_product_meets_the_reference(self):
+        # a lig film that absorbs nothing: the bilayer model reads alpha_s and
+        # Q_h only as alpha_s * Q_h, which the structural rule cannot see.
+        # The normal equations are singular but for rounding
+        wall = make_bilayer(absorptance=0.0)
         problem = make_problem(synthetic_target(wall), ParamSpec("alpha_s", 0.05, 0.5, 0.4),
                                ParamSpec("Q_h", 0.01, 0.2, 0.05), assembly=wall)
         got = self.assert_meets_reference(problem)
@@ -602,12 +649,23 @@ class TestFitAgainstNumpyReference:
     def test_the_damping_floor_keeps_a_singular_fit_solvable(self, monkeypatch):
         # started at 1e-14, accepted steps on this singular pair would take
         # the damping below 1.1e-16, where 1 + damping rounds to 1 and the
-        # scaled solve meets a zero pivot; _MIN_DAMPING holds it at 1e-12
+        # scaled solve of an exactly singular system meets a zero pivot;
+        # _MIN_DAMPING holds it at 1e-12
         monkeypatch.setattr(calibrate_module, "_DAMPING", 1e-14)
-        wall = WallAssembly(ThermalLayer(**SILICONE))
+        dampings, solve = [], calibrate_module._solve
+
+        def recording(normal, rhs, damping):
+            dampings.append(damping)
+            return solve(normal, rhs, damping)
+
+        monkeypatch.setattr(calibrate_module, "_solve", recording)
+        wall = make_bilayer(absorptance=0.0)
         problem = make_problem(synthetic_target(wall), ParamSpec("alpha_s", 0.05, 0.5, 0.4),
                                ParamSpec("Q_h", 0.01, 0.2, 0.05), assembly=wall)
         self.assert_meets_reference(problem)
+        assert len(dampings) > 2 and all(1.0 + damping > 1.0 for damping in dampings)
+        with pytest.raises(ZeroDivisionError):
+            solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], 1e-17)
 
     def test_a_fit_whose_optimum_lies_past_the_box_corner_ends_on_both_bounds(self):
         # the preset's alpha_L = 0.83 and h_Le = 18 lie beyond the box's
@@ -832,6 +890,64 @@ def radiative_problem(bilayer=True, last=60.0, free=(ParamSpec("scale", 0.1, 2.0
         env=Environment(AMBIENT_K),
         schedule=LightSchedule(((0.0, 15.0, 1.0), (20.0, math.inf, 0.5))), config=config,
         channel=channel)
+
+
+class TestDriveUnderflowBox:
+    """Under a radiative source the box's lower corner meets run's rule on
+    the per-step coefficients before the fit evaluates anything."""
+
+    @staticmethod
+    def problem(free, schedule=LightSchedule(((0.0, 15.0, 1.0), (20.0, math.inf, 0.5))),
+                last=60.0, wall=None):
+        wall = wall or make_bilayer()
+        times = np.linspace(0.0, last, 40)
+        return CalibrationProblem(
+            target=MeasurementSeries(times, AMBIENT_K + 0.3 * times), free=free,
+            assembly=wall, source=HeatSource(source_temperature=373.0, source_emissivity=0.9),
+            env=Environment(AMBIENT_K), schedule=schedule,
+            config=SimConfig(duration=60.0, dt=0.01))
+
+    def test_scale_box_whose_drive_underflows_is_rejected_with_runs_message(self,
+                                                                            monkeypatch):
+        steps = integrated_steps(monkeypatch)
+        problem = self.problem((ParamSpec("scale", 0.1, 2.0, 1.0),))
+        with pytest.raises(ValidationError) as expected:
+            run(problem.assembly, problem.source, problem.schedule.scaled(1e-300), problem.env,
+                problem.config)
+        with pytest.raises(ValidationError) as raised:
+            self.problem((ParamSpec("scale", 1e-300, 2.0, 1.0),))
+        assert str(raised.value) == str(expected.value) == (
+            "drive scale 5e-301 times the silicone layer's per-step drive coefficient "
+            "3.56962e-13 1/K^3 is below the smallest normal float; raise the scale or set it "
+            "to 0")
+        assert steps == []
+
+    def test_scale_box_from_zero_is_valid(self):
+        # at scale 0 the light is off and the wall stays at ambient
+        problem = self.problem((ParamSpec("scale", 0.0, 2.0, 1.0),))
+        diff = AMBIENT_K - problem.target.values
+        assert objective(problem, [0.0]) == float(np.add.reduce(diff * diff))
+
+    def test_runs_past_the_last_target_do_not_count(self):
+        # an evaluation stops at 17 s, before the dim interval
+        schedule = LightSchedule(((0.0, 15.0, 1.0), (20.0, math.inf, 1e-300)))
+        free = (ParamSpec("scale", 0.5, 2.0, 1.0),)
+        self.problem(free, schedule, last=17.0)
+        with pytest.raises(ValidationError, match="^drive scale 5e-301 times the silicone"):
+            self.problem(free, schedule)
+
+    def test_convection_box_whose_loss_underflows_is_rejected_with_runs_message(self):
+        # the loss coefficient dt g / C grows with h_se: 1e-305 W/(m^2 K)
+        # on one face of 1e-4 m^2 is a subnormal conductance
+        wall = make_bilayer()
+        low = WallAssembly(replace(wall.silicone, conv_coeff=1e-305), wall.lig)
+        problem = self.problem((ParamSpec("h_se", 2.0, 12.0, 6.0),))
+        with pytest.raises(ValidationError) as expected:
+            run(low, problem.source, problem.schedule, problem.env, problem.config)
+        with pytest.raises(ValidationError) as raised:
+            self.problem((ParamSpec("h_se", 1e-305, 12.0, 6.0),))
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value).startswith("the silicone layer's per-step loss coefficient")
 
 
 class TestRadiativeObjective:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phototherm.calibrate as calibrate_module
 from phototherm import fileio
 from phototherm.cli import _build_parser, cli_main
 from phototherm.fileio import preset_path
@@ -510,6 +511,45 @@ class TestCalibrateCommand:
         assert (code, out, err) == (2, "", "error: alpha_s applies to constant-flux "
                                            "sources only\n")
 
+    def test_absorptance_and_power_read_only_as_a_product_is_bad_input(self, capsys,
+                                                                       tmp_path):
+        # the single-layer model reads alpha_s * Q_h * scale: the fit once
+        # printed alpha_s=0.319397 and Q_h=0.039925 as converged, where the
+        # truth is 0.17 and 0.075
+        target = tmp_path / "s.csv"
+        assert run_cli(capsys, "simulate", "--preset", "table1_single", "--duration", "60",
+                       "--dt", "0.05", "--out", str(target))[0] == 0
+        code, out, err = run_cli(capsys, "calibrate", "--preset", "table1_single",
+                                 "--target", str(target), "--param", "alpha_s:0.05:0.5:0.4",
+                                 "--param", "Q_h:0.01:0.2:0.05")
+        assert (code, out, err) == (2, "", "error: alpha_s and Q_h enter the model only as "
+                                           "the product alpha_s * Q_h * scale, so no target "
+                                           "can tell them apart; free at most one of them\n")
+
+    def test_scale_box_whose_drive_underflows_is_bad_input(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # a positive lower bound of 1e-300 puts scale times the per-step
+        # drive coefficient below the smallest normal float: the box is
+        # rejected with run's message before the first evaluation, where
+        # the fit once ran its evaluations and then exited 2
+        config = preset_copy(tmp_path, "mode = constant_flux\npower = 0.075",
+                             "mode = radiative_body\nsource_temperature = 373.0\n"
+                             "source_emissivity = 0.9")
+        target = tmp_path / "t.csv"
+        target.write_text("time_s,value\n0,298\n10,299\n20,300\n30,300.5\n",
+                          encoding="utf-8")
+        integrated = []
+        monkeypatch.setattr(calibrate_module, "_integrate",
+                            lambda *args: integrated.append(args))
+        code, out, err = run_cli(capsys, "calibrate", "--config", config, "--target",
+                                 str(target), "--param", "scale:1e-300:2:1")
+        assert (code, out, integrated) == (2, "", [])
+        assert err == ("error: drive scale 1e-300 times the silicone layer's per-step drive "
+                       "coefficient 3.56962e-13 1/K^3 is below the smallest normal float; "
+                       "raise the scale or set it to 0\n")
+        assert run_cli(capsys, "simulate", "--config", config, "--schedule",
+                       "0:inf:1e-300")[2] == err
+
     def test_zero_convection_sweep_point_still_fails_its_row(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--preset", "table1_single",
                                  "--param", "h_se", "--values", "0,6",
@@ -595,13 +635,14 @@ class TestSweepCommand:
                        "1 of 2 sweep points failed\n")
 
     def test_scale_whose_radiative_drive_underflows(self, capsys, tmp_path):
-        # run takes scale sigma A / R once per segment: at 1e-300 that float
-        # is subnormal, so the point fails and simulate exits 2
+        # run takes scale times the per-step drive coefficient dt sigma A /
+        # (R C) once per segment: at 1e-300 that float is subnormal, so the
+        # point fails and simulate exits 2
         config = preset_copy(tmp_path, "mode = constant_flux\npower = 0.075",
                              "mode = radiative_body\nsource_temperature = 373.0\n"
                              "source_emissivity = 0.9")
-        message = ("drive scale 1e-300 times the silicone layer's grey-body constant "
-                   "4.87253e-12 W/K^4 is below the smallest normal float; raise the scale "
+        message = ("drive scale 1e-300 times the silicone layer's per-step drive coefficient "
+                   "3.56962e-13 1/K^3 is below the smallest normal float; raise the scale "
                    "or set it to 0")
         code, out, err = run_cli(capsys, "sweep", "--config", config, "--param", "scale",
                                  "--values", "1e-300,1")

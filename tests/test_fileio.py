@@ -46,6 +46,7 @@ from phototherm.fileio import (RunConfig, _bulk_rows, _csv_body, _parse_rows,
                                _read_ini, _write_csv, parse_config)
 from conftest import LIG, POWER_W, SILICONE, traced_peak
 from reference_ini import reference_read_ini
+from reference_stepper import drive_coefficient
 
 
 class TestIlluminanceScale:
@@ -1135,8 +1136,8 @@ class TestRunSweep:
         # schedule's own interval scales. A radiative steady state is a
         # bisection to adjacent floats, whose end with the smaller residual
         # lies within one ulp of the root. A radiative point whose positive
-        # drive scale times sigma A / R (4.9e-12 W/K^4 on each layer here)
-        # is below the smallest normal float fails its run.
+        # drive scale times a layer's per-step drive coefficient is below
+        # the smallest normal float fails its run.
         bounds = sorted(set(data.draw(st.lists(st.floats(0.0, 800.0), max_size=6))))
         if data.draw(st.booleans()):
             bounds.append(math.inf)
@@ -1152,7 +1153,11 @@ class TestRunSweep:
         if radiative and row["status"] == "failed":
             assert (row["error"], row["message"].split()[:2]) == (
                 "ValidationError", ["drive", "scale"])
-            assert 0.0 < float(row["message"].split()[2]) < sys.float_info.min / 1e-12
+            drive = min(drive_coefficient(source, layer, 0.05)
+                        for layer in (cfg.assembly.silicone, cfg.assembly.lig) if layer is not None)
+            # the message prints the scale to 6 digits
+            lowest = float(row["message"].split()[2])
+            assert 0.0 < lowest and lowest * drive < sys.float_info.min * (1.0 + 1e-5)
             return
         assert row["status"] == "ok"
         steady = row["steady_theta_L_K" if preset == "table1_bilayer" else "steady_theta_s_K"]

@@ -36,7 +36,7 @@ from phototherm.simulate import _segments, _time_constant
 from conftest import (AMBIENT_K, LIG, POWER_W, SILICONE, TAU_SINGLE_S, forward_trajectory,
                       traced_peak)
 from linear_oracle import exact_bilayer_grid
-from reference_stepper import State, euler_step, samples, scale_at
+from reference_stepper import State, drive_coefficient, euler_step, samples, scale_at
 
 ALWAYS_ON = LightSchedule(((0.0, math.inf, 1.0),))
 
@@ -194,20 +194,27 @@ def radiative_scenarios(draw):
     return wall, source, schedule, env, SimConfig(duration=duration, dt=dt)
 
 
+def smallest_drive(wall, source, dt):
+    """The smallest per-step drive coefficient of the wall's layers."""
+    return min(drive_coefficient(source, layer, dt)
+               for layer in (wall.silicone, wall.lig) if layer is not None)
+
+
 class TestRadiativeGuard:
     @given(scenario=radiative_scenarios())
     @settings(max_examples=150, deadline=None)
     def test_accepted_runs_stay_between_ambient_and_source(self, scenario):
         # under the guard each step is a monotone map: no overshoot, no
         # period-2 cycle, whatever the source and the scale. A positive
-        # scale whose product with a layer's sigma A / R (at least 1e-13
-        # W/K^4 here) is below the smallest normal float is rejected
+        # scale whose product with a layer's per-step drive coefficient is
+        # below the smallest normal float is rejected
         wall, source, schedule, env, config = scenario
         scale = schedule.intervals[0][2]
         try:
             trajectory = run(wall, source, schedule, env, config)
         except ValidationError as exc:
-            assert 0.0 < scale < sys.float_info.min / 1e-13
+            assert 0.0 < scale and scale * smallest_drive(wall, source, config.dt) \
+                < sys.float_info.min
             assert str(exc).startswith(f"drive scale {scale:g} times the ")
             return
         lo = min(env.ambient_temperature, source.source_temperature)
@@ -507,9 +514,12 @@ class TestRun:
 
 
 class TestDriveUnderflow:
-    """A radiative run takes scale sigma A / R once per segment. A positive
-    scale, or a layer, whose constant underflows that float is rejected
-    before the first step; a scale of 0 keeps the light off."""
+    """A radiative run folds each layer's step factor dt / C into per-step
+    drive, loss and coupling coefficients, and takes scale * drive once per
+    segment. A factor or coefficient that is not a normal float, or a
+    positive scale whose product with a drive is below the smallest normal
+    float, is rejected before the first step; a scale of 0 keeps the light
+    off."""
 
     SOURCE = HeatSource(source_temperature=373.0, source_emissivity=0.9)
     CONFIG = SimConfig(duration=3.0, dt=0.01)
@@ -519,8 +529,11 @@ class TestDriveUnderflow:
         with pytest.raises(ValidationError) as info:
             run(bilayer_wall, self.SOURCE, schedule, environment, self.CONFIG)
         assert str(info.value) == (
-            "drive scale 1e-300 times the silicone layer's grey-body constant 4.87253e-12 "
-            "W/K^4 is below the smallest normal float; raise the scale or set it to 0")
+            "drive scale 1e-300 times the silicone layer's per-step drive coefficient "
+            "3.56962e-13 1/K^3 is below the smallest normal float; raise the scale or set "
+            "it to 0")
+        drive = drive_coefficient(self.SOURCE, bilayer_wall.silicone, self.CONFIG.dt)
+        assert f"{drive:g}" == "3.56962e-13"
 
     def test_underflowing_grey_body_constant_is_rejected(self, environment):
         # the resistance 1/eps_src + 1/eps - 1 of a 1e-300 emissivity is 1e300
@@ -529,9 +542,41 @@ class TestDriveUnderflow:
         with pytest.raises(ValidationError) as info:
             run(wall, self.SOURCE, LightSchedule(), environment, self.CONFIG)
         assert str(info.value) == (
-            "the silicone layer's grey-body constant sigma * area / resistance = "
-            "5.67037e-312 W/K^4 is below the smallest normal float; raise its area or "
-            "the emissivities")
+            "the silicone layer's grey-body constant sigma * area / resistance (W/K^4) = "
+            "5.67037e-312 is not a normal float; raise its area or the emissivities")
+
+    @pytest.mark.parametrize("silicone, lig, dt, message", [
+        # dt / C = 7.3e-310 s K/J
+        ({}, None, 1e-310, "the silicone layer's step factor dt / C (s K/J) = 7.32601e-310 "
+                           "is not a normal float; change dt or its heat capacity"),
+        # a heat capacity of 1e-317 J/K, no loss path and the light off: no
+        # step is unstable, and dt / C overflows
+        ({"specific_heat": 1e-300, "density": 1e-10, "conv_faces": 0}, None, 1.0,
+         "the silicone layer's step factor dt / C (s K/J) = inf is not a normal float; "
+         "change dt or its heat capacity"),
+        # sigma A / R = 4.9e-12 W/K^4 times dt / C = 7.3e-300 s K/J
+        ({}, None, 1e-300, "the silicone layer's per-step drive coefficient dt sigma A / "
+                           "(R C) (1/K^3) = 3.56962e-311 is not a normal float; raise dt, its "
+                           "area or the emissivities"),
+        ({"conv_coeff": 1e-305}, None, 0.01,
+         "the silicone layer's per-step loss coefficient dt g / C = 1.4652e-310 is not a "
+         "normal float; raise dt or its convection coefficient, or set its conv_faces to 0"),
+        ({}, {"conv_coeff": 1e-305}, 0.01,
+         "the lig layer's per-step loss coefficient dt g / C = 3.57143e-309 is not a normal "
+         "float; raise dt or its convection coefficient, or set its conv_faces to 0"),
+        ({"conductivity": 1e-306}, {}, 0.01,
+         "the silicone layer's per-step coupling coefficient dt k / C = 7.32601e-309 is not "
+         "a normal float; raise dt or the silicone conductivity"),
+    ], ids=["step-factor", "step-factor-overflow", "drive", "loss", "lig-loss", "coupling"])
+    def test_per_step_coefficient_that_is_not_a_normal_float_is_rejected(
+            self, environment, silicone, lig, dt, message):
+        layers = [ThermalLayer(**dict(SILICONE, **silicone))]
+        if lig is not None:
+            layers.append(ThermalLayer(**dict(LIG, **lig)))
+        with pytest.raises(ValidationError) as info:
+            run(WallAssembly(*layers), self.SOURCE, LightSchedule(), environment,
+                SimConfig(duration=3 * dt, dt=dt))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("wall", ["single_wall", "bilayer_wall"])
     def test_light_off_segments_still_run(self, request, wall, environment):
@@ -759,8 +804,8 @@ class TestBlockCheck:
         # and a radiative start whose fourth power overflows. Strides next
         # to the block length and the whole run (None) move where each
         # block's kept samples land in the columns. A positive radiative
-        # scale whose product with sigma A / R (4.9e-12 W/K^4 on each layer
-        # here) is below the smallest normal float is rejected
+        # scale whose product with a layer's per-step drive coefficient is
+        # below the smallest normal float is rejected
         stride = stride or n_steps
         temperature = st.one_of(st.floats(250.0, 600.0), st.floats(1e70, 1e100))
         env = Environment(AMBIENT_K)
@@ -783,7 +828,8 @@ class TestBlockCheck:
         try:
             assert_run_matches_checked_chain(wall, source, schedule, env, config, start)
         except ValidationError as exc:
-            assert radiative and 0.0 < scale < sys.float_info.min / 1e-12
+            assert radiative and 0.0 < scale
+            assert scale * smallest_drive(wall, source, dt) < sys.float_info.min
             assert str(exc).startswith(f"drive scale {scale:g} times the ")
 
 
@@ -928,6 +974,41 @@ class TestAccuracy:
         error = max(abs(Decimal(got) - want) for column, exact in columns
                     for got, want in zip(column.tolist(), exact, strict=True))
         assert error < Decimal("1e-11")
+
+    @given(bilayer=st.booleans(), convection=st.sampled_from(["faces", "none", "tiny"]),
+           theta_h=st.floats(150.0, 1500.0), scale=st.floats(0.1, 3.0),
+           fraction=st.one_of(st.just(0.99), st.floats(0.05, 0.99)),
+           gap=st.integers(0, 100), n_steps=st.integers(1, 500))
+    @settings(max_examples=40, deadline=None)
+    def test_folded_coefficients_track_exact_euler(self, bilayer, convection, theta_h, scale,
+                                                   fraction, gap, n_steps):
+        # run folds each layer's step factor dt / C into its per-step drive,
+        # loss and coupling coefficients; the decimal recurrence divides by
+        # C at every step. Up to 0.99 of the stability limit, with no
+        # convecting face (a loss of exactly 0) or a tiny convection
+        # coefficient, under a source hotter or colder than ambient. The
+        # dark gap before the light turns on stays exactly at ambient
+        override = {"faces": {}, "none": {"conv_faces": 0},
+                    "tiny": {"conv_coeff": 1e-9}}[convection]
+        layers = [ThermalLayer(**dict(SILICONE, **override))]
+        if bilayer:
+            layers.append(ThermalLayer(**dict(LIG, **override)))
+        wall = WallAssembly(*layers)
+        source = HeatSource(source_temperature=theta_h, source_emissivity=0.9)
+        env = Environment(AMBIENT_K)
+        dt = fraction * _time_constant(_coefficients(wall, source), AMBIENT_K, scale)[0]
+        config = SimConfig(duration=n_steps * dt, dt=dt)
+        schedule = LightSchedule(((gap * dt, math.inf, scale),))
+        traj = run(wall, source, schedule, env, config)
+        silicone, lig = exact_euler(wall, source, env, schedule, config)
+        columns = [(traj.silicone, silicone)]
+        if lig is not None:
+            columns.append((traj.lig, lig))
+        for column, exact in columns:
+            dark = min(gap, config.n_steps) + 1
+            assert column[:dark].tolist() == exact[:dark] == [AMBIENT_K] * dark
+            assert max(abs(Decimal(got) - want) for got, want in
+                       zip(column.tolist(), exact, strict=True)) < Decimal("1e-11")
 
     @given(scale=st.floats(0.1, 2.0))
     @settings(max_examples=10, deadline=None)
